@@ -155,7 +155,7 @@ _PROBE_BOX = SampleSet.random_box([(-1, 1)] * 8, 8, seed=2)
 
 
 def _probe_points(n: int):
-    return [pt[:n] for pt in _PROBE_BOX.points()]
+    return _PROBE_BOX.array()[:, :n]
 
 
 # ---------------------------------------------------------------------------

@@ -85,7 +85,11 @@ def cmd_verify(args) -> int:
         for d in diags:
             print(d.render(), file=sys.stderr)
         return 2
-    checks = _apply_overrides(checks, args.tol, args.points, args.seed)
+    try:
+        checks = _apply_overrides(checks, args.tol, args.points, args.seed)
+    except GrsError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     reports = []
     any_fail = False
     for c in checks:

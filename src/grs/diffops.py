@@ -28,7 +28,7 @@ from .exterior import (
     sort_sign,
     wedge,
 )
-from .scalar import Expr, ZERO, as_expr, is_zero
+from .scalar import Expr, Program, ZERO, as_expr, is_zero
 from .valued import ValuedForm
 
 VectorField = List[Expr]  # one Expr per coordinate axis
@@ -235,11 +235,13 @@ def apply_projection(pi, v: VectorField) -> VectorField:
 def check_idempotent(pi, pts: Sequence[Sequence[float]], tol: float = 1e-10) -> None:
     """Raise NonIdempotentProjection unless pi*pi == pi at every point."""
     n = len(pi)
-    rows = [[as_expr(pi[i][j]) for j in range(n)] for i in range(n)]
-    for pt in pts:
-        m = np.array([[rows[i][j].ev(pt) for j in range(n)] for i in range(n)])
-        if np.max(np.abs(m @ m - m)) > tol:
-            raise NonIdempotentProjection(f"pi^2 != pi at {tuple(pt)}")
+    pts = np.asarray(pts, dtype=float)
+    prog = Program([as_expr(pi[i][j]) for i in range(n) for j in range(n)])
+    m = prog.at(pts).T.reshape(len(pts), n, n)
+    off = np.max(np.abs(m @ m - m), axis=(1, 2)) > tol
+    if off.any():
+        pt = tuple(pts[np.argmax(off)].tolist())
+        raise NonIdempotentProjection(f"pi^2 != pi at {pt}")
 
 
 def projected_lie(pi, X: VectorField) -> Callable[[VectorField], VectorField]:
@@ -461,21 +463,15 @@ def geodesic_integrate(gamma, x0: Sequence[float], u0: Sequence[float],
                        steps: int, ds: float) -> Tuple[np.ndarray, np.ndarray]:
     """Classical RK4 on x' = u, u' = -Gamma(u, u); returns (xs, us)."""
     n = len(x0)
-    fns = [[[as_expr(gamma[l][m][nu]).fn() if not is_zero(as_expr(gamma[l][m][nu])) else None
-             for nu in range(n)] for m in range(n)] for l in range(n)]
+    terms = [(l, m, nu) for l in range(n) for m in range(n) for nu in range(n)
+             if not is_zero(as_expr(gamma[l][m][nu]))]
+    prog = Program([as_expr(gamma[l][m][nu]) for l, m, nu in terms])
 
     def accel(x, u):
-        a = [0.0] * n
-        for l in range(n):
-            s = 0.0
-            for m in range(n):
-                for nu in range(n):
-                    f = fns[l][m][nu]
-                    if f is None:
-                        continue
-                    s += (f(x) * u[m] * u[nu]).real
-            a[l] = -s
-        return a
+        s = [0.0] * n
+        for (l, m, nu), g in zip(terms, prog.at([x])[:, 0].tolist()):
+            s[l] += (g * u[m] * u[nu]).real
+        return [-v for v in s]
 
     xs = np.empty((steps + 1, n))
     us = np.empty((steps + 1, n))

@@ -988,11 +988,14 @@ class _Binder:
         if len(st.sample.ranges) != chart.dim:
             self.fail(f"sample has {len(st.sample.ranges)} range(s); the chart "
                       f"has {chart.dim} coordinate(s)", st.line)
-        if st.sample.kind == "grid":
-            sample = SampleSet.grid(st.sample.ranges, st.sample.count)
-        else:
-            sample = SampleSet.random_box(st.sample.ranges, st.sample.count,
-                                          st.sample.seed)
+        try:
+            if st.sample.kind == "grid":
+                sample = SampleSet.grid(st.sample.ranges, st.sample.count)
+            else:
+                sample = SampleSet.random_box(st.sample.ranges, st.sample.count,
+                                              st.sample.seed)
+        except GrsError as e:
+            self.fail(str(e), st.line)
         try:
             cond = catalog.build(st.entry, chart, **params)
         except GrsError as e:

@@ -3,8 +3,10 @@ evaluate them over sample sets.
 
 Binding is fully symbolic: the differential operator and both bilinear
 maps are expanded into one expression tree per (value label, form
-component) at bind time, so evaluation is exhaustive-checked once and
-per-point work is pure arithmetic.
+component) at bind time.  ``verify`` compiles all of a condition's trees
+into one deduplicated ``Program`` and evaluates it over fixed blocks of
+``BLOCK_ROWS`` sample points, reducing each block into running norms, so
+memory does not grow with the number of points.
 """
 
 from __future__ import annotations
@@ -13,11 +15,11 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .errors import (
     DegreeError,
     EmptySampleSet,
-    EvalSingularity,
-    SingularMetricError,
     UnknownOperator,
     VarianceError,
 )
@@ -30,7 +32,7 @@ from .exterior import (
     musical_tilde,
     wedge,
 )
-from .scalar import Expr, SampleSet, as_expr
+from .scalar import Expr, Program, SampleSet, as_expr, magnitude
 from .valued import PhiMap, ValuedForm, lift_pointwise
 
 
@@ -71,7 +73,6 @@ class GrCondition:
     # label -> [(form multi-index, residual expression), ...]
     residuals: "OrderedDict[str, List[Tuple[MultiIndex, Expr]]]" = field(
         default_factory=OrderedDict)
-    _compiled: dict = field(default_factory=dict, repr=False, compare=False)
 
     def labels(self) -> List[str]:
         return list(self.residuals.keys())
@@ -89,19 +90,15 @@ class GrCondition:
             self.residuals.setdefault(lab, []).append(((), as_expr(e)))
         return self
 
-    def _fns(self, label: str):
-        fns = self._compiled.get(label)
-        if fns is None:
-            fns = [e.fn() for _idx, e in self.residuals[label]]
-            self._compiled[label] = fns
-        return fns
+    def roots(self) -> List[Expr]:
+        """Every residual component, label by label."""
+        return [e for comps in self.residuals.values() for _idx, e in comps]
 
     def residual(self, pt: Sequence[float]) -> Dict[str, List[complex]]:
         """Labeled residual component values at one sample point."""
-        out: Dict[str, List[complex]] = {}
-        for label in self.residuals:
-            out[label] = [f(pt) for f in self._fns(label)]
-        return out
+        values = iter(Program(self.roots()).at([pt])[:, 0].tolist())
+        return {label: [next(values) for _ in comps]
+                for label, comps in self.residuals.items()}
 
 
 def bind(name: str, chart: Chart, phi_form: str, phi_value: PhiMap,
@@ -171,57 +168,84 @@ class ResidualReport:
 
     @property
     def linf(self) -> float:
-        return max((n["linf"] for n in self.norms.values()), default=0.0)
+        return float(np.max([n["linf"] for n in self.norms.values()], initial=0.0))
 
     @property
     def rms(self) -> float:
-        return max((n["rms"] for n in self.norms.values()), default=0.0)
+        return float(np.max([n["rms"] for n in self.norms.values()], initial=0.0))
 
 
 DEFAULT_TOL = 1e-9
 
 
+# sample points evaluated per block; bounds verify's memory at any --points
+BLOCK_ROWS = 1024
+
+
+def _skipped(sample: SampleSet, block: np.ndarray) -> Optional[np.ndarray]:
+    """Rows of ``block`` the sample set's exclusion predicate rejects."""
+    if sample.exclude is None:
+        return None
+    return np.array([sample.exclude(p) for p in map(tuple, block.tolist())], dtype=bool)
+
+
 def verify(c: GrCondition, sample: SampleSet, tol: float = DEFAULT_TOL) -> ResidualReport:
     """Evaluate the condition over the sample set and reduce to norms.
 
-    Points hitting evaluation or metric singularities are recorded as
-    excluded rather than fatal.  The pass criterion is max-over-labels of
-    the L-infinity norm against ``tol``.
+    Points hitting evaluation singularities are recorded as excluded
+    rather than fatal.  The pass criterion is max-over-labels of the
+    L-infinity norm against ``tol``; a NaN or infinite residual at an
+    evaluated point makes that norm non-finite, so the check fails.
     """
     labels = c.labels()
-    linf = {lab: 0.0 for lab in labels}
-    sumsq = {lab: 0.0 for lab in labels}
+    spans = []  # each label's columns among the condition's components
+    width = 0
+    for lab in labels:
+        spans.append((width, width + len(c.residuals[lab])))
+        width = spans[-1][1]
+    prog = Program(c.roots())
+    pts = sample.array()
+    linf = [0.0] * len(labels)
+    sumsq = [0.0] * len(labels)
     evaluated = 0
-    excluded = 0
     worst_point = None
     worst_mag = -1.0
-    for pt in sample.points():
-        if sample.exclude is not None and sample.exclude(pt):
-            excluded += 1
-            continue
-        try:
-            values = c.residual(pt)
-        except (EvalSingularity, SingularMetricError):
-            excluded += 1
-            continue
-        evaluated += 1
-        point_max = 0.0
-        for lab in labels:
-            for v in values[lab]:
-                m = abs(v)
-                if m > linf[lab]:
-                    linf[lab] = m
-                if m > point_max:
-                    point_max = m
-                sumsq[lab] += m * m
-        if point_max > worst_mag:
-            worst_mag = point_max
-            worst_point = [float(x) for x in pt]
+    # squares of huge magnitudes overflow to inf, which fails the check
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, len(pts), BLOCK_ROWS):
+            block = pts[start:start + BLOCK_ROWS]
+            skip = _skipped(sample, block)
+            values, singular = prog.run(block, skip)
+            keep = ~singular if skip is None else ~(singular | skip)
+            block = block[keep]
+            if not len(block):
+                continue
+            evaluated += len(block)
+            mags = np.empty((len(block), width))  # points x components
+            for j, v in enumerate(values):
+                mags[:, j] = magnitude(v)[keep]
+            for k, (a, b) in enumerate(spans):
+                m = mags[:, a:b]
+                # np.maximum, unlike max(), keeps a NaN
+                linf[k] = np.maximum(linf[k], m.max(initial=0.0))
+                sq = (m * m).ravel()
+                if sq.size:
+                    # the same left-to-right sum as one point at a time
+                    sq[0] += sumsq[k]
+                    sumsq[k] = np.cumsum(sq)[-1]
+            point_max = mags.max(axis=1, initial=0.0)
+            i = int(np.argmax(point_max))  # first maximum; a NaN counts as largest
+            m = point_max[i]
+            if m > worst_mag or (np.isnan(m) and not np.isnan(worst_mag)):
+                worst_mag = m
+                worst_point = block[i].tolist()
+    excluded = len(pts) - evaluated
     if evaluated == 0:
         raise EmptySampleSet(f"no points left for {c.name!r} after exclusions")
     norms = OrderedDict()
-    for lab in labels:
-        norms[lab] = {"linf": linf[lab], "rms": (sumsq[lab] / evaluated) ** 0.5}
+    for k, lab in enumerate(labels):
+        norms[lab] = {"linf": float(linf[k]),
+                      "rms": (float(sumsq[k]) / evaluated) ** 0.5}
     passed = all(n["linf"] <= tol for n in norms.values())
     return ResidualReport(
         condition=c.name,

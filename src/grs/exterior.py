@@ -28,7 +28,7 @@ from .errors import (
     SingularMetricError,
     VarianceError,
 )
-from .scalar import Expr, as_expr, is_zero
+from .scalar import Expr, Program, as_expr, is_zero
 
 COV = "covariant"
 CONTRA = "contravariant"
@@ -129,10 +129,7 @@ class MetricSpec:
         if self.kind == "diagonal":
             return np.diag(np.array(self.diag, dtype=float))
         n = self.dim
-        m = np.empty((n, n), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                m[i, j] = self.rows[i][j].ev(pt)
+        m = Program([e for row in self.rows for e in row]).at([pt]).reshape(n, n)
         if np.allclose(m.imag, 0.0):
             m = m.real
         if abs(np.linalg.det(m)) < _DET_FLOOR:

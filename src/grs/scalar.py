@@ -1,23 +1,41 @@
 """Symbolic scalar fields on a coordinate chart.
 
-Expression trees support exact partial differentiation and pointwise
-evaluation in IEEE doubles (complex).  Trees are immutable and are never
-rewritten after construction; the only folding happens in the smart
-constructors (constants, additive/multiplicative identities), which keeps
-derivative trees from blowing up without ever touching an existing node.
+Expression trees support exact partial differentiation and evaluation in
+IEEE doubles (complex) over arrays of sample points.  Trees are immutable
+and are never rewritten after construction; the only folding happens in
+the smart constructors (constants, additive/multiplicative identities),
+which keeps derivative trees from blowing up without ever touching an
+existing node.
+
+Evaluation goes through one path: a ``Program`` compiles a list of root
+expressions into a deduplicated, topologically sorted op list and runs
+each op once per call on whole arrays of points.  The arithmetic follows
+CPython's ``complex``/``cmath`` formulas (Smith division, binary integer
+powers, libm ``exp``/``sin``/``cos`` through numpy's complex kernels), so
+results match a pointwise ``cmath`` evaluation up to the last bits of
+real ``pow``.
+
+Point policy: a division or negative power whose operand has magnitude
+below ``_DIV_FLOOR`` marks the point *singular*; ``sqrt`` or a
+half-integer power of a negative real raises ``DomainError``, but only
+at points that are neither singular nor excluded by the caller.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .errors import DomainError, EvalSingularity
 
 _DIV_FLOOR = 1e-300
+_ONE = np.float64(1.0)
+
+# upper bound on the points one sample set may request (all axes together)
+MAX_POINTS = 10 ** 7
 
 
 def _is_real(z: complex) -> bool:
@@ -25,9 +43,14 @@ def _is_real(z: complex) -> bool:
 
 
 class Expr:
-    """Base node.  Subclasses implement ``_diff`` and ``_compile``."""
+    """Base node.  Subclasses implement ``_diff``, ``_parts`` and ``_eval``.
 
-    __slots__ = ("_fn",)
+    ``_parts`` returns (children, hashable non-node fields): together with
+    the node type this is the structural key ``Program`` merges on.
+    ``_eval(blk, param, *child_values)`` computes the node over a block.
+    """
+
+    __slots__ = ("_prog",)
 
     def diff(self, axis: int) -> "Expr":
         """Exact partial derivative along a 0-based coordinate axis."""
@@ -36,19 +59,15 @@ class Expr:
     def _diff(self, axis: int) -> "Expr":  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def _compile(self) -> Callable[[Sequence[float]], complex]:  # pragma: no cover
+    def _parts(self) -> Tuple[Tuple["Expr", ...], object]:  # pragma: no cover
         raise NotImplementedError
-
-    def fn(self) -> Callable[[Sequence[float]], complex]:
-        f = getattr(self, "_fn", None)
-        if f is None:
-            f = self._compile()
-            self._fn = f
-        return f
 
     def ev(self, coords: Sequence[float]) -> complex:
         """Evaluate at a sample point (sequence of reals)."""
-        return self.fn()(coords)
+        prog = getattr(self, "_prog", None)
+        if prog is None:
+            prog = self._prog = Program([self])
+        return complex(prog.at([coords])[0, 0])
 
     # arithmetic sugar; everything funnels through the folding constructors
     def __add__(self, other):
@@ -82,6 +101,95 @@ class Expr:
         return pow_(self, other)
 
 
+# ---------------------------------------------------------------------------
+# array kernels
+#
+# Values are float64 arrays where the imaginary part is identically zero
+# and complex128 arrays otherwise (constants: numpy float64/complex128
+# scalars).
+# numpy's complex128 multiply and divide may fuse or reciprocate, so the
+# genuinely complex cases are spelled out in real arithmetic.
+
+
+def _is_c(v) -> bool:
+    return v.dtype.kind == "c"
+
+
+def _rows(v, n: int):
+    """``v`` as a length-n array; only constants need broadcasting."""
+    return v if v.ndim == 1 else np.broadcast_to(v, (n,))
+
+
+def _cpx(re, im):
+    out = np.empty(np.broadcast(re, im).shape, dtype=complex)
+    out.real = re
+    out.imag = im
+    return out
+
+
+def magnitude(v):
+    """|v| elementwise, rounded as CPython's ``abs`` of a float or complex."""
+    return np.hypot(v.real, v.imag) if _is_c(v) else np.abs(v)
+
+
+def _cmul(a, b):
+    if not (_is_c(a) and _is_c(b)):
+        return a * b  # one factor real: every product is a single rounding
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    return _cpx(ar * br - ai * bi, ar * bi + ai * br)
+
+
+def _cdiv(a, b):
+    """CPython's complex division: Smith's scaling by the larger part of b."""
+    if not _is_c(b):
+        return _cpx(a.real / b, a.imag / b) if _is_c(a) else a / b
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    by_re = np.abs(br) >= np.abs(bi)
+    ratio = np.where(by_re, bi / br, br / bi)
+    denom = np.where(by_re, br + bi * ratio, br * ratio + bi)
+    re = np.where(by_re, ar + ai * ratio, ar * ratio + ai) / denom
+    im = np.where(by_re, ai - ar * ratio, ai * ratio - ar) / denom
+    return _cpx(re, im)
+
+
+def _ipow(x, n: int):
+    """x**n by binary exponentiation, as CPython's complex power."""
+    r = None
+    k = abs(n)
+    while k:
+        if k & 1:
+            r = x if r is None else _cmul(r, x)
+        k >>= 1
+        if k:
+            x = _cmul(x, x)
+    if r is None:
+        return _ONE
+    return r if n > 0 else _cdiv(_ONE, r)
+
+
+def _libm(f, v):
+    """f on complex input, which numpy hands to the C library's c-functions."""
+    return f(v) if _is_c(v) else f(v + 0j).real
+
+
+class _Block:
+    """Coordinates of one block of points plus what evaluation found there."""
+
+    __slots__ = ("cols", "singular", "domain")
+
+    def __init__(self, pts: np.ndarray):
+        self.cols = np.ascontiguousarray(pts.T)
+        self.singular = np.zeros(len(pts), dtype=bool)
+        self.domain: List[tuple] = []  # (mask, real part, message template)
+
+    def flag_small(self, v) -> None:
+        self.singular |= magnitude(v) < _DIV_FLOOR
+
+    def flag_negative(self, v, template: str) -> None:
+        bad = (v.real < 0.0) & (v.imag == 0.0)
+        self.domain.append((bad, v.real, template))
+
+
 class Const(Expr):
     __slots__ = ("value",)
 
@@ -91,9 +199,14 @@ class Const(Expr):
     def _diff(self, axis):
         return ZERO
 
-    def _compile(self):
+    def _parts(self):
+        # numpy scalars, so that constant-only ops divide by zero like arrays
         v = self.value
-        return lambda c: v
+        return (), (np.float64(v.real) if v.imag == 0.0 else np.complex128(v))
+
+    @staticmethod
+    def _eval(blk, v):
+        return v
 
     def __repr__(self):
         return f"Const({self.value})"
@@ -112,9 +225,12 @@ class Coord(Expr):
     def _diff(self, axis):
         return ONE if axis == self.axis else ZERO
 
-    def _compile(self):
-        k = self.axis
-        return lambda c: c[k]
+    def _parts(self):
+        return (), self.axis
+
+    @staticmethod
+    def _eval(blk, axis):
+        return blk.cols[axis]
 
     def __repr__(self):
         return f"Coord({self.axis})"
@@ -127,6 +243,9 @@ class _Binary(Expr):
         self.a = a
         self.b = b
 
+    def _parts(self):
+        return (self.a, self.b), None
+
     def __repr__(self):
         return f"{type(self).__name__}({self.a!r}, {self.b!r})"
 
@@ -137,9 +256,9 @@ class Add(_Binary):
     def _diff(self, axis):
         return add(self.a._diff(axis), self.b._diff(axis))
 
-    def _compile(self):
-        fa, fb = self.a.fn(), self.b.fn()
-        return lambda c: fa(c) + fb(c)
+    @staticmethod
+    def _eval(blk, _p, a, b):
+        return a + b
 
 
 class Sub(_Binary):
@@ -148,9 +267,9 @@ class Sub(_Binary):
     def _diff(self, axis):
         return sub(self.a._diff(axis), self.b._diff(axis))
 
-    def _compile(self):
-        fa, fb = self.a.fn(), self.b.fn()
-        return lambda c: fa(c) - fb(c)
+    @staticmethod
+    def _eval(blk, _p, a, b):
+        return a - b
 
 
 class Mul(_Binary):
@@ -159,9 +278,9 @@ class Mul(_Binary):
     def _diff(self, axis):
         return add(mul(self.a._diff(axis), self.b), mul(self.a, self.b._diff(axis)))
 
-    def _compile(self):
-        fa, fb = self.a.fn(), self.b.fn()
-        return lambda c: fa(c) * fb(c)
+    @staticmethod
+    def _eval(blk, _p, a, b):
+        return _cmul(a, b)
 
 
 class Div(_Binary):
@@ -171,16 +290,10 @@ class Div(_Binary):
         num = sub(mul(self.a._diff(axis), self.b), mul(self.a, self.b._diff(axis)))
         return div(num, mul(self.b, self.b))
 
-    def _compile(self):
-        fa, fb = self.a.fn(), self.b.fn()
-
-        def f(c):
-            d = fb(c)
-            if abs(d) < _DIV_FLOOR:
-                raise EvalSingularity(f"division by {d!r}")
-            return fa(c) / d
-
-        return f
+    @staticmethod
+    def _eval(blk, _p, a, b):
+        blk.flag_small(b)
+        return _cdiv(a, b)
 
 
 class Neg(Expr):
@@ -192,16 +305,23 @@ class Neg(Expr):
     def _diff(self, axis):
         return neg(self.a._diff(axis))
 
-    def _compile(self):
-        fa = self.a.fn()
-        return lambda c: -fa(c)
+    def _parts(self):
+        return (self.a,), None
+
+    @staticmethod
+    def _eval(blk, _p, a):
+        return -a
 
     def __repr__(self):
         return f"Neg({self.a!r})"
 
 
 class Pow(Expr):
-    """Integer or half-integer power.  Exponent kept exact as a Fraction."""
+    """Integer or half-integer power.  Exponent kept exact as a Fraction.
+
+    A half-integer power n/2 is evaluated as (sqrt a)**n, the principal
+    branch of a**(n/2).
+    """
 
     __slots__ = ("a", "exponent")
 
@@ -215,31 +335,17 @@ class Pow(Expr):
         e = self.exponent
         return mul(mul(Const(float(e)), pow_(self.a, e - 1)), self.a._diff(axis))
 
-    def _compile(self):
-        fa = self.a.fn()
-        e = self.exponent
-        if e.denominator == 1:
-            k = int(e)
+    def _parts(self):
+        return (self.a,), self.exponent
 
-            def f(c):
-                v = fa(c)
-                if k < 0 and abs(v) < _DIV_FLOOR:
-                    raise EvalSingularity(f"{v!r} ** {k}")
-                return v ** k
-
-            return f
-
-        ef = float(e)
-
-        def f(c):
-            v = fa(c)
-            if ef < 0 and abs(v) < _DIV_FLOOR:
-                raise EvalSingularity(f"{v!r} ** {ef}")
-            if _is_real(v) and v.real < 0.0:
-                raise DomainError(f"negative base {v.real} under half-integer power {e}")
-            return v ** ef
-
-        return f
+    @staticmethod
+    def _eval(blk, e, a):
+        if e < 0:
+            blk.flag_small(a)
+        if e.denominator == 2:
+            blk.flag_negative(a, "negative base {} under half-integer power " + str(e))
+            a = np.sqrt(a)
+        return _ipow(a, e.numerator)
 
     def __repr__(self):
         return f"Pow({self.a!r}, {self.exponent})"
@@ -251,6 +357,9 @@ class _Unary(Expr):
     def __init__(self, a: Expr):
         self.a = a
 
+    def _parts(self):
+        return (self.a,), None
+
     def __repr__(self):
         return f"{type(self).__name__}({self.a!r})"
 
@@ -261,9 +370,9 @@ class Sin(_Unary):
     def _diff(self, axis):
         return mul(cos(self.a), self.a._diff(axis))
 
-    def _compile(self):
-        fa = self.a.fn()
-        return lambda c: cmath.sin(fa(c))
+    @staticmethod
+    def _eval(blk, _p, a):
+        return _libm(np.sin, a)
 
 
 class Cos(_Unary):
@@ -272,9 +381,9 @@ class Cos(_Unary):
     def _diff(self, axis):
         return neg(mul(sin(self.a), self.a._diff(axis)))
 
-    def _compile(self):
-        fa = self.a.fn()
-        return lambda c: cmath.cos(fa(c))
+    @staticmethod
+    def _eval(blk, _p, a):
+        return _libm(np.cos, a)
 
 
 class Exp(_Unary):
@@ -283,9 +392,9 @@ class Exp(_Unary):
     def _diff(self, axis):
         return mul(self, self.a._diff(axis))
 
-    def _compile(self):
-        fa = self.a.fn()
-        return lambda c: cmath.exp(fa(c))
+    @staticmethod
+    def _eval(blk, _p, a):
+        return _libm(np.exp, a)
 
 
 class Sqrt(_Unary):
@@ -294,16 +403,10 @@ class Sqrt(_Unary):
     def _diff(self, axis):
         return div(self.a._diff(axis), mul(Const(2.0), self))
 
-    def _compile(self):
-        fa = self.a.fn()
-
-        def f(c):
-            v = fa(c)
-            if _is_real(v) and v.real < 0.0:
-                raise DomainError(f"sqrt of negative real {v.real}")
-            return cmath.sqrt(v)
-
-        return f
+    @staticmethod
+    def _eval(blk, _p, a):
+        blk.flag_negative(a, "sqrt of negative real {}")
+        return np.sqrt(a)
 
 
 class Bump(Expr):
@@ -326,31 +429,114 @@ class Bump(Expr):
     def _diff(self, axis):
         return mul(Bump(self.a, self.order + 1), self.a._diff(axis))
 
-    def _compile(self):
-        fa = self.a.fn()
-        k = self.order
+    def _parts(self):
+        return (self.a,), self.order
 
-        def f(c):
-            s = fa(c).real
-            w = 1.0 - s * s
-            if w <= 0.0:
-                return 0.0
-            try:
-                e = math.exp(-1.0 / w)
-            except OverflowError:
-                return 0.0
-            if k == 0:
-                return e
+    @staticmethod
+    def _eval(blk, k, a):
+        s = a.real
+        w = 1.0 - s * s
+        outside = w <= 0.0
+        w = np.where(outside, 1.0, w)
+        e = _libm(np.exp, -1.0 / w)
+        if k >= 1:
             w1 = -2.0 * s / (w * w)
             if k == 1:
-                return w1 * e
-            w2 = -2.0 / (w * w) - 8.0 * s * s / (w * w * w)
-            return (w2 + w1 * w1) * e
-
-        return f
+                e = w1 * e
+            else:
+                w2 = -2.0 / (w * w) - 8.0 * s * s / (w * w * w)
+                e = (w2 + w1 * w1) * e
+        return np.where(outside, 0.0, e)
 
     def __repr__(self):
         return f"Bump({self.a!r}, {self.order})"
+
+
+# ---------------------------------------------------------------------------
+# compiled programs
+
+
+class Program:
+    """Root expressions compiled to one deduplicated op list.
+
+    Structurally equal subtrees -- same node type, same constant, axis,
+    exponent or order, same children -- become one op.  Ops are stored in
+    topological order and each is evaluated once per call over a whole
+    array of points; an intermediate is dropped after its last consumer.
+    """
+
+    __slots__ = ("_ops", "_roots")
+
+    def __init__(self, exprs: Iterable[Expr]):
+        slot_of: Dict[int, int] = {}      # id(node) -> op index
+        interned: Dict[tuple, int] = {}   # structural key -> op index
+        ops: List[tuple] = []             # (eval, param, child slots, dead slots)
+        roots: List[int] = []
+        for root in exprs:
+            stack = [root]
+            while stack:
+                node = stack[-1]
+                if id(node) in slot_of:
+                    stack.pop()
+                    continue
+                kids, param = node._parts()
+                todo = [k for k in kids if id(k) not in slot_of]
+                if todo:
+                    stack.extend(todo)
+                    continue
+                stack.pop()
+                args = tuple(slot_of[id(k)] for k in kids)
+                key = (type(node), param, args)
+                i = interned.get(key)
+                if i is None:
+                    i = interned[key] = len(ops)
+                    ops.append((type(node)._eval, param, args, []))
+                slot_of[id(node)] = i
+            roots.append(slot_of[id(root)])
+        last_use = {a: i for i, op in enumerate(ops) for a in op[2]}
+        keep = set(roots)
+        for a, i in last_use.items():
+            if a not in keep:
+                ops[i][3].append(a)
+        self._ops = ops
+        self._roots = roots
+
+    def __len__(self) -> int:
+        return len(self._ops)
+
+    def run(self, pts: np.ndarray, skip: Optional[np.ndarray] = None):
+        """Root values at the rows of ``pts`` (N x dim), and the singular mask.
+
+        Returns ([one length-N array per root], singular).  Raises
+        DomainError for a domain violation at a row that is neither
+        singular nor marked in ``skip``.
+        """
+        n = len(pts)
+        blk = _Block(pts)
+        vals: list = [None] * len(self._ops)
+        with np.errstate(all="ignore"):
+            for i, (ev, param, args, dead) in enumerate(self._ops):
+                vals[i] = ev(blk, param, *[vals[a] for a in args])
+                for a in dead:
+                    vals[a] = None
+        ignore = blk.singular if skip is None else blk.singular | skip
+        for bad, re, template in blk.domain:
+            hit = bad & ~ignore
+            if hit.any():
+                raise DomainError(template.format(float(_rows(re, n)[np.argmax(hit)])))
+        return [_rows(vals[r], n) for r in self._roots], blk.singular
+
+    def at(self, pts) -> np.ndarray:
+        """Root values at every point of ``pts``: a (roots, points) complex array.
+
+        Raises EvalSingularity if any point is singular.
+        """
+        pts = np.asarray(pts, dtype=float)
+        values, singular = self.run(pts)
+        if singular.any():
+            pt = tuple(pts[np.argmax(singular)].tolist())
+            raise EvalSingularity(f"division by (near) zero at {pt}")
+        return np.array(values, dtype=complex).reshape(len(values), len(pts))
 
 
 # ---------------------------------------------------------------------------
@@ -479,20 +665,14 @@ def fd_diff(e: Expr, axis: int, pt: Sequence[float], h: float = 1e-3) -> complex
     """4th-order central difference; independent cross-check for ``diff``."""
     if h <= 0:
         raise DomainError("step must be positive")
-    f = e.fn()
-
-    def at(delta: float) -> complex:
-        shifted = list(pt)
-        shifted[axis] += delta
-        return f(shifted)
-
-    return (-at(2 * h) + 8 * at(h) - 8 * at(-h) + at(-2 * h)) / (12 * h)
+    pts = np.tile(np.asarray(pt, dtype=float), (4, 1))
+    pts[:, axis] += [2 * h, h, -h, -2 * h]
+    f2, f1, m1, m2 = Program([e]).at(pts)[0].tolist()
+    return (-f2 + 8 * f1 - 8 * m1 + m2) / (12 * h)
 
 
 # ---------------------------------------------------------------------------
 # sample sets
-
-SamplePoint = tuple
 
 
 @dataclass(frozen=True)
@@ -502,7 +682,7 @@ class SampleSet:
     ``kind`` is "grid" (tensor grid, ``counts`` points per axis) or
     "random" (uniform box, ``count`` draws from a seeded generator).
     ``exclude`` skips points (e.g. metric singularities); skipped points
-    are counted by the caller.
+    are counted by the caller.  At most ``MAX_POINTS`` points in total.
     """
 
     kind: str
@@ -511,6 +691,11 @@ class SampleSet:
     count: int = 0  # random: number of draws
     seed: int = 0
     exclude: Optional[Callable[[tuple], bool]] = field(default=None, compare=False)
+
+    def __post_init__(self):
+        if self.requested > MAX_POINTS:
+            raise DomainError(f"{self.requested} sample points requested; "
+                              f"at most {MAX_POINTS} are allowed")
 
     @staticmethod
     def grid(bounds: Iterable, points_per_axis) -> "SampleSet":
@@ -542,28 +727,23 @@ class SampleSet:
             return n
         return self.count
 
-    def points(self) -> Iterator[tuple]:
-        """All points in a fixed, seed-deterministic order (pre-exclusion)."""
+    def array(self) -> np.ndarray:
+        """All points as rows of an (N, dim) array, in a fixed,
+        seed-deterministic order (pre-exclusion); grids vary the last
+        axis fastest."""
         if self.kind == "grid":
             axes = []
             for (lo, hi), k in zip(self.bounds, self.counts):
                 if k == 1:
-                    axes.append([0.5 * (lo + hi)])
+                    axes.append(np.array([0.5 * (lo + hi)]))
                 else:
-                    step = (hi - lo) / (k - 1)
-                    axes.append([lo + i * step for i in range(k)])
-            import itertools
-
-            yield from itertools.product(*axes)
-        else:
-            import numpy as np
-
-            rng = np.random.default_rng(self.seed)
-            lows = np.array([b[0] for b in self.bounds])
-            highs = np.array([b[1] for b in self.bounds])
-            draws = rng.uniform(lows, highs, size=(self.count, len(self.bounds)))
-            for row in draws:
-                yield tuple(float(v) for v in row)
+                    axes.append(lo + np.arange(k) * ((hi - lo) / (k - 1)))
+            mesh = np.meshgrid(*axes, indexing="ij")
+            return np.stack(mesh, axis=-1).reshape(-1, len(axes))
+        rng = np.random.default_rng(self.seed)
+        lows = np.array([b[0] for b in self.bounds])
+        highs = np.array([b[1] for b in self.bounds])
+        return rng.uniform(lows, highs, size=(self.count, len(self.bounds)))
 
     def describe(self) -> dict:
         d = {"kind": self.kind, "bounds": [list(b) for b in self.bounds]}

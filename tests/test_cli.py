@@ -111,6 +111,27 @@ class TestVerify:
         assert main(["verify", fail_first_spec, "--tol", "100"]) == 0
         capsys.readouterr()
 
+    def test_overflowing_residual_fails(self, tmp_path, capsys):
+        # exp(1000 x) overflows to inf for x > 0.71: a failed check, exit 1
+        p = tmp_path / "overflow.grs"
+        p.write_text("chart R2 (x, y) metric diag(1, 1)\n"
+                     "vector X : 1 = 1 * dx\n"
+                     "field f = exp(1000 * x)\n"
+                     "check first_integral(X, f) on random(-2..2, -2..2; 50, seed 13)\n")
+        assert main(["verify", str(p)]) == 1
+        assert "FAIL" in capsys.readouterr().out
+
+    def test_points_cap_on_grid(self, tmp_path, capsys):
+        # --points counts per axis on a grid: 500 on four axes is 500**4 points
+        p = tmp_path / "grid4.grs"
+        p.write_text("chart M (x, y, z, t) metric diag(1, 1, 1, 1)\n"
+                     "vector X : 1 = 1 * dx\n"
+                     "field f = y\n"
+                     "check first_integral(X, f) on "
+                     "grid(-1..1, -1..1, -1..1, -1..1; 3)\n")
+        assert main(["verify", str(p), "--points", "500"]) == 2
+        assert "error" in capsys.readouterr().err
+
 
 class TestCatalog:
     def test_lists_entries(self, capsys):

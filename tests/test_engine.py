@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from grs.engine import DEFAULT_TOL, GrCondition, bind, verify
@@ -92,6 +94,14 @@ class TestVerify:
         sample = SampleSet.grid([(0, 0), (0, 1)], 2)  # every point has x = 0
         with pytest.raises(EmptySampleSet):
             verify(cond, sample)
+
+    def test_nan_residual_fails(self, r2):
+        # abs(nan) > linf is False, so a plain running max would pass this
+        cond = GrCondition(name="nan", chart=r2)
+        cond.add_exprs([("r", x * float("nan"))])
+        rep = verify(cond, SampleSet.random_box([(-1, 1), (-1, 1)], 20, seed=1))
+        assert rep.passed is False
+        assert math.isnan(rep.norms["r"]["linf"]) and math.isnan(rep.linf)
 
     def test_exclusion_predicate_counts(self, r2):
         cond = self._abs_x_condition(r2)

@@ -139,27 +139,27 @@ class TestSampleSet:
     def test_random_deterministic(self):
         s1 = SampleSet.random_box([(-1, 1), (0, 2)], 50, seed=3)
         s2 = SampleSet.random_box([(-1, 1), (0, 2)], 50, seed=3)
-        assert list(s1.points()) == list(s2.points())
+        assert s1.array().tolist() == s2.array().tolist()
         assert s1.requested == 50
 
     def test_random_seed_changes_points(self):
         s1 = SampleSet.random_box([(-1, 1)], 10, seed=1)
         s2 = SampleSet.random_box([(-1, 1)], 10, seed=2)
-        assert list(s1.points()) != list(s2.points())
+        assert s1.array().tolist() != s2.array().tolist()
 
     def test_grid_counts(self):
         g = SampleSet.grid([(0, 1), (0, 2)], 3)
-        pts = list(g.points())
+        pts = list(map(tuple, g.array().tolist()))
         assert len(pts) == 9
         assert g.requested == 9
         assert (0.0, 0.0) in pts and (1.0, 2.0) in pts
 
     def test_bounds_respected(self):
         s = SampleSet.random_box([(-1, 1), (3, 4)], 200, seed=11)
-        for px, py in s.points():
+        for px, py in s.array().tolist():
             assert -1 <= px <= 1 and 3 <= py <= 4
 
     def test_exclusion_predicate(self):
         s = SampleSet.grid([(0, 1)], 5).with_exclusion(lambda p: p[0] < 0.5)
-        kept = [p for p in s.points() if not s.exclude(p)]
+        kept = [p for p in map(tuple, s.array().tolist()) if not s.exclude(p)]
         assert len(kept) == 3
