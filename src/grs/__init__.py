@@ -17,6 +17,7 @@ from .errors import (
     GrsError,
     MissingParameter,
     NonIdempotentProjection,
+    ParameterError,
     SingularMetricError,
     StepError,
     UnknownEntry,

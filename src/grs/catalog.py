@@ -1,12 +1,20 @@
 """Named residual conditions: every supported field equation as a factory
 producing a bound GrCondition, plus fixtures (known solutions and known
 violators) for each entry.
+
+Each entry declares its parameters once, in its builder's signature:
+the annotation is the parameter's ``Kind``, a default makes it optional
+and ``*name`` makes it the vararg.  ``CatalogEntry.params`` reads that
+schema; ``build`` checks the arguments against it before the builder
+runs, the DSL binder maps positional arguments with it and
+``grs catalog`` prints it as the entry's signature.
 """
 
-from __future__ import annotations
-
+import inspect
+import numbers
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from functools import cached_property
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,23 +35,32 @@ from .diffops import (
     ricci,
     schrodinger_residual,
 )
-from .engine import GrCondition, bind
-from .errors import DegenerateFormError, DegreeError, MissingParameter, UnknownEntry
+from .engine import GrCondition, bind, pairing
+from .errors import (
+    DegenerateFormError,
+    DegreeError,
+    DimensionError,
+    MissingParameter,
+    ParameterError,
+    UnknownEntry,
+)
 from .exterior import (
     CONTRA,
     COV,
     AlternatingTensor,
     Chart,
     MetricSpec,
-    _det_expr,
     form,
     hodge,
     interior,
+    inverse_expr,
     multivector,
     musical_tilde,
     wedge,
 )
-from .scalar import Expr, SampleSet, ZERO, as_expr, bump, const, coord, cos, exp, is_zero, sin
+from .scalar import (
+    Const, Expr, SampleSet, ZERO, as_expr, bump, const, coord, cos, exp, is_zero, sin,
+)
 from .valued import (
     PhiMap,
     SCALAR_SPACE,
@@ -136,18 +153,16 @@ def unit_section(chart: Chart) -> ValuedForm:
     return scalar_valued(form(chart, 0, {(): const(1.0)}))
 
 
-def _require(params: dict, *names):
-    missing = [n for n in names if n not in params or params[n] is None]
-    if missing:
-        raise MissingParameter(f"missing parameter(s): {', '.join(missing)}")
-    return [params[n] for n in names]
-
-
 def _normalize_pi(pi, n: int):
-    """Accept a diagonal (flat list) or full matrix of expressions."""
+    """Accept a diagonal (flat list of n entries) or a full n x n matrix of
+    expressions."""
     pi = list(pi)
-    if pi and not isinstance(pi[0], (list, tuple)):
+    if not isinstance(pi[0], (list, tuple)):
+        if len(pi) != n:
+            raise DimensionError(f"pi has {len(pi)} diagonal entries; {n} are needed")
         return [[as_expr(pi[i]) if i == j else ZERO for j in range(n)] for i in range(n)]
+    if len(pi) != n or any(not isinstance(row, (list, tuple)) or len(row) != n for row in pi):
+        raise DimensionError(f"pi must be a {n}x{n} matrix")
     return [[as_expr(v) for v in row] for row in pi]
 
 
@@ -159,30 +174,105 @@ def _probe_points(n: int):
 
 
 # ---------------------------------------------------------------------------
+# parameter kinds
+
+
+@dataclass(frozen=True)
+class Kind:
+    """What a catalog parameter accepts.
+
+    ``text`` names the kind in ``grs catalog`` signatures, ``noun`` in
+    diagnostics; ``accepts(value, chart)`` tests a value and ``convert``
+    normalizes an accepted one.  A kind with ``words`` takes one of those
+    bare words (the DSL passes an unbound name through as a string).
+    """
+
+    text: str
+    noun: str
+    accepts: Callable[[object, Chart], bool] = field(compare=False)
+    convert: Callable[[object], object] = field(default=lambda v: v, compare=False)
+    words: Tuple[str, ...] = ()
+
+
+def _is_scalar(v) -> bool:
+    return isinstance(v, (Expr, numbers.Number))
+
+
+def _real_value(v) -> Optional[float]:
+    """The real number that a literal or constant ``v`` stands for, else None."""
+    if isinstance(v, Const):
+        v = v.value
+    if isinstance(v, numbers.Number) and v.imag == 0:
+        return float(v.real)
+    return None
+
+
+def _is_real(v, _chart) -> bool:
+    return _real_value(v) is not None
+
+
+def _form_kind(degree: Optional[int] = None, valued: bool = False) -> Kind:
+    text = ("valued " if valued else "") + ("form" if degree is None else f"{degree}-form")
+    cls = ValuedForm if valued else AlternatingTensor
+    return Kind(text, f"a {text}", lambda v, _c: (
+        isinstance(v, cls) and v.variance == COV and degree in (None, v.degree)))
+
+
+_PHI_VALUE_CHOICES = {
+    "sym": PhiMap.symmetrized_product,
+    "diag": PhiMap.diagonal,
+    "bracket": PhiMap.abstract_bracket,
+}
+
+FIELD = Kind("field", "a scalar field", lambda v, _c: _is_scalar(v), as_expr)
+VECTOR = Kind("vector", "a vector", lambda v, c: (
+    isinstance(v, (list, tuple)) and len(v) == c.dim and all(map(_is_scalar, v))),
+    lambda v: [as_expr(e) for e in v])
+MULTIVECTOR = Kind("multivector", "a multivector", lambda v, _c: (
+    isinstance(v, AlternatingTensor) and v.variance == CONTRA))
+FORM, ONE_FORM, TWO_FORM, THREE_FORM = (_form_kind(p) for p in (None, 1, 2, 3))
+VALUED_FORM, _VALUED_1FORM, VALUED_2FORM = (_form_kind(p, valued=True) for p in (None, 1, 2))
+CONNECTION = Kind("algebra-valued 1-form", "a 1-form with values in a Lie algebra",
+                  lambda v, c: _VALUED_1FORM.accepts(v, c) and v.space.lie is not None)
+SPINOR = Kind("spinor", "a C^4-valued 0-form or 4 fields", lambda v, _c: (
+    isinstance(v, ValuedForm) and v.degree == 0 and v.space.dim == 4
+    or isinstance(v, (list, tuple)) and len(v) == 4 and all(map(_is_scalar, v))))
+PROJECTION = Kind("projection", "a projection (a diagonal list or a matrix)",
+                  lambda v, _c: isinstance(v, (list, tuple)) and len(v) > 0)
+REAL = Kind("real", "a real number", _is_real, _real_value)
+FLAG = Kind("flag", "a real number (0 is off)", _is_real, _real_value)
+SIGN = Kind("-1|1", "-1 or 1", lambda v, _c: _real_value(v) in (-1.0, 1.0),
+            lambda v: int(_real_value(v)))
+PHI_CHOICE = Kind("|".join(_PHI_VALUE_CHOICES), "one of " + ", ".join(_PHI_VALUE_CHOICES),
+                  lambda v, _c: v in PHI_CHOICE.words, words=tuple(_PHI_VALUE_CHOICES))
+
+
+# ---------------------------------------------------------------------------
 # entry builders
+#
+# Each builder's signature after ``chart`` is its entry's parameter schema.
 
 
-def _first_integral(chart, params):
-    X, f = _require(params, "X", "f")
+def _first_integral(chart, X: VECTOR, f: FIELD):
     sigma = scalar_valued(vector_as_multivector(chart, X))
-    sigma_tilde = scalar_valued(form(chart, 0, {(): as_expr(f)}))
+    sigma_tilde = scalar_valued(form(chart, 0, {(): f}))
     return bind("first_integral", chart, "interior", PhiMap.function_product(),
                 exterior_d, sigma, sigma_tilde, entry="first_integral")
 
 
-def _relative_invariant(chart, params):
-    X, alpha = _require(params, "X", "alpha")
+def _relative_invariant(chart, X: VECTOR, alpha: FORM):
     sigma = scalar_valued(vector_as_multivector(chart, X))
     return bind("relative_invariant", chart, "interior", PhiMap.function_product(),
                 exterior_d, sigma, scalar_valued(alpha), entry="relative_invariant")
 
 
-def _absolute_invariant(chart, params):
-    X, alpha = _require(params, "X", "alpha")
-    Xmv = vector_as_multivector(chart, X)
+def _absolute_invariant(chart, X: VECTOR, alpha: FORM):
+    sigma = scalar_valued(vector_as_multivector(chart, X))
+    a = scalar_valued(alpha)
+    product = PhiMap.function_product()
     cond = GrCondition("absolute_invariant", chart, entry="absolute_invariant")
-    cond.add_valued(scalar_valued(interior(Xmv, d_form(alpha))), prefix="relative")
-    cond.add_valued(scalar_valued(interior(Xmv, alpha)), prefix="algebraic")
+    cond.add_valued(pairing("interior", product, sigma, exterior_d(a)), prefix="relative")
+    cond.add_valued(pairing("interior", product, sigma, a), prefix="algebraic")
     return cond
 
 
@@ -196,13 +286,7 @@ def _check_nondegenerate(chart, omega: AlternatingTensor):
 
 
 def _const_or_none(e):
-    from .scalar import Const
     return e.value if isinstance(e, Const) else None
-
-
-def _as_num(v):
-    c = _const_or_none(v) if isinstance(v, Expr) else v
-    return 0.0 if c is None else c
 
 
 def _omega_matrix(omega: AlternatingTensor):
@@ -214,18 +298,14 @@ def _omega_matrix(omega: AlternatingTensor):
     return rows
 
 
-def _symplectic_closed(chart, params):
-    (omega,) = _require(params, "omega")
-    if omega.degree != 2:
-        raise DegreeError("symplectic candidate must be a 2-form")
+def _symplectic_closed(chart, omega: TWO_FORM):
     _check_nondegenerate(chart, omega)
     return bind("symplectic_closed", chart, "scalar_multiply",
                 _phi_scalar_action(SCALAR_SPACE), exterior_d,
                 unit_section(chart), scalar_valued(omega), entry="symplectic_closed")
 
 
-def _hamiltonian_field(chart, params):
-    omega, X = _require(params, "omega", "X")
+def _hamiltonian_field(chart, omega: TWO_FORM, X: VECTOR):
     _check_nondegenerate(chart, omega)
     ixo = interior(vector_as_multivector(chart, X), omega)
     return bind("hamiltonian_field", chart, "scalar_multiply",
@@ -233,27 +313,13 @@ def _hamiltonian_field(chart, params):
                 unit_section(chart), scalar_valued(ixo), entry="hamiltonian_field")
 
 
-def _invert_expr_matrix(rows):
-    n = len(rows)
-    det = _det_expr(rows)
-    inv = []
-    for i in range(n):
-        line = []
-        for j in range(n):
-            minor = [[rows[r][c] for c in range(n) if c != i] for r in range(n) if r != j]
-            cof = _det_expr(minor) if minor else as_expr(1.0)
-            if (i + j) % 2 == 1:
-                cof = -cof
-            line.append(cof / det)
-        inv.append(line)
-    return inv
-
-
-def _poisson_first_integrals(chart, params):
-    omega, Z, alpha, beta = _require(params, "omega", "Z", "alpha", "beta")
+# hand-assembled: the bracket contracts omega's inverse with two 1-forms
+# and differentiates along Z, a scalar chain that no form-level map pairs
+def _poisson_first_integrals(chart, omega: TWO_FORM, Z: VECTOR, alpha: ONE_FORM,
+                             beta: ONE_FORM):
     _check_nondegenerate(chart, omega)
     n = chart.dim
-    winv = _invert_expr_matrix(_omega_matrix(omega))
+    winv = inverse_expr(_omega_matrix(omega))
     s: Expr = ZERO
     for (i,), va in alpha.components.items():
         for (j,), vb in beta.components.items():
@@ -261,14 +327,14 @@ def _poisson_first_integrals(chart, params):
     cond = GrCondition("poisson_first_integrals", chart, entry="poisson_first_integrals")
     res: Expr = ZERO
     for mu in range(n):
-        res = res + as_expr(Z[mu]) * s.diff(mu)
+        res = res + Z[mu] * s.diff(mu)
     cond.add_exprs([("bracket", res)])
     return cond
 
 
-def _frobenius_vector(chart, params):
-    (fields,) = _require(params, "fields")
-    pi = _normalize_pi(params.get("pi") or [1.0] * chart.dim, chart.dim)
+# hand-assembled: Lie brackets of vector fields, which no form-level map covers
+def _frobenius_vector(chart, *fields: VECTOR, pi: PROJECTION = None):
+    pi = _normalize_pi([1.0] * chart.dim if pi is None else pi, chart.dim)
     check_idempotent(pi, _probe_points(chart.dim))
     cond = GrCondition("frobenius_vector", chart, entry="frobenius_vector")
     items = []
@@ -281,33 +347,40 @@ def _frobenius_vector(chart, params):
     return cond
 
 
-def _frobenius_pfaff(chart, params):
-    (forms_,) = _require(params, "forms")
+def _frobenius_pfaff(chart, *forms: ONE_FORM):
     cond = GrCondition("frobenius_pfaff", chart, entry="frobenius_pfaff")
-    for m, alpha in enumerate(forms_):
-        t = d_form(alpha)
-        for other in forms_:
-            t = wedge(t, other)
-        cond.add_valued(scalar_valued(t), prefix=f"alpha{m + 1}")
+    if not forms:
+        return cond
+    if 2 + len(forms) > chart.dim:
+        raise DegreeError(f"d alpha ^ {len(forms)} 1-forms exceeds degree {chart.dim}")
+    w = forms[0]
+    for other in forms[1:]:
+        w = wedge(w, other)
+    sigma = scalar_valued(w)
+    product = PhiMap.function_product()
+    for m, alpha in enumerate(forms):
+        d_alpha = exterior_d(scalar_valued(alpha))
+        cond.add_valued(pairing("wedge", product, sigma, d_alpha), prefix=f"alpha{m + 1}")
     return cond
 
 
-def _nabla_parallel(chart, params):
-    X, sigma = _require(params, "X", "sigma")
+# hand-assembled: a Levi-Civita derivative of vector components, not of a form
+def _nabla_parallel(chart, X: VECTOR, sigma: VECTOR):
     gamma = levi_civita(chart)
-    res = nabla_X(gamma, X, [as_expr(v) for v in sigma])
+    res = nabla_X(gamma, X, sigma)
     cond = GrCondition("nabla_parallel", chart, entry="nabla_parallel")
     cond.add_exprs([(chart.coord_names[mu], e) for mu, e in enumerate(res)])
     return cond
 
 
-def _theta_pi_parallel(chart, params):
-    psi, theta, pi = _require(params, "psi", "theta", "pi")
-    conn = params.get("connection") or ConnectionForm.trivial()
-    dpsi = covariant_D(conn, psi)
+# hand-assembled: through PhiMap.endomorphism every label Pi kills would
+# still report an (empty) norm
+def _theta_pi_parallel(chart, psi: VALUED_FORM, theta: MULTIVECTOR, pi: PROJECTION):
+    dpsi = exterior_d(psi)
     r = psi.space.dim
-    pim = np.asarray([[complex(_as_num(v)) for v in row]
-                      for row in _normalize_pi(pi, r)])
+    pim = [[_const_or_none(v) for v in row] for row in _normalize_pi(pi, r)]
+    if any(c is None for row in pim for c in row):
+        raise ParameterError("pi entries must be constant numbers")
     slices = [interior(theta, s) for s in dpsi.slices()]
     cond = GrCondition("theta_pi_parallel", chart, entry="theta_pi_parallel")
     out = []
@@ -326,28 +399,14 @@ def _theta_pi_parallel(chart, params):
     return cond
 
 
-_PHI_VALUE_CHOICES = {
-    "sym": PhiMap.symmetrized_product,
-    "diag": PhiMap.diagonal,
-    "bracket": PhiMap.abstract_bracket,
-}
+def _autoparallel_valued_form(chart, psi: VALUED_FORM, phi: PHI_CHOICE = "sym"):
+    return bind("autoparallel_valued_form", chart, "interior_after_tilde",
+                _PHI_VALUE_CHOICES[phi](psi.space), exterior_d, None, psi,
+                sigma_rule="same", entry="autoparallel_valued_form")
 
 
-def _autoparallel_valued_form(chart, params):
-    (psi,) = _require(params, "psi")
-    phi_name = params.get("phi", "sym")
-    if phi_name not in _PHI_VALUE_CHOICES:
-        raise MissingParameter(f"phi must be one of {sorted(_PHI_VALUE_CHOICES)}")
-    phi_value = _PHI_VALUE_CHOICES[phi_name](psi.space)
-    conn = params.get("connection") or ConnectionForm.trivial()
-    return bind("autoparallel_valued_form", chart, "interior_after_tilde", phi_value,
-                lambda s: covariant_D(conn, s), None, psi, sigma_rule="same",
-                entry="autoparallel_valued_form")
-
-
-def _autoparallel_vector(chart, params):
-    (u,) = _require(params, "u")
-    u = [as_expr(v) for v in u]
+# hand-assembled: a Levi-Civita derivative of vector components, not of a form
+def _autoparallel_vector(chart, u: VECTOR):
     gamma = levi_civita(chart)
     res = nabla_X(gamma, u, u)
     cond = GrCondition("autoparallel_vector", chart, entry="autoparallel_vector")
@@ -355,9 +414,8 @@ def _autoparallel_vector(chart, params):
     return cond
 
 
-def _null_autoparallel(chart, params):
-    (u,) = _require(params, "u")
-    u = [as_expr(v) for v in u]
+# hand-assembled: the null-norm part is a metric contraction with no derivative
+def _null_autoparallel(chart, u: VECTOR):
     u_form = lower_index(chart, u)
     res = interior(vector_as_multivector(chart, u), d_form(u_form))
     cond = GrCondition("null_autoparallel", chart, entry="null_autoparallel")
@@ -369,10 +427,8 @@ def _null_autoparallel(chart, params):
     return cond
 
 
-def _mass_energy(chart, params):
-    u, rho = _require(params, "u", "rho")
-    u = [as_expr(v) for v in u]
-    rho = as_expr(rho)
+# hand-assembled: divergences with Christoffel terms, not an exterior derivative
+def _mass_energy(chart, u: VECTOR, rho: FIELD):
     gamma = levi_civita(chart)
     n = chart.dim
 
@@ -399,16 +455,14 @@ def _mass_energy(chart, params):
     return cond
 
 
-def _maxwell_vacuum(chart, params):
-    (F,) = _require(params, "F")
+def _maxwell_vacuum(chart, F: TWO_FORM):
     omega = field_pair(chart, F)
     return bind("maxwell_vacuum", chart, "scalar_multiply",
                 _phi_scalar_action(omega.space), exterior_d,
                 unit_section(chart), omega, entry="maxwell_vacuum")
 
 
-def _maxwell_currents(chart, params):
-    F, m_current, j_current = _require(params, "F", "m_current", "j_current")
+def _maxwell_currents(chart, F: TWO_FORM, m_current: THREE_FORM, j_current: THREE_FORM):
     omega = field_pair(chart, F)
     rhs = ValuedForm.from_slices(omega.space, [m_current, j_current], variance=COV)
     return bind("maxwell_currents", chart, "scalar_multiply",
@@ -416,22 +470,20 @@ def _maxwell_currents(chart, params):
                 unit_section(chart), omega, rhs=rhs, entry="maxwell_currents")
 
 
-def _ext_maxwell_vacuum(chart, params):
-    (F,) = _require(params, "F")
+def _ext_maxwell_vacuum(chart, F: TWO_FORM):
     omega = field_pair(chart, F)
     return bind("ext_maxwell_vacuum", chart, "interior_after_tilde",
                 PhiMap.symmetrized_product(omega.space), exterior_d,
                 None, omega, sigma_rule="same", entry="ext_maxwell_vacuum")
 
 
-def _ext_maxwell_currents(chart, params):
-    F, J1, J2, J3, J4 = _require(params, "F", "J1", "J2", "J3", "J4")
-    symmetrized = bool(params.get("symmetrized_rhs", False))
+def _ext_maxwell_currents(chart, F: TWO_FORM, J1: ONE_FORM, J2: ONE_FORM, J3: ONE_FORM,
+                          J4: ONE_FORM, symmetrized_rhs: FLAG = 0):
     omega = field_pair(chart, F)
     Fs = hodge(F)
     it = lambda J, G: interior(musical_tilde(J), G)
     rhs_e11 = it(J1, F)
-    rhs_e22 = it(J2, Fs if symmetrized else F)
+    rhs_e22 = it(J2, Fs if symmetrized_rhs else F)
     rhs_e12 = it(J3, F) + it(J4, Fs)
     rhs = ValuedForm.from_slices(
         PhiMap.symmetrized_product(omega.space).target,
@@ -441,55 +493,58 @@ def _ext_maxwell_currents(chart, params):
                 None, omega, rhs=rhs, sigma_rule="same", entry="ext_maxwell_currents")
 
 
-def _pfaff_currents(chart, params):
-    Js = _require(params, "J1", "J2", "J3", "J4")
+def _pfaff_currents(chart, J1: ONE_FORM, J2: ONE_FORM, J3: ONE_FORM, J4: ONE_FORM):
+    if chart.dim < 4:
+        raise DegreeError("dJ ^ J ^ J' needs a chart of dimension >= 4")
+    Js = (J1, J2, J3, J4)
+    product = PhiMap.function_product()
     cond = GrCondition("pfaff_currents", chart, entry="pfaff_currents")
     for a, Ja in enumerate(Js):
-        dJa = d_form(Ja)
+        dJa = exterior_d(scalar_valued(Ja))
         for b, Jb in enumerate(Js):
-            t = wedge(wedge(dJa, Ja), Jb)
-            cond.add_valued(scalar_valued(t), prefix=f"J{a + 1}|J{b + 1}")
+            sigma = scalar_valued(wedge(Ja, Jb))
+            cond.add_valued(pairing("wedge", product, sigma, dJa),
+                            prefix=f"J{a + 1}|J{b + 1}")
     return cond
 
 
-def _yang_mills(chart, params):
-    (omega,) = _require(params, "omega")
+def _yang_mills(chart, omega: CONNECTION):
     conn = ConnectionForm.from_omega(omega)
-    curv = curvature(omega)
-    star = ValuedForm.from_slices(omega.space, [hodge(s) for s in curv.slices()],
+    star = ValuedForm.from_slices(omega.space, [hodge(s) for s in curvature(omega).slices()],
                                   variance=COV)
-    res = covariant_D(conn, star)
-    cond = GrCondition("yang_mills", chart, entry="yang_mills")
-    cond.add_valued(res)
-    return cond
+    return bind("yang_mills", chart, "scalar_multiply", _phi_scalar_action(omega.space),
+                lambda s: covariant_D(conn, s), unit_section(chart), star,
+                entry="yang_mills")
 
 
-def _bianchi(chart, params):
-    (omega,) = _require(params, "omega")
+def _bianchi(chart, omega: CONNECTION, psi: VALUED_2FORM = None):
     conn = ConnectionForm.from_omega(omega)
-    psi = params.get("psi") or curvature(omega)
-    res = covariant_D(conn, psi)
-    cond = GrCondition("bianchi", chart, entry="bianchi")
-    cond.add_valued(res)
-    return cond
+    psi = curvature(omega) if psi is None else psi
+    return bind("bianchi", chart, "scalar_multiply", _phi_scalar_action(psi.space),
+                lambda s: covariant_D(conn, s), unit_section(chart), psi,
+                entry="bianchi")
 
 
-def _ext_ym(entry: str, phi_name: str, use_connection: bool):
-    def builder(chart, params):
-        (psi,) = _require(params, "psi")
-        phi_value = _PHI_VALUE_CHOICES[phi_name](psi.space)
-        if use_connection and params.get("omega") is not None:
-            conn = ConnectionForm.from_omega(params["omega"])
-        else:
-            conn = ConnectionForm.trivial()
-        return bind(entry, chart, "interior_after_tilde", phi_value,
-                    lambda s: covariant_D(conn, s), None, psi,
-                    sigma_rule="same", entry=entry)
-
-    return builder
+def _ext_ym(entry: str, phi_name: str, chart, psi, omega):
+    conn = ConnectionForm.trivial() if omega is None else ConnectionForm.from_omega(omega)
+    return bind(entry, chart, "interior_after_tilde", _PHI_VALUE_CHOICES[phi_name](psi.space),
+                lambda s: covariant_D(conn, s), None, psi, sigma_rule="same", entry=entry)
 
 
-def _ricci_flat(chart, params):
+def _ext_yang_mills_bracket(chart, psi: VALUED_2FORM, omega: CONNECTION = None):
+    return _ext_ym("ext_yang_mills_bracket", "bracket", chart, psi, omega)
+
+
+def _ext_yang_mills_diagonal(chart, psi: VALUED_2FORM, omega: CONNECTION = None):
+    return _ext_ym("ext_yang_mills_diagonal", "diag", chart, psi, omega)
+
+
+def _ext_yang_mills_sym(chart, psi: VALUED_2FORM):
+    return _ext_ym("ext_yang_mills_sym", "sym", chart, psi, None)
+
+
+# hand-assembled: the curvature of the chart metric itself; no field to pair
+def _ricci_flat(chart):
     ric = ricci(chart.metric)
     n = chart.dim
     cond = GrCondition("ricci_flat", chart, entry="ricci_flat")
@@ -501,37 +556,26 @@ def _ricci_flat(chart, params):
     return cond
 
 
-def _schrodinger(chart, params):
-    (psi,) = _require(params, "psi")
-    h = HamiltonianSpec(
-        hbar=float(params.get("hbar", 1.0)),
-        mass=float(params.get("mass", 1.0)),
-        potential=as_expr(params.get("V", ZERO)),
-    )
-    res = schrodinger_residual(h, as_expr(psi), chart.dim)
+# hand-assembled: a second-order scalar operator, not a first-order pairing
+def _schrodinger(chart, psi: FIELD, V: FIELD = 0.0, hbar: REAL = 1.0, mass: REAL = 1.0):
+    h = HamiltonianSpec(hbar=hbar, mass=mass, potential=as_expr(V))
+    res = schrodinger_residual(h, psi, chart.dim)
     cond = GrCondition("schrodinger", chart, entry="schrodinger")
     cond.add_exprs([("psi", res)])
     return cond
 
 
-def _dirac(chart, params):
-    (psi,) = _require(params, "psi")
+# hand-assembled: gamma matrices mix spinor components, not form degrees
+def _dirac(chart, psi: SPINOR, m: REAL = 1.0, sign: SIGN = -1, A: ONE_FORM = None,
+           e: REAL = 0.0):
     if isinstance(psi, ValuedForm):
-        if psi.degree != 0 or psi.space.dim != 4:
-            raise DegreeError("Dirac section must be a C^4-valued 0-form")
         comps = [psi.label_slice(lab).get(()) for lab in psi.space.labels]
         labels = psi.space.labels
     else:
         comps = [as_expr(v) for v in psi]
         labels = ("e1", "e2", "e3", "e4")
-    sign_param = params.get("sign", -1)
-    sign = -1 if sign_param in (-1, "-", "minus") else 1
-    A = params.get("A")
-    potential = None
-    if A is not None:
-        potential = [as_expr(A.get((mu,))) for mu in range(4)]
-    gs = GammaSystem(mass=float(params.get("m", 1.0)), sign=sign,
-                     potential=potential, charge=float(params.get("e", 0.0)))
+    potential = None if A is None else [as_expr(A.get((mu,))) for mu in range(4)]
+    gs = GammaSystem(mass=m, sign=sign, potential=potential, charge=e)
     res = dirac_residual(gs, comps)
     cond = GrCondition("dirac", chart, entry="dirac")
     cond.add_exprs(list(zip(labels, res)))
@@ -543,12 +587,70 @@ def _dirac(chart, params):
 
 
 @dataclass(frozen=True)
+class Param:
+    """One entry parameter, as its builder's signature declares it."""
+
+    name: str
+    kind: Kind
+    required: bool
+    default: object = None
+    vararg: bool = False
+
+    def render(self) -> str:
+        text = f"{self.name}: {self.kind.text}" + ("..." if self.vararg else "")
+        if self.required:
+            return text
+        return f"[{text}]" if self.default is None else f"[{text} = {self.default}]"
+
+    def check(self, value, chart: Chart):
+        if not self.kind.accepts(value, chart):
+            raise ParameterError(f"parameter {self.name!r} must be {self.kind.noun}")
+        return self.kind.convert(value)
+
+
+@dataclass(frozen=True)
 class CatalogEntry:
     id: str
-    signature: str
     description: str
     builder: Callable = field(compare=False)
     fixture_factory: Callable = field(compare=False)
+
+    @cached_property
+    def params(self) -> Tuple[Param, ...]:
+        """The parameter schema: the builder's parameters after ``chart``."""
+        out = []
+        for p in list(inspect.signature(self.builder).parameters.values())[1:]:
+            vararg = p.kind is p.VAR_POSITIONAL
+            required = vararg or p.default is p.empty
+            out.append(Param(p.name, p.annotation, required,
+                             None if required else p.default, vararg))
+        return tuple(out)
+
+    @property
+    def signature(self) -> str:
+        return ", ".join(p.render() for p in self.params) or "(no parameters)"
+
+    def arguments(self, chart: Chart, params: dict):
+        """Check ``params`` against the schema and return the builder's
+        positional and keyword arguments.  A None value counts as absent."""
+        unknown = sorted(set(params) - {p.name for p in self.params})
+        if unknown:
+            raise ParameterError(f"unknown parameter(s): {', '.join(map(repr, unknown))}")
+        missing = [p.name for p in self.params if p.required and params.get(p.name) is None]
+        if missing:
+            raise MissingParameter(f"missing parameter(s): {', '.join(missing)}")
+        args, kwargs = [], {}
+        for p in self.params:
+            value = params.get(p.name)
+            if value is None:
+                continue
+            if not p.vararg:
+                kwargs[p.name] = p.check(value, chart)
+            elif isinstance(value, (list, tuple)):
+                args = [p.check(v, chart) for v in value]
+            else:
+                raise ParameterError(f"parameter {p.name!r} must be a list")
+        return args, kwargs
 
 
 @dataclass
@@ -944,78 +1046,62 @@ def _fx_dirac():
 _ENTRIES: Dict[str, CatalogEntry] = {}
 
 
-def _register(id_: str, signature: str, description: str, builder, fixture_factory):
-    _ENTRIES[id_] = CatalogEntry(id_, signature, description, builder, fixture_factory)
+def _register(id_: str, description: str, builder, fixture_factory):
+    _ENTRIES[id_] = CatalogEntry(id_, description, builder, fixture_factory)
 
 
-_register("first_integral", "X: vector, f: field",
-          "derivative of a function along a flow vanishes", _first_integral,
-          _fx_first_integral)
-_register("relative_invariant", "X: vector, alpha: form",
-          "i(X) d alpha = 0", _relative_invariant, _fx_relative_invariant)
-_register("absolute_invariant", "X: vector, alpha: form",
-          "i(X) alpha = 0 and i(X) d alpha = 0", _absolute_invariant,
-          _fx_absolute_invariant)
-_register("symplectic_closed", "omega: 2-form",
-          "nondegenerate 2-form is closed", _symplectic_closed, _fx_symplectic_closed)
-_register("hamiltonian_field", "omega: 2-form, X: vector",
-          "d i(X) omega = 0", _hamiltonian_field, _fx_hamiltonian_field)
-_register("poisson_first_integrals", "omega: 2-form, Z: vector, alpha, beta: 1-forms",
-          "bracket of two first integrals is a first integral",
+_register("first_integral", "derivative of a function along a flow vanishes",
+          _first_integral, _fx_first_integral)
+_register("relative_invariant", "i(X) d alpha = 0", _relative_invariant,
+          _fx_relative_invariant)
+_register("absolute_invariant", "i(X) alpha = 0 and i(X) d alpha = 0",
+          _absolute_invariant, _fx_absolute_invariant)
+_register("symplectic_closed", "nondegenerate 2-form is closed", _symplectic_closed,
+          _fx_symplectic_closed)
+_register("hamiltonian_field", "d i(X) omega = 0", _hamiltonian_field,
+          _fx_hamiltonian_field)
+_register("poisson_first_integrals", "bracket of two first integrals is a first integral",
           _poisson_first_integrals, _fx_poisson)
-_register("frobenius_vector", "fields: vectors, pi: projection",
-          "projected brackets of a distribution vanish", _frobenius_vector,
-          _fx_frobenius_vector)
-_register("frobenius_pfaff", "forms: 1-forms",
-          "d alpha ^ alpha_1 ^ ... ^ alpha_k = 0", _frobenius_pfaff, _fx_frobenius_pfaff)
-_register("nabla_parallel", "X: vector, sigma: vector",
-          "covariant derivative of a section along X vanishes", _nabla_parallel,
-          _fx_nabla_parallel)
-_register("theta_pi_parallel", "psi: valued form, theta: multivector, pi: matrix",
-          "i(Theta)(D psi)^i (x) Pi(E_i) = 0", _theta_pi_parallel, _fx_theta_pi)
-_register("autoparallel_valued_form", "psi: valued form, phi: sym|diag|bracket",
-          "i(tilde a^k)(D a)^m (x) phi(E_k, E_m) = 0", _autoparallel_valued_form,
-          _fx_autoparallel_valued_form)
-_register("autoparallel_vector", "u: vector",
-          "u^s nabla_s u^m + Gamma^m_sn u^s u^n = 0", _autoparallel_vector,
-          _fx_autoparallel_vector)
-_register("null_autoparallel", "u: vector (null)",
-          "u^m (du)_mn = 0 with u of zero length", _null_autoparallel,
-          _fx_null_autoparallel)
-_register("mass_energy", "u: vector, rho: field",
-          "div(rho u) = 0 and div(rho u u) = 0", _mass_energy, _fx_mass_energy)
-_register("maxwell_vacuum", "F: 2-form",
-          "dF = 0 and d*F = 0 via the paired field", _maxwell_vacuum, _fx_maxwell_vacuum)
-_register("maxwell_currents", "F: 2-form, m_current, j_current: 3-forms",
-          "dF = m and d*F = j", _maxwell_currents, _fx_maxwell_currents)
-_register("ext_maxwell_vacuum", "F: 2-form",
-          "i(tilde F)dF = 0, i(tilde *F)d*F = 0, cross term = 0",
+_register("frobenius_vector", "projected brackets of a distribution vanish",
+          _frobenius_vector, _fx_frobenius_vector)
+_register("frobenius_pfaff", "d alpha ^ alpha_1 ^ ... ^ alpha_k = 0", _frobenius_pfaff,
+          _fx_frobenius_pfaff)
+_register("nabla_parallel", "covariant derivative of a section along X vanishes",
+          _nabla_parallel, _fx_nabla_parallel)
+_register("theta_pi_parallel", "i(Theta)(D psi)^i (x) Pi(E_i) = 0", _theta_pi_parallel,
+          _fx_theta_pi)
+_register("autoparallel_valued_form", "i(tilde a^k)(D a)^m (x) phi(E_k, E_m) = 0",
+          _autoparallel_valued_form, _fx_autoparallel_valued_form)
+_register("autoparallel_vector", "u^s nabla_s u^m + Gamma^m_sn u^s u^n = 0",
+          _autoparallel_vector, _fx_autoparallel_vector)
+_register("null_autoparallel", "u^m (du)_mn = 0 with u of zero length",
+          _null_autoparallel, _fx_null_autoparallel)
+_register("mass_energy", "div(rho u) = 0 and div(rho u u) = 0", _mass_energy,
+          _fx_mass_energy)
+_register("maxwell_vacuum", "dF = 0 and d*F = 0 via the paired field", _maxwell_vacuum,
+          _fx_maxwell_vacuum)
+_register("maxwell_currents", "dF = m and d*F = j", _maxwell_currents,
+          _fx_maxwell_currents)
+_register("ext_maxwell_vacuum", "i(tilde F)dF = 0, i(tilde *F)d*F = 0, cross term = 0",
           _ext_maxwell_vacuum, _fx_ext_maxwell_vacuum)
-_register("ext_maxwell_currents", "F: 2-form, J1..J4: 1-forms [, symmetrized_rhs]",
-          "field/current energy-momentum exchange system", _ext_maxwell_currents,
-          _fx_ext_maxwell_currents)
-_register("pfaff_currents", "J1..J4: 1-forms",
-          "every current pair is a completely integrable Pfaff system",
+_register("ext_maxwell_currents", "field/current energy-momentum exchange system",
+          _ext_maxwell_currents, _fx_ext_maxwell_currents)
+_register("pfaff_currents", "every current pair is a completely integrable Pfaff system",
           _pfaff_currents, _fx_pfaff_currents)
-_register("yang_mills", "omega: algebra-valued 1-form",
-          "D*Omega = 0 for the curvature of a connection", _yang_mills, _fx_yang_mills)
-_register("bianchi", "omega: algebra-valued 1-form [, psi: 2-form]",
-          "D Omega = 0", _bianchi, _fx_bianchi)
-_register("ext_yang_mills_bracket", "psi: algebra-valued 2-form [, omega]",
-          "i(tilde psi^i)(D psi)^m on bracket labels", _ext_ym("ext_yang_mills_bracket",
-          "bracket", True), _fx_ext_ym_bracket)
-_register("ext_yang_mills_diagonal", "psi: algebra-valued 2-form [, omega]",
+_register("yang_mills", "D*Omega = 0 for the curvature of a connection", _yang_mills,
+          _fx_yang_mills)
+_register("bianchi", "D Omega = 0", _bianchi, _fx_bianchi)
+_register("ext_yang_mills_bracket", "i(tilde psi^i)(D psi)^m on bracket labels",
+          _ext_yang_mills_bracket, _fx_ext_ym_bracket)
+_register("ext_yang_mills_diagonal",
           "each component conserves itself: i(tilde psi^i)(D psi)^i = 0",
-          _ext_ym("ext_yang_mills_diagonal", "diag", True), _fx_ext_ym_diagonal)
-_register("ext_yang_mills_sym", "psi: valued 2-form",
-          "pairwise exchange on symmetrized labels", _ext_ym("ext_yang_mills_sym",
-          "sym", False), _fx_ext_ym_sym)
-_register("ricci_flat", "(chart metric)",
-          "Ricci tensor of the chart metric vanishes", _ricci_flat, _fx_ricci_flat)
-_register("schrodinger", "psi: field [, V, hbar, mass]",
-          "i hbar d_t psi = H psi", _schrodinger, _fx_schrodinger)
-_register("dirac", "psi: 4 fields [, m, sign, A, e]",
-          "(i gamma^mu (d_mu - i e A_mu) + sign m) psi = 0", _dirac, _fx_dirac)
+          _ext_yang_mills_diagonal, _fx_ext_ym_diagonal)
+_register("ext_yang_mills_sym", "pairwise exchange on symmetrized labels",
+          _ext_yang_mills_sym, _fx_ext_ym_sym)
+_register("ricci_flat", "Ricci tensor of the chart metric vanishes", _ricci_flat,
+          _fx_ricci_flat)
+_register("schrodinger", "i hbar d_t psi = H psi", _schrodinger, _fx_schrodinger)
+_register("dirac", "(i gamma^mu (d_mu - i e A_mu) + sign m) psi = 0", _dirac, _fx_dirac)
 
 
 def catalog_ids() -> List[str]:
@@ -1031,7 +1117,9 @@ def get_entry(id_: str) -> CatalogEntry:
 
 def build(id_: str, chart: Chart, **params) -> GrCondition:
     """Instantiate an entry into a bound residual condition."""
-    return get_entry(id_).builder(chart, params)
+    entry = get_entry(id_)
+    args, kwargs = entry.arguments(chart, params)
+    return entry.builder(chart, *args, **kwargs)
 
 
 def fixtures(id_: str) -> List[Fixture]:

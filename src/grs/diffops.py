@@ -24,7 +24,6 @@ from .exterior import (
     AlternatingTensor,
     Chart,
     MetricSpec,
-    form,
     sort_sign,
     wedge,
 )
@@ -73,16 +72,14 @@ def exterior_d(psi: ValuedForm) -> ValuedForm:
 
 @dataclass
 class ConnectionForm:
-    """Either a Lie-algebra-valued 1-form or connection coefficients.
+    """A Lie-algebra-valued 1-form, or none.
 
     kind "trivial": D = d.
     kind "lie": omega in Lambda^1 (x) g, bracket term C^m_jk omega^j ^ psi^k.
-    kind "coeffs": Gamma[i][mu][j] with nabla(sigma_j) = Gamma^i_mu_j dx^mu (x) sigma_i.
     """
 
     kind: str = "trivial"
     omega: Optional[ValuedForm] = None
-    coeffs: Optional[list] = None  # [i][mu][j] -> Expr
 
     @staticmethod
     def trivial() -> "ConnectionForm":
@@ -95,10 +92,6 @@ class ConnectionForm:
         if omega.space.lie is None:
             raise DimensionError("connection form needs a Lie-structured value space")
         return ConnectionForm("lie", omega=omega)
-
-    @staticmethod
-    def from_christoffels(gamma) -> "ConnectionForm":
-        return ConnectionForm("coeffs", coeffs=gamma)
 
 
 def covariant_D(conn: ConnectionForm, psi: ValuedForm) -> ValuedForm:
@@ -135,38 +128,6 @@ def covariant_D(conn: ConnectionForm, psi: ValuedForm) -> ValuedForm:
             for idx, v in t.components.items():
                 key = (idx, lab)
                 out[key] = out[key] + v if key in out else as_expr(v)
-        return ValuedForm(psi.chart, psi.degree + 1, psi.variance, psi.space, out)
-    if conn.kind == "coeffs":
-        gamma = conn.coeffs
-        r = psi.space.dim
-        n = psi.chart.dim
-        if len(gamma) != r:
-            raise DimensionError("connection coefficients do not match the value space")
-        sign = -1.0 if psi.degree % 2 else 1.0
-        psi_slices = psi.slices()
-        out = dict(base.components)
-        for i in range(r):
-            acc = None
-            for j in range(r):
-                if not psi_slices[j].components:
-                    continue
-                comp = {}
-                for mu in range(n):
-                    g = as_expr(gamma[i][mu][j])
-                    if not is_zero(g):
-                        comp[(mu,)] = g
-                if not comp:
-                    continue
-                gform = form(psi.chart, 1, comp)
-                t = wedge(psi_slices[j], gform)
-                acc = t if acc is None else acc + t
-            if acc is None:
-                continue
-            lab = psi.space.labels[i]
-            for idx, v in acc.components.items():
-                key = (idx, lab)
-                term = sign * v
-                out[key] = out[key] + term if key in out else as_expr(term)
         return ValuedForm(psi.chart, psi.degree + 1, psi.variance, psi.space, out)
     raise DimensionError(f"unknown connection kind {conn.kind!r}")
 

@@ -504,6 +504,12 @@ class _Parser:
                 items.append(self.number())
             self.expect_sym("]")
             return ListLit(tuple(items))
+        t = self.peek()
+        if t.kind == "IDENT" and t.text in KEYWORDS:
+            after = self.toks[self.pos + 1]  # an IDENT is followed by EOF at least
+            if after.kind == "SYM" and after.text in (",", ")"):
+                self.next()
+                return Name(t.text)  # a bare word that is also a keyword, e.g. phi=diag
         return self.expr()
 
     def sample(self) -> SampleAst:
@@ -725,44 +731,6 @@ def print_document(doc: SpecDocument) -> str:
 # binder
 
 
-# entry id -> (positional parameter names or "*<name>" vararg, allowed named)
-_SIGS: Dict[str, Tuple[object, Tuple[str, ...]]] = {
-    "first_integral": (("X", "f"), ()),
-    "relative_invariant": (("X", "alpha"), ()),
-    "absolute_invariant": (("X", "alpha"), ()),
-    "symplectic_closed": (("omega",), ()),
-    "hamiltonian_field": (("omega", "X"), ()),
-    "poisson_first_integrals": (("omega", "Z", "alpha", "beta"), ()),
-    "frobenius_vector": ("*fields", ("pi",)),
-    "frobenius_pfaff": ("*forms", ()),
-    "nabla_parallel": (("X", "sigma"), ()),
-    "theta_pi_parallel": (("psi", "theta"), ("pi",)),
-    "autoparallel_valued_form": (("psi",), ("phi",)),
-    "autoparallel_vector": (("u",), ()),
-    "null_autoparallel": (("u",), ()),
-    "mass_energy": (("u", "rho"), ()),
-    "maxwell_vacuum": (("F",), ()),
-    "maxwell_currents": (("F", "m_current", "j_current"), ()),
-    "ext_maxwell_vacuum": (("F",), ()),
-    "ext_maxwell_currents": (("F", "J1", "J2", "J3", "J4"), ("symmetrized_rhs",)),
-    "pfaff_currents": (("J1", "J2", "J3", "J4"), ()),
-    "yang_mills": (("omega",), ()),
-    "bianchi": (("omega",), ("psi",)),
-    "ext_yang_mills_bracket": (("psi",), ("omega",)),
-    "ext_yang_mills_diagonal": (("psi",), ("omega",)),
-    "ext_yang_mills_sym": (("psi",), ()),
-    "ricci_flat": ((), ()),
-    "schrodinger": (("psi",), ("V", "hbar", "mass")),
-    "dirac": (("psi",), ("m", "sign", "A", "e")),
-}
-
-# named parameters whose value is a plain number rather than a field
-_NUMERIC_PARAMS = {"m", "sign", "e", "hbar", "mass", "symmetrized_rhs"}
-
-# named parameters that accept a bare keyword (passed through as a string)
-_WORD_PARAMS = {"phi"}
-
-
 @dataclass
 class BoundCheck:
     name: str
@@ -946,7 +914,7 @@ class _Binder:
             lie = abelian(st.dim)
         self.spaces[st.name] = ValueSpace(labels=labels, lie=lie)
 
-    def _resolve_arg(self, ast: ArgValue, pname: str, line: int):
+    def _resolve_arg(self, ast: ArgValue, param: "catalog.Param", line: int):
         if isinstance(ast, ListLit):
             return list(ast.items)
         if isinstance(ast, Name):
@@ -955,36 +923,35 @@ class _Binder:
                 return self.objects[ident]
             if ident in self.fields:
                 return self.fields[ident]
-            if pname in _WORD_PARAMS:
+            if param.kind.words:  # a bare word, e.g. phi=sym
                 return ident
-        value = self.bind_expr(ast, line)
-        if pname in _NUMERIC_PARAMS:
-            from .scalar import Const
-            if not isinstance(value, Const):
-                self.fail(f"parameter {pname!r} must be a number", line)
-            return value.value.real
-        return value
+        return self.bind_expr(ast, line)
 
     def _check(self, st: CheckStmt) -> None:
+        """Map the arguments onto the entry's parameter schema: a vararg
+        takes every positional argument, otherwise positional arguments
+        fill the required parameters in order; the catalog checks kinds."""
         chart = self._need_chart(st.line)
-        if st.entry not in _SIGS:
-            self.fail(f"unknown catalog entry {st.entry!r}", st.line)
-        positional, allowed_named = _SIGS[st.entry]
+        try:
+            schema = catalog.get_entry(st.entry).params
+        except GrsError as e:
+            self.fail(str(e), st.line)
+        named_params = {p.name: p for p in schema if not p.vararg}
         params: Dict[str, object] = {}
-        if isinstance(positional, str):  # vararg
-            vname = positional[1:]
-            params[vname] = [self._resolve_arg(a, vname, st.line) for a in st.args]
+        vararg = next((p for p in schema if p.vararg), None)
+        if vararg is not None:
+            params[vararg.name] = [self._resolve_arg(a, vararg, st.line) for a in st.args]
         else:
+            positional = [p for p in schema if p.required]
             if len(st.args) > len(positional):
                 self.fail(f"{st.entry} takes at most {len(positional)} "
                           f"positional argument(s)", st.line)
-            for pname, ast in zip(positional, st.args):
-                params[pname] = self._resolve_arg(ast, pname, st.line)
+            for p, ast in zip(positional, st.args):
+                params[p.name] = self._resolve_arg(ast, p, st.line)
         for key, ast in st.named:
-            if key not in allowed_named and not (
-                    not isinstance(positional, str) and key in positional):
+            if key not in named_params:
                 self.fail(f"unknown parameter {key!r} for {st.entry}", st.line)
-            params[key] = self._resolve_arg(ast, key, st.line)
+            params[key] = self._resolve_arg(ast, named_params[key], st.line)
         if len(st.sample.ranges) != chart.dim:
             self.fail(f"sample has {len(st.sample.ranges)} range(s); the chart "
                       f"has {chart.dim} coordinate(s)", st.line)
@@ -1000,10 +967,6 @@ class _Binder:
             cond = catalog.build(st.entry, chart, **params)
         except GrsError as e:
             self.fail(f"{st.entry}: {e}", st.line)
-        except (TypeError, AttributeError):
-            # wrong argument kind, e.g. a scalar field where the entry
-            # expects a vector or form
-            self.fail(f"{st.entry}: argument kind mismatch", st.line)
         k = self.entry_counts.get(st.entry, 0)
         self.entry_counts[st.entry] = k + 1
         name = st.entry if k == 0 else f"{st.entry}#{k + 1}"

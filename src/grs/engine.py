@@ -28,7 +28,6 @@ from .exterior import (
     Chart,
     MultiIndex,
     interior,
-    metric_pairing,
     musical_tilde,
     wedge,
 )
@@ -40,26 +39,17 @@ def _phi_interior_after_tilde(a: AlternatingTensor, b: AlternatingTensor):
     return interior(musical_tilde(a), b)
 
 
-def _phi_interior(a: AlternatingTensor, b: AlternatingTensor):
-    return interior(a, b)
-
-
 def _phi_scalar_multiply(a: AlternatingTensor, b: AlternatingTensor):
     if a.degree != 0:
         raise DegreeError("scalar multiplier must be a 0-form")
     return b.scale(a.get(()))
 
 
-def _phi_metric_pairing(a: AlternatingTensor, b: AlternatingTensor):
-    return metric_pairing(a, b)
-
-
 PHI_FORM = {
     "interior_after_tilde": _phi_interior_after_tilde,
-    "interior": _phi_interior,
+    "interior": interior,
     "wedge": wedge,
     "scalar_multiply": _phi_scalar_multiply,
-    "metric_pairing": _phi_metric_pairing,
 }
 
 
@@ -101,6 +91,19 @@ class GrCondition:
                 for label, comps in self.residuals.items()}
 
 
+def pairing(phi_form: str, phi_value: PhiMap, sigma: ValuedForm,
+            d_sigma_tilde: ValuedForm) -> ValuedForm:
+    """Phi(sigma, D sigma~) (x) phi for an already differentiated sigma~.
+
+    The form-level map is looked up in ``PHI_FORM`` by name.
+    """
+    try:
+        phi_fn = PHI_FORM[phi_form]
+    except KeyError:
+        raise UnknownOperator(f"unknown form-level map {phi_form!r}") from None
+    return lift_pointwise(phi_fn, phi_value, sigma, d_sigma_tilde)
+
+
 def bind(name: str, chart: Chart, phi_form: str, phi_value: PhiMap,
          operator: Callable[[ValuedForm], ValuedForm],
          sigma, sigma_tilde: ValuedForm,
@@ -109,23 +112,14 @@ def bind(name: str, chart: Chart, phi_form: str, phi_value: PhiMap,
     """Assemble Phi(sigma, D sigma~) (x) phi minus rhs into a condition.
 
     sigma_rule: "given" uses sigma as passed; "same" sets sigma = sigma~
-    (autoparallel); "tilde" sets sigma = musical tilde of sigma~ per label.
-    Degree and dimension mismatches surface here, not at evaluation.
+    (autoparallel).  Degree and dimension mismatches surface here, not at
+    evaluation.
     """
-    try:
-        phi_fn = PHI_FORM[phi_form]
-    except KeyError:
-        raise UnknownOperator(f"unknown form-level map {phi_form!r}") from None
-    d_sigma_tilde = operator(sigma_tilde)
     if sigma_rule == "same":
         sigma = sigma_tilde
-    elif sigma_rule == "tilde":
-        sigma = ValuedForm.from_slices(
-            sigma_tilde.space,
-            [musical_tilde(s) for s in sigma_tilde.slices()])
     elif sigma_rule != "given":
         raise UnknownOperator(f"unknown sigma rule {sigma_rule!r}")
-    result = lift_pointwise(phi_fn, phi_value, sigma, d_sigma_tilde)
+    result = pairing(phi_form, phi_value, sigma, operator(sigma_tilde))
     if rhs is not None:
         if rhs.space.labels != result.space.labels:
             raise VarianceError("rhs labels do not match the condition output")

@@ -59,3 +59,7 @@ class UnknownOperator(GrsError):
 
 class MissingParameter(GrsError):
     """Catalog entry invoked without a required parameter."""
+
+
+class ParameterError(GrsError):
+    """Catalog entry invoked with an unknown parameter or one of the wrong kind."""

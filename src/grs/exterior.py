@@ -101,29 +101,11 @@ class MetricSpec:
         return [row[:] for row in self.rows]
 
     def inverse_entries(self) -> List[List[Expr]]:
-        """Symbolic inverse: trivial for diagonals, adjugate/det otherwise."""
-        n = self.dim
+        """Symbolic inverse: trivial for constant diagonals, ``inverse_expr`` otherwise."""
         if self.kind == "diagonal":
+            n = self.dim
             return [[as_expr(1.0 / self.diag[i] if i == j else 0.0) for j in range(n)] for i in range(n)]
-        g = self.rows
-        # fast path: diagonal expression matrix
-        if all(_scalar_is_zero(g[i][j]) for i in range(n) for j in range(n) if i != j):
-            return [
-                [(1.0 / g[i][i] if i == j else as_expr(0.0)) for j in range(n)]  # type: ignore[operator]
-                for i in range(n)
-            ]
-        det = _det_expr(g)
-        inv = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                minor = [[g[r][c] for c in range(n) if c != i] for r in range(n) if r != j]
-                cof = _det_expr(minor)
-                if (i + j) % 2 == 1:
-                    cof = -cof
-                row.append(cof / det)
-            inv.append(row)
-        return inv
+        return inverse_expr(self.rows)
 
     def matrix_at(self, pt: Sequence[float]) -> np.ndarray:
         if self.kind == "diagonal":
@@ -152,6 +134,29 @@ def _det_expr(rows) -> Expr:
         term = as_expr(rows[0][j]) * _det_expr(minor)
         total = total + (term if j % 2 == 0 else -term)
     return total
+
+
+def inverse_expr(rows) -> List[List[Expr]]:
+    """Symbolic inverse of a square expression matrix: 1/g_ii for a
+    diagonal matrix, adjugate/det otherwise."""
+    n = len(rows)
+    if all(_scalar_is_zero(rows[i][j]) for i in range(n) for j in range(n) if i != j):
+        return [
+            [(1.0 / rows[i][i] if i == j else as_expr(0.0)) for j in range(n)]  # type: ignore[operator]
+            for i in range(n)
+        ]
+    det = _det_expr(rows)
+    inv = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            minor = [[rows[r][c] for c in range(n) if c != i] for r in range(n) if r != j]
+            cof = _det_expr(minor)
+            if (i + j) % 2 == 1:
+                cof = -cof
+            row.append(cof / det)
+        inv.append(row)
+    return inv
 
 
 @dataclass(frozen=True)
@@ -338,19 +343,15 @@ def _const_diag_rows(metric: MetricSpec, inverse: bool):
              for j in range(n)] for i in range(n)]
 
 
-def _ginv_rows(chart: Chart, at: Optional[Sequence[float]]):
+def _ginv_rows(chart: Chart):
     if chart.metric.is_constant:
         return _const_diag_rows(chart.metric, inverse=True)
-    if at is not None:
-        return chart.metric.inverse_at(at).tolist()
     return chart.metric.inverse_entries()
 
 
-def _g_rows(chart: Chart, at: Optional[Sequence[float]]):
+def _g_rows(chart: Chart):
     if chart.metric.is_constant:
         return _const_diag_rows(chart.metric, inverse=False)
-    if at is not None:
-        return chart.metric.matrix_at(at).tolist()
     return chart.metric.entries()
 
 
@@ -397,14 +398,14 @@ def hodge(w: AlternatingTensor, at: Optional[Sequence[float]] = None) -> Alterna
     return AlternatingTensor(chart, COV, n - p, _prune(out))
 
 
-def musical_tilde(w: AlternatingTensor, at: Optional[Sequence[float]] = None) -> AlternatingTensor:
+def musical_tilde(w: AlternatingTensor) -> AlternatingTensor:
     """Raise (form -> multivector) or lower (multivector -> form) all indices."""
     chart = w.chart
     if w.variance == COV:
-        rows = _ginv_rows(chart, at if not chart.metric.is_constant else None)
+        rows = _ginv_rows(chart)
         target = CONTRA
     else:
-        rows = _g_rows(chart, at if not chart.metric.is_constant else None)
+        rows = _g_rows(chart)
         target = COV
     n = chart.dim
     p = w.degree
@@ -419,15 +420,14 @@ def musical_tilde(w: AlternatingTensor, at: Optional[Sequence[float]] = None) ->
     return AlternatingTensor(chart, target, p, _prune(out))
 
 
-def metric_pairing(a: AlternatingTensor, b: AlternatingTensor,
-                   at: Optional[Sequence[float]] = None):
+def metric_pairing(a: AlternatingTensor, b: AlternatingTensor):
     """g^(mu nu) a_mu b_nu for two 1-forms."""
     _check_same(a, b)
     if a.degree != 1 or b.degree != 1:
         raise DegreeError("metric pairing is defined for 1-forms")
     if a.variance != COV or b.variance != COV:
         raise VarianceError("metric pairing acts on covariant 1-forms")
-    rows = _ginv_rows(a.chart, at if not a.chart.metric.is_constant else None)
+    rows = _ginv_rows(a.chart)
     total = as_expr(0.0) if _has_expr(a) or _has_expr(b) else 0.0
     for (i,), va in a.components.items():
         for (j,), vb in b.components.items():
@@ -439,16 +439,12 @@ def _has_expr(t: AlternatingTensor) -> bool:
     return any(isinstance(v, Expr) for v in t.components.values())
 
 
-def volume_form(chart: Chart, at: Optional[Sequence[float]] = None) -> AlternatingTensor:
+def volume_form(chart: Chart) -> AlternatingTensor:
     """vol = dx^1 ... dx^n sqrt|det g| in declared coordinate order."""
+    if not chart.metric.is_constant:
+        raise SingularMetricError("volume form needs a constant metric")
+    detg = 1.0
+    for v in chart.metric.diag:
+        detg *= v
     n = chart.dim
-    if chart.metric.is_constant:
-        detg = 1.0
-        for v in chart.metric.diag:
-            detg *= v
-        factor = abs(detg) ** 0.5
-    else:
-        if at is None:
-            raise SingularMetricError("volume form of a non-constant metric needs a point")
-        factor = abs(float(np.linalg.det(np.real(chart.metric.matrix_at(at))))) ** 0.5
-    return form(chart, n, {tuple(range(n)): factor})
+    return form(chart, n, {tuple(range(n)): abs(detg) ** 0.5})

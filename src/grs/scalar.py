@@ -693,6 +693,8 @@ class SampleSet:
     exclude: Optional[Callable[[tuple], bool]] = field(default=None, compare=False)
 
     def __post_init__(self):
+        if self.kind == "random" and self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
         if self.requested > MAX_POINTS:
             raise DomainError(f"{self.requested} sample points requested; "
                               f"at most {MAX_POINTS} are allowed")

@@ -90,7 +90,6 @@ class ValueSpace:
     """Finite-dimensional value space with a named basis."""
 
     labels: Tuple[str, ...]
-    field_kind: str = "complex"
     lie: Optional[LieStructure] = None
 
     def __post_init__(self):
@@ -121,7 +120,7 @@ def sym_space(base: ValueSpace) -> ValueSpace:
         for i in range(base.dim)
         for j in range(i, base.dim)
     )
-    return ValueSpace(labels=labels, field_kind=base.field_kind)
+    return ValueSpace(labels=labels)
 
 
 def bracket_space(base: ValueSpace) -> ValueSpace:
@@ -131,7 +130,7 @@ def bracket_space(base: ValueSpace) -> ValueSpace:
         for i in range(base.dim)
         for j in range(i + 1, base.dim)
     )
-    return ValueSpace(labels=labels, field_kind=base.field_kind)
+    return ValueSpace(labels=labels)
 
 
 class PhiMap:
@@ -221,23 +220,6 @@ class PhiMap:
             return {k: m[k, j] for k in range(space.dim) if m[k, j] != 0}
 
         return PhiMap("endomorphism", SCALAR_SPACE, space, space, act)
-
-    @staticmethod
-    def dirac_pairing(space: ValueSpace) -> "PhiMap":
-        """phi(eps^i (x) e_j, rho) = <eps^i, rho> e_j on a 4-dim value space.
-
-        First source has labels (i, j) flattened row-major over the
-        endomorphism basis of the space.
-        """
-        n = space.dim
-        labels = tuple(f"{i}:{j}" for i in range(n) for j in range(n))
-        end_space = ValueSpace(labels=labels)
-
-        def act(ij, k):
-            i, j = divmod(ij, n)
-            return {j: 1.0} if i == k else {}
-
-        return PhiMap("dirac_pairing", end_space, space, space, act)
 
 
 def apply_phi(m: PhiMap, a: Sequence, b: Sequence) -> list:

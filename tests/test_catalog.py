@@ -11,8 +11,10 @@ from grs.catalog import (
 from grs.engine import DEFAULT_TOL, verify
 from grs.errors import (
     DegenerateFormError,
+    DimensionError,
     MissingParameter,
     NonIdempotentProjection,
+    ParameterError,
     UnknownEntry,
 )
 from grs.exterior import form
@@ -81,3 +83,47 @@ def test_each_entry_ships_pass_and_fail_fixtures():
     for cid in ALL_IDS:
         verdicts = {fx.expect_pass for fx in fixtures(cid)}
         assert verdicts == {True, False}, cid
+
+
+def test_signatures_are_rendered_from_the_schema():
+    assert get_entry("first_integral").signature == "X: vector, f: field"
+    assert get_entry("frobenius_vector").signature == "fields: vector..., [pi: projection]"
+    assert get_entry("dirac").signature == (
+        "psi: spinor, [m: real = 1.0], [sign: -1|1 = -1], [A: 1-form], [e: real = 0.0]")
+    assert get_entry("ricci_flat").params == ()
+    for cid in ALL_IDS:
+        for p in get_entry(cid).params:
+            assert (p.name in get_entry(cid).signature
+                    and (p.required or f"[{p.name}:" in get_entry(cid).signature))
+
+
+def test_wrong_kind_and_unknown_parameter_rejected():
+    chart = euclidean(("x", "y"))
+    from grs.scalar import coord
+    with pytest.raises(ParameterError, match="'X'"):
+        build("first_integral", chart, X=coord(0), f=coord(1))
+    with pytest.raises(ParameterError, match="'g'"):
+        build("first_integral", chart, X=[coord(1), coord(0)], f=coord(0), g=1.0)
+
+
+def test_matrix_pi_must_be_square_of_the_chart_dimension():
+    chart = euclidean(("x", "y", "z"))
+    from grs.scalar import coord
+    fields = [[1.0, 0.0, 0.0], [0.0, 1.0, coord(0)]]
+    with pytest.raises(DimensionError):
+        build("frobenius_vector", chart, fields=fields, pi=[[0.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(DimensionError):
+        build("frobenius_vector", chart, fields=fields, pi=[0.0, 1.0])
+    build("frobenius_vector", chart, fields=fields,
+          pi=[[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+
+
+def test_position_dependent_pi_of_theta_pi_parallel_rejected():
+    from grs.exterior import COV, multivector
+    from grs.scalar import coord
+    from grs.valued import ValuedForm, ValueSpace
+    chart = minkowski()
+    psi = ValuedForm(chart, 1, COV, ValueSpace(("e1", "e2")), {((0,), "e1"): coord(1)})
+    theta = multivector(chart, 2, {(0, 1): 1.0})
+    with pytest.raises(ParameterError):
+        build("theta_pi_parallel", chart, psi=psi, theta=theta, pi=[coord(0), 0.0])

@@ -133,7 +133,31 @@ class TestVerify:
         assert "error" in capsys.readouterr().err
 
 
+    def test_negative_seed_override_exits_two(self, passing_spec, capsys):
+        assert main(["verify", passing_spec, "--seed", "-1"]) == 2
+        assert "seed" in capsys.readouterr().err
+
+    def test_wrong_size_pi_exits_two(self, tmp_path, capsys):
+        p = tmp_path / "pi.grs"
+        p.write_text("chart R3 (x, y, z) metric diag(1, 1, 1)\n"
+                     "vector E1 : 1 = 1 * dx\n"
+                     "vector E2 : 1 = 1 * dy\n"
+                     "check frobenius_vector(E1, E2, pi=[0, 1]) on "
+                     "random(-2..2, -2..2, -2..2; 20, seed 13)\n")
+        assert main(["verify", str(p)]) == 2
+        assert "pi" in capsys.readouterr().err
+
+
 class TestCatalog:
+    def test_one_line_per_entry(self, capsys):
+        assert main(["catalog"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 27
+        ricci = next(line for line in lines if line.startswith("ricci_flat "))
+        assert "metric" in ricci
+        dirac = next(line for line in lines if line.startswith("dirac "))
+        assert "[sign: -1|1 = -1]" in dirac
+
     def test_lists_entries(self, capsys):
         assert main(["catalog"]) == 0
         out = capsys.readouterr().out

@@ -194,3 +194,81 @@ class TestBinder:
             "check bianchi(a) on random(-2..2, -2..2, -2..2; 20, seed 1)\n")
         assert not diags
         assert len(checks) == 1
+
+
+class TestParameterSchema:
+    """Arguments are mapped and checked by each entry's parameter schema."""
+
+    R2 = ("chart R2 (x, y) metric diag(1, 1)\n"
+          "vector X : 1 = -y * dx + x * dy\n"
+          "field r2 = x^2 + y^2\n")
+    M4 = ("chart M (x, y, z, xi) metric diag(-1, -1, -1, 1)\n"
+          "algebra C4 dim 4\n"
+          "form psi : 0 values C4 = exp(-i*xi) @ e1\n")
+    R3 = ("chart R3 (x, y, z) metric diag(1, 1, 1)\n"
+          "vector E1 : 1 = 1 * dx\n"
+          "vector E2 : 1 = 1 * dy\n")
+    THETA = ("chart M (x, y, z, xi) metric diag(-1, -1, -1, 1)\n"
+             "algebra V2 dim 2\n"
+             "form good : 1 values V2 = 1 * dx @ e1\n"
+             "vector th : 2 = 1 * dx ^w dy\n")
+    SAMPLE2 = "random(-2..2, -2..2; 20, seed 1)"
+    SAMPLE3 = "random(-2..2, -2..2, -2..2; 20, seed 1)"
+    SAMPLE4 = "random(-2..2, -2..2, -2..2, -2..2; 20, seed 1)"
+
+    def _errors(self, text):
+        _, diags = dsl.load(text)
+        return [d for d in diags if d.severity == "error"]
+
+    def test_swapped_arguments_name_the_parameter(self):
+        errors = self._errors(self.R2 + f"check first_integral(r2, X) on {self.SAMPLE2}\n")
+        assert len(errors) == 1
+        assert "parameter 'X'" in errors[0].message
+        assert "must be a vector" in errors[0].message
+        assert errors[0].line == 4
+
+    def test_bare_word_parameter(self):
+        text = ("chart M (x, y, z, xi) metric diag(-1, -1, -1, 1)\n"
+                "algebra V2 dim 2\n"
+                "form w : 2 values V2 = z * dx ^w dy @ e1\n")
+        assert not self._errors(text + f"check autoparallel_valued_form(w, phi=diag) "
+                                       f"on {self.SAMPLE4}\n")
+        errors = self._errors(text + f"check autoparallel_valued_form(w, phi=skew) "
+                                     f"on {self.SAMPLE4}\n")
+        assert errors and "parameter 'phi'" in errors[0].message
+
+    def test_complex_mass_rejected(self):
+        errors = self._errors(self.M4 + f"check dirac(psi, m=1+2*i, sign=-1) on {self.SAMPLE4}\n")
+        assert errors and "parameter 'm'" in errors[0].message
+        assert "real number" in errors[0].message
+
+    def test_sign_outside_plus_minus_one_rejected(self):
+        errors = self._errors(self.M4 + f"check dirac(psi, m=1, sign=2) on {self.SAMPLE4}\n")
+        assert errors and "parameter 'sign'" in errors[0].message
+        assert not self._errors(self.M4 + f"check dirac(psi, m=1, sign=1) on {self.SAMPLE4}\n")
+
+    def test_negative_seed_in_spec_rejected(self):
+        errors = self._errors(self.R2 + "check first_integral(X, r2) on "
+                                        "random(-2..2, -2..2; 100, seed -3)\n")
+        assert errors and "seed" in errors[0].message
+
+    @pytest.mark.parametrize("pi", ["[0, 1]", "[0, 0, 1, 1]"])
+    def test_flat_pi_of_wrong_length(self, pi):
+        errors = self._errors(self.R3 + f"check frobenius_vector(E1, E2, pi={pi}) "
+                                        f"on {self.SAMPLE3}\n")
+        assert errors and "pi" in errors[0].message
+
+    def test_value_space_pi_of_wrong_length(self):
+        errors = self._errors(self.THETA + f"check theta_pi_parallel(good, th, pi=[1, 0, 0]) "
+                                           f"on {self.SAMPLE4}\n")
+        assert errors and "pi" in errors[0].message
+        assert not self._errors(self.THETA + f"check theta_pi_parallel(good, th, pi=[1, 0]) "
+                                             f"on {self.SAMPLE4}\n")
+
+    def test_too_many_positional_arguments(self):
+        errors = self._errors(self.R2 + f"check first_integral(X, r2, r2) on {self.SAMPLE2}\n")
+        assert errors and "at most 2 positional" in errors[0].message
+
+    def test_unknown_named_parameter(self):
+        errors = self._errors(self.R2 + f"check first_integral(X, r2, g=r2) on {self.SAMPLE2}\n")
+        assert errors and "unknown parameter 'g'" in errors[0].message

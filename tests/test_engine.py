@@ -139,3 +139,17 @@ class TestCondition:
         assert cond.labels() == ["b", "a"]
         vals = cond.residual((1.0, 2.0))
         assert vals == {"b": [1.0], "a": [2.0]}
+
+
+def test_pairing_is_bind_without_the_condition(r2):
+    from grs.engine import pairing
+    sigma = scalar_valued(form(r2, 0, {(): x * y}))
+    sigma_tilde = _scalar_section(r2, sin(x))
+    paired = pairing("scalar_multiply", PhiMap.function_product(), sigma,
+                     exterior_d(sigma_tilde))
+    cond = bind("c", r2, "scalar_multiply", PhiMap.function_product(), exterior_d,
+                sigma, sigma_tilde)
+    assert [repr(e) for _idx, e in sorted(paired.label_slice("1").components.items())] \
+        == [repr(e) for e in cond.roots()]
+    with pytest.raises(UnknownOperator):
+        pairing("nope", PhiMap.function_product(), sigma, sigma_tilde)

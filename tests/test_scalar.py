@@ -163,3 +163,9 @@ class TestSampleSet:
         s = SampleSet.grid([(0, 1)], 5).with_exclusion(lambda p: p[0] < 0.5)
         kept = [p for p in map(tuple, s.array().tolist()) if not s.exclude(p)]
         assert len(kept) == 3
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DomainError):
+            SampleSet.random_box([(-1, 1)], 10, seed=-1)
+        # the grid kind carries no seed
+        SampleSet.grid([(-1, 1)], 3)
