@@ -38,7 +38,6 @@ from .diffops import (
 from .engine import GrCondition, bind, pairing
 from .errors import (
     DegenerateFormError,
-    DegreeError,
     DimensionError,
     MissingParameter,
     ParameterError,
@@ -182,15 +181,16 @@ class Kind:
     """What a catalog parameter accepts.
 
     ``text`` names the kind in ``grs catalog`` signatures, ``noun`` in
-    diagnostics; ``accepts(value, chart)`` tests a value and ``convert``
-    normalizes an accepted one.  A kind with ``words`` takes one of those
-    bare words (the DSL passes an unbound name through as a string).
+    diagnostics; ``accepts(value, chart)`` tests a value and
+    ``convert(value, chart)`` normalizes an accepted one.  A kind with
+    ``words`` takes one of those bare words (the DSL passes an unbound
+    name through as a string).
     """
 
     text: str
     noun: str
     accepts: Callable[[object, Chart], bool] = field(compare=False)
-    convert: Callable[[object], object] = field(default=lambda v: v, compare=False)
+    convert: Callable[[object, Chart], object] = field(default=lambda v, _c: v, compare=False)
     words: Tuple[str, ...] = ()
 
 
@@ -224,12 +224,15 @@ _PHI_VALUE_CHOICES = {
     "bracket": PhiMap.abstract_bracket,
 }
 
-FIELD = Kind("field", "a scalar field", lambda v, _c: _is_scalar(v), as_expr)
+FIELD = Kind("field", "a scalar field", lambda v, _c: _is_scalar(v), lambda v, _c: as_expr(v))
 VECTOR = Kind("vector", "a vector", lambda v, c: (
     isinstance(v, (list, tuple)) and len(v) == c.dim and all(map(_is_scalar, v))),
-    lambda v: [as_expr(e) for e in v])
-MULTIVECTOR = Kind("multivector", "a multivector", lambda v, _c: (
-    isinstance(v, AlternatingTensor) and v.variance == CONTRA))
+    lambda v, _c: [as_expr(e) for e in v])
+# a 1-vector may also come as a vector's component list
+MULTIVECTOR = Kind("multivector", "a multivector", lambda v, c: (
+    isinstance(v, AlternatingTensor) and v.variance == CONTRA or VECTOR.accepts(v, c)),
+    lambda v, c: v if isinstance(v, AlternatingTensor)
+    else vector_as_multivector(c, VECTOR.convert(v, c)))
 FORM, ONE_FORM, TWO_FORM, THREE_FORM = (_form_kind(p) for p in (None, 1, 2, 3))
 VALUED_FORM, _VALUED_1FORM, VALUED_2FORM = (_form_kind(p, valued=True) for p in (None, 1, 2))
 CONNECTION = Kind("algebra-valued 1-form", "a 1-form with values in a Lie algebra",
@@ -239,10 +242,10 @@ SPINOR = Kind("spinor", "a C^4-valued 0-form or 4 fields", lambda v, _c: (
     or isinstance(v, (list, tuple)) and len(v) == 4 and all(map(_is_scalar, v))))
 PROJECTION = Kind("projection", "a projection (a diagonal list or a matrix)",
                   lambda v, _c: isinstance(v, (list, tuple)) and len(v) > 0)
-REAL = Kind("real", "a real number", _is_real, _real_value)
-FLAG = Kind("flag", "a real number (0 is off)", _is_real, _real_value)
+REAL = Kind("real", "a real number", _is_real, lambda v, _c: _real_value(v))
+FLAG = Kind("flag", "a real number (0 is off)", _is_real, lambda v, _c: _real_value(v))
 SIGN = Kind("-1|1", "-1 or 1", lambda v, _c: _real_value(v) in (-1.0, 1.0),
-            lambda v: int(_real_value(v)))
+            lambda v, _c: int(_real_value(v)))
 PHI_CHOICE = Kind("|".join(_PHI_VALUE_CHOICES), "one of " + ", ".join(_PHI_VALUE_CHOICES),
                   lambda v, _c: v in PHI_CHOICE.words, words=tuple(_PHI_VALUE_CHOICES))
 
@@ -313,23 +316,20 @@ def _hamiltonian_field(chart, omega: TWO_FORM, X: VECTOR):
                 unit_section(chart), scalar_valued(ixo), entry="hamiltonian_field")
 
 
-# hand-assembled: the bracket contracts omega's inverse with two 1-forms
-# and differentiates along Z, a scalar chain that no form-level map pairs
+# first_integral along Z of the bracket s = omega^-1(alpha, beta)
 def _poisson_first_integrals(chart, omega: TWO_FORM, Z: VECTOR, alpha: ONE_FORM,
                              beta: ONE_FORM):
     _check_nondegenerate(chart, omega)
-    n = chart.dim
     winv = inverse_expr(_omega_matrix(omega))
     s: Expr = ZERO
     for (i,), va in alpha.components.items():
         for (j,), vb in beta.components.items():
             s = s + winv[i][j] * as_expr(va) * as_expr(vb)
     cond = GrCondition("poisson_first_integrals", chart, entry="poisson_first_integrals")
-    res: Expr = ZERO
-    for mu in range(n):
-        res = res + Z[mu] * s.diff(mu)
-    cond.add_exprs([("bracket", res)])
-    return cond
+    sigma = scalar_valued(vector_as_multivector(chart, Z))
+    ds = exterior_d(scalar_valued(form(chart, 0, {(): s})))
+    return cond.add_valued(pairing("interior", PhiMap.function_product(), sigma, ds),
+                           prefix="bracket")
 
 
 # hand-assembled: Lie brackets of vector fields, which no form-level map covers
@@ -351,8 +351,6 @@ def _frobenius_pfaff(chart, *forms: ONE_FORM):
     cond = GrCondition("frobenius_pfaff", chart, entry="frobenius_pfaff")
     if not forms:
         return cond
-    if 2 + len(forms) > chart.dim:
-        raise DegreeError(f"d alpha ^ {len(forms)} 1-forms exceeds degree {chart.dim}")
     w = forms[0]
     for other in forms[1:]:
         w = wedge(w, other)
@@ -494,8 +492,6 @@ def _ext_maxwell_currents(chart, F: TWO_FORM, J1: ONE_FORM, J2: ONE_FORM, J3: ON
 
 
 def _pfaff_currents(chart, J1: ONE_FORM, J2: ONE_FORM, J3: ONE_FORM, J4: ONE_FORM):
-    if chart.dim < 4:
-        raise DegreeError("dJ ^ J ^ J' needs a chart of dimension >= 4")
     Js = (J1, J2, J3, J4)
     product = PhiMap.function_product()
     cond = GrCondition("pfaff_currents", chart, entry="pfaff_currents")
@@ -605,7 +601,7 @@ class Param:
     def check(self, value, chart: Chart):
         if not self.kind.accepts(value, chart):
             raise ParameterError(f"parameter {self.name!r} must be {self.kind.noun}")
-        return self.kind.convert(value)
+        return self.kind.convert(value, chart)
 
 
 @dataclass(frozen=True)

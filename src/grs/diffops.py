@@ -221,7 +221,7 @@ def projected_lie(pi, X: VectorField) -> Callable[[VectorField], VectorField]:
 def christoffels_from_metric(metric: MetricSpec):
     """Levi-Civita symbols Gamma^l_mn = 1/2 g^lr (d_m g_rn + d_n g_rm - d_r g_mn)."""
     n = metric.dim
-    g = metric.entries()
+    g = [[as_expr(v) for v in row] for row in metric.entries()]
     ginv = metric.inverse_entries()
     half = as_expr(0.5)
     gamma = [[[ZERO for _ in range(n)] for _ in range(n)] for _ in range(n)]
@@ -279,7 +279,7 @@ def ricci(metric: MetricSpec):
 def metricity_residual(metric: MetricSpec):
     """Components of nabla g; all-zero for the Levi-Civita connection."""
     n = metric.dim
-    g = metric.entries()
+    g = [[as_expr(v) for v in row] for row in metric.entries()]
     gam = christoffels_from_metric(metric)
     out = []
     for lam in range(n):

@@ -3,9 +3,11 @@
 Components live on strictly increasing multi-indices (sparse storage);
 missing keys are zero.  Component values may be plain complex numbers or
 symbolic ``Expr`` trees -- every operation here only uses ring arithmetic
-plus, for the metric-dependent ones, the (symbolic or numeric) inverse
-metric, so the same code path serves both the numeric oracle layer and
-the symbolic pipeline.
+plus, for the metric-dependent ones, the metric's rows, inverse and
+determinant, so the same code path serves both the numeric oracle layer
+and the symbolic pipeline.  ``MetricSpec`` alone decides the type of those
+metric entries: plain floats for a constant diagonal metric, ``Expr`` for
+a matrix metric; numeric forms on a constant metric therefore stay numeric.
 
 Conventions:
   * orientation is the declared coordinate order, vol = dx^1...dx^n * sqrt|det g|;
@@ -17,8 +19,9 @@ Conventions:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,23 +57,28 @@ def sort_sign(indices: Sequence[int]) -> Optional[Tuple[MultiIndex, int]]:
     return tuple(idx), sign
 
 
-def _scalar_is_zero(v) -> bool:
-    if isinstance(v, Expr):
-        return is_zero(v)
-    return v == 0
-
-
 class MetricSpec:
-    """Chart metric: constant diagonal or a symmetric matrix of expressions."""
+    """Chart metric g with its inverse and determinant.
+
+    This is the one place that builds g, g^-1 and det g and decides what
+    their entries are: plain floats for a constant diagonal metric, so
+    forms on it stay numeric, and ``Expr`` trees for a matrix metric.
+    Each is built once.  A matrix metric's inverse (a cofactor expansion)
+    is built on first use, so making a chart stays cheap; ``det`` is set
+    for constant metrics only, since nothing needs a matrix metric's
+    determinant outside its inverse.
+    """
 
     def __init__(self, kind: str, diag=None, rows=None):
         self.kind = kind
+        self._inverse = None
         if kind == "diagonal":
             vals = [float(v) for v in diag]
             if any(v == 0.0 for v in vals):
                 raise SingularMetricError("diagonal metric entry is zero")
-            self.diag = tuple(vals)
-            self.dim = len(vals)
+            n = len(vals)
+            self.rows = [[vals[i] if i == j else 0.0 for j in range(n)] for i in range(n)]
+            self.det = math.prod(vals)  # left to right
         elif kind == "matrix":
             rows = [list(r) for r in rows]
             n = len(rows)
@@ -78,9 +86,9 @@ class MetricSpec:
                 raise DimensionError("metric matrix must be square")
             # store the upper triangle; symmetry by construction
             self.rows = [[as_expr(rows[min(i, j)][max(i, j)]) for j in range(n)] for i in range(n)]
-            self.dim = n
         else:
             raise ValueError(kind)
+        self.dim = n
 
     @staticmethod
     def diagonal(values) -> "MetricSpec":
@@ -94,22 +102,19 @@ class MetricSpec:
     def is_constant(self) -> bool:
         return self.kind == "diagonal"
 
-    def entries(self) -> List[List[Expr]]:
-        if self.kind == "diagonal":
-            n = self.dim
-            return [[as_expr(self.diag[i] if i == j else 0.0) for j in range(n)] for i in range(n)]
-        return [row[:] for row in self.rows]
+    def entries(self) -> list:
+        """g as rows: the stored rows, not a copy."""
+        return self.rows
 
-    def inverse_entries(self) -> List[List[Expr]]:
-        """Symbolic inverse: trivial for constant diagonals, ``inverse_expr`` otherwise."""
-        if self.kind == "diagonal":
-            n = self.dim
-            return [[as_expr(1.0 / self.diag[i] if i == j else 0.0) for j in range(n)] for i in range(n)]
-        return inverse_expr(self.rows)
+    def inverse_entries(self) -> list:
+        """g^-1 as rows, built on first use by ``inverse_expr``."""
+        if self._inverse is None:
+            self._inverse = inverse_expr(self.rows)
+        return self._inverse
 
     def matrix_at(self, pt: Sequence[float]) -> np.ndarray:
-        if self.kind == "diagonal":
-            return np.diag(np.array(self.diag, dtype=float))
+        if self.is_constant:
+            return np.array(self.rows)
         n = self.dim
         m = Program([e for row in self.rows for e in row]).at([pt]).reshape(n, n)
         if np.allclose(m.imag, 0.0):
@@ -122,36 +127,42 @@ class MetricSpec:
         return np.linalg.inv(self.matrix_at(pt))
 
 
-def _det_expr(rows) -> Expr:
+def determinant(rows):
+    """Laplace expansion along the first row, skipping zero entries.
+
+    Entries may be numbers or ``Expr`` trees; the result has their type,
+    so an expression matrix whose first row vanishes gives an ``Expr``
+    zero.  The 0x0 determinant is 1.
+    """
     n = len(rows)
+    if n == 0:
+        return 1.0
     if n == 1:
-        return as_expr(rows[0][0])
-    total = as_expr(0.0)
+        return rows[0][0]
+    total = 0 * rows[0][0]  # a zero of the entries' type
     for j in range(n):
-        if _scalar_is_zero(rows[0][j]):
+        if is_zero(rows[0][j]):
             continue
         minor = [[rows[r][c] for c in range(n) if c != j] for r in range(1, n)]
-        term = as_expr(rows[0][j]) * _det_expr(minor)
+        term = rows[0][j] * determinant(minor)
         total = total + (term if j % 2 == 0 else -term)
     return total
 
 
-def inverse_expr(rows) -> List[List[Expr]]:
-    """Symbolic inverse of a square expression matrix: 1/g_ii for a
+def inverse_expr(rows) -> list:
+    """Inverse of a square matrix of numbers or expressions: 1/g_ii for a
     diagonal matrix, adjugate/det otherwise."""
     n = len(rows)
-    if all(_scalar_is_zero(rows[i][j]) for i in range(n) for j in range(n) if i != j):
-        return [
-            [(1.0 / rows[i][i] if i == j else as_expr(0.0)) for j in range(n)]  # type: ignore[operator]
-            for i in range(n)
-        ]
-    det = _det_expr(rows)
+    if all(is_zero(rows[i][j]) for i in range(n) for j in range(n) if i != j):
+        return [[(1.0 / rows[i][i] if i == j else rows[i][j]) for j in range(n)]
+                for i in range(n)]
+    det = determinant(rows)
     inv = []
     for i in range(n):
         row = []
         for j in range(n):
             minor = [[rows[r][c] for c in range(n) if c != i] for r in range(n) if r != j]
-            cof = _det_expr(minor)
+            cof = determinant(minor)
             if (i + j) % 2 == 1:
                 cof = -cof
             row.append(cof / det)
@@ -243,7 +254,7 @@ class AlternatingTensor:
 
 
 def _prune(components: dict) -> dict:
-    return {k: v for k, v in components.items() if not _scalar_is_zero(v)}
+    return {k: v for k, v in components.items() if not is_zero(v)}
 
 
 def _check_same(a: AlternatingTensor, b: AlternatingTensor):
@@ -314,45 +325,7 @@ def interior(v: AlternatingTensor, w: AlternatingTensor) -> AlternatingTensor:
 
 
 def _pairing_det(ginv_rows, I: MultiIndex, J: MultiIndex):
-    sub = [[ginv_rows[i][j] for j in J] for i in I]
-    if not sub:
-        return 1.0
-    if isinstance(sub[0][0], Expr) or any(isinstance(v, Expr) for row in sub for v in row):
-        return _det_expr(sub)
-    return _num_det(sub)
-
-
-def _num_det(rows) -> complex:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    total = 0
-    for j in range(n):
-        if rows[0][j] == 0:
-            continue
-        minor = [[rows[r][c] for c in range(n) if c != j] for r in range(1, n)]
-        term = rows[0][j] * _num_det(minor)
-        total = total + (term if j % 2 == 0 else -term)
-    return total
-
-
-def _const_diag_rows(metric: MetricSpec, inverse: bool):
-    d = metric.diag
-    n = len(d)
-    return [[(1.0 / d[i] if inverse else d[i]) if i == j else 0.0
-             for j in range(n)] for i in range(n)]
-
-
-def _ginv_rows(chart: Chart):
-    if chart.metric.is_constant:
-        return _const_diag_rows(chart.metric, inverse=True)
-    return chart.metric.inverse_entries()
-
-
-def _g_rows(chart: Chart):
-    if chart.metric.is_constant:
-        return _const_diag_rows(chart.metric, inverse=False)
-    return chart.metric.entries()
+    return determinant([[ginv_rows[i][j] for j in J] for i in I])
 
 
 def hodge(w: AlternatingTensor, at: Optional[Sequence[float]] = None) -> AlternatingTensor:
@@ -367,19 +340,15 @@ def hodge(w: AlternatingTensor, at: Optional[Sequence[float]] = None) -> Alterna
     n = chart.dim
     p = w.degree
     metric = chart.metric
-    if at is None:
-        if not metric.is_constant:
-            raise SingularMetricError("symbolic hodge needs a constant metric; pass a point")
-        detg = 1.0
-        for v in metric.diag:
-            detg *= v
-        sqrt_abs_det = abs(detg) ** 0.5
-        ginv = _const_diag_rows(metric, inverse=True)
-    else:
+    if at is not None:
         g = metric.matrix_at(at)
-        detg = float(np.linalg.det(np.real(g)))
-        sqrt_abs_det = abs(detg) ** 0.5
-        ginv = metric.inverse_at(at).tolist()
+        sqrt_abs_det = abs(float(np.linalg.det(np.real(g)))) ** 0.5
+        ginv = np.linalg.inv(g).tolist()
+    elif metric.is_constant:
+        sqrt_abs_det = abs(metric.det) ** 0.5
+        ginv = metric.inverse_entries()
+    else:
+        raise SingularMetricError("symbolic hodge needs a constant metric; pass a point")
 
     all_axes = tuple(range(n))
     out: dict = {}
@@ -393,7 +362,7 @@ def hodge(w: AlternatingTensor, at: Optional[Sequence[float]] = None) -> Alterna
             ip = _pairing_det(ginv, A, B)
             term = (sign * sqrt_abs_det) * (ip * vb)
             coeff = term if coeff is None else coeff + term
-        if coeff is not None and not _scalar_is_zero(coeff):
+        if coeff is not None and not is_zero(coeff):
             out[comp] = coeff
     return AlternatingTensor(chart, COV, n - p, _prune(out))
 
@@ -402,10 +371,10 @@ def musical_tilde(w: AlternatingTensor) -> AlternatingTensor:
     """Raise (form -> multivector) or lower (multivector -> form) all indices."""
     chart = w.chart
     if w.variance == COV:
-        rows = _ginv_rows(chart)
+        rows = chart.metric.inverse_entries()
         target = CONTRA
     else:
-        rows = _g_rows(chart)
+        rows = chart.metric.entries()
         target = COV
     n = chart.dim
     p = w.degree
@@ -415,7 +384,7 @@ def musical_tilde(w: AlternatingTensor) -> AlternatingTensor:
         for I, v in w.components.items():
             term = _pairing_det(rows, J, I) * v
             total = term if total is None else total + term
-        if total is not None and not _scalar_is_zero(total):
+        if total is not None and not is_zero(total):
             out[J] = total
     return AlternatingTensor(chart, target, p, _prune(out))
 
@@ -427,7 +396,7 @@ def metric_pairing(a: AlternatingTensor, b: AlternatingTensor):
         raise DegreeError("metric pairing is defined for 1-forms")
     if a.variance != COV or b.variance != COV:
         raise VarianceError("metric pairing acts on covariant 1-forms")
-    rows = _ginv_rows(a.chart)
+    rows = a.chart.metric.inverse_entries()
     total = as_expr(0.0) if _has_expr(a) or _has_expr(b) else 0.0
     for (i,), va in a.components.items():
         for (j,), vb in b.components.items():
@@ -443,8 +412,5 @@ def volume_form(chart: Chart) -> AlternatingTensor:
     """vol = dx^1 ... dx^n sqrt|det g| in declared coordinate order."""
     if not chart.metric.is_constant:
         raise SingularMetricError("volume form needs a constant metric")
-    detg = 1.0
-    for v in chart.metric.diag:
-        detg *= v
     n = chart.dim
-    return form(chart, n, {tuple(range(n)): abs(detg) ** 0.5})
+    return form(chart, n, {tuple(range(n)): abs(chart.metric.det) ** 0.5})

@@ -553,8 +553,11 @@ def _const_val(e: Expr) -> Optional[complex]:
     return e.value if isinstance(e, Const) else None
 
 
-def is_zero(e: Expr) -> bool:
-    return isinstance(e, Const) and e.value == 0
+def is_zero(e) -> bool:
+    """A zero number or a constant-zero node (no simplification is tried)."""
+    if isinstance(e, Expr):
+        return isinstance(e, Const) and e.value == 0
+    return e == 0
 
 
 def add(a: Expr, b: Expr) -> Expr:

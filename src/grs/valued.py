@@ -228,20 +228,14 @@ def apply_phi(m: PhiMap, a: Sequence, b: Sequence) -> list:
         raise DimensionError("coefficient vector length mismatch")
     out = [0.0 + 0.0j] * m.target.dim
     for i, va in enumerate(a):
-        if _zero(va):
+        if is_zero(va):
             continue
         for j, vb in enumerate(b):
-            if _zero(vb):
+            if is_zero(vb):
                 continue
             for k, c in m.basis_action(i, j).items():
                 out[k] = out[k] + c * va * vb
     return out
-
-
-def _zero(v) -> bool:
-    if isinstance(v, Expr):
-        return is_zero(v)
-    return v == 0
 
 
 @dataclass
@@ -314,13 +308,16 @@ def lift_pointwise(phi_form: Callable[[AlternatingTensor, AlternatingTensor], Al
                    phi_value: PhiMap, A: ValuedForm, B: ValuedForm) -> ValuedForm:
     """Core pairing: sum_ij phi_form(a^i, b^j) (x) phi_value(E_i, E_j).
 
-    phi_form maps a pair of slices to an AlternatingTensor (a plain scalar
-    result is wrapped as a degree-0 tensor).
+    phi_form is first applied once to zero slices of A's and B's degree
+    and variance: that raises any degree or variance mismatch even when
+    every slice is empty, and gives the result's degree.
     """
     if A.chart is not B.chart and A.chart != B.chart:
         raise DimensionError("valued forms live on different charts")
     if A.space.dim != phi_value.source1.dim or B.space.dim != phi_value.source2.dim:
         raise DimensionError("value spaces do not match the bilinear map")
+    degree = phi_form(zero_tensor(A.chart, A.variance, A.degree),
+                      zero_tensor(B.chart, B.variance, B.degree)).degree
     target = phi_value.target
     per_label: Dict[int, AlternatingTensor] = {}
     a_slices = A.slices()
@@ -335,11 +332,8 @@ def lift_pointwise(phi_form: Callable[[AlternatingTensor, AlternatingTensor], Al
             if not action:
                 continue
             t = phi_form(ai, bj)
-            if not isinstance(t, AlternatingTensor):
-                t = AlternatingTensor(A.chart, COV, 0, {(): as_expr(t)} if not _zero(t) else {})
             for k, c in action.items():
                 piece = t.scale(c)
                 per_label[k] = per_label[k] + piece if k in per_label else piece
-    degree = next((t.degree for t in per_label.values()), 0)
     slices = [per_label.get(k, zero_tensor(A.chart, COV, degree)) for k in range(target.dim)]
     return ValuedForm.from_slices(target, slices, variance=COV)

@@ -11,6 +11,7 @@ from grs.catalog import (
 from grs.engine import DEFAULT_TOL, verify
 from grs.errors import (
     DegenerateFormError,
+    DegreeError,
     DimensionError,
     MissingParameter,
     NonIdempotentProjection,
@@ -127,3 +128,23 @@ def test_position_dependent_pi_of_theta_pi_parallel_rejected():
     theta = multivector(chart, 2, {(0, 1): 1.0})
     with pytest.raises(ParameterError):
         build("theta_pi_parallel", chart, psi=psi, theta=theta, pi=[coord(0), 0.0])
+
+
+def test_wedge_entries_reject_a_chart_too_small():
+    from grs.scalar import coord
+    chart = euclidean(("x", "y", "z"))
+    x = coord(0)
+    a = form(chart, 1, {(0,): 1.0})
+    b = form(chart, 1, {(1,): x})
+    # d alpha ^ alpha_1 ^ alpha_2 has degree 4 on a 3-chart
+    with pytest.raises(DegreeError):
+        build("frobenius_pfaff", chart, forms=[a, b])
+    with pytest.raises(DegreeError, match="wedge degree 2\\+2 exceeds chart dimension 3"):
+        build("pfaff_currents", chart, J1=a, J2=b, J3=a, J4=b)
+
+
+def test_poisson_bracket_keeps_its_label_through_the_pairing():
+    fx = fixtures("poisson_first_integrals")[0]
+    cond = build("poisson_first_integrals", fx.chart, **fx.params)
+    assert [(lab, idx) for lab, comps in cond.residuals.items()
+            for idx, _e in comps] == [("bracket", ())]

@@ -147,6 +147,25 @@ class TestVerify:
         assert main(["verify", str(p)]) == 2
         assert "pi" in capsys.readouterr().err
 
+    def test_one_vector_as_multivector(self, tmp_path, capsys):
+        p = tmp_path / "theta.grs"
+        p.write_text("chart M (x, y, z) metric diag(1, 1, 1)\n"
+                     "algebra V2 dim 2\n"
+                     "form good : 1 values V2 = x*y * dz @ e1 + z * dx @ e2\n"
+                     "vector X : 1 = x * dx - y * dy\n"
+                     "check theta_pi_parallel(good, X, pi=[1, 0]) on "
+                     "random(-2..2, -2..2, -2..2; 20, seed 13)\n")
+        assert main(["verify", str(p), "--json"]) == 0
+        check, = json.loads(capsys.readouterr().out)["checks"]
+        assert list(check["norms"]) == ["e1"] and check["samples"]["requested"] == 20
+
+
+@pytest.mark.parametrize("spec", sorted(p.name for p in SPEC_DIR.glob("*.grs")))
+def test_every_shipped_spec_shows_a_pass_and_a_fail(spec, capsys):
+    assert main(["verify", str(SPEC_DIR / spec), "--json"]) == 1
+    verdicts = [c["pass"] for c in json.loads(capsys.readouterr().out)["checks"]]
+    assert True in verdicts and False in verdicts
+
 
 class TestCatalog:
     def test_one_line_per_entry(self, capsys):

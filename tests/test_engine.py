@@ -153,3 +153,31 @@ def test_pairing_is_bind_without_the_condition(r2):
         == [repr(e) for e in cond.roots()]
     with pytest.raises(UnknownOperator):
         pairing("nope", PhiMap.function_product(), sigma, sigma_tilde)
+
+
+class TestShapeErrorsWithEmptySlices:
+    """A degree or variance mismatch raises at bind time even when a slice is empty."""
+
+    def test_wedge_with_empty_d_alpha(self):
+        from grs.engine import pairing
+        from grs.errors import DegreeError
+        r3 = Chart(("x", "y", "z"), MetricSpec.diagonal([1, 1, 1]))
+        sigma = scalar_valued(form(r3, 2, {(0, 1): x}))
+        d_alpha = exterior_d(scalar_valued(form(r3, 1, {(2,): const(1.0)})))
+        assert not d_alpha.components
+        with pytest.raises(DegreeError):
+            pairing("wedge", PhiMap.function_product(), sigma, d_alpha)
+
+    def test_scalar_multiply_with_empty_one_form(self, r2):
+        from grs.errors import DegreeError
+        sigma = scalar_valued(form(r2, 1, {}))
+        with pytest.raises(DegreeError):
+            bind("c", r2, "scalar_multiply", PhiMap.function_product(), exterior_d,
+                 sigma, _scalar_section(r2, x * y))
+
+    def test_empty_pairing_keeps_the_result_degree(self, r2):
+        from grs.engine import pairing
+        sigma = scalar_valued(form(r2, 0, {}))
+        paired = pairing("scalar_multiply", PhiMap.function_product(), sigma,
+                         exterior_d(_scalar_section(r2, x)))
+        assert paired.degree == 1 and not paired.components

@@ -195,3 +195,37 @@ def test_metric_pairing_uses_inverse(mink):
     assert metric_pairing(a, a) == pytest.approx(-1.0)
     t = form(mink, 1, {(3,): 1.0})
     assert metric_pairing(t, t) == pytest.approx(1.0)
+
+
+class TestMetricSpec:
+    def test_constant_metric_entries_are_numbers(self, mink):
+        g = mink.metric
+        assert g.entries()[3] == [0.0, 0.0, 0.0, 1.0]
+        assert g.inverse_entries()[0] == [-1.0, 0.0, 0.0, 0.0]
+        assert g.inverse_entries() is g.inverse_entries()
+
+    def test_diagonal_det_is_the_left_to_right_product(self):
+        # (0.8 * 1.5) * 1.4 and 0.8 * (1.5 * 1.4) differ in the last bit
+        chart = Chart(("x", "y", "z"), MetricSpec.diagonal([0.8, 1.5, 1.4]))
+        assert chart.metric.det == (0.8 * 1.5) * 1.4
+        assert volume_form(chart).components == {(0, 1, 2): ((0.8 * 1.5) * 1.4) ** 0.5}
+
+    def test_matrix_inverse_built_once_on_first_use(self):
+        th = coord(0)
+        g = MetricSpec.matrix([[as_expr(1.0), as_expr(0.0)],
+                               [as_expr(0.0), sin(th) * sin(th)]])
+        assert g._inverse is None
+        assert g.inverse_entries() is g.inverse_entries()
+
+
+def test_determinant_keeps_the_entries_type():
+    from grs.exterior import determinant, inverse_expr
+    from grs.scalar import Expr, ZERO
+    assert determinant([[2.0, 1.0], [1.0, 3.0]]) == 5.0
+    assert determinant([]) == 1.0
+    x = coord(0)
+    rows = [[ZERO, ZERO, ZERO], [ZERO, ZERO, x], [ZERO, x, ZERO]]
+    assert isinstance(determinant(rows), Expr)
+    # a first row of zeros gives an Expr zero, so cof / det stays symbolic
+    inv = inverse_expr(rows)
+    assert all(isinstance(e, Expr) for row in inv for e in row)
