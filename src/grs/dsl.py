@@ -840,6 +840,14 @@ class _Binder:
             if len(rows) != len(st.coords) or any(len(r) != len(st.coords) for r in rows):
                 self.fail("metric matrix must be square with the chart dimension",
                           st.line)
+            # MetricSpec reads only the upper triangle; compared as written
+            c = st.coords
+            for i in range(len(c)):
+                for j in range(i + 1, len(c)):
+                    if st.rows[i][j] != st.rows[j][i]:
+                        self.fail(f"metric matrix is not symmetric: entry [{c[i]}, {c[j]}] "
+                                  f"is {print_expr(st.rows[i][j])} but entry [{c[j]}, {c[i]}] "
+                                  f"is {print_expr(st.rows[j][i])}", st.line)
             self.chart = Chart(st.coords, MetricSpec.matrix(rows))
         # a new chart starts a fresh scope for fields and geometry objects
         self.fields.clear()

@@ -96,6 +96,14 @@ class MetricSpec:
 
     @staticmethod
     def matrix(rows) -> "MetricSpec":
+        """Metric from square ``rows`` of expressions or numbers.
+
+        Only the upper triangle is read: entry (i, j) with i > j is taken
+        from (j, i), and the lower triangle is not checked, since entries
+        such as a*b and b*a are equal without being the same tree.  The
+        DSL binder rejects a matrix whose two triangles are written
+        differently.
+        """
         return MetricSpec("matrix", rows=rows)
 
     @property

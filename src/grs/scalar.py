@@ -7,6 +7,15 @@ the smart constructors (constants, additive/multiplicative identities),
 which keeps derivative trees from blowing up without ever touching an
 existing node.
 
+Derivatives are cached per node and axis.  Every differentiation rule
+takes its children's derivatives from ``Expr.diff``, so a subtree shared
+by many parents (the metric inverse under every Christoffel symbol, say)
+is differentiated once and its derivative is one shared object.  Since a
+tree never changes, a cached derivative cannot go stale.  The derivative
+of ``exp(a)`` or ``sqrt(a)`` refers back to its own node, so such a node
+and its cache form a reference cycle, which the cyclic garbage collector
+frees like any other.
+
 Evaluation goes through one path: a ``Program`` compiles a list of root
 expressions into a deduplicated, topologically sorted op list and runs
 each op once per call on whole arrays of points.  The arithmetic follows
@@ -45,16 +54,42 @@ def _is_real(z: complex) -> bool:
 class Expr:
     """Base node.  Subclasses implement ``_diff``, ``_parts`` and ``_eval``.
 
+    ``_diff(axis)`` is the node's differentiation rule; it reaches its
+    children's derivatives through ``diff``, which caches each result in
+    the node's ``_d`` slot (axis -> derivative).  The tree is immutable,
+    so the cache is always valid.  The cache slots ``_prog`` and ``_d``
+    are underscore-prefixed because they are not part of the node's
+    structure: the public slots are.
     ``_parts`` returns (children, hashable non-node fields): together with
     the node type this is the structural key ``Program`` merges on.
     ``_eval(blk, param, *child_values)`` computes the node over a block.
     """
 
-    __slots__ = ("_prog",)
+    __slots__ = ("_prog", "_d")
 
     def diff(self, axis: int) -> "Expr":
         """Exact partial derivative along a 0-based coordinate axis."""
-        return self._diff(axis)
+        memo = getattr(self, "_d", None)
+        if memo is not None and axis in memo:
+            return memo[axis]
+        # children before parents, from an explicit stack: each rule then
+        # finds its operands' derivatives cached, so ``diff`` recurses one
+        # level deep however deep the tree is
+        stack = [self]
+        while stack:
+            node = stack[-1]
+            todo = [k for k in node._parts()[0]
+                    if axis not in (getattr(k, "_d", None) or ())]
+            if todo:
+                stack.extend(todo)
+                continue
+            stack.pop()
+            memo = getattr(node, "_d", None)
+            if memo is None:
+                memo = node._d = {}
+            if axis not in memo:
+                memo[axis] = node._diff(axis)
+        return self._d[axis]
 
     def _diff(self, axis: int) -> "Expr":  # pragma: no cover - abstract
         raise NotImplementedError
@@ -254,7 +289,7 @@ class Add(_Binary):
     __slots__ = ()
 
     def _diff(self, axis):
-        return add(self.a._diff(axis), self.b._diff(axis))
+        return add(self.a.diff(axis), self.b.diff(axis))
 
     @staticmethod
     def _eval(blk, _p, a, b):
@@ -265,7 +300,7 @@ class Sub(_Binary):
     __slots__ = ()
 
     def _diff(self, axis):
-        return sub(self.a._diff(axis), self.b._diff(axis))
+        return sub(self.a.diff(axis), self.b.diff(axis))
 
     @staticmethod
     def _eval(blk, _p, a, b):
@@ -276,7 +311,7 @@ class Mul(_Binary):
     __slots__ = ()
 
     def _diff(self, axis):
-        return add(mul(self.a._diff(axis), self.b), mul(self.a, self.b._diff(axis)))
+        return add(mul(self.a.diff(axis), self.b), mul(self.a, self.b.diff(axis)))
 
     @staticmethod
     def _eval(blk, _p, a, b):
@@ -287,7 +322,7 @@ class Div(_Binary):
     __slots__ = ()
 
     def _diff(self, axis):
-        num = sub(mul(self.a._diff(axis), self.b), mul(self.a, self.b._diff(axis)))
+        num = sub(mul(self.a.diff(axis), self.b), mul(self.a, self.b.diff(axis)))
         return div(num, mul(self.b, self.b))
 
     @staticmethod
@@ -303,7 +338,7 @@ class Neg(Expr):
         self.a = a
 
     def _diff(self, axis):
-        return neg(self.a._diff(axis))
+        return neg(self.a.diff(axis))
 
     def _parts(self):
         return (self.a,), None
@@ -333,7 +368,7 @@ class Pow(Expr):
 
     def _diff(self, axis):
         e = self.exponent
-        return mul(mul(Const(float(e)), pow_(self.a, e - 1)), self.a._diff(axis))
+        return mul(mul(Const(float(e)), pow_(self.a, e - 1)), self.a.diff(axis))
 
     def _parts(self):
         return (self.a,), self.exponent
@@ -368,7 +403,7 @@ class Sin(_Unary):
     __slots__ = ()
 
     def _diff(self, axis):
-        return mul(cos(self.a), self.a._diff(axis))
+        return mul(cos(self.a), self.a.diff(axis))
 
     @staticmethod
     def _eval(blk, _p, a):
@@ -379,7 +414,7 @@ class Cos(_Unary):
     __slots__ = ()
 
     def _diff(self, axis):
-        return neg(mul(sin(self.a), self.a._diff(axis)))
+        return neg(mul(sin(self.a), self.a.diff(axis)))
 
     @staticmethod
     def _eval(blk, _p, a):
@@ -390,7 +425,7 @@ class Exp(_Unary):
     __slots__ = ()
 
     def _diff(self, axis):
-        return mul(self, self.a._diff(axis))
+        return mul(self, self.a.diff(axis))
 
     @staticmethod
     def _eval(blk, _p, a):
@@ -401,7 +436,7 @@ class Sqrt(_Unary):
     __slots__ = ()
 
     def _diff(self, axis):
-        return div(self.a._diff(axis), mul(Const(2.0), self))
+        return div(self.a.diff(axis), mul(Const(2.0), self))
 
     @staticmethod
     def _eval(blk, _p, a):
@@ -427,7 +462,7 @@ class Bump(Expr):
         self.order = order
 
     def _diff(self, axis):
-        return mul(Bump(self.a, self.order + 1), self.a._diff(axis))
+        return mul(Bump(self.a, self.order + 1), self.a.diff(axis))
 
     def _parts(self):
         return (self.a,), self.order

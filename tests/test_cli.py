@@ -133,6 +133,13 @@ class TestVerify:
         assert "error" in capsys.readouterr().err
 
 
+    def test_non_symmetric_metric_matrix_exits_two(self, tmp_path, capsys):
+        p = tmp_path / "asym.grs"
+        p.write_text("chart P (x, y) metric matrix [[1, 0], [5*x, 1]]\n"
+                     "check ricci_flat() on random(-1..1, -1..1; 20, seed 1)\n")
+        assert main(["verify", str(p)]) == 2
+        assert "not symmetric" in capsys.readouterr().err
+
     def test_negative_seed_override_exits_two(self, passing_spec, capsys):
         assert main(["verify", passing_spec, "--seed", "-1"]) == 2
         assert "seed" in capsys.readouterr().err

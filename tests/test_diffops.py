@@ -23,6 +23,8 @@ from grs.diffops import (
     riemann,
     schrodinger_residual,
 )
+from grs.catalog import build
+from grs.engine import verify
 from grs.errors import (
     DegreeError,
     DimensionError,
@@ -31,7 +33,7 @@ from grs.errors import (
     StepError,
 )
 from grs.exterior import COV, Chart, MetricSpec, form
-from grs.scalar import ZERO, as_expr, const, coord, cos, exp, sin
+from grs.scalar import ZERO, Program, SampleSet, as_expr, const, coord, cos, exp, is_zero, sin
 from grs.valued import ValueSpace, ValuedForm, su2
 
 
@@ -169,6 +171,44 @@ class TestMetricGeometry:
         res = metricity_residual(sphere.metric)
         for v in res:
             assert abs(v.ev((1.2, 0.5))) < 1e-12
+
+
+def pulled_back_euclidean(conformal: bool = False) -> Chart:
+    """g = J^T J for x_k = u_k + 0.2 sin(u_{k+1}) (indices mod 3): flat, with
+    no zero entry, so Ricci goes through the cofactor inverse.  ``conformal``
+    multiplies g by (1 + 0.1 u0^2), which makes it curved."""
+    u = [coord(k) for k in range(3)]
+    xs = [u[k] + 0.2 * sin(u[(k + 1) % 3]) for k in range(3)]
+    jac = [[xk.diff(j) for j in range(3)] for xk in xs]
+    scale = 1.0 + 0.1 * u[0] * u[0]
+    rows = []
+    for i in range(3):
+        row = []
+        for j in range(3):
+            gij = jac[0][i] * jac[0][j] + jac[1][i] * jac[1][j] + jac[2][i] * jac[2][j]
+            row.append(gij * scale if conformal else gij)
+        rows.append(row)
+    return Chart(("u0", "u1", "u2"), MetricSpec.matrix(rows))
+
+
+class TestNonDiagonalMetric:
+    SAMPLE = SampleSet.random_box(((-1.0, 1.0),) * 3, 40, 5)
+
+    def test_pulled_back_euclidean_is_ricci_flat(self):
+        chart = pulled_back_euclidean()
+        assert not any(is_zero(v) for row in chart.metric.entries() for v in row)
+        rep = verify(build("ricci_flat", chart), self.SAMPLE, tol=1e-10)
+        assert rep.passed and rep.evaluated == 40
+
+    def test_levi_civita_is_metric(self):
+        res = metricity_residual(pulled_back_euclidean().metric)
+        vals = Program(res).at(self.SAMPLE.array())
+        assert np.max(np.abs(vals)) <= 1e-9
+
+    def test_conformal_control_is_curved(self):
+        rep = verify(build("ricci_flat", pulled_back_euclidean(conformal=True)),
+                     self.SAMPLE, tol=1e-10)
+        assert not rep.passed and rep.evaluated == 40
 
 
 class TestVectorOperators:

@@ -195,6 +195,22 @@ class TestBinder:
         assert not diags
         assert len(checks) == 1
 
+    def test_non_symmetric_metric_matrix_names_both_entries(self):
+        # the lower triangle used to be dropped: this read as the identity metric
+        _, diags = self._load(
+            "chart P (x, y) metric matrix [[1, 0], [5*x, 1]]\n"
+            "check ricci_flat() on random(-1..1, -1..1; 20, seed 1)\n")
+        errors = [d for d in diags if d.severity == "error"]
+        assert len(errors) == 1 and errors[0].line == 1
+        assert errors[0].message == ("metric matrix is not symmetric: entry [x, y] "
+                                     "is 0.0 but entry [y, x] is 5.0 * x")
+
+    def test_symmetric_metric_matrix_binds(self):
+        checks, diags = self._load(
+            "chart P (x, y) metric matrix [[1, x*y], [x*y, 2]]\n"
+            "check ricci_flat() on random(-0.5..0.5, -0.5..0.5; 20, seed 1)\n")
+        assert not diags and len(checks) == 1
+
 
 class TestParameterSchema:
     """Arguments are mapped and checked by each entry's parameter schema."""

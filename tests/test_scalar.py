@@ -4,8 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grs.diffops import ricci
 from grs.errors import DomainError, EvalSingularity
+from grs.exterior import MetricSpec
 from grs.scalar import (
+    Mul,
+    Program,
     SampleSet,
     ZERO,
     as_expr,
@@ -88,6 +92,58 @@ def test_symbolic_matches_fd(a, b):
     sym = e.diff(0).ev((a, b))
     num = fd_diff(e, 0, (a, b), h=1e-4)
     assert abs(sym - num) < 1e-10
+
+
+class TestDerivativeMemo:
+    """Each node's derivative is built once per axis and then shared."""
+
+    def test_derivative_is_one_object(self):
+        e = sin(x * y) / (1 + exp(x))
+        for k in (0, 1):
+            assert e.diff(k) is e.diff(k)
+        assert e.diff(0) is not e.diff(1)
+
+    def test_shared_subtree_differentiated_once(self, monkeypatch):
+        calls = []
+        rule = Mul._diff
+
+        def counted(self, axis):
+            calls.append(self)
+            return rule(self, axis)
+
+        monkeypatch.setattr(Mul, "_diff", counted)
+        s = x * y
+        (sin(s) + cos(s)).diff(0)
+        assert calls == [s]
+
+    def test_deep_tree_needs_no_deep_recursion(self):
+        e = x * y
+        for _ in range(5000):
+            e = e + x * y
+        assert e.diff(0).ev((0.5, 0.25)) == pytest.approx(5001 * 0.25)
+
+    def test_dense_ricci_keeps_its_program_with_fewer_objects(self):
+        # the dense flat 4-D chart: g = J^T J for x_k = u_k + 0.2 sin(u_{k+1})
+        u = [coord(k) for k in range(4)]
+        xs = [u[k] + 0.2 * sin(u[(k + 1) % 4]) for k in range(4)]
+        jac = [[xk.diff(j) for j in range(4)] for xk in xs]
+        rows = [[sum((jac[k][i] * jac[k][j] for k in range(4)), const(0.0))
+                 for j in range(4)] for i in range(4)]
+        roots = [r for row in ricci(MetricSpec.matrix(rows)) for r in row]
+        # without the memo: the same 1,240 ops from 9,124 node objects
+        assert len(Program(roots)) == 1240
+        assert _node_objects(roots) <= 9124 // 4
+
+
+def _node_objects(roots):
+    seen = set()
+    stack = list(roots)
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parts()[0])
+    return len(seen)
 
 
 def test_fd_convergence_is_fourth_order():
