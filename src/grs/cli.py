@@ -150,17 +150,14 @@ def cmd_eval(args) -> int:
             print(d.render(), file=sys.stderr)
         return 2
     names = tuple(name for name, _ in bindings)
-    chart = Chart(names, MetricSpec.diagonal([1.0] * len(names)))
     binder = dsl._Binder(args.expr.splitlines())
-    binder.chart = chart
     try:
-        expr = binder.bind_expr(ast, 1)
+        binder.coords = Chart(names, MetricSpec.diagonal([1.0] * len(names))).coord_names
+        value = binder.bind_expr(ast, 1).ev(tuple(v for _, v in bindings))
     except dsl._Bail:
         for d in binder.diags:
             print(d.render(), file=sys.stderr)
         return 2
-    try:
-        value = expr.ev(tuple(v for _, v in bindings))
     except GrsError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

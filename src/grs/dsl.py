@@ -9,9 +9,10 @@ pass.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from . import catalog
 from .engine import DEFAULT_TOL, GrCondition
@@ -29,6 +30,12 @@ KEYWORDS = {
 _STATEMENT_KEYWORDS = ("chart", "field", "form", "vector", "algebra", "check")
 
 _FUNCTIONS = {"sin": sin, "cos": cos, "exp": exp, "sqrt": sqrt, "bump": bump}
+
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+# how deep parentheses, unary minus, ^ and calls may nest: the parser
+# recurses ~6 frames a level, well inside Python's 1,000-frame limit
+MAX_NESTING = 100
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +258,7 @@ class _Parser:
         self.toks = toks
         self.lines = lines
         self.pos = 0
+        self.depth = 0  # nesting levels open in the current expression
         self.diags: List[Diagnostic] = []
 
     # --- token plumbing
@@ -301,6 +309,15 @@ class _Parser:
         if t.kind != "IDENT" or t.text != kw:
             self.error(f"expected keyword {kw!r}")
         return self.next()
+
+    def _seq(self, open_: str, item: Callable[[], object], close: str) -> tuple:
+        """``open_`` item (, item)* ``close``, as a tuple of the items."""
+        self.expect_sym(open_)
+        items = [item()]
+        while self.accept_sym(","):
+            items.append(item())
+        self.expect_sym(close)
+        return tuple(items)
 
     def number(self) -> float:
         neg = self.accept_sym("-")
@@ -356,38 +373,16 @@ class _Parser:
     def chart_stmt(self) -> ChartStmt:
         t0 = self.next()
         name = self.expect_ident("chart name").text
-        self.expect_sym("(")
-        coords = [self.expect_ident("coordinate name").text]
-        while self.accept_sym(","):
-            coords.append(self.expect_ident("coordinate name").text)
-        self.expect_sym(")")
+        coords = self._seq("(", lambda: self.expect_ident("coordinate name").text, ")")
         self.expect_keyword("metric")
         kind = self.expect_ident("'diag' or 'matrix'").text
         if kind == "diag":
-            self.expect_sym("(")
-            diag = [self.number()]
-            while self.accept_sym(","):
-                diag.append(self.number())
-            self.expect_sym(")")
-            return ChartStmt(name, tuple(coords), "diag", diag=tuple(diag),
+            return ChartStmt(name, coords, "diag", diag=self._seq("(", self.number, ")"),
                              line=t0.line)
         if kind == "matrix":
-            self.expect_sym("[")
-            rows = [self._expr_row()]
-            while self.accept_sym(","):
-                rows.append(self._expr_row())
-            self.expect_sym("]")
-            return ChartStmt(name, tuple(coords), "matrix", rows=tuple(rows),
-                             line=t0.line)
+            rows = self._seq("[", lambda: self._seq("[", self.expr, "]"), "]")
+            return ChartStmt(name, coords, "matrix", rows=rows, line=t0.line)
         self.error("expected 'diag' or 'matrix' after 'metric'")
-
-    def _expr_row(self) -> Tuple[ExprAst, ...]:
-        self.expect_sym("[")
-        row = [self.expr()]
-        while self.accept_sym(","):
-            row.append(self.expr())
-        self.expect_sym("]")
-        return tuple(row)
 
     def field_stmt(self) -> FieldStmt:
         t0 = self.next()
@@ -452,16 +447,12 @@ class _Parser:
         if self.peek().kind == "IDENT" and self.peek().text == "bracket":
             self.next()
             while self.at_sym("("):
-                self.next()
-                i = int(self.number())
-                self.expect_sym(",")
-                j = int(self.number())
-                self.expect_sym(",")
-                k = int(self.number())
-                self.expect_sym(",")
-                v = self.number()
-                self.expect_sym(")")
-                brackets.append((i, j, k, v))
+                t = self.peek()
+                triple = self._seq("(", self.number, ")")
+                if len(triple) != 4:
+                    self.error("expected a bracket triple '(i, j, k, value)'", t)
+                i, j, k, v = triple
+                brackets.append((int(i), int(j), int(k), v))
             if not brackets:
                 self.error("expected at least one bracket triple '(i, j, k, value)'")
         return AlgebraStmt(name, dim, tuple(brackets), line=t0.line)
@@ -498,12 +489,7 @@ class _Parser:
 
     def arg_value(self) -> ArgValue:
         if self.at_sym("["):
-            self.next()
-            items = [self.number()]
-            while self.accept_sym(","):
-                items.append(self.number())
-            self.expect_sym("]")
-            return ListLit(tuple(items))
+            return ListLit(self._seq("[", self.number, "]"))
         t = self.peek()
         if t.kind == "IDENT" and t.text in KEYWORDS:
             after = self.toks[self.pos + 1]  # an IDENT is followed by EOF at least
@@ -516,11 +502,7 @@ class _Parser:
         kindtok = self.expect_ident("'grid' or 'random'")
         if kindtok.text not in ("grid", "random"):
             self.error("expected 'grid' or 'random'", kindtok)
-        self.expect_sym("(")
-        ranges = [self._range()]
-        while self.accept_sym(","):
-            ranges.append(self._range())
-        self.expect_sym(";")
+        ranges = self._seq("(", self._range, ";")
         count = int(self.number())
         seed = 0
         if kindtok.text == "random":
@@ -528,7 +510,7 @@ class _Parser:
             self.expect_keyword("seed")
             seed = int(self.number())
         self.expect_sym(")")
-        return SampleAst(kindtok.text, tuple(ranges), count, seed)
+        return SampleAst(kindtok.text, ranges, count, seed)
 
     def _range(self) -> Tuple[float, float]:
         lo = self.number()
@@ -580,9 +562,16 @@ class _Parser:
         return after.kind != "SYM" or after.text not in ("(", "^")
 
     def _unary(self) -> ExprAst:
-        if self.accept_sym("-"):
-            return Un("-", self._unary())
-        return self._power()
+        # every nesting construct re-enters here, so one counter bounds them all
+        if self.depth > MAX_NESTING:
+            self.error(f"expression nested more than {MAX_NESTING} levels deep")
+        self.depth += 1
+        try:
+            if self.accept_sym("-"):
+                return Un("-", self._unary())
+            return self._power()
+        finally:
+            self.depth -= 1
 
     def _power(self) -> ExprAst:
         base = self._atom()
@@ -731,6 +720,13 @@ def print_document(doc: SpecDocument) -> str:
 # binder
 
 
+def _operands(ast: ExprAst) -> tuple:
+    """The sub-expressions bound under ``ast``; an exponent is read as a number."""
+    if isinstance(ast, Bin):
+        return (ast.a,) if ast.op == "^" else (ast.a, ast.b)
+    return (ast.a,) if isinstance(ast, Un) else (ast.arg,) if isinstance(ast, Call) else ()
+
+
 @dataclass
 class BoundCheck:
     name: str
@@ -745,49 +741,66 @@ class _Binder:
         self.lines = lines
         self.diags: List[Diagnostic] = []
         self.chart: Optional[Chart] = None
+        self.chart_line = 0  # line of the last chart statement, bound or not
+        self.coords: Tuple[str, ...] = ()  # coordinate names in scope
         self.fields: Dict[str, Expr] = {}
         self.objects: Dict[str, object] = {}  # forms, vectors, valued forms
         self.spaces: Dict[str, ValueSpace] = {}
         self.checks: List[BoundCheck] = []
         self.entry_counts: Dict[str, int] = {}
 
-    def fail(self, msg: str, line: int):
+    def report(self, msg: str, line: int, severity: str = "error") -> None:
         excerpt = self.lines[line - 1] if 1 <= line <= len(self.lines) else ""
-        self.diags.append(Diagnostic("error", msg, line, 1, excerpt))
+        self.diags.append(Diagnostic(severity, msg, line, 1, excerpt))
+
+    def fail(self, msg: str, line: int):
+        self.report(msg, line)
         raise _Bail()
 
     # --- expression binding
 
     def bind_expr(self, ast: ExprAst, line: int) -> Expr:
+        # operands before their operator, from an explicit stack as in
+        # ``Expr.diff``, so a long sum binds without recursing once per term
+        values: List[Expr] = []
+        stack: list = [(ast, None)]  # (node, operand count once they are queued)
+        while stack:
+            node, arity = stack.pop()
+            if arity is None:
+                operands = _operands(node)
+                if operands:
+                    stack.append((node, len(operands)))
+                    stack.extend((k, None) for k in reversed(operands))  # left first
+                    continue
+                arity = 0
+            args = values[len(values) - arity:]
+            del values[len(values) - arity:]
+            values.append(self._bind_node(node, args, line))
+        return values[0]
+
+    def _bind_node(self, ast: ExprAst, args: List[Expr], line: int) -> Expr:
         if isinstance(ast, Num):
             return const(ast.value)
         if isinstance(ast, Name):
             ident = ast.ident
-            if self.chart is not None and ident in self.chart.coord_names:
-                return coord(self.chart.axis(ident))
+            if ident in self.coords:
+                return coord(self.coords.index(ident))
             if ident in self.fields:
                 return self.fields[ident]
             if ident == "i":
                 return const(1j)
             self.fail(f"unknown name {ident!r}", line)
         if isinstance(ast, Un):
-            return -self.bind_expr(ast.a, line)
+            return -args[0]
         if isinstance(ast, Call):
-            return _FUNCTIONS[ast.fn](self.bind_expr(ast.arg, line))
+            return _FUNCTIONS[ast.fn](args[0])
         if isinstance(ast, Bin):
             if ast.op == "^":
                 expo = self._const_value(ast.b)
                 if expo is None:
                     self.fail("exponent must be a numeric literal", line)
-                base = self.bind_expr(ast.a, line)
-                frac = Fraction(expo)
-                try:
-                    return base ** frac
-                except GrsError as e:
-                    self.fail(str(e), line)
-            a = self.bind_expr(ast.a, line)
-            b = self.bind_expr(ast.b, line)
-            return {"+": a + b, "-": a - b, "*": a * b, "/": a / b}[ast.op]
+                return args[0] ** Fraction(expo)
+            return _BINARY[ast.op](*args)
         self.fail(f"cannot bind expression node {ast!r}", line)
 
     def _const_value(self, ast: ExprAst) -> Optional[float]:
@@ -804,6 +817,8 @@ class _Binder:
         for st in doc.statements:
             try:
                 self._stmt(st)
+            except GrsError as e:  # from any layer: an error on the statement's line
+                self.report(str(e), st.line)
             except _Bail:
                 continue
 
@@ -821,21 +836,27 @@ class _Binder:
             self._check(st)
 
     def _need_chart(self, line: int) -> Chart:
+        if self.chart is None and self.chart_line:
+            self.report(f"not bound: the chart on line {self.chart_line} was rejected",
+                        line, "note")
+            raise _Bail()
         if self.chart is None:
             self.fail("no chart declared yet", line)
         return self.chart
 
     def _chart(self, st: ChartStmt) -> None:
+        # a new chart starts a fresh scope for fields and geometry objects,
+        # and a rejected chart line leaves no chart for later statements
+        self.chart, self.chart_line, self.coords = None, st.line, st.coords
+        self.fields.clear()
+        self.objects.clear()
         if st.metric_kind == "diag":
             if len(st.diag) != len(st.coords):
                 self.fail("metric diagonal length must match the chart dimension",
                           st.line)
             metric = MetricSpec.diagonal(list(st.diag))
-            self.chart = Chart(st.coords, metric)
         else:
             # matrix entries may reference the coordinates being declared
-            tmp = Chart(st.coords, MetricSpec.diagonal([1.0] * len(st.coords)))
-            self.chart = tmp
             rows = [[self.bind_expr(e, st.line) for e in row] for row in st.rows]
             if len(rows) != len(st.coords) or any(len(r) != len(st.coords) for r in rows):
                 self.fail("metric matrix must be square with the chart dimension",
@@ -848,10 +869,8 @@ class _Binder:
                         self.fail(f"metric matrix is not symmetric: entry [{c[i]}, {c[j]}] "
                                   f"is {print_expr(st.rows[i][j])} but entry [{c[j]}, {c[i]}] "
                                   f"is {print_expr(st.rows[j][i])}", st.line)
-            self.chart = Chart(st.coords, MetricSpec.matrix(rows))
-        # a new chart starts a fresh scope for fields and geometry objects
-        self.fields.clear()
-        self.objects.clear()
+            metric = MetricSpec.matrix(rows)
+        self.chart = Chart(st.coords, metric)
 
     def _vform(self, st: VFormStmt) -> None:
         chart = self._need_chart(st.line)
@@ -892,19 +911,14 @@ class _Binder:
                 key = idx
             components[key] = components[key] + coeff if key in components else coeff
         variance = CONTRA if st.kind == "vector" else COV
-        try:
-            if space is not None:
-                obj: object = ValuedForm(chart, st.degree, variance, space,
-                                         components)
-            elif st.kind == "vector" and st.degree == 1:
-                vec = [ZERO] * n
-                for (axis,), e in components.items():
-                    vec[axis] = e
-                obj = vec
-            else:
-                obj = AlternatingTensor(chart, variance, st.degree, components)
-        except GrsError as e:
-            self.fail(str(e), st.line)
+        if space is not None:
+            obj: object = ValuedForm(chart, st.degree, variance, space, components)
+        elif st.kind == "vector" and st.degree == 1:
+            obj = [ZERO] * n
+            for (axis,), e in components.items():
+                obj[axis] = e
+        else:
+            obj = AlternatingTensor(chart, variance, st.degree, components)
         self.objects[st.name] = obj
 
     def _algebra(self, st: AlgebraStmt) -> None:
@@ -940,10 +954,7 @@ class _Binder:
         takes every positional argument, otherwise positional arguments
         fill the required parameters in order; the catalog checks kinds."""
         chart = self._need_chart(st.line)
-        try:
-            schema = catalog.get_entry(st.entry).params
-        except GrsError as e:
-            self.fail(str(e), st.line)
+        schema = catalog.get_entry(st.entry).params
         named_params = {p.name: p for p in schema if not p.vararg}
         params: Dict[str, object] = {}
         vararg = next((p for p in schema if p.vararg), None)
@@ -963,14 +974,10 @@ class _Binder:
         if len(st.sample.ranges) != chart.dim:
             self.fail(f"sample has {len(st.sample.ranges)} range(s); the chart "
                       f"has {chart.dim} coordinate(s)", st.line)
-        try:
-            if st.sample.kind == "grid":
-                sample = SampleSet.grid(st.sample.ranges, st.sample.count)
-            else:
-                sample = SampleSet.random_box(st.sample.ranges, st.sample.count,
-                                              st.sample.seed)
-        except GrsError as e:
-            self.fail(str(e), st.line)
+        if st.sample.kind == "grid":
+            sample = SampleSet.grid(st.sample.ranges, st.sample.count)
+        else:
+            sample = SampleSet.random_box(st.sample.ranges, st.sample.count, st.sample.seed)
         try:
             cond = catalog.build(st.entry, chart, **params)
         except GrsError as e:

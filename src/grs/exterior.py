@@ -4,10 +4,13 @@ Components live on strictly increasing multi-indices (sparse storage);
 missing keys are zero.  Component values may be plain complex numbers or
 symbolic ``Expr`` trees -- every operation here only uses ring arithmetic
 plus, for the metric-dependent ones, the metric's rows, inverse and
-determinant, so the same code path serves both the numeric oracle layer
+sqrt|det g|, so the same code path serves both the numeric oracle layer
 and the symbolic pipeline.  ``MetricSpec`` alone decides the type of those
 metric entries: plain floats for a constant diagonal metric, ``Expr`` for
 a matrix metric; numeric forms on a constant metric therefore stay numeric.
+The Hodge star and the volume form are symbolic on any metric; a point
+where g is singular is flagged by the divisions in g^-1 when the residual
+is evaluated.
 
 Conventions:
   * orientation is the declared coordinate order, vol = dx^1...dx^n * sqrt|det g|;
@@ -23,22 +26,19 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .errors import (
     DegreeError,
     DimensionError,
+    EvalSingularity,
     SingularMetricError,
     VarianceError,
 )
-from .scalar import Expr, Program, as_expr, is_zero
+from .scalar import Expr, Program, as_expr, is_zero, sqrt
 
 COV = "covariant"
 CONTRA = "contravariant"
 
 MultiIndex = Tuple[int, ...]
-
-_DET_FLOOR = 1e-12
 
 
 def sort_sign(indices: Sequence[int]) -> Optional[Tuple[MultiIndex, int]]:
@@ -58,20 +58,21 @@ def sort_sign(indices: Sequence[int]) -> Optional[Tuple[MultiIndex, int]]:
 
 
 class MetricSpec:
-    """Chart metric g with its inverse and determinant.
+    """Chart metric g with its inverse and sqrt|det g|.
 
-    This is the one place that builds g, g^-1 and det g and decides what
-    their entries are: plain floats for a constant diagonal metric, so
-    forms on it stay numeric, and ``Expr`` trees for a matrix metric.
+    This is the one place that builds g, g^-1 and sqrt|det g| and decides
+    what their entries are: plain floats for a constant diagonal metric,
+    so forms on it stay numeric, and ``Expr`` trees for a matrix metric.
     Each is built once.  A matrix metric's inverse (a cofactor expansion)
-    is built on first use, so making a chart stays cheap; ``det`` is set
-    for constant metrics only, since nothing needs a matrix metric's
-    determinant outside its inverse.
+    and sqrt|det g| are built on first use, so making a chart stays cheap.
+    ``det`` exists for constant metrics only; a matrix metric's
+    determinant is an expression inside its inverse and sqrt|det g|.
     """
 
     def __init__(self, kind: str, diag=None, rows=None):
         self.kind = kind
         self._inverse = None
+        self._sqrt_abs_det = None
         if kind == "diagonal":
             vals = [float(v) for v in diag]
             if any(v == 0.0 for v in vals):
@@ -79,6 +80,7 @@ class MetricSpec:
             n = len(vals)
             self.rows = [[vals[i] if i == j else 0.0 for j in range(n)] for i in range(n)]
             self.det = math.prod(vals)  # left to right
+            self._sqrt_abs_det = abs(self.det) ** 0.5
         elif kind == "matrix":
             rows = [list(r) for r in rows]
             n = len(rows)
@@ -106,10 +108,6 @@ class MetricSpec:
         """
         return MetricSpec("matrix", rows=rows)
 
-    @property
-    def is_constant(self) -> bool:
-        return self.kind == "diagonal"
-
     def entries(self) -> list:
         """g as rows: the stored rows, not a copy."""
         return self.rows
@@ -120,19 +118,23 @@ class MetricSpec:
             self._inverse = inverse_expr(self.rows)
         return self._inverse
 
-    def matrix_at(self, pt: Sequence[float]) -> np.ndarray:
-        if self.is_constant:
-            return np.array(self.rows)
-        n = self.dim
-        m = Program([e for row in self.rows for e in row]).at([pt]).reshape(n, n)
-        if np.allclose(m.imag, 0.0):
-            m = m.real
-        if abs(np.linalg.det(m)) < _DET_FLOOR:
-            raise SingularMetricError(f"metric singular at {tuple(pt)}")
-        return m
+    def sqrt_abs_det(self):
+        """sqrt|det g|: a float for a constant metric, else built on first
+        use as sqrt(sqrt(d * d)) with d = det g, which needs no sign."""
+        if self._sqrt_abs_det is None:
+            d = determinant(self.rows)
+            self._sqrt_abs_det = sqrt(sqrt(d * d))
+        return self._sqrt_abs_det
 
-    def inverse_at(self, pt: Sequence[float]) -> np.ndarray:
-        return np.linalg.inv(self.matrix_at(pt))
+    def inverse_at(self, pt: Sequence[float]):
+        """g^-1 at one point, evaluated from ``inverse_entries``, as an
+        n x n complex array; a singular point raises SingularMetricError."""
+        entries = [as_expr(e) for row in self.inverse_entries() for e in row]
+        try:
+            values = Program(entries).at([pt])
+        except EvalSingularity as e:
+            raise SingularMetricError(f"metric singular at {tuple(pt)}") from e
+        return values.reshape(self.dim, self.dim)
 
 
 def determinant(rows):
@@ -339,24 +341,19 @@ def _pairing_det(ginv_rows, I: MultiIndex, J: MultiIndex):
 def hodge(w: AlternatingTensor, at: Optional[Sequence[float]] = None) -> AlternatingTensor:
     """Hodge star defined by alpha ^ *beta = <alpha, beta>_g vol.
 
-    Symbolic for constant-diagonal metrics; for expression metrics pass a
-    sample point ``at``.
+    Built symbolically from g^-1 and sqrt|det g| on any metric; on a
+    constant metric numeric components stay numeric.  ``at`` evaluates
+    the result at one point.
     """
+    if at is not None:
+        return hodge(w).ev(at)
     if w.variance != COV:
         raise VarianceError("hodge acts on forms")
     chart = w.chart
     n = chart.dim
     p = w.degree
-    metric = chart.metric
-    if at is not None:
-        g = metric.matrix_at(at)
-        sqrt_abs_det = abs(float(np.linalg.det(np.real(g)))) ** 0.5
-        ginv = np.linalg.inv(g).tolist()
-    elif metric.is_constant:
-        sqrt_abs_det = abs(metric.det) ** 0.5
-        ginv = metric.inverse_entries()
-    else:
-        raise SingularMetricError("symbolic hodge needs a constant metric; pass a point")
+    ginv = chart.metric.inverse_entries()
+    sqrt_abs_det = chart.metric.sqrt_abs_det()
 
     all_axes = tuple(range(n))
     out: dict = {}
@@ -417,8 +414,6 @@ def _has_expr(t: AlternatingTensor) -> bool:
 
 
 def volume_form(chart: Chart) -> AlternatingTensor:
-    """vol = dx^1 ... dx^n sqrt|det g| in declared coordinate order."""
-    if not chart.metric.is_constant:
-        raise SingularMetricError("volume form needs a constant metric")
+    """vol = dx^1 ... dx^n sqrt|det g| in declared coordinate order, on any metric."""
     n = chart.dim
-    return form(chart, n, {tuple(range(n)): abs(chart.metric.det) ** 0.5})
+    return form(chart, n, {tuple(range(n)): chart.metric.sqrt_abs_det()})

@@ -148,3 +148,37 @@ def test_poisson_bracket_keeps_its_label_through_the_pairing():
     cond = build("poisson_first_integrals", fx.chart, **fx.params)
     assert [(lab, idx) for lab, comps in cond.residuals.items()
             for idx, _e in comps] == [("bracket", ())]
+
+
+def _coulomb_params(entry, chart, power):
+    """Parameters of a hodge-based entry for F = r^-power dr ^ dt: the
+    Coulomb field for power 2, whose dual is ~ sin(theta) dtheta ^ dphi."""
+    from grs.exterior import COV
+    from grs.scalar import coord
+    from grs.valued import ValuedForm, ValueSpace, su2
+    r = coord(0)
+    if entry == "yang_mills":
+        # one su(2) direction, so the bracket terms vanish: F = dA with A ~ r^(1-power) dt
+        A = r ** (1 - power) * (1.0 / (1 - power))
+        space = ValueSpace(("e1", "e2", "e3"), lie=su2())
+        return {"omega": ValuedForm(chart, 1, COV, space, {((3,), "e3"): A})}
+    params = {"F": form(chart, 2, {(0, 3): r ** -power})}
+    if entry == "maxwell_currents":
+        params.update(m_current=form(chart, 3, {}), j_current=form(chart, 3, {}))
+    elif entry == "ext_maxwell_currents":
+        params.update({f"J{k}": form(chart, 1, {}) for k in range(1, 5)})
+    return params
+
+
+@pytest.mark.parametrize("entry", ["maxwell_vacuum", "maxwell_currents", "ext_maxwell_vacuum",
+                                   "ext_maxwell_currents", "yang_mills"])
+def test_hodge_entries_on_schwarzschild(entry):
+    """The Coulomb field solves each hodge-based entry on a curved chart; r^-3 does not."""
+    from grs.catalog import schwarzschild_chart
+    from grs.scalar import SampleSet
+    chart = schwarzschild_chart()
+    sample = SampleSet.random_box([(3, 10), (0.3, 2.8), (0, 6.2), (-1, 1)], 100, seed=13)
+    coulomb = verify(build(entry, chart, **_coulomb_params(entry, chart, 2)), sample, 1e-10)
+    assert coulomb.passed and coulomb.evaluated == 100, coulomb.linf
+    control = verify(build(entry, chart, **_coulomb_params(entry, chart, 3)), sample, 1e-10)
+    assert not control.passed and control.linf > 1e-5

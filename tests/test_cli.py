@@ -167,6 +167,32 @@ class TestVerify:
         assert list(check["norms"]) == ["e1"] and check["samples"]["requested"] == 20
 
 
+@pytest.mark.parametrize("chart_line", [
+    "chart P (x, y) metric diag(0, 1)",
+    "chart P (a, b, c, d, e, f, g, h, k) metric diag(1, 1, 1, 1, 1, 1, 1, 1, 1)",
+    "chart P (x, x) metric diag(1, 1)",
+    "chart P (x, y) metric matrix [[1, 0, 0], [0, 1, 0]]",
+    "chart P (x, y) metric matrix [[1, 0], [5*x, 1]]",
+], ids=["singular", "nine_coords", "duplicate_coords", "not_square", "not_symmetric"])
+def test_malformed_chart_is_a_diagnostic_and_binds_nothing_after_it(chart_line, tmp_path,
+                                                                     capsys):
+    p = tmp_path / "chart.grs"
+    p.write_text(f"{chart_line}\ncheck ricci_flat() on random(-1..1, -1..1; 20, seed 1)\n")
+    assert main(["verify", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "(line 1, col 1)" in err
+    # the check after the rejected chart is reported, not bound to a leftover chart
+    assert "note: not bound: the chart on line 1 was rejected (line 2, col 1)" in err
+
+
+def test_nesting_deeper_than_the_bound_exits_two(tmp_path, capsys):
+    p = tmp_path / "deep.grs"
+    p.write_text("chart R2 (x, y) metric diag(1, 1)\n"
+                 f"field f = {'(' * 1000}x{')' * 1000}\n")
+    assert main(["verify", str(p)]) == 2
+    assert "nested more than 100 levels deep" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("spec", sorted(p.name for p in SPEC_DIR.glob("*.grs")))
 def test_every_shipped_spec_shows_a_pass_and_a_fail(spec, capsys):
     assert main(["verify", str(SPEC_DIR / spec), "--json"]) == 1
@@ -208,3 +234,11 @@ class TestEval:
     def test_singularity_reported(self, capsys):
         assert main(["eval", "1 / x", "--at", "x=0"]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("at,message", [
+        ("x=1,x=2", "coordinate names must be unique"),
+        (",".join(f"x{k}={k}" for k in range(9)), "chart dimension must be in 1..8"),
+    ], ids=["duplicate_name", "nine_names"])
+    def test_bindings_that_make_no_chart_exit_two(self, at, message, capsys):
+        assert main(["eval", "x", "--at", at]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"

@@ -89,6 +89,22 @@ class TestParser:
         assert any("keyword" in d.message for d in diags)
 
 
+    @pytest.mark.parametrize("nest", [
+        lambda k: "(" * k + "x" + ")" * k,
+        lambda k: "-" * k + "x",
+        lambda k: "^".join(["2"] * (k + 1)),
+        lambda k: "sin(" * k + "x" + ")" * k,
+    ], ids=["parentheses", "unary_minus", "power", "call"])
+    def test_nesting_is_bounded(self, nest):
+        ast, diags = dsl.parse_expression(nest(dsl.MAX_NESTING))
+        assert ast is not None and not diags
+        for k in (dsl.MAX_NESTING + 1, 1000):
+            ast, diags = dsl.parse_expression(nest(k))
+            assert ast is None
+            assert [d.message for d in diags] == [
+                f"expression nested more than {dsl.MAX_NESTING} levels deep"]
+
+
 class TestPrinter:
     @pytest.mark.parametrize("path", SPEC_FILES, ids=lambda p: p.stem)
     def test_round_trip_shipped_specs(self, path):
@@ -204,6 +220,18 @@ class TestBinder:
         assert len(errors) == 1 and errors[0].line == 1
         assert errors[0].message == ("metric matrix is not symmetric: entry [x, y] "
                                      "is 0.0 but entry [y, x] is 5.0 * x")
+
+    def test_long_sum_binds_and_verifies(self):
+        from grs.engine import verify
+        terms = " + ".join(["x^2 + y^2"] * 5000)
+        checks, diags = self._load(
+            "chart R2 (x, y) metric diag(1, 1)\n"
+            "vector X : 1 = -y * dx + x * dy\n"
+            f"field r2 = {terms}\n"
+            "check first_integral(X, r2) on random(-2..2, -2..2; 50, seed 3) tol 1e-6\n")
+        assert not diags
+        rep = verify(checks[0].condition, checks[0].sample, checks[0].tol)
+        assert rep.passed and rep.evaluated == 50
 
     def test_symmetric_metric_matrix_binds(self):
         checks, diags = self._load(

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -18,6 +19,8 @@ from grs.exterior import (
     volume_form,
     wedge,
 )
+from grs.catalog import schwarzschild_chart, sphere_chart
+from grs.exterior import determinant
 from grs.scalar import as_expr, coord, sin
 
 
@@ -154,6 +157,63 @@ class TestHodge:
         a = form(sphere, 1, {(0,): 1.0})
         out = hodge(a, at=(1.0, 0.0))
         assert out.degree == 1
+
+
+def _skewed_plane():
+    # Riemannian, position-dependent and with no zero entry: det g = 1 + x^2 + y^2
+    x, y = coord(0), coord(1)
+    g = MetricSpec.matrix([[1.0 + x * x, x * y], [x * y, 1.0 + y * y]])
+    return Chart(("x", "y"), g)
+
+
+# (chart, sign of det g, points)
+CURVED = [
+    pytest.param(schwarzschild_chart, -1, [(3.5, 0.7, 1.0, 0.2), (6.0, 1.6, 4.0, -0.5),
+                                           (9.0, 2.5, 0.1, 0.9)], id="schwarzschild"),
+    pytest.param(_skewed_plane, 1, [(0.3, -0.8), (1.5, 0.4)], id="skewed_plane"),
+]
+
+
+class TestHodgeOnCurvedCharts:
+    @pytest.mark.parametrize("make_chart,det_sign,points", CURVED)
+    def test_double_hodge_sign(self, make_chart, det_sign, points):
+        # ** = (-1)^(p(n-p)) sign(det g) on p-forms (Frankel, The Geometry of Physics, 14.1)
+        chart = make_chart()
+        n = chart.dim
+        for p in range(n + 1):
+            for idx, b in _basis_forms(chart, p):
+                twice = hodge(hodge(b))
+                want = {idx: (-1) ** (p * (n - p)) * det_sign}
+                for pt in points:
+                    got = twice.ev(pt).components
+                    for key in got.keys() | want.keys():
+                        assert got.get(key, 0.0) == pytest.approx(want.get(key, 0.0),
+                                                                  abs=1e-14)
+
+    @pytest.mark.parametrize("make_chart,det_sign,points", CURVED)
+    def test_defining_relation_all_basis_pairs(self, make_chart, det_sign, points):
+        """alpha ^ *beta = <alpha, beta> vol, with <dx^I, dx^J> = det[g^(i j)]."""
+        chart = make_chart()
+        n = chart.dim
+        top = tuple(range(n))
+        for pt in points:
+            ginv = chart.metric.inverse_at(pt)
+            vol = volume_form(chart).ev(pt).components[top]
+            for p in range(n + 1):
+                for ia, a in _basis_forms(chart, p):
+                    for ib, b in _basis_forms(chart, p):
+                        pairing = determinant([[ginv[i][j] for j in ib] for i in ia])
+                        left = wedge(a, hodge(b)).ev(pt).components.get(top, 0.0)
+                        assert left == pytest.approx(pairing * vol, rel=1e-13, abs=1e-15)
+
+    def test_symbolic_star_matches_the_point_evaluation(self):
+        sphere = sphere_chart()
+        a = form(sphere, 1, {(0,): 1.0})
+        pt = (1.0, 0.3)
+        star = hodge(a)
+        # *dtheta = sin(theta) dphi on the unit sphere
+        assert star.ev(pt).components == hodge(a, at=pt).components
+        assert star.ev(pt).components == {(1,): pytest.approx(math.sin(1.0))}
 
 
 class TestMusicalTilde:
