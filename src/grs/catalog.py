@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .diffops import (
     ConnectionForm,
     GammaSystem,
@@ -35,7 +33,7 @@ from .diffops import (
     ricci,
     schrodinger_residual,
 )
-from .engine import GrCondition, bind, pairing
+from .engine import PHI_FORM, GrCondition, bind, pairing
 from .errors import (
     DegenerateFormError,
     DimensionError,
@@ -49,6 +47,7 @@ from .exterior import (
     AlternatingTensor,
     Chart,
     MetricSpec,
+    determinant,
     form,
     hodge,
     interior,
@@ -145,7 +144,7 @@ def levi_civita(chart: Chart):
 
 def _phi_scalar_action(space: ValueSpace) -> PhiMap:
     """phi(1, E_j) = E_j: trivial action of the unit scalar section."""
-    return PhiMap("scalar_action", SCALAR_SPACE, space, space, lambda i, j: {j: 1.0})
+    return PhiMap(SCALAR_SPACE, space, space, lambda i, j: {j: 1.0})
 
 
 def unit_section(chart: Chart) -> ValuedForm:
@@ -284,7 +283,7 @@ def _check_nondegenerate(chart, omega: AlternatingTensor):
     consts = [[_const_or_none(v) for v in row] for row in rows]
     if any(c is None for row in consts for c in row):
         return  # position-dependent entries: degeneracy surfaces at evaluation
-    if abs(np.linalg.det(np.array(consts, dtype=complex))) < 1e-12:
+    if abs(determinant(consts)) < 1e-12:
         raise DegenerateFormError("symplectic candidate is degenerate")
 
 
@@ -412,16 +411,13 @@ def _autoparallel_vector(chart, u: VECTOR):
     return cond
 
 
-# hand-assembled: the null-norm part is a metric contraction with no derivative
 def _null_autoparallel(chart, u: VECTOR):
-    u_form = lower_index(chart, u)
-    res = interior(vector_as_multivector(chart, u), d_form(u_form))
+    sigma = scalar_valued(vector_as_multivector(chart, u))
+    u_form = scalar_valued(lower_index(chart, u))
+    product = PhiMap.function_product()
     cond = GrCondition("null_autoparallel", chart, entry="null_autoparallel")
-    cond.add_valued(scalar_valued(res), prefix="u.du")
-    norm: Expr = ZERO
-    for (i,), v in u_form.components.items():
-        norm = norm + v * u[i]
-    cond.add_exprs([("null_norm", norm)])
+    cond.add_valued(pairing("interior", product, sigma, exterior_d(u_form)), prefix="u.du")
+    cond.add_valued(pairing("interior", product, sigma, u_form), prefix="null_norm")
     return cond
 
 
@@ -479,7 +475,7 @@ def _ext_maxwell_currents(chart, F: TWO_FORM, J1: ONE_FORM, J2: ONE_FORM, J3: ON
                           J4: ONE_FORM, symmetrized_rhs: FLAG = 0):
     omega = field_pair(chart, F)
     Fs = hodge(F)
-    it = lambda J, G: interior(musical_tilde(J), G)
+    it = PHI_FORM["interior_after_tilde"]
     rhs_e11 = it(J1, F)
     rhs_e22 = it(J2, Fs if symmetrized_rhs else F)
     rhs_e12 = it(J3, F) + it(J4, Fs)

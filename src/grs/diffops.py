@@ -22,13 +22,12 @@ from .errors import (
 from .exterior import (
     COV,
     AlternatingTensor,
-    Chart,
     MetricSpec,
     sort_sign,
     wedge,
 )
 from .scalar import Expr, Program, ZERO, as_expr, is_zero
-from .valued import ValuedForm
+from .valued import PhiMap, ValuedForm, lift_pointwise
 
 VectorField = List[Expr]  # one Expr per coordinate axis
 
@@ -72,18 +71,18 @@ def exterior_d(psi: ValuedForm) -> ValuedForm:
 
 @dataclass
 class ConnectionForm:
-    """A Lie-algebra-valued 1-form, or none.
+    """A Lie-algebra-valued 1-form omega, or none (D = d).
 
-    kind "trivial": D = d.
-    kind "lie": omega in Lambda^1 (x) g, bracket term C^m_jk omega^j ^ psi^k.
+    D psi = d psi + omega ^ [., psi]: the connection term is the pairing
+    whose form-level map is the wedge and whose value-level map is the
+    Lie bracket, summing C^m_jk omega^j ^ psi^k (x) E_m.
     """
 
-    kind: str = "trivial"
     omega: Optional[ValuedForm] = None
 
     @staticmethod
     def trivial() -> "ConnectionForm":
-        return ConnectionForm("trivial")
+        return ConnectionForm()
 
     @staticmethod
     def from_omega(omega: ValuedForm) -> "ConnectionForm":
@@ -91,66 +90,30 @@ class ConnectionForm:
             raise DegreeError("connection form must have degree 1")
         if omega.space.lie is None:
             raise DimensionError("connection form needs a Lie-structured value space")
-        return ConnectionForm("lie", omega=omega)
+        return ConnectionForm(omega)
 
 
 def covariant_D(conn: ConnectionForm, psi: ValuedForm) -> ValuedForm:
-    """D psi = d psi + connection term."""
+    """D psi = d psi + the wedge (x) Lie-bracket pairing of omega with psi.
+
+    psi's value space needs omega's dimension, not its labels: the
+    bracket term lands on psi's labels by index.
+    """
     base = exterior_d(psi)
-    if conn.kind == "trivial":
+    omega = conn.omega
+    if omega is None:
         return base
-    if conn.kind == "lie":
-        omega = conn.omega
-        if omega.space.dim != psi.space.dim:
-            raise DimensionError("connection and section value spaces differ")
-        C = omega.space.lie.constants
-        r = psi.space.dim
-        omega_slices = omega.slices()
-        psi_slices = psi.slices()
-        extra = [None] * r
-        for m in range(r):
-            acc = None
-            for j in range(r):
-                if not omega_slices[j].components:
-                    continue
-                for k in range(r):
-                    c = C[m][j][k]
-                    if c == 0.0 or not psi_slices[k].components:
-                        continue
-                    t = wedge(omega_slices[j], psi_slices[k]).scale(c)
-                    acc = t if acc is None else acc + t
-            extra[m] = acc
-        out = dict(base.components)
-        for m, t in enumerate(extra):
-            if t is None:
-                continue
-            lab = psi.space.labels[m]
-            for idx, v in t.components.items():
-                key = (idx, lab)
-                out[key] = out[key] + v if key in out else as_expr(v)
-        return ValuedForm(psi.chart, psi.degree + 1, psi.variance, psi.space, out)
-    raise DimensionError(f"unknown connection kind {conn.kind!r}")
+    if omega.space.dim != psi.space.dim:
+        raise DimensionError("connection and section value spaces differ")
+    paired = lift_pointwise(wedge, PhiMap.lie_bracket(omega.space), omega, psi)
+    return base + ValuedForm.from_slices(psi.space, paired.slices(), variance=psi.variance)
 
 
 def curvature(omega: ValuedForm) -> ValuedForm:
-    """Omega = d omega + 1/2 [omega, omega] in the graded-bracket convention."""
-    if omega.space.lie is None:
-        raise DimensionError("curvature needs a Lie-structured value space")
-    C = omega.space.lie.constants
-    r = omega.space.dim
-    slices = omega.slices()
-    d_slices = [d_form(s) for s in slices]
-    out_slices = []
-    for m in range(r):
-        acc = d_slices[m]
-        for j in range(r):
-            for k in range(r):
-                c = C[m][j][k]
-                if c == 0.0:
-                    continue
-                acc = acc + wedge(slices[j], slices[k]).scale(0.5 * c)
-        out_slices.append(acc)
-    return ValuedForm.from_slices(omega.space, out_slices, variance=omega.variance)
+    """Omega = d omega + 1/2 [omega, omega] in the graded-bracket convention:
+    the bracket term is the wedge (x) Lie-bracket pairing of omega with itself."""
+    bracket = PhiMap.lie_bracket(omega.space)
+    return exterior_d(omega) + lift_pointwise(wedge, bracket, omega, omega).scale(0.5)
 
 
 # ---------------------------------------------------------------------------

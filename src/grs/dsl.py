@@ -12,13 +12,13 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from . import catalog
 from .engine import DEFAULT_TOL, GrCondition
 from .errors import GrsError
 from .exterior import CONTRA, COV, AlternatingTensor, Chart, MetricSpec, sort_sign
-from .scalar import Expr, SampleSet, ZERO, as_expr, bump, const, coord, cos, exp, sin, sqrt
+from .scalar import Expr, SampleSet, ZERO, bump, const, coord, cos, exp, sin, sqrt
 from .valued import LieStructure, ValueSpace, ValuedForm, abelian
 
 KEYWORDS = {
@@ -630,6 +630,55 @@ def parse_expression(text: str) -> Tuple[Optional[ExprAst], List[Diagnostic]]:
 
 
 # ---------------------------------------------------------------------------
+# expression walks
+
+
+def _children(ast: ExprAst) -> tuple:
+    return ((ast.a, ast.b) if isinstance(ast, Bin) else (ast.a,) if isinstance(ast, Un)
+            else (ast.arg,) if isinstance(ast, Call) else ())
+
+
+def _operands(ast: ExprAst) -> tuple:
+    """The sub-expressions bound under ``ast``; an exponent is read as a number."""
+    return (ast.a,) if isinstance(ast, Bin) and ast.op == "^" else _children(ast)
+
+
+def _walk(ast: ExprAst, visit: Callable[[ExprAst, list], object],
+          children: Callable[[ExprAst], tuple] = _children):
+    """``visit(node, [its children's results])`` at every node, children
+    first, from an explicit stack as in ``Expr.diff``: a long sum is
+    walked without recursing once per term.  Returns the root's result."""
+    values: list = []
+    stack: list = [(ast, None)]  # (node, child count once they are queued)
+    while stack:
+        node, arity = stack.pop()
+        if arity is None:
+            kids = children(node)
+            if kids:
+                stack.append((node, len(kids)))
+                stack.extend((k, None) for k in reversed(kids))  # left first
+                continue
+            arity = 0
+        args = values[len(values) - arity:]
+        del values[len(values) - arity:]
+        values.append(visit(node, args))
+    return values[0]
+
+
+def same_expr(a: ExprAst, b: ExprAst) -> bool:
+    """Structural equality of two ASTs, walked without recursion: each
+    subtree is interned by its type, its own fields and its children's
+    ids, as ``scalar.Program`` merges nodes."""
+    ids: Dict[tuple, int] = {}
+
+    def intern(node: ExprAst, kids: list) -> int:
+        own = tuple(v for k, v in vars(node).items() if k not in ("a", "b", "arg"))
+        return ids.setdefault((type(node), own, tuple(kids)), len(ids))
+
+    return _walk(a, intern) == _walk(b, intern)
+
+
+# ---------------------------------------------------------------------------
 # pretty printer
 
 
@@ -637,22 +686,35 @@ def _fmt_num(v: float) -> str:
     return repr(float(v))
 
 
-def print_expr(e: ExprAst, parent_prec: int = 0) -> str:
-    # precedence levels: + - =1, * / =2, unary - =3, ^ =4
+# precedence levels: + - =1, * / =2, unary - =3, ^ =4; atoms never take parentheses
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
+_ATOM = 5
+
+
+def _wrap(printed: Tuple[str, int], parent_prec: int) -> str:
+    text, prec = printed
+    return f"({text})" if prec < parent_prec else text
+
+
+def _print_node(e: ExprAst, kids: List[Tuple[str, int]]) -> Tuple[str, int]:
+    """A node's text and precedence from its children's; the parent
+    decides whether a child needs parentheses."""
     if isinstance(e, Num):
-        return _fmt_num(e.value)
+        return _fmt_num(e.value), _ATOM
     if isinstance(e, Name):
-        return e.ident
+        return e.ident, _ATOM
     if isinstance(e, Call):
-        return f"{e.fn}({print_expr(e.arg)})"
+        return f"{e.fn}({kids[0][0]})", _ATOM
     if isinstance(e, Un):
-        s = f"-{print_expr(e.a, 3)}"
-        return f"({s})" if parent_prec > 3 else s
-    prec = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}[e.op]
-    left = print_expr(e.a, prec if e.op != "^" else prec + 1)
-    right = print_expr(e.b, prec + 1 if e.op != "^" else prec)
-    s = f"{left} {e.op} {right}" if e.op != "^" else f"{left}^{right}"
-    return f"({s})" if prec < parent_prec else s
+        return "-" + _wrap(kids[0], 3), 3
+    prec = _PREC[e.op]
+    if e.op == "^":  # right-associative
+        return f"{_wrap(kids[0], prec + 1)}^{_wrap(kids[1], prec)}", prec
+    return f"{_wrap(kids[0], prec)} {e.op} {_wrap(kids[1], prec + 1)}", prec
+
+
+def print_expr(e: ExprAst, parent_prec: int = 0) -> str:
+    return _wrap(_walk(e, _print_node), parent_prec)
 
 
 def _print_vterm(t: VTerm) -> str:
@@ -720,13 +782,6 @@ def print_document(doc: SpecDocument) -> str:
 # binder
 
 
-def _operands(ast: ExprAst) -> tuple:
-    """The sub-expressions bound under ``ast``; an exponent is read as a number."""
-    if isinstance(ast, Bin):
-        return (ast.a,) if ast.op == "^" else (ast.a, ast.b)
-    return (ast.a,) if isinstance(ast, Un) else (ast.arg,) if isinstance(ast, Call) else ()
-
-
 @dataclass
 class BoundCheck:
     name: str
@@ -760,23 +815,7 @@ class _Binder:
     # --- expression binding
 
     def bind_expr(self, ast: ExprAst, line: int) -> Expr:
-        # operands before their operator, from an explicit stack as in
-        # ``Expr.diff``, so a long sum binds without recursing once per term
-        values: List[Expr] = []
-        stack: list = [(ast, None)]  # (node, operand count once they are queued)
-        while stack:
-            node, arity = stack.pop()
-            if arity is None:
-                operands = _operands(node)
-                if operands:
-                    stack.append((node, len(operands)))
-                    stack.extend((k, None) for k in reversed(operands))  # left first
-                    continue
-                arity = 0
-            args = values[len(values) - arity:]
-            del values[len(values) - arity:]
-            values.append(self._bind_node(node, args, line))
-        return values[0]
+        return _walk(ast, lambda node, args: self._bind_node(node, args, line), _operands)
 
     def _bind_node(self, ast: ExprAst, args: List[Expr], line: int) -> Expr:
         if isinstance(ast, Num):
@@ -865,7 +904,7 @@ class _Binder:
             c = st.coords
             for i in range(len(c)):
                 for j in range(i + 1, len(c)):
-                    if st.rows[i][j] != st.rows[j][i]:
+                    if not same_expr(st.rows[i][j], st.rows[j][i]):
                         self.fail(f"metric matrix is not symmetric: entry [{c[i]}, {c[j]}] "
                                   f"is {print_expr(st.rows[i][j])} but entry [{c[j]}, {c[i]}] "
                                   f"is {print_expr(st.rows[j][i])}", st.line)

@@ -65,36 +65,27 @@ class MetricSpec:
     so forms on it stay numeric, and ``Expr`` trees for a matrix metric.
     Each is built once.  A matrix metric's inverse (a cofactor expansion)
     and sqrt|det g| are built on first use, so making a chart stays cheap.
-    ``det`` exists for constant metrics only; a matrix metric's
-    determinant is an expression inside its inverse and sqrt|det g|.
+    ``det`` is a number for a constant metric and None for a matrix
+    metric, whose determinant is an expression inside its inverse and
+    sqrt|det g|.
     """
 
-    def __init__(self, kind: str, diag=None, rows=None):
-        self.kind = kind
+    def __init__(self, rows, det=None):
+        """Use ``diagonal`` or ``matrix``."""
+        self.rows = rows
+        self.dim = len(rows)
+        self.det = det
         self._inverse = None
-        self._sqrt_abs_det = None
-        if kind == "diagonal":
-            vals = [float(v) for v in diag]
-            if any(v == 0.0 for v in vals):
-                raise SingularMetricError("diagonal metric entry is zero")
-            n = len(vals)
-            self.rows = [[vals[i] if i == j else 0.0 for j in range(n)] for i in range(n)]
-            self.det = math.prod(vals)  # left to right
-            self._sqrt_abs_det = abs(self.det) ** 0.5
-        elif kind == "matrix":
-            rows = [list(r) for r in rows]
-            n = len(rows)
-            if any(len(r) != n for r in rows):
-                raise DimensionError("metric matrix must be square")
-            # store the upper triangle; symmetry by construction
-            self.rows = [[as_expr(rows[min(i, j)][max(i, j)]) for j in range(n)] for i in range(n)]
-        else:
-            raise ValueError(kind)
-        self.dim = n
+        self._sqrt_abs_det = None if det is None else abs(det) ** 0.5
 
     @staticmethod
     def diagonal(values) -> "MetricSpec":
-        return MetricSpec("diagonal", diag=values)
+        vals = [float(v) for v in values]
+        if any(v == 0.0 for v in vals):
+            raise SingularMetricError("diagonal metric entry is zero")
+        n = len(vals)
+        rows = [[vals[i] if i == j else 0.0 for j in range(n)] for i in range(n)]
+        return MetricSpec(rows, det=math.prod(vals))  # left to right
 
     @staticmethod
     def matrix(rows) -> "MetricSpec":
@@ -106,7 +97,13 @@ class MetricSpec:
         DSL binder rejects a matrix whose two triangles are written
         differently.
         """
-        return MetricSpec("matrix", rows=rows)
+        rows = [list(r) for r in rows]
+        n = len(rows)
+        if any(len(r) != n for r in rows):
+            raise DimensionError("metric matrix must be square")
+        # store the upper triangle; symmetry by construction
+        return MetricSpec([[as_expr(rows[min(i, j)][max(i, j)]) for j in range(n)]
+                           for i in range(n)])
 
     def entries(self) -> list:
         """g as rows: the stored rows, not a copy."""

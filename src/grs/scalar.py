@@ -659,10 +659,13 @@ def pow_(a: Expr, exponent) -> Expr:
         return a
     va = _const_val(a)
     if va is not None and not (va == 0 and e < 0):
-        if e.denominator == 1:
-            return Const(va ** int(e))
-        if not (_is_real(va) and va.real < 0):
-            return Const(va ** float(e))
+        try:
+            if e.denominator == 1:
+                return Const(va ** int(e))
+            if not (_is_real(va) and va.real < 0):
+                return Const(va ** float(e))
+        except OverflowError:
+            pass  # left unfolded: the node evaluates to an infinity
     return Pow(a, e)
 
 

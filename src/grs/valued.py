@@ -136,9 +136,8 @@ def bracket_space(base: ValueSpace) -> ValueSpace:
 class PhiMap:
     """Value-space bilinear map; acts on basis labels, extended bilinearly."""
 
-    def __init__(self, kind: str, source1: ValueSpace, source2: ValueSpace,
-                 target: ValueSpace, basis_action: Callable[[int, int], Dict[int, float]]):
-        self.kind = kind
+    def __init__(self, source1: ValueSpace, source2: ValueSpace, target: ValueSpace,
+                 basis_action: Callable[[int, int], Dict[int, float]]):
         self.source1 = source1
         self.source2 = source2
         self.target = target
@@ -152,7 +151,7 @@ class PhiMap:
     def function_product(space: ValueSpace = SCALAR_SPACE) -> "PhiMap":
         if space.dim != 1:
             raise DimensionError("function product needs 1-dimensional value spaces")
-        return PhiMap("function_product", space, space, space, lambda i, j: {0: 1.0})
+        return PhiMap(space, space, space, lambda i, j: {0: 1.0})
 
     @staticmethod
     def lie_bracket(space: ValueSpace) -> "PhiMap":
@@ -163,7 +162,7 @@ class PhiMap:
         def act(i, j):
             return {k: c for k, c in enumerate(L.bracket_coeffs(i, j)) if c != 0.0}
 
-        return PhiMap("lie_bracket", space, space, space, act)
+        return PhiMap(space, space, space, act)
 
     @staticmethod
     def symmetrized_product(space: ValueSpace) -> "PhiMap":
@@ -180,7 +179,7 @@ class PhiMap:
             a, b = min(i, j), max(i, j)
             return {pos[(a, b)]: 1.0}
 
-        return PhiMap("symmetrized_product", space, space, target, act)
+        return PhiMap(space, space, target, act)
 
     @staticmethod
     def abstract_bracket(space: ValueSpace) -> "PhiMap":
@@ -201,12 +200,11 @@ class PhiMap:
                 return {pos[(i, j)]: 1.0}
             return {pos[(j, i)]: -1.0}
 
-        return PhiMap("abstract_bracket", space, space, target, act)
+        return PhiMap(space, space, target, act)
 
     @staticmethod
     def diagonal(space: ValueSpace) -> "PhiMap":
-        return PhiMap("diagonal", space, space, space,
-                      lambda i, j: {i: 1.0} if i == j else {})
+        return PhiMap(space, space, space, lambda i, j: {i: 1.0} if i == j else {})
 
     @staticmethod
     def endomorphism(space: ValueSpace, matrix) -> "PhiMap":
@@ -219,7 +217,7 @@ class PhiMap:
         def act(_i, j):
             return {k: m[k, j] for k in range(space.dim) if m[k, j] != 0}
 
-        return PhiMap("endomorphism", SCALAR_SPACE, space, space, act)
+        return PhiMap(SCALAR_SPACE, space, space, act)
 
 
 def apply_phi(m: PhiMap, a: Sequence, b: Sequence) -> list:

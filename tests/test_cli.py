@@ -121,6 +121,17 @@ class TestVerify:
         assert main(["verify", str(p)]) == 1
         assert "FAIL" in capsys.readouterr().out
 
+    def test_overflowing_constant_power_fails(self, tmp_path, capsys):
+        # 10^400 is no double: an infinite residual, which never passes
+        p = tmp_path / "power.grs"
+        p.write_text("chart R2 (x, y) metric diag(1, 1)\n"
+                     "vector X : 1 = 1 * dx\n"
+                     "field f = 10^400 * x\n"
+                     "check first_integral(X, f) on random(-2..2, -2..2; 20, seed 13)\n")
+        assert main(["verify", str(p), "--json"]) == 1
+        check, = json.loads(capsys.readouterr().out)["checks"]
+        assert check["pass"] is False and check["norms"]["1"]["linf"] == float("inf")
+
     def test_points_cap_on_grid(self, tmp_path, capsys):
         # --points counts per axis on a grid: 500 on four axes is 500**4 points
         p = tmp_path / "grid4.grs"
@@ -193,6 +204,33 @@ def test_nesting_deeper_than_the_bound_exits_two(tmp_path, capsys):
     assert "nested more than 100 levels deep" in capsys.readouterr().err
 
 
+def _metric_matrix_spec(tmp_path, upper: str, lower: str):
+    p = tmp_path / "long_entry.grs"
+    p.write_text(f"chart P (x, y) metric matrix [[1, {upper}], [{lower}, 2]]\n"
+                 "check ricci_flat() on random(-0.5..0.5, -0.5..0.5; 20, seed 1)\n")
+    return str(p)
+
+
+def test_symmetric_matrix_with_a_1000_term_entry_gives_a_verdict(tmp_path, capsys):
+    # 0.001 (xy + ... + xy) is xy: the same curved metric as [[1, x*y], [x*y, 2]]
+    entry = "0.001 * (" + " + ".join(["x * y"] * 1000) + ")"
+    assert main(["verify", _metric_matrix_spec(tmp_path, entry, entry), "--json"]) == 1
+    long_linf = json.loads(capsys.readouterr().out)["checks"][0]["norms"]
+    assert main(["verify", _metric_matrix_spec(tmp_path, "x * y", "x * y"), "--json"]) == 1
+    short_linf = json.loads(capsys.readouterr().out)["checks"][0]["norms"]
+    for label, norms in short_linf.items():
+        assert long_linf[label]["linf"] == pytest.approx(norms["linf"], rel=1e-9)
+
+
+def test_asymmetric_matrix_with_1000_term_entries_exits_two(tmp_path, capsys):
+    upper, lower = " + ".join(["x"] * 1000), " + ".join(["y"] * 1000)
+    assert main(["verify", _metric_matrix_spec(tmp_path, upper, lower)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert (f"metric matrix is not symmetric: entry [x, y] is {upper} "
+            f"but entry [y, x] is {lower}") in err
+
+
 @pytest.mark.parametrize("spec", sorted(p.name for p in SPEC_DIR.glob("*.grs")))
 def test_every_shipped_spec_shows_a_pass_and_a_fail(spec, capsys):
     assert main(["verify", str(SPEC_DIR / spec), "--json"]) == 1
@@ -230,6 +268,13 @@ class TestEval:
     def test_bad_binding(self, capsys):
         assert main(["eval", "x", "--at", "x"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("expr,printed", [
+        ("10^400", "inf"), ("(-10)^401", "-inf"), ("10^400.5", "inf"), ("x * 10^400", "inf"),
+    ])
+    def test_overflowing_constant_power_is_infinite(self, expr, printed, capsys):
+        assert main(["eval", expr, "--at", "x=1"]) == 0
+        assert capsys.readouterr().out == f"{printed}\n"
 
     def test_singularity_reported(self, capsys):
         assert main(["eval", "1 / x", "--at", "x=0"]) == 2

@@ -32,7 +32,7 @@ from grs.errors import (
     NonIdempotentProjection,
     StepError,
 )
-from grs.exterior import COV, Chart, MetricSpec, form
+from grs.exterior import COV, Chart, MetricSpec, form, wedge
 from grs.scalar import ZERO, Program, SampleSet, as_expr, const, coord, cos, exp, is_zero, sin
 from grs.valued import ValueSpace, ValuedForm, su2
 
@@ -108,6 +108,68 @@ class TestCovariantD:
         w = ValuedForm(r3, 1, COV, plain, {((0,), "a"): 1.0})
         with pytest.raises(DimensionError):
             ConnectionForm.from_omega(w)
+
+
+class TestConnectionPairing:
+    """D = d + omega ^ [., .]: the bracket term is the wedge (x) Lie-bracket pairing."""
+
+    # C^m_jk of su(2) as (j, k, m, value): [e_j, e_k] = epsilon_jkm e_m
+    SU2 = [(0, 1, 2, 1.0), (1, 2, 0, 1.0), (2, 0, 1, 1.0),
+           (1, 0, 2, -1.0), (2, 1, 0, -1.0), (0, 2, 1, -1.0)]
+    POINTS = [(0.2, -0.4, 0.9), (1.1, 0.3, -0.5), (-0.7, 0.6, 0.1)]
+
+    def _omega(self, r3, V3):
+        return ValuedForm(r3, 1, COV, V3, {
+            ((0,), "e1"): sin(y), ((1,), "e1"): x * z,
+            ((1,), "e2"): exp(0.3 * x), ((2,), "e3"): x * y,
+        })
+
+    def _psi(self, r3, space):
+        e1, e2, e3 = space.labels
+        return ValuedForm(r3, 1, COV, space, {
+            ((0,), e1): y * z, ((2,), e2): cos(x), ((1,), e3): x + z, ((2,), e3): y,
+        })
+
+    def _expected(self, omega, psi, pt):
+        """d psi + sum C^m_jk omega^j ^ psi^k, label index m -> {multi-index: value}."""
+        d_psi = exterior_d(psi)
+        out = [{idx: v.ev(pt) for idx, v in d_psi.label_slice(lab).components.items()}
+               for lab in psi.space.labels]
+        w, p = omega.slices(), psi.slices()
+        for j, k, m, c in self.SU2:
+            for idx, v in wedge(w[j], p[k]).components.items():
+                out[m][idx] = out[m].get(idx, 0.0) + c * v.ev(pt)
+        return out
+
+    def _assert_matches(self, got, omega, psi):
+        for pt in self.POINTS:
+            want = self._expected(omega, psi, pt)
+            for m, lab in enumerate(psi.space.labels):
+                have = {idx: v.ev(pt) for idx, v in got.label_slice(lab).components.items()}
+                assert set(have) <= set(want[m])
+                for idx, v in want[m].items():
+                    assert have.get(idx, 0.0) == pytest.approx(v, abs=1e-12)
+
+    def test_su2_connection_adds_the_bracket_sum(self, r3, V3):
+        omega, psi = self._omega(r3, V3), self._psi(r3, V3)
+        self._assert_matches(covariant_D(ConnectionForm.from_omega(omega), psi), omega, psi)
+
+    def test_bracket_term_lands_on_psi_labels_by_index(self, r3, V3):
+        other = ValueSpace(labels=("a", "b", "c"))
+        omega, psi = self._omega(r3, V3), self._psi(r3, other)
+        out = covariant_D(ConnectionForm.from_omega(omega), psi)
+        assert out.space is other
+        self._assert_matches(out, omega, psi)
+
+    def test_unequal_dimensions_raise(self, r3, V3):
+        psi = ValuedForm(r3, 0, COV, ValueSpace(labels=("a", "b")), {((), "a"): x})
+        with pytest.raises(DimensionError):
+            covariant_D(ConnectionForm.from_omega(self._omega(r3, V3)), psi)
+
+    def test_curvature_needs_a_lie_structure(self, r3):
+        plain = ValueSpace(labels=("a", "b", "c"))
+        with pytest.raises(DimensionError):
+            curvature(ValuedForm(r3, 1, COV, plain, {((0,), "a"): y}))
 
 
 class TestCurvature:

@@ -116,6 +116,17 @@ class TestPrinter:
         assert doc2 is not None and not diags2
         assert dsl.print_document(doc2) == printed
 
+    def test_long_field_round_trips(self):
+        # 1,500 terms nest 1,500 levels deep: printing must not recurse per level
+        terms = " + ".join(f"{k}.0 * x" for k in range(1500))
+        doc, diags = dsl.parse(f"chart R2 (x, y) metric diag(1, 1)\nfield f = {terms}\n")
+        assert doc is not None and not diags
+        printed = dsl.print_document(doc)
+        assert printed.splitlines()[1] == f"field f = {terms}"
+        doc2, diags2 = dsl.parse(printed)
+        assert doc2 is not None and not diags2
+        assert dsl.same_expr(doc2.statements[1].expr, doc.statements[1].expr)
+
     def test_expression_round_trip(self):
         src = "-(x + 2.0) ^ 2 * sin(y) / 3.0"
         ast, _ = dsl.parse_expression(src)
@@ -220,6 +231,14 @@ class TestBinder:
         assert len(errors) == 1 and errors[0].line == 1
         assert errors[0].message == ("metric matrix is not symmetric: entry [x, y] "
                                      "is 0.0 but entry [y, x] is 5.0 * x")
+
+    def test_number_and_name_that_print_alike_are_not_symmetric(self):
+        # 1e400 prints as inf, like the coordinate named inf
+        _, diags = self._load(
+            "chart P (inf, y) metric matrix [[1, 1e400], [inf, 1]]\n"
+            "check ricci_flat() on random(-1..1, -1..1; 20, seed 1)\n")
+        errors = [d for d in diags if d.severity == "error"]
+        assert len(errors) == 1 and "metric matrix is not symmetric" in errors[0].message
 
     def test_long_sum_binds_and_verifies(self):
         from grs.engine import verify

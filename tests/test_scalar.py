@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from grs.errors import DomainError, EvalSingularity
 from grs.exterior import MetricSpec
 from grs.scalar import (
     Mul,
+    Pow,
     Program,
     SampleSet,
     ZERO,
@@ -34,6 +36,16 @@ def test_constant_folding():
     assert (x * 1) is x
     assert (x + 0) is x
     assert (const(3) * const(4)).ev(()) == 12
+
+
+@pytest.mark.parametrize("base,exponent,value", [
+    (10.0, 400, math.inf), (-10.0, 401, -math.inf), (10.0, Fraction(801, 2), math.inf),
+])
+def test_constant_power_that_overflows_stays_a_power(base, exponent, value):
+    # Python's ** raises OverflowError here; the unfolded node evaluates to +-inf
+    e = const(base) ** exponent
+    assert isinstance(e, Pow)
+    assert e.ev(()) == value
 
 
 def test_arithmetic_eval():
