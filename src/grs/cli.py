@@ -8,6 +8,7 @@ diagnostics, 3 I/O errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -19,7 +20,9 @@ from .errors import GrsError
 from .exterior import Chart, MetricSpec
 
 
+@functools.cache
 def _build_argparser() -> argparse.ArgumentParser:
+    """Built once per process: building costs ~8x parsing a command line."""
     ap = argparse.ArgumentParser(prog="grs",
                                  description="residual verification for "
                                              "geometric field equations")
@@ -72,6 +75,11 @@ def cmd_verify(args) -> int:
             text = fh.read()
     except OSError as e:
         print(f"error: cannot read {args.file}: {e.strerror}", file=sys.stderr)
+        return 3
+    except UnicodeDecodeError as e:
+        print(f"error: cannot read {args.file}: not UTF-8 text "
+              f"(byte 0x{e.object[e.start]:02x} at offset {e.start})",
+              file=sys.stderr)
         return 3
     if args.tol is not None and args.tol <= 0:
         print("error: --tol must be positive", file=sys.stderr)

@@ -9,6 +9,7 @@ pass.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -683,7 +684,10 @@ def same_expr(a: ExprAst, b: ExprAst) -> bool:
 
 
 def _fmt_num(v: float) -> str:
-    return repr(float(v))
+    v = float(v)
+    if math.isinf(v):  # repr gives "inf", which would re-parse as a name
+        return "1e999" if v > 0 else "-1e999"
+    return repr(v)
 
 
 # precedence levels: + - =1, * / =2, unary - =3, ^ =4; atoms never take parentheses

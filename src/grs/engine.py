@@ -11,6 +11,7 @@ memory does not grow with the number of points.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -19,6 +20,7 @@ import numpy as np
 
 from .errors import (
     DegreeError,
+    DomainError,
     EmptySampleSet,
     UnknownOperator,
     VarianceError,
@@ -189,8 +191,12 @@ def verify(c: GrCondition, sample: SampleSet, tol: float = DEFAULT_TOL) -> Resid
     Points hitting evaluation singularities are recorded as excluded
     rather than fatal.  The pass criterion is max-over-labels of the
     L-infinity norm against ``tol``; a NaN or infinite residual at an
-    evaluated point makes that norm non-finite, so the check fails.
+    evaluated point makes that norm non-finite, so the check fails.  A
+    NaN or infinite ``tol`` raises DomainError: an infinite one would pass
+    an infinite norm, and NaN would fail every check without a word.
     """
+    if not math.isfinite(tol):
+        raise DomainError(f"tolerance must be finite, got {tol!r}")
     labels = c.labels()
     spans = []  # each label's columns among the condition's components
     width = 0

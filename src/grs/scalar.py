@@ -503,31 +503,35 @@ class Program:
     __slots__ = ("_ops", "_roots")
 
     def __init__(self, exprs: Iterable[Expr]):
-        slot_of: Dict[int, int] = {}      # id(node) -> op index
+        # keyed by the node object itself: Expr has identity equality
+        slot_of: Dict[Expr, int] = {}     # node -> op index
         interned: Dict[tuple, int] = {}   # structural key -> op index
         ops: List[tuple] = []             # (eval, param, child slots, dead slots)
         roots: List[int] = []
         for root in exprs:
-            stack = [root]
+            # (node, None) on the first visit; (node, parts) once its
+            # children are pushed above it, so _parts runs once per node
+            stack = [(root, None)]
             while stack:
-                node = stack[-1]
-                if id(node) in slot_of:
-                    stack.pop()
+                node, parts = stack.pop()
+                if node in slot_of:
                     continue
-                kids, param = node._parts()
-                todo = [k for k in kids if id(k) not in slot_of]
-                if todo:
-                    stack.extend(todo)
-                    continue
-                stack.pop()
-                args = tuple(slot_of[id(k)] for k in kids)
+                if parts is None:
+                    parts = node._parts()
+                    todo = [k for k in parts[0] if k not in slot_of]
+                    if todo:
+                        stack.append((node, parts))
+                        stack.extend((k, None) for k in todo)
+                        continue
+                kids, param = parts
+                args = tuple(slot_of[k] for k in kids)
                 key = (type(node), param, args)
                 i = interned.get(key)
                 if i is None:
                     i = interned[key] = len(ops)
                     ops.append((type(node)._eval, param, args, []))
-                slot_of[id(node)] = i
-            roots.append(slot_of[id(root)])
+                slot_of[node] = i
+            roots.append(slot_of[root])
         last_use = {a: i for i, op in enumerate(ops) for a in op[2]}
         keep = set(roots)
         for a, i in last_use.items():

@@ -1,3 +1,4 @@
+import argparse
 import json
 from pathlib import Path
 
@@ -24,6 +25,15 @@ field h = x
 field r2 = x^2 + y^2
 check first_integral(X, h) on random(-2..2, -2..2; 100, seed 13)
 check first_integral(X, r2) on random(-2..2, -2..2; 100, seed 13)
+"""
+
+
+# 10^400 is no double: h is infinite, and so is its residual
+INFINITE_RESIDUAL_SPEC = """\
+chart R2 (x, y) metric diag(1, 1)
+vector X : 1 = 1 * dx
+field h = 10^400 * x
+check first_integral(X, h) on random(-2..2, -2..2; 20, seed 13)
 """
 
 
@@ -132,6 +142,31 @@ class TestVerify:
         check, = json.loads(capsys.readouterr().out)["checks"]
         assert check["pass"] is False and check["norms"]["1"]["linf"] == float("inf")
 
+    @pytest.mark.parametrize("argv", [["--tol", "inf"], ["--tol", "1e400"], ["--tol", "nan"]])
+    def test_non_finite_tol_override_exits_two(self, tmp_path, argv, capsys):
+        # an infinite residual must not pass an infinite tolerance
+        p = tmp_path / "power.grs"
+        p.write_text(INFINITE_RESIDUAL_SPEC)
+        assert main(["verify", str(p)] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: first_integral: tolerance must be finite")
+
+    def test_non_finite_spec_tol_exits_two(self, tmp_path, capsys):
+        p = tmp_path / "power.grs"
+        p.write_text(INFINITE_RESIDUAL_SPEC.replace("seed 13)", "seed 13) tol 1e400"))
+        assert main(["verify", str(p)]) == 2
+        assert "tolerance must be finite, got inf" in capsys.readouterr().err
+
+    def test_non_utf8_file_exits_three(self, tmp_path, capsys):
+        data = PASSING_SPEC.encode().replace(b"x^2", b"x^2 + \xe9", 1)
+        p = tmp_path / "latin1.grs"
+        p.write_bytes(data)
+        assert main(["verify", str(p)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: cannot read {p}: not UTF-8 text "
+            f"(byte 0xe9 at offset {data.index(0xE9)})\n")
+
     def test_points_cap_on_grid(self, tmp_path, capsys):
         # --points counts per axis on a grid: 500 on four axes is 500**4 points
         p = tmp_path / "grid4.grs"
@@ -236,6 +271,50 @@ def test_every_shipped_spec_shows_a_pass_and_a_fail(spec, capsys):
     assert main(["verify", str(SPEC_DIR / spec), "--json"]) == 1
     verdicts = [c["pass"] for c in json.loads(capsys.readouterr().out)["checks"]]
     assert True in verdicts and False in verdicts
+
+
+class TestSharedParser:
+    """One argparse parser serves every call of ``main`` in a process."""
+
+    def test_no_parser_built_after_the_first_call(self, passing_spec, monkeypatch, capsys):
+        main(["verify", passing_spec])
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        for _ in range(3):
+            assert main(["verify", passing_spec]) == 0
+        capsys.readouterr()
+        assert built == []
+
+    def test_overrides_do_not_leak_into_the_next_call(self, fail_first_spec, capsys):
+        assert main(["verify", fail_first_spec, "--json"]) == 1
+        first = capsys.readouterr().out
+        assert main(["verify", fail_first_spec, "--json", "--points", "32", "--seed", "1",
+                     "--tol", "100", "--fail-fast"]) == 0
+        assert capsys.readouterr().out != first
+        assert main(["verify", fail_first_spec, "--json"]) == 1
+        assert capsys.readouterr().out == first
+
+    def test_rejected_command_line_leaves_the_parser_usable(self, passing_spec, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", passing_spec, "--points", "x"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: grs verify")
+        assert main(["verify", passing_spec]) == 0
+        assert "PASS" in capsys.readouterr().out
+
+    def test_other_commands_after_verify(self, passing_spec, capsys):
+        assert main(["verify", passing_spec]) == 0
+        capsys.readouterr()
+        assert main(["catalog"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 27
+        assert main(["eval", "x * y + 1", "--at", "x=2,y=3"]) == 0
+        assert capsys.readouterr().out == "7.0\n"
 
 
 class TestCatalog:

@@ -127,6 +127,18 @@ class TestPrinter:
         assert doc2 is not None and not diags2
         assert dsl.same_expr(doc2.statements[1].expr, doc.statements[1].expr)
 
+    def test_literals_beyond_double_range_round_trip(self):
+        # 1e400 is inf as a double; it must not print as the name "inf"
+        text = ("chart R2 (x, y) metric diag(-1e400, 1e400)\n"
+                "vector X : 1 = 1 * dx\n"
+                "field f = 1e400 * x\n"
+                "check first_integral(X, f) on random(-2..2, -2..2; 20, seed 13) tol 1e400\n")
+        doc, diags = dsl.parse(text)
+        assert doc is not None and not diags
+        printed = dsl.print_document(doc)
+        assert "inf" not in printed
+        assert dsl.parse(printed) == (doc, [])
+
     def test_expression_round_trip(self):
         src = "-(x + 2.0) ^ 2 * sin(y) / 3.0"
         ast, _ = dsl.parse_expression(src)

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from grs.engine import DEFAULT_TOL, GrCondition, bind, verify
-from grs.errors import EmptySampleSet, UnknownOperator, VarianceError
+from grs.errors import DomainError, EmptySampleSet, UnknownOperator, VarianceError
 from grs.exterior import COV, Chart, MetricSpec, form
 from grs.scalar import SampleSet, ZERO, const, coord, sin
 from grs.valued import PhiMap, SCALAR_SPACE, ValuedForm, scalar_valued
@@ -102,6 +102,14 @@ class TestVerify:
         rep = verify(cond, SampleSet.random_box([(-1, 1), (-1, 1)], 20, seed=1))
         assert rep.passed is False
         assert math.isnan(rep.norms["r"]["linf"]) and math.isnan(rep.linf)
+
+    @pytest.mark.parametrize("tol", [math.inf, -math.inf, math.nan])
+    def test_non_finite_tolerance_is_an_error(self, r2, tol):
+        # an infinite residual would pass an infinite tolerance; NaN passes nothing
+        cond = GrCondition(name="inf", chart=r2)
+        cond.add_exprs([("r", x * 1e300 * 1e300)])
+        with pytest.raises(DomainError, match="tolerance must be finite"):
+            verify(cond, SampleSet.random_box([(-1, 1), (-1, 1)], 5, seed=1), tol)
 
     def test_exclusion_predicate_counts(self, r2):
         cond = self._abs_x_condition(r2)

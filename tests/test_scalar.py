@@ -1,14 +1,18 @@
+import hashlib
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grs import catalog
 from grs.diffops import ricci
 from grs.errors import DomainError, EvalSingularity
-from grs.exterior import MetricSpec
+from grs.exterior import Chart, MetricSpec
 from grs.scalar import (
+    Expr,
     Mul,
     Pow,
     Program,
@@ -147,15 +151,74 @@ class TestDerivativeMemo:
         assert _node_objects(roots) <= 9124 // 4
 
 
-def _node_objects(roots):
-    seen = set()
+def _all_nodes(roots):
+    seen = {}
     stack = list(roots)
     while stack:
         node = stack.pop()
         if id(node) not in seen:
-            seen.add(id(node))
+            seen[id(node)] = node
             stack.extend(node._parts()[0])
-    return len(seen)
+    return list(seen.values())
+
+
+def _node_objects(roots):
+    return len(_all_nodes(roots))
+
+
+def _dense_flat_rows(conformal=False):
+    """g = J^T J for x_k = u_k + 0.2 sin(u_{k+1}); curved if ``conformal``."""
+    u = [coord(k) for k in range(4)]
+    xs = [u[k] + 0.2 * sin(u[(k + 1) % 4]) for k in range(4)]
+    jac = [[xk.diff(j) for j in range(4)] for xk in xs]
+    rows = [[sum((jac[k][i] * jac[k][j] for k in range(4)), const(0.0))
+             for j in range(4)] for i in range(4)]
+    if conformal:
+        rows = [[e * (1 + 0.1 * u[0] * u[0]) for e in row] for row in rows]
+    return rows
+
+
+def _op_list_digest(prog):
+    """SHA-256 of a program's ops (node type, param, child slots, dead
+    slots) and roots; numpy scalars are hashed as Python numbers."""
+    h = hashlib.sha256()
+    for ev, param, args, dead in prog._ops:
+        if isinstance(param, np.generic):
+            param = param.item()
+        h.update(repr((ev.__qualname__, param, args, dead)).encode())
+    h.update(repr(prog._roots).encode())
+    return h.hexdigest()
+
+
+# SHA-256 of the three op lists in test_op_lists_are_pinned; any change in op order moves it
+OP_LIST_DIGEST = "cd099202505e192187ed12096125f54f4b848a00ee91561fb656fc01b777e387"
+
+
+class TestCompile:
+    def test_each_node_is_taken_apart_once(self, monkeypatch):
+        roots = [r for row in ricci(MetricSpec.matrix(_dense_flat_rows())) for r in row]
+        seen = []
+        for cls in {c for node in _all_nodes(roots) for c in type(node).__mro__
+                    if "_parts" in vars(c) and c is not Expr}:
+            def counted(self, _rule=vars(cls)["_parts"]):
+                seen.append(self)
+                return _rule(self)
+            monkeypatch.setattr(cls, "_parts", counted)
+        Program(roots)
+        monkeypatch.undo()
+        assert len(seen) == len({id(n) for n in seen}) == _node_objects(roots)
+
+    def test_op_lists_are_pinned(self):
+        # ricci_flat on Schwarzschild (198 ops) and the dense flat and
+        # curved 4-D charts (1,240 and 2,113 ops); the op order decides
+        # which DomainError a run reports first
+        charts = [catalog.schwarzschild_chart(1.0)] + [
+            Chart(("u0", "u1", "u2", "u3"), MetricSpec.matrix(_dense_flat_rows(c)))
+            for c in (False, True)]
+        progs = [Program(catalog.build("ricci_flat", ch).roots()) for ch in charts]
+        assert [len(p) for p in progs] == [198, 1240, 2113]
+        h = hashlib.sha256("".join(_op_list_digest(p) for p in progs).encode())
+        assert h.hexdigest() == OP_LIST_DIGEST
 
 
 def test_fd_convergence_is_fourth_order():
