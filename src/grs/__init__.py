@@ -21,7 +21,6 @@ from .errors import (
     SingularMetricError,
     StepError,
     UnknownEntry,
-    UnknownOperator,
     VarianceError,
 )
 from .scalar import (
@@ -84,7 +83,7 @@ from .diffops import (
     riemann,
     schrodinger_residual,
 )
-from .engine import DEFAULT_TOL, GrCondition, ResidualReport, bind, verify
+from .engine import DEFAULT_TOL, GrCondition, ResidualReport, verify
 from .catalog import (
     Fixture,
     build,

@@ -1,6 +1,7 @@
-"""Named residual conditions: every supported field equation as a factory
-producing a bound GrCondition, plus fixtures (known solutions and known
-violators) for each entry.
+"""Named residual conditions: every supported field equation as a builder
+of labeled residual pieces, which ``build`` gathers into the entry's
+GrCondition, plus fixtures (known solutions and known violators) for
+each entry.
 
 Each entry declares its parameters once, in its builder's signature:
 the annotation is the parameter's ``Kind``, a default makes it optional
@@ -33,7 +34,7 @@ from .diffops import (
     ricci,
     schrodinger_residual,
 )
-from .engine import PHI_FORM, GrCondition, bind, pairing
+from .engine import GrCondition
 from .errors import (
     DegenerateFormError,
     DimensionError,
@@ -51,9 +52,11 @@ from .exterior import (
     form,
     hodge,
     interior,
+    interior_after_tilde,
     inverse_expr,
     multivector,
     musical_tilde,
+    scalar_multiply,
     wedge,
 )
 from .scalar import (
@@ -64,6 +67,7 @@ from .valued import (
     SCALAR_SPACE,
     ValueSpace,
     ValuedForm,
+    lift_pointwise,
     scalar_valued,
     su2,
 )
@@ -140,15 +144,6 @@ def field_pair(chart: Chart, F: AlternatingTensor) -> ValuedForm:
 
 def levi_civita(chart: Chart):
     return christoffels_from_metric(chart.metric)
-
-
-def _phi_scalar_action(space: ValueSpace) -> PhiMap:
-    """phi(1, E_j) = E_j: trivial action of the unit scalar section."""
-    return PhiMap(SCALAR_SPACE, space, space, lambda i, j: {j: 1.0})
-
-
-def unit_section(chart: Chart) -> ValuedForm:
-    return scalar_valued(form(chart, 0, {(): const(1.0)}))
 
 
 def _normalize_pi(pi, n: int):
@@ -253,29 +248,38 @@ PHI_CHOICE = Kind("|".join(_PHI_VALUE_CHOICES), "one of " + ", ".join(_PHI_VALUE
 # entry builders
 #
 # Each builder's signature after ``chart`` is its entry's parameter schema.
+# A builder returns its residuals as (label, piece) pairs.  A piece is one
+# expression, filed under ``label``, or a valued form, whose slice E is
+# filed under ``label + E`` (a scalar form's one slice under ``label``;
+# "" keeps the slice labels).  ``build`` adds the pairs in order to the
+# one condition it makes for the entry, named by the entry's id.
+
+
+def _along(chart, X, alpha: ValuedForm) -> ValuedForm:
+    """i(X) alpha for a vector X."""
+    sigma = scalar_valued(vector_as_multivector(chart, X))
+    return lift_pointwise(interior, PhiMap.function_product(), sigma, alpha)
+
+
+def _unit_paired(chart, d_psi: ValuedForm) -> ValuedForm:
+    """1 . D psi through phi(1, E_j) = E_j, the unit section's trivial action."""
+    space = d_psi.space
+    unit = scalar_valued(form(chart, 0, {(): const(1.0)}))
+    return lift_pointwise(scalar_multiply, PhiMap(SCALAR_SPACE, space, space,
+                                                  lambda i, j: {j: 1.0}), unit, d_psi)
 
 
 def _first_integral(chart, X: VECTOR, f: FIELD):
-    sigma = scalar_valued(vector_as_multivector(chart, X))
-    sigma_tilde = scalar_valued(form(chart, 0, {(): f}))
-    return bind("first_integral", chart, "interior", PhiMap.function_product(),
-                exterior_d, sigma, sigma_tilde, entry="first_integral")
+    return [("", _along(chart, X, exterior_d(scalar_valued(form(chart, 0, {(): f})))))]
 
 
 def _relative_invariant(chart, X: VECTOR, alpha: FORM):
-    sigma = scalar_valued(vector_as_multivector(chart, X))
-    return bind("relative_invariant", chart, "interior", PhiMap.function_product(),
-                exterior_d, sigma, scalar_valued(alpha), entry="relative_invariant")
+    return [("", _along(chart, X, exterior_d(scalar_valued(alpha))))]
 
 
 def _absolute_invariant(chart, X: VECTOR, alpha: FORM):
-    sigma = scalar_valued(vector_as_multivector(chart, X))
     a = scalar_valued(alpha)
-    product = PhiMap.function_product()
-    cond = GrCondition("absolute_invariant", chart, entry="absolute_invariant")
-    cond.add_valued(pairing("interior", product, sigma, exterior_d(a)), prefix="relative")
-    cond.add_valued(pairing("interior", product, sigma, a), prefix="algebraic")
-    return cond
+    return [("relative", _along(chart, X, exterior_d(a))), ("algebraic", _along(chart, X, a))]
 
 
 def _check_nondegenerate(chart, omega: AlternatingTensor):
@@ -302,17 +306,13 @@ def _omega_matrix(omega: AlternatingTensor):
 
 def _symplectic_closed(chart, omega: TWO_FORM):
     _check_nondegenerate(chart, omega)
-    return bind("symplectic_closed", chart, "scalar_multiply",
-                _phi_scalar_action(SCALAR_SPACE), exterior_d,
-                unit_section(chart), scalar_valued(omega), entry="symplectic_closed")
+    return [("", _unit_paired(chart, exterior_d(scalar_valued(omega))))]
 
 
 def _hamiltonian_field(chart, omega: TWO_FORM, X: VECTOR):
     _check_nondegenerate(chart, omega)
     ixo = interior(vector_as_multivector(chart, X), omega)
-    return bind("hamiltonian_field", chart, "scalar_multiply",
-                _phi_scalar_action(SCALAR_SPACE), exterior_d,
-                unit_section(chart), scalar_valued(ixo), entry="hamiltonian_field")
+    return [("", _unit_paired(chart, exterior_d(scalar_valued(ixo))))]
 
 
 # first_integral along Z of the bracket s = omega^-1(alpha, beta)
@@ -324,54 +324,42 @@ def _poisson_first_integrals(chart, omega: TWO_FORM, Z: VECTOR, alpha: ONE_FORM,
     for (i,), va in alpha.components.items():
         for (j,), vb in beta.components.items():
             s = s + winv[i][j] * as_expr(va) * as_expr(vb)
-    cond = GrCondition("poisson_first_integrals", chart, entry="poisson_first_integrals")
-    sigma = scalar_valued(vector_as_multivector(chart, Z))
-    ds = exterior_d(scalar_valued(form(chart, 0, {(): s})))
-    return cond.add_valued(pairing("interior", PhiMap.function_product(), sigma, ds),
-                           prefix="bracket")
+    return [("bracket", _along(chart, Z, exterior_d(scalar_valued(form(chart, 0, {(): s})))))]
 
 
-# hand-assembled: Lie brackets of vector fields, which no form-level map covers
+# Lie brackets of vector fields, which no form-level map covers
 def _frobenius_vector(chart, *fields: VECTOR, pi: PROJECTION = None):
     pi = _normalize_pi([1.0] * chart.dim if pi is None else pi, chart.dim)
     check_idempotent(pi, _probe_points(chart.dim))
-    cond = GrCondition("frobenius_vector", chart, entry="frobenius_vector")
     items = []
     for a in range(len(fields)):
         for b in range(a + 1, len(fields)):
             res = apply_projection(pi, lie_bracket(fields[a], fields[b]))
             for mu, e in enumerate(res):
                 items.append((f"[{a + 1},{b + 1}].{chart.coord_names[mu]}", e))
-    cond.add_exprs(items)
-    return cond
+    return items
 
 
 def _frobenius_pfaff(chart, *forms: ONE_FORM):
-    cond = GrCondition("frobenius_pfaff", chart, entry="frobenius_pfaff")
     if not forms:
-        return cond
+        return []
     w = forms[0]
     for other in forms[1:]:
         w = wedge(w, other)
     sigma = scalar_valued(w)
     product = PhiMap.function_product()
-    for m, alpha in enumerate(forms):
-        d_alpha = exterior_d(scalar_valued(alpha))
-        cond.add_valued(pairing("wedge", product, sigma, d_alpha), prefix=f"alpha{m + 1}")
-    return cond
+    return [(f"alpha{m + 1}", lift_pointwise(wedge, product, sigma,
+                                             exterior_d(scalar_valued(alpha))))
+            for m, alpha in enumerate(forms)]
 
 
-# hand-assembled: a Levi-Civita derivative of vector components, not of a form
+# a Levi-Civita derivative of vector components, not of a form
 def _nabla_parallel(chart, X: VECTOR, sigma: VECTOR):
-    gamma = levi_civita(chart)
-    res = nabla_X(gamma, X, sigma)
-    cond = GrCondition("nabla_parallel", chart, entry="nabla_parallel")
-    cond.add_exprs([(chart.coord_names[mu], e) for mu, e in enumerate(res)])
-    return cond
+    return list(zip(chart.coord_names, nabla_X(levi_civita(chart), X, sigma)))
 
 
-# hand-assembled: through PhiMap.endomorphism every label Pi kills would
-# still report an (empty) norm
+# through PhiMap.endomorphism every label Pi kills would still report an
+# (empty) norm
 def _theta_pi_parallel(chart, psi: VALUED_FORM, theta: MULTIVECTOR, pi: PROJECTION):
     dpsi = exterior_d(psi)
     r = psi.space.dim
@@ -379,49 +367,29 @@ def _theta_pi_parallel(chart, psi: VALUED_FORM, theta: MULTIVECTOR, pi: PROJECTI
     if any(c is None for row in pim for c in row):
         raise ParameterError("pi entries must be constant numbers")
     slices = [interior(theta, s) for s in dpsi.slices()]
-    cond = GrCondition("theta_pi_parallel", chart, entry="theta_pi_parallel")
     out = []
     for j in range(r):
-        acc = None
-        for i in range(r):
-            c = pim[j][i]
-            if c == 0:
-                continue
-            t = slices[i].scale(c)
-            acc = t if acc is None else acc + t
-        if acc is not None:
-            out.append((psi.space.labels[j], acc))
-    for lab, t in out:
-        cond.add_valued(scalar_valued(t), prefix=lab)
-    return cond
+        terms = [slices[i].scale(c) for i, c in enumerate(pim[j]) if c != 0]
+        if terms:
+            out.append((psi.space.labels[j], scalar_valued(sum(terms[1:], terms[0]))))
+    return out
 
 
 def _autoparallel_valued_form(chart, psi: VALUED_FORM, phi: PHI_CHOICE = "sym"):
-    return bind("autoparallel_valued_form", chart, "interior_after_tilde",
-                _PHI_VALUE_CHOICES[phi](psi.space), exterior_d, None, psi,
-                sigma_rule="same", entry="autoparallel_valued_form")
+    return [("", lift_pointwise(interior_after_tilde, _PHI_VALUE_CHOICES[phi](psi.space),
+                                psi, exterior_d(psi)))]
 
 
-# hand-assembled: a Levi-Civita derivative of vector components, not of a form
 def _autoparallel_vector(chart, u: VECTOR):
-    gamma = levi_civita(chart)
-    res = nabla_X(gamma, u, u)
-    cond = GrCondition("autoparallel_vector", chart, entry="autoparallel_vector")
-    cond.add_exprs([(chart.coord_names[mu], e) for mu, e in enumerate(res)])
-    return cond
+    return _nabla_parallel(chart, u, u)
 
 
 def _null_autoparallel(chart, u: VECTOR):
-    sigma = scalar_valued(vector_as_multivector(chart, u))
     u_form = scalar_valued(lower_index(chart, u))
-    product = PhiMap.function_product()
-    cond = GrCondition("null_autoparallel", chart, entry="null_autoparallel")
-    cond.add_valued(pairing("interior", product, sigma, exterior_d(u_form)), prefix="u.du")
-    cond.add_valued(pairing("interior", product, sigma, u_form), prefix="null_norm")
-    return cond
+    return [("u.du", _along(chart, u, exterior_d(u_form))), ("null_norm", _along(chart, u, u_form))]
 
 
-# hand-assembled: divergences with Christoffel terms, not an exterior derivative
+# divergences with Christoffel terms, not an exterior derivative
 def _mass_energy(chart, u: VECTOR, rho: FIELD):
     gamma = levi_civita(chart)
     n = chart.dim
@@ -434,10 +402,8 @@ def _mass_energy(chart, u: VECTOR, rho: FIELD):
                 acc = acc + gamma[s][s][lam] * vec[lam]
         return acc
 
-    cond = GrCondition("mass_energy", chart, entry="mass_energy")
     flow = [rho * u[s] for s in range(n)]
-    cond.add_exprs([("divergence", divergence(flow))])
-    items = []
+    items = [("divergence", divergence(flow))]
     for mu in range(n):
         vec = [rho * u[s] * u[mu] for s in range(n)]
         acc = divergence(vec)
@@ -445,119 +411,93 @@ def _mass_energy(chart, u: VECTOR, rho: FIELD):
             for lam in range(n):
                 acc = acc + gamma[mu][s][lam] * flow[s] * u[lam]
         items.append((f"flux.{chart.coord_names[mu]}", acc))
-    cond.add_exprs(items)
-    return cond
+    return items
 
 
 def _maxwell_vacuum(chart, F: TWO_FORM):
-    omega = field_pair(chart, F)
-    return bind("maxwell_vacuum", chart, "scalar_multiply",
-                _phi_scalar_action(omega.space), exterior_d,
-                unit_section(chart), omega, entry="maxwell_vacuum")
+    return [("", _unit_paired(chart, exterior_d(field_pair(chart, F))))]
 
 
 def _maxwell_currents(chart, F: TWO_FORM, m_current: THREE_FORM, j_current: THREE_FORM):
     omega = field_pair(chart, F)
     rhs = ValuedForm.from_slices(omega.space, [m_current, j_current], variance=COV)
-    return bind("maxwell_currents", chart, "scalar_multiply",
-                _phi_scalar_action(omega.space), exterior_d,
-                unit_section(chart), omega, rhs=rhs, entry="maxwell_currents")
+    return [("", _unit_paired(chart, exterior_d(omega)) + rhs.scale(-1.0))]
 
 
 def _ext_maxwell_vacuum(chart, F: TWO_FORM):
     omega = field_pair(chart, F)
-    return bind("ext_maxwell_vacuum", chart, "interior_after_tilde",
-                PhiMap.symmetrized_product(omega.space), exterior_d,
-                None, omega, sigma_rule="same", entry="ext_maxwell_vacuum")
+    return [("", lift_pointwise(interior_after_tilde, PhiMap.symmetrized_product(omega.space),
+                                omega, exterior_d(omega)))]
 
 
 def _ext_maxwell_currents(chart, F: TWO_FORM, J1: ONE_FORM, J2: ONE_FORM, J3: ONE_FORM,
                           J4: ONE_FORM, symmetrized_rhs: FLAG = 0):
     omega = field_pair(chart, F)
     Fs = hodge(F)
-    it = PHI_FORM["interior_after_tilde"]
-    rhs_e11 = it(J1, F)
-    rhs_e22 = it(J2, Fs if symmetrized_rhs else F)
-    rhs_e12 = it(J3, F) + it(J4, Fs)
+    it = interior_after_tilde
+    sym = PhiMap.symmetrized_product(omega.space)
     rhs = ValuedForm.from_slices(
-        PhiMap.symmetrized_product(omega.space).target,
-        [rhs_e11, rhs_e12, rhs_e22], variance=COV)
-    return bind("ext_maxwell_currents", chart, "interior_after_tilde",
-                PhiMap.symmetrized_product(omega.space), exterior_d,
-                None, omega, rhs=rhs, sigma_rule="same", entry="ext_maxwell_currents")
+        sym.target, [it(J1, F), it(J3, F) + it(J4, Fs), it(J2, Fs if symmetrized_rhs else F)],
+        variance=COV)
+    return [("", lift_pointwise(it, sym, omega, exterior_d(omega)) + rhs.scale(-1.0))]
 
 
 def _pfaff_currents(chart, J1: ONE_FORM, J2: ONE_FORM, J3: ONE_FORM, J4: ONE_FORM):
     Js = (J1, J2, J3, J4)
     product = PhiMap.function_product()
-    cond = GrCondition("pfaff_currents", chart, entry="pfaff_currents")
+    out = []
     for a, Ja in enumerate(Js):
         dJa = exterior_d(scalar_valued(Ja))
         for b, Jb in enumerate(Js):
-            sigma = scalar_valued(wedge(Ja, Jb))
-            cond.add_valued(pairing("wedge", product, sigma, dJa),
-                            prefix=f"J{a + 1}|J{b + 1}")
-    return cond
+            out.append((f"J{a + 1}|J{b + 1}",
+                        lift_pointwise(wedge, product, scalar_valued(wedge(Ja, Jb)), dJa)))
+    return out
 
 
 def _yang_mills(chart, omega: CONNECTION):
-    conn = ConnectionForm.from_omega(omega)
     star = ValuedForm.from_slices(omega.space, [hodge(s) for s in curvature(omega).slices()],
                                   variance=COV)
-    return bind("yang_mills", chart, "scalar_multiply", _phi_scalar_action(omega.space),
-                lambda s: covariant_D(conn, s), unit_section(chart), star,
-                entry="yang_mills")
+    return [("", _unit_paired(chart, covariant_D(ConnectionForm.from_omega(omega), star)))]
 
 
 def _bianchi(chart, omega: CONNECTION, psi: VALUED_2FORM = None):
-    conn = ConnectionForm.from_omega(omega)
     psi = curvature(omega) if psi is None else psi
-    return bind("bianchi", chart, "scalar_multiply", _phi_scalar_action(psi.space),
-                lambda s: covariant_D(conn, s), unit_section(chart), psi,
-                entry="bianchi")
+    return [("", _unit_paired(chart, covariant_D(ConnectionForm.from_omega(omega), psi)))]
 
 
-def _ext_ym(entry: str, phi_name: str, chart, psi, omega):
+def _ext_ym(phi_name: str, psi, omega):
     conn = ConnectionForm.trivial() if omega is None else ConnectionForm.from_omega(omega)
-    return bind(entry, chart, "interior_after_tilde", _PHI_VALUE_CHOICES[phi_name](psi.space),
-                lambda s: covariant_D(conn, s), None, psi, sigma_rule="same", entry=entry)
+    return [("", lift_pointwise(interior_after_tilde, _PHI_VALUE_CHOICES[phi_name](psi.space),
+                                psi, covariant_D(conn, psi)))]
 
 
 def _ext_yang_mills_bracket(chart, psi: VALUED_2FORM, omega: CONNECTION = None):
-    return _ext_ym("ext_yang_mills_bracket", "bracket", chart, psi, omega)
+    return _ext_ym("bracket", psi, omega)
 
 
 def _ext_yang_mills_diagonal(chart, psi: VALUED_2FORM, omega: CONNECTION = None):
-    return _ext_ym("ext_yang_mills_diagonal", "diag", chart, psi, omega)
+    return _ext_ym("diag", psi, omega)
 
 
 def _ext_yang_mills_sym(chart, psi: VALUED_2FORM):
-    return _ext_ym("ext_yang_mills_sym", "sym", chart, psi, None)
+    return _ext_ym("sym", psi, None)
 
 
-# hand-assembled: the curvature of the chart metric itself; no field to pair
+# the curvature of the chart metric itself; no field to pair
 def _ricci_flat(chart):
     ric = ricci(chart.metric)
-    n = chart.dim
-    cond = GrCondition("ricci_flat", chart, entry="ricci_flat")
-    items = []
-    for i in range(n):
-        for j in range(i, n):
-            items.append((f"R[{chart.coord_names[i]},{chart.coord_names[j]}]", ric[i][j]))
-    cond.add_exprs(items)
-    return cond
+    names = chart.coord_names
+    return [(f"R[{names[i]},{names[j]}]", ric[i][j])
+            for i in range(chart.dim) for j in range(i, chart.dim)]
 
 
-# hand-assembled: a second-order scalar operator, not a first-order pairing
+# a second-order scalar operator, not a first-order pairing
 def _schrodinger(chart, psi: FIELD, V: FIELD = 0.0, hbar: REAL = 1.0, mass: REAL = 1.0):
     h = HamiltonianSpec(hbar=hbar, mass=mass, potential=as_expr(V))
-    res = schrodinger_residual(h, psi, chart.dim)
-    cond = GrCondition("schrodinger", chart, entry="schrodinger")
-    cond.add_exprs([("psi", res)])
-    return cond
+    return [("psi", schrodinger_residual(h, psi, chart.dim))]
 
 
-# hand-assembled: gamma matrices mix spinor components, not form degrees
+# gamma matrices mix spinor components, not form degrees
 def _dirac(chart, psi: SPINOR, m: REAL = 1.0, sign: SIGN = -1, A: ONE_FORM = None,
            e: REAL = 0.0):
     if isinstance(psi, ValuedForm):
@@ -568,10 +508,7 @@ def _dirac(chart, psi: SPINOR, m: REAL = 1.0, sign: SIGN = -1, A: ONE_FORM = Non
         labels = ("e1", "e2", "e3", "e4")
     potential = None if A is None else [as_expr(A.get((mu,))) for mu in range(4)]
     gs = GammaSystem(mass=m, sign=sign, potential=potential, charge=e)
-    res = dirac_residual(gs, comps)
-    cond = GrCondition("dirac", chart, entry="dirac")
-    cond.add_exprs(list(zip(labels, res)))
-    return cond
+    return list(zip(labels, dirac_residual(gs, comps)))
 
 
 # ---------------------------------------------------------------------------
@@ -1108,10 +1045,14 @@ def get_entry(id_: str) -> CatalogEntry:
 
 
 def build(id_: str, chart: Chart, **params) -> GrCondition:
-    """Instantiate an entry into a bound residual condition."""
+    """Instantiate an entry into a bound residual condition: the one place
+    that makes a ``GrCondition``, from the builder's (label, piece) pairs."""
     entry = get_entry(id_)
     args, kwargs = entry.arguments(chart, params)
-    return entry.builder(chart, *args, **kwargs)
+    cond = GrCondition(entry.id, entry.id)
+    for label, piece in entry.builder(chart, *args, **kwargs):
+        cond.add(label, piece)
+    return cond
 
 
 def fixtures(id_: str) -> List[Fixture]:

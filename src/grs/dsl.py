@@ -320,14 +320,25 @@ class _Parser:
         self.expect_sym(close)
         return tuple(items)
 
-    def number(self) -> float:
+    def number(self, what: str = "number") -> float:
         neg = self.accept_sym("-")
         t = self.peek()
         if t.kind != "NUMBER":
-            self.error("expected a number")
+            self.error(f"expected a {what}")
         self.next()
         v = float(t.text)
         return -v if neg else v
+
+    def integer(self, what: str) -> int:
+        t = self.peek()
+        return self.whole(what, t, self.number(what))
+
+    def whole(self, what: str, t: Token, v: float) -> int:
+        """``v``, read at ``t``, as an int; only a finite, integral value
+        passes (``1e3`` is 1000, ``2.5`` and ``1e400`` are errors)."""
+        if not v.is_integer():
+            self.error(f"{what} must be a whole number", t)
+        return int(v)
 
     # --- document
 
@@ -396,11 +407,7 @@ class _Parser:
         kind = t0.text
         name = self.expect_ident(f"{kind} name").text
         self.expect_sym(":")
-        t = self.peek()
-        if t.kind != "NUMBER":
-            self.error("expected a degree")
-        self.next()
-        degree = int(float(t.text))
+        degree = self.integer("degree")
         values = None
         if self.peek().kind == "IDENT" and self.peek().text == "values":
             self.next()
@@ -439,21 +446,17 @@ class _Parser:
         t0 = self.next()
         name = self.expect_ident("algebra name").text
         self.expect_keyword("dim")
-        t = self.peek()
-        if t.kind != "NUMBER":
-            self.error("expected a dimension")
-        self.next()
-        dim = int(float(t.text))
+        dim = self.integer("dimension")
         brackets: List[Tuple[int, int, int, float]] = []
         if self.peek().kind == "IDENT" and self.peek().text == "bracket":
             self.next()
             while self.at_sym("("):
                 t = self.peek()
-                triple = self._seq("(", self.number, ")")
+                triple = self._seq("(", lambda: (self.peek(), self.number()), ")")
                 if len(triple) != 4:
                     self.error("expected a bracket triple '(i, j, k, value)'", t)
-                i, j, k, v = triple
-                brackets.append((int(i), int(j), int(k), v))
+                i, j, k = (self.whole("bracket index", *item) for item in triple[:3])
+                brackets.append((i, j, k, triple[3][1]))
             if not brackets:
                 self.error("expected at least one bracket triple '(i, j, k, value)'")
         return AlgebraStmt(name, dim, tuple(brackets), line=t0.line)
@@ -504,12 +507,12 @@ class _Parser:
         if kindtok.text not in ("grid", "random"):
             self.error("expected 'grid' or 'random'", kindtok)
         ranges = self._seq("(", self._range, ";")
-        count = int(self.number())
+        count = self.integer("sample count")
         seed = 0
         if kindtok.text == "random":
             self.expect_sym(",")
             self.expect_keyword("seed")
-            seed = int(self.number())
+            seed = self.integer("seed")
         self.expect_sym(")")
         return SampleAst(kindtok.text, ranges, count, seed)
 
@@ -996,6 +999,8 @@ class _Binder:
         """Map the arguments onto the entry's parameter schema: a vararg
         takes every positional argument, otherwise positional arguments
         fill the required parameters in order; the catalog checks kinds."""
+        if st.tol is not None and st.tol <= 0:
+            self.fail("tol must be positive", st.line)
         chart = self._need_chart(st.line)
         schema = catalog.get_entry(st.entry).params
         named_params = {p.name: p for p in schema if not p.vararg}

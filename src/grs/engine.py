@@ -1,12 +1,11 @@
-"""Bind (Phi, phi; D, sigma, sigma~) into labeled residual fields and
-evaluate them over sample sets.
+"""Labeled residual conditions and their evaluation over sample sets.
 
-Binding is fully symbolic: the differential operator and both bilinear
-maps are expanded into one expression tree per (value label, form
-component) at bind time.  ``verify`` compiles all of a condition's trees
-into one deduplicated ``Program`` and evaluates it over fixed blocks of
-``BLOCK_ROWS`` sample points, reducing each block into running norms, so
-memory does not grow with the number of points.
+A ``GrCondition`` is filled in by ``add``, one labeled piece at a time; a
+catalog builder's pieces are already fully symbolic, one expression tree
+per (value label, form component).  ``verify`` compiles all of a
+condition's trees into one deduplicated ``Program`` and evaluates it over
+fixed blocks of ``BLOCK_ROWS`` sample points, reducing each block into
+running norms, so memory does not grow with the number of points.
 """
 
 from __future__ import annotations
@@ -14,53 +13,21 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import (
-    DegreeError,
-    DomainError,
-    EmptySampleSet,
-    UnknownOperator,
-    VarianceError,
-)
-from .exterior import (
-    AlternatingTensor,
-    Chart,
-    MultiIndex,
-    interior,
-    musical_tilde,
-    wedge,
-)
+from .errors import DomainError, EmptySampleSet
+from .exterior import MultiIndex
 from .scalar import Expr, Program, SampleSet, as_expr, magnitude
-from .valued import PhiMap, ValuedForm, lift_pointwise
-
-
-def _phi_interior_after_tilde(a: AlternatingTensor, b: AlternatingTensor):
-    return interior(musical_tilde(a), b)
-
-
-def _phi_scalar_multiply(a: AlternatingTensor, b: AlternatingTensor):
-    if a.degree != 0:
-        raise DegreeError("scalar multiplier must be a 0-form")
-    return b.scale(a.get(()))
-
-
-PHI_FORM = {
-    "interior_after_tilde": _phi_interior_after_tilde,
-    "interior": interior,
-    "wedge": wedge,
-    "scalar_multiply": _phi_scalar_multiply,
-}
+from .valued import ValuedForm
 
 
 @dataclass
 class GrCondition:
-    """A bound, immutable residual condition with labeled components."""
+    """A residual condition with labeled components, built up by ``add``."""
 
     name: str
-    chart: Chart
     entry: str = ""
     # label -> [(form multi-index, residual expression), ...]
     residuals: "OrderedDict[str, List[Tuple[MultiIndex, Expr]]]" = field(
@@ -69,18 +36,20 @@ class GrCondition:
     def labels(self) -> List[str]:
         return list(self.residuals.keys())
 
-    def add_valued(self, vf: ValuedForm, prefix: str = "") -> "GrCondition":
-        for lab in vf.space.labels:
-            t = vf.label_slice(lab)
-            key = f"{prefix}{lab}" if (prefix and lab != "1") else (prefix or lab)
-            comps = [(idx, as_expr(v)) for idx, v in sorted(t.components.items())]
-            self.residuals.setdefault(key, []).extend(comps)
-        return self
+    def add(self, label: str, piece: Union[ValuedForm, Expr, complex]) -> None:
+        """Append ``piece``'s components under ``label``.
 
-    def add_exprs(self, items: Sequence[Tuple[str, Expr]]) -> "GrCondition":
-        for lab, e in items:
-            self.residuals.setdefault(lab, []).append(((), as_expr(e)))
-        return self
+        An expression is one component.  A valued form's slice E goes under
+        ``label + E``; the scalar space's one slice "1" goes under ``label``
+        alone, or under "1" when ``label`` is empty.
+        """
+        if not isinstance(piece, ValuedForm):
+            self.residuals.setdefault(label, []).append(((), as_expr(piece)))
+            return
+        for lab in piece.space.labels:
+            key = (label or lab) if lab == "1" else label + lab
+            comps = sorted(piece.label_slice(lab).components.items())
+            self.residuals.setdefault(key, []).extend((idx, as_expr(v)) for idx, v in comps)
 
     def roots(self) -> List[Expr]:
         """Every residual component, label by label."""
@@ -91,44 +60,6 @@ class GrCondition:
         values = iter(Program(self.roots()).at([pt])[:, 0].tolist())
         return {label: [next(values) for _ in comps]
                 for label, comps in self.residuals.items()}
-
-
-def pairing(phi_form: str, phi_value: PhiMap, sigma: ValuedForm,
-            d_sigma_tilde: ValuedForm) -> ValuedForm:
-    """Phi(sigma, D sigma~) (x) phi for an already differentiated sigma~.
-
-    The form-level map is looked up in ``PHI_FORM`` by name.
-    """
-    try:
-        phi_fn = PHI_FORM[phi_form]
-    except KeyError:
-        raise UnknownOperator(f"unknown form-level map {phi_form!r}") from None
-    return lift_pointwise(phi_fn, phi_value, sigma, d_sigma_tilde)
-
-
-def bind(name: str, chart: Chart, phi_form: str, phi_value: PhiMap,
-         operator: Callable[[ValuedForm], ValuedForm],
-         sigma, sigma_tilde: ValuedForm,
-         rhs: Optional[ValuedForm] = None,
-         sigma_rule: str = "given", entry: str = "") -> GrCondition:
-    """Assemble Phi(sigma, D sigma~) (x) phi minus rhs into a condition.
-
-    sigma_rule: "given" uses sigma as passed; "same" sets sigma = sigma~
-    (autoparallel).  Degree and dimension mismatches surface here, not at
-    evaluation.
-    """
-    if sigma_rule == "same":
-        sigma = sigma_tilde
-    elif sigma_rule != "given":
-        raise UnknownOperator(f"unknown sigma rule {sigma_rule!r}")
-    result = pairing(phi_form, phi_value, sigma, operator(sigma_tilde))
-    if rhs is not None:
-        if rhs.space.labels != result.space.labels:
-            raise VarianceError("rhs labels do not match the condition output")
-        result = result + rhs.scale(-1.0)
-    cond = GrCondition(name=name, chart=chart, entry=entry)
-    cond.add_valued(result)
-    return cond
 
 
 @dataclass

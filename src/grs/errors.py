@@ -53,10 +53,6 @@ class UnknownEntry(GrsError):
     """Catalog id does not exist."""
 
 
-class UnknownOperator(GrsError):
-    """Condition refers to an operator the engine does not provide."""
-
-
 class MissingParameter(GrsError):
     """Catalog entry invoked without a required parameter."""
 

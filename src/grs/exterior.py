@@ -331,6 +331,18 @@ def interior(v: AlternatingTensor, w: AlternatingTensor) -> AlternatingTensor:
     return result
 
 
+def interior_after_tilde(a: AlternatingTensor, w: AlternatingTensor) -> AlternatingTensor:
+    """i(tilde a) w: substitution of a form's raised multivector into w."""
+    return interior(musical_tilde(a), w)
+
+
+def scalar_multiply(a: AlternatingTensor, w: AlternatingTensor) -> AlternatingTensor:
+    """The 0-form a times w."""
+    if a.degree != 0:
+        raise DegreeError("scalar multiplier must be a 0-form")
+    return w.scale(a.get(()))
+
+
 def _pairing_det(ginv_rows, I: MultiIndex, J: MultiIndex):
     return determinant([[ginv_rows[i][j] for j in J] for i in I])
 

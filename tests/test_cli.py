@@ -158,6 +158,33 @@ class TestVerify:
         assert main(["verify", str(p)]) == 2
         assert "tolerance must be finite, got inf" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tol", ["-1", "0", "-0"])
+    def test_non_positive_spec_tol_exits_two(self, tmp_path, tol, capsys):
+        # like --tol: a tolerance of 0 or less would judge the check wrongly
+        p = tmp_path / "tol.grs"
+        p.write_text(PASSING_SPEC.replace("seed 13)", f"seed 13) tol {tol}"))
+        assert main(["verify", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "tol must be positive (line 4" in captured.err
+
+    @pytest.mark.parametrize("old, new", [
+        ("100, seed 13", "20.7, seed 13"),
+        ("100, seed 13", "100, seed 13.9"),
+        ("100, seed 13", "1e400, seed 13"),
+        ("100, seed 13", "100, seed 1e400"),
+        ("X : 1", "X : 1.5"),
+        ("X : 1", "X : 1e400"),
+    ])
+    def test_fractional_or_overflowing_integer_field_exits_two(self, tmp_path, old, new,
+                                                               capsys):
+        p = tmp_path / "int.grs"
+        p.write_text(PASSING_SPEC.replace(old, new))
+        assert main(["verify", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be a whole number" in captured.err
+
     def test_non_utf8_file_exits_three(self, tmp_path, capsys):
         data = PASSING_SPEC.encode().replace(b"x^2", b"x^2 + \xe9", 1)
         p = tmp_path / "latin1.grs"

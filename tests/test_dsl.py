@@ -234,6 +234,26 @@ class TestBinder:
         assert not diags
         assert len(checks) == 1
 
+    @pytest.mark.parametrize("algebra, what, col", [
+        ("algebra g dim 2.5", "dimension", 15),
+        ("algebra g dim 1e400", "dimension", 15),
+        ("algebra g dim 3 bracket (1, 2.5, 3, 1)", "bracket index", 29),
+        ("algebra g dim 3 bracket (1, 2, 3, 1) (1e400, 2, 3, 1)", "bracket index", 39),
+    ])
+    def test_algebra_integers_must_be_whole(self, algebra, what, col):
+        _, diags = self._load("chart R3 (x, y, z) metric diag(1, 1, 1)\n" + algebra + "\n")
+        assert [(d.message, d.line, d.column) for d in diags] == [
+            (f"{what} must be a whole number", 2, col)]
+
+    def test_integers_in_exponent_form(self):
+        checks, diags = self._load(
+            "chart R3 (x, y, z) metric diag(1, 1, 1)\n"
+            "algebra su2 dim 3e0 bracket (1e0, 2, 3, 1) (2, 3, 1, 1) (3, 1, 2, 1)\n"
+            "form a : 1e0 values su2 = x * dy @ e1\n"
+            "check bianchi(a) on random(-2..2, -2..2, -2..2; 1e3, seed 1.3e1)\n")
+        assert not diags
+        assert (checks[0].sample.count, checks[0].sample.seed) == (1000, 13)
+
     def test_non_symmetric_metric_matrix_names_both_entries(self):
         # the lower triangle used to be dropped: this read as the identity metric
         _, diags = self._load(

@@ -2,11 +2,11 @@ import math
 
 import pytest
 
-from grs.engine import DEFAULT_TOL, GrCondition, bind, verify
-from grs.errors import DomainError, EmptySampleSet, UnknownOperator, VarianceError
-from grs.exterior import COV, Chart, MetricSpec, form
-from grs.scalar import SampleSet, ZERO, const, coord, sin
-from grs.valued import PhiMap, SCALAR_SPACE, ValuedForm, scalar_valued
+from grs.engine import DEFAULT_TOL, GrCondition, verify
+from grs.errors import DegreeError, DomainError, EmptySampleSet
+from grs.exterior import COV, Chart, MetricSpec, form, scalar_multiply, wedge
+from grs.scalar import SampleSet, const, coord, sin
+from grs.valued import PhiMap, ValueSpace, ValuedForm, lift_pointwise, scalar_valued
 from grs.diffops import exterior_d
 
 
@@ -22,34 +22,24 @@ def _scalar_section(chart, e):
     return scalar_valued(form(chart, 0, {(): e}))
 
 
+def _pair(phi_form, sigma, d_sigma_tilde):
+    """Phi(sigma, D sigma~) (x) phi with the function product as phi."""
+    return lift_pointwise(phi_form, PhiMap.function_product(), sigma, d_sigma_tilde)
+
+
+def _condition(name, *pieces):
+    cond = GrCondition(name=name)
+    for label, piece in pieces:
+        cond.add(label, piece)
+    return cond
+
+
 class TestBind:
-    def test_unknown_phi_form(self, r2):
-        s = _scalar_section(r2, const(1))
-        with pytest.raises(UnknownOperator):
-            bind("c", r2, "nope", PhiMap.function_product(), exterior_d, s, s)
-
-    def test_unknown_sigma_rule(self, r2):
-        s = _scalar_section(r2, const(1))
-        with pytest.raises(UnknownOperator):
-            bind("c", r2, "wedge", PhiMap.function_product(), exterior_d,
-                 s, s, sigma_rule="sideways")
-
-    def test_rhs_label_mismatch(self, r2):
-        s = _scalar_section(r2, x)
-        one = _scalar_section(r2, const(1))
-        from grs.valued import ValueSpace
-        other = ValueSpace(labels=("a", "b"))
-        rhs = ValuedForm(r2, 1, COV, other, {((0,), "a"): 1.0})
-        with pytest.raises(VarianceError):
-            bind("c", r2, "wedge", PhiMap.function_product(), exterior_d,
-                 one, s, rhs=rhs)
-
     def test_first_integral_shape(self, r2):
         # 1 ^ d f: residual is just df, labeled by the scalar basis
         f = _scalar_section(r2, sin(x))
         one = _scalar_section(r2, const(1))
-        cond = bind("df", r2, "wedge", PhiMap.function_product(),
-                    exterior_d, one, f)
+        cond = _condition("df", ("", _pair(wedge, one, exterior_d(f))))
         assert cond.labels() == ["1"]
         vals = cond.residual((0.0, 0.0))
         assert vals["1"] == [pytest.approx(1.0)]  # cos(0)
@@ -57,8 +47,7 @@ class TestBind:
     def test_constant_section_passes(self, r2):
         f = _scalar_section(r2, const(3.0))
         one = _scalar_section(r2, const(1))
-        cond = bind("const", r2, "wedge", PhiMap.function_product(),
-                    exterior_d, one, f)
+        cond = _condition("const", ("", _pair(wedge, one, exterior_d(f))))
         rep = verify(cond, SampleSet.random_box([(-1, 1), (-1, 1)], 50, seed=5))
         assert rep.passed
         assert rep.linf == 0.0
@@ -66,8 +55,8 @@ class TestBind:
 
 class TestVerify:
     def _abs_x_condition(self, r2):
-        cond = GrCondition(name="absx", chart=r2, entry="demo")
-        cond.add_exprs([("r", x)])
+        cond = GrCondition(name="absx", entry="demo")
+        cond.add("r", x)
         return cond
 
     def test_norms_and_worst_point(self, r2):
@@ -80,8 +69,7 @@ class TestVerify:
         assert rep.evaluated == 25
 
     def test_singular_points_excluded(self, r2):
-        cond = GrCondition(name="inv", chart=r2)
-        cond.add_exprs([("r", const(1) / x - const(1) / x)])
+        cond = _condition("inv", ("r", const(1) / x - const(1) / x))
         sample = SampleSet.grid([(-1, 1), (-1, 1)], 3)  # x = 0 line singular
         rep = verify(cond, sample)
         assert rep.excluded == 3
@@ -89,16 +77,14 @@ class TestVerify:
         assert rep.passed
 
     def test_empty_after_exclusions(self, r2):
-        cond = GrCondition(name="inv", chart=r2)
-        cond.add_exprs([("r", const(1) / x)])
+        cond = _condition("inv", ("r", const(1) / x))
         sample = SampleSet.grid([(0, 0), (0, 1)], 2)  # every point has x = 0
         with pytest.raises(EmptySampleSet):
             verify(cond, sample)
 
     def test_nan_residual_fails(self, r2):
         # abs(nan) > linf is False, so a plain running max would pass this
-        cond = GrCondition(name="nan", chart=r2)
-        cond.add_exprs([("r", x * float("nan"))])
+        cond = _condition("nan", ("r", x * float("nan")))
         rep = verify(cond, SampleSet.random_box([(-1, 1), (-1, 1)], 20, seed=1))
         assert rep.passed is False
         assert math.isnan(rep.norms["r"]["linf"]) and math.isnan(rep.linf)
@@ -106,8 +92,7 @@ class TestVerify:
     @pytest.mark.parametrize("tol", [math.inf, -math.inf, math.nan])
     def test_non_finite_tolerance_is_an_error(self, r2, tol):
         # an infinite residual would pass an infinite tolerance; NaN passes nothing
-        cond = GrCondition(name="inf", chart=r2)
-        cond.add_exprs([("r", x * 1e300 * 1e300)])
+        cond = _condition("inf", ("r", x * 1e300 * 1e300))
         with pytest.raises(DomainError, match="tolerance must be finite"):
             verify(cond, SampleSet.random_box([(-1, 1), (-1, 1)], 5, seed=1), tol)
 
@@ -137,55 +122,54 @@ class TestVerify:
 class TestCondition:
     def test_add_valued_prefix(self, r2):
         vf = scalar_valued(form(r2, 1, {(0,): x}))
-        cond = GrCondition(name="p", chart=r2)
-        cond.add_valued(vf, prefix="flux")
+        cond = _condition("p", ("flux", vf))
         assert cond.labels() == ["flux"]
 
+    def test_valued_slices_go_under_the_label(self, r2):
+        space = ValueSpace(labels=("e1", "e2"))
+        vf = ValuedForm(r2, 1, COV, space, {((1,), "e1"): x, ((0,), "e2"): y})
+        assert _condition("own", ("", vf)).labels() == ["e1", "e2"]
+        cond = _condition("prefixed", ("d.", vf))
+        assert cond.labels() == ["d.e1", "d.e2"]
+        assert [idx for comps in cond.residuals.values() for idx, _e in comps] \
+            == [(1,), (0,)]
+
     def test_multiple_labels_ordered(self, r2):
-        cond = GrCondition(name="m", chart=r2)
-        cond.add_exprs([("b", x), ("a", y)])
+        cond = _condition("m", ("b", x), ("a", y))
         assert cond.labels() == ["b", "a"]
         vals = cond.residual((1.0, 2.0))
         assert vals == {"b": [1.0], "a": [2.0]}
 
+    def test_same_label_appends(self, r2):
+        cond = _condition("m", ("a", x), ("b", 2.0), ("a", y))
+        assert cond.residual((1.0, 3.0)) == {"a": [1.0, 3.0], "b": [2.0]}
 
-def test_pairing_is_bind_without_the_condition(r2):
-    from grs.engine import pairing
+
+def test_add_keeps_the_paired_components(r2):
     sigma = scalar_valued(form(r2, 0, {(): x * y}))
-    sigma_tilde = _scalar_section(r2, sin(x))
-    paired = pairing("scalar_multiply", PhiMap.function_product(), sigma,
-                     exterior_d(sigma_tilde))
-    cond = bind("c", r2, "scalar_multiply", PhiMap.function_product(), exterior_d,
-                sigma, sigma_tilde)
+    paired = _pair(scalar_multiply, sigma, exterior_d(_scalar_section(r2, sin(x))))
+    cond = _condition("c", ("", paired))
     assert [repr(e) for _idx, e in sorted(paired.label_slice("1").components.items())] \
         == [repr(e) for e in cond.roots()]
-    with pytest.raises(UnknownOperator):
-        pairing("nope", PhiMap.function_product(), sigma, sigma_tilde)
 
 
 class TestShapeErrorsWithEmptySlices:
     """A degree or variance mismatch raises at bind time even when a slice is empty."""
 
     def test_wedge_with_empty_d_alpha(self):
-        from grs.engine import pairing
-        from grs.errors import DegreeError
         r3 = Chart(("x", "y", "z"), MetricSpec.diagonal([1, 1, 1]))
         sigma = scalar_valued(form(r3, 2, {(0, 1): x}))
         d_alpha = exterior_d(scalar_valued(form(r3, 1, {(2,): const(1.0)})))
         assert not d_alpha.components
         with pytest.raises(DegreeError):
-            pairing("wedge", PhiMap.function_product(), sigma, d_alpha)
+            _pair(wedge, sigma, d_alpha)
 
     def test_scalar_multiply_with_empty_one_form(self, r2):
-        from grs.errors import DegreeError
         sigma = scalar_valued(form(r2, 1, {}))
         with pytest.raises(DegreeError):
-            bind("c", r2, "scalar_multiply", PhiMap.function_product(), exterior_d,
-                 sigma, _scalar_section(r2, x * y))
+            _pair(scalar_multiply, sigma, exterior_d(_scalar_section(r2, x * y)))
 
     def test_empty_pairing_keeps_the_result_degree(self, r2):
-        from grs.engine import pairing
         sigma = scalar_valued(form(r2, 0, {}))
-        paired = pairing("scalar_multiply", PhiMap.function_product(), sigma,
-                         exterior_d(_scalar_section(r2, x)))
+        paired = _pair(scalar_multiply, sigma, exterior_d(_scalar_section(r2, x)))
         assert paired.degree == 1 and not paired.components

@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from grs.catalog import build, catalog_ids, fixtures, schwarzschild_chart
 from grs.engine import GrCondition, verify
 from grs.errors import DomainError, EvalSingularity
-from grs.exterior import Chart, MetricSpec
 from grs.scalar import (
     Add, Bump, Const, Coord, Cos, Div, Exp, Mul, Neg, Pow, Program, SampleSet,
     Sin, Sqrt, Sub, coord, exp, sin, sqrt,
@@ -170,11 +169,10 @@ def test_program_has_one_op_per_distinct_subtree():
 
 
 def test_singular_and_out_of_domain_point_is_excluded():
-    r1 = Chart(("x",), MetricSpec.diagonal([1]))
     x = coord(0)
-    cond = GrCondition(name="both", chart=r1)
+    cond = GrCondition(name="both")
     # at x = -1: sqrt(-1) is out of domain and 1/(x + 1) is singular
-    cond.add_exprs([("r", sqrt(x) + 1 / (x + 1))])
+    cond.add("r", sqrt(x) + 1 / (x + 1))
     assert _outcome(cond.roots(), (-1.0,)) is DomainError
     rep = verify(cond, SampleSet.grid([(-1, 1)], 3), tol=2.0)
     assert rep.excluded == 1 and rep.evaluated == 2
@@ -184,11 +182,10 @@ def test_singular_and_out_of_domain_point_is_excluded():
 
 def test_blocked_reduction_matches_point_at_a_time():
     """Norms and worst point over several blocks equal a sequential fold."""
-    r2 = Chart(("x", "y"), MetricSpec.diagonal([1, 1]))
     x, y = coord(0), coord(1)
-    cond = GrCondition(name="blocks", chart=r2)
-    cond.add_exprs([("a", sin(3 * x) * y), ("a", exp(-x * y)),
-                    ("b", 1 / x)])
+    cond = GrCondition(name="blocks")
+    for label, e in [("a", sin(3 * x) * y), ("a", exp(-x * y)), ("b", 1 / x)]:
+        cond.add(label, e)
     # 17 x 201 = 3,417 points in four blocks; the 201 with x = 0 are singular
     sample = SampleSet.grid([(-2, 2), (-1, 1)], (17, 201))
     rep = verify(cond, sample, tol=1e-9)

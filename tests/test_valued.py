@@ -147,6 +147,13 @@ class TestValuedForm:
         with pytest.raises(DegreeError):
             a + b
 
+    def test_add_space_mismatch(self, r3, V3):
+        # a source term on other labels than the paired residual
+        a = ValuedForm(r3, 1, COV, V3, {((0,), "e1"): 1.0})
+        b = ValuedForm(r3, 1, COV, ValueSpace(labels=("a", "b")), {((0,), "a"): 1.0})
+        with pytest.raises(DimensionError, match="different spaces"):
+            a + b
+
     def test_scalar_valued_wrapper(self, r3):
         a = form(r3, 1, {(1,): 3.0})
         vf = scalar_valued(a)
