@@ -47,7 +47,6 @@ from .exterior import (
     form,
     hodge,
     interior,
-    metric_pairing,
     multivector,
     musical_tilde,
     sort_sign,

@@ -28,9 +28,8 @@ from .diffops import (
     d_form,
     dirac_residual,
     exterior_d,
-    lie_bracket,
-    apply_projection,
     nabla_X,
+    projected_lie,
     ricci,
     schrodinger_residual,
 )
@@ -56,15 +55,14 @@ from .exterior import (
     inverse_expr,
     multivector,
     musical_tilde,
-    scalar_multiply,
     wedge,
 )
 from .scalar import (
-    Const, Expr, SampleSet, ZERO, as_expr, bump, const, coord, cos, exp, is_zero, sin,
+    Const, Expr, SampleSet, ZERO, _const_val, as_expr, bump, const, coord, cos, exp, is_zero,
+    sin,
 )
 from .valued import (
     PhiMap,
-    SCALAR_SPACE,
     ValueSpace,
     ValuedForm,
     lift_pointwise,
@@ -128,11 +126,6 @@ def vector_as_multivector(chart: Chart, v: Sequence[Expr]) -> AlternatingTensor:
     return AlternatingTensor(chart, CONTRA, 1, comp)
 
 
-def lower_index(chart: Chart, v: Sequence[Expr]) -> AlternatingTensor:
-    """1-form g_mn v^n from a vector field."""
-    return musical_tilde(vector_as_multivector(chart, v))
-
-
 def pair_space() -> ValueSpace:
     return ValueSpace(labels=("e1", "e2"))
 
@@ -140,10 +133,6 @@ def pair_space() -> ValueSpace:
 def field_pair(chart: Chart, F: AlternatingTensor) -> ValuedForm:
     """Omega = F (x) e1 + *F (x) e2."""
     return ValuedForm.from_slices(pair_space(), [F, hodge(F)], variance=COV)
-
-
-def levi_civita(chart: Chart):
-    return christoffels_from_metric(chart.metric)
 
 
 def _normalize_pi(pi, n: int):
@@ -237,7 +226,6 @@ SPINOR = Kind("spinor", "a C^4-valued 0-form or 4 fields", lambda v, _c: (
 PROJECTION = Kind("projection", "a projection (a diagonal list or a matrix)",
                   lambda v, _c: isinstance(v, (list, tuple)) and len(v) > 0)
 REAL = Kind("real", "a real number", _is_real, lambda v, _c: _real_value(v))
-FLAG = Kind("flag", "a real number (0 is off)", _is_real, lambda v, _c: _real_value(v))
 SIGN = Kind("-1|1", "-1 or 1", lambda v, _c: _real_value(v) in (-1.0, 1.0),
             lambda v, _c: int(_real_value(v)))
 PHI_CHOICE = Kind("|".join(_PHI_VALUE_CHOICES), "one of " + ", ".join(_PHI_VALUE_CHOICES),
@@ -253,20 +241,15 @@ PHI_CHOICE = Kind("|".join(_PHI_VALUE_CHOICES), "one of " + ", ".join(_PHI_VALUE
 # filed under ``label + E`` (a scalar form's one slice under ``label``;
 # "" keeps the slice labels).  ``build`` adds the pairs in order to the
 # one condition it makes for the entry, named by the entry's id.
+#
+# Entries whose section is sigma = 1 return D psi itself: phi(1, E_j) = E_j,
+# so the pairing Phi(1, D psi) is D psi.
 
 
 def _along(chart, X, alpha: ValuedForm) -> ValuedForm:
     """i(X) alpha for a vector X."""
     sigma = scalar_valued(vector_as_multivector(chart, X))
     return lift_pointwise(interior, PhiMap.function_product(), sigma, alpha)
-
-
-def _unit_paired(chart, d_psi: ValuedForm) -> ValuedForm:
-    """1 . D psi through phi(1, E_j) = E_j, the unit section's trivial action."""
-    space = d_psi.space
-    unit = scalar_valued(form(chart, 0, {(): const(1.0)}))
-    return lift_pointwise(scalar_multiply, PhiMap(SCALAR_SPACE, space, space,
-                                                  lambda i, j: {j: 1.0}), unit, d_psi)
 
 
 def _first_integral(chart, X: VECTOR, f: FIELD):
@@ -284,15 +267,11 @@ def _absolute_invariant(chart, X: VECTOR, alpha: FORM):
 
 def _check_nondegenerate(chart, omega: AlternatingTensor):
     rows = _omega_matrix(omega)
-    consts = [[_const_or_none(v) for v in row] for row in rows]
+    consts = [[_const_val(v) for v in row] for row in rows]
     if any(c is None for row in consts for c in row):
         return  # position-dependent entries: degeneracy surfaces at evaluation
     if abs(determinant(consts)) < 1e-12:
         raise DegenerateFormError("symplectic candidate is degenerate")
-
-
-def _const_or_none(e):
-    return e.value if isinstance(e, Const) else None
 
 
 def _omega_matrix(omega: AlternatingTensor):
@@ -306,13 +285,13 @@ def _omega_matrix(omega: AlternatingTensor):
 
 def _symplectic_closed(chart, omega: TWO_FORM):
     _check_nondegenerate(chart, omega)
-    return [("", _unit_paired(chart, exterior_d(scalar_valued(omega))))]
+    return [("", exterior_d(scalar_valued(omega)))]
 
 
 def _hamiltonian_field(chart, omega: TWO_FORM, X: VECTOR):
     _check_nondegenerate(chart, omega)
     ixo = interior(vector_as_multivector(chart, X), omega)
-    return [("", _unit_paired(chart, exterior_d(scalar_valued(ixo))))]
+    return [("", exterior_d(scalar_valued(ixo)))]
 
 
 # first_integral along Z of the bracket s = omega^-1(alpha, beta)
@@ -334,7 +313,7 @@ def _frobenius_vector(chart, *fields: VECTOR, pi: PROJECTION = None):
     items = []
     for a in range(len(fields)):
         for b in range(a + 1, len(fields)):
-            res = apply_projection(pi, lie_bracket(fields[a], fields[b]))
+            res = projected_lie(pi, fields[a])(fields[b])
             for mu, e in enumerate(res):
                 items.append((f"[{a + 1},{b + 1}].{chart.coord_names[mu]}", e))
     return items
@@ -355,15 +334,16 @@ def _frobenius_pfaff(chart, *forms: ONE_FORM):
 
 # a Levi-Civita derivative of vector components, not of a form
 def _nabla_parallel(chart, X: VECTOR, sigma: VECTOR):
-    return list(zip(chart.coord_names, nabla_X(levi_civita(chart), X, sigma)))
+    gamma = christoffels_from_metric(chart.metric)
+    return list(zip(chart.coord_names, nabla_X(gamma, X, sigma)))
 
 
-# through PhiMap.endomorphism every label Pi kills would still report an
-# (empty) norm
+# Pi applied to the slices directly: a value-level pairing would still
+# report an (empty) norm for every label Pi kills
 def _theta_pi_parallel(chart, psi: VALUED_FORM, theta: MULTIVECTOR, pi: PROJECTION):
     dpsi = exterior_d(psi)
     r = psi.space.dim
-    pim = [[_const_or_none(v) for v in row] for row in _normalize_pi(pi, r)]
+    pim = [[_const_val(v) for v in row] for row in _normalize_pi(pi, r)]
     if any(c is None for row in pim for c in row):
         raise ParameterError("pi entries must be constant numbers")
     slices = [interior(theta, s) for s in dpsi.slices()]
@@ -385,13 +365,13 @@ def _autoparallel_vector(chart, u: VECTOR):
 
 
 def _null_autoparallel(chart, u: VECTOR):
-    u_form = scalar_valued(lower_index(chart, u))
+    u_form = scalar_valued(musical_tilde(vector_as_multivector(chart, u)))
     return [("u.du", _along(chart, u, exterior_d(u_form))), ("null_norm", _along(chart, u, u_form))]
 
 
 # divergences with Christoffel terms, not an exterior derivative
 def _mass_energy(chart, u: VECTOR, rho: FIELD):
-    gamma = levi_civita(chart)
+    gamma = christoffels_from_metric(chart.metric)
     n = chart.dim
 
     def divergence(vec):
@@ -415,13 +395,13 @@ def _mass_energy(chart, u: VECTOR, rho: FIELD):
 
 
 def _maxwell_vacuum(chart, F: TWO_FORM):
-    return [("", _unit_paired(chart, exterior_d(field_pair(chart, F))))]
+    return [("", exterior_d(field_pair(chart, F)))]
 
 
 def _maxwell_currents(chart, F: TWO_FORM, m_current: THREE_FORM, j_current: THREE_FORM):
     omega = field_pair(chart, F)
     rhs = ValuedForm.from_slices(omega.space, [m_current, j_current], variance=COV)
-    return [("", _unit_paired(chart, exterior_d(omega)) + rhs.scale(-1.0))]
+    return [("", exterior_d(omega) + rhs.scale(-1.0))]
 
 
 def _ext_maxwell_vacuum(chart, F: TWO_FORM):
@@ -431,14 +411,13 @@ def _ext_maxwell_vacuum(chart, F: TWO_FORM):
 
 
 def _ext_maxwell_currents(chart, F: TWO_FORM, J1: ONE_FORM, J2: ONE_FORM, J3: ONE_FORM,
-                          J4: ONE_FORM, symmetrized_rhs: FLAG = 0):
+                          J4: ONE_FORM):
     omega = field_pair(chart, F)
     Fs = hodge(F)
     it = interior_after_tilde
     sym = PhiMap.symmetrized_product(omega.space)
     rhs = ValuedForm.from_slices(
-        sym.target, [it(J1, F), it(J3, F) + it(J4, Fs), it(J2, Fs if symmetrized_rhs else F)],
-        variance=COV)
+        sym.target, [it(J1, F), it(J3, F) + it(J4, Fs), it(J2, F)], variance=COV)
     return [("", lift_pointwise(it, sym, omega, exterior_d(omega)) + rhs.scale(-1.0))]
 
 
@@ -457,16 +436,16 @@ def _pfaff_currents(chart, J1: ONE_FORM, J2: ONE_FORM, J3: ONE_FORM, J4: ONE_FOR
 def _yang_mills(chart, omega: CONNECTION):
     star = ValuedForm.from_slices(omega.space, [hodge(s) for s in curvature(omega).slices()],
                                   variance=COV)
-    return [("", _unit_paired(chart, covariant_D(ConnectionForm.from_omega(omega), star)))]
+    return [("", covariant_D(ConnectionForm.from_omega(omega), star))]
 
 
 def _bianchi(chart, omega: CONNECTION, psi: VALUED_2FORM = None):
     psi = curvature(omega) if psi is None else psi
-    return [("", _unit_paired(chart, covariant_D(ConnectionForm.from_omega(omega), psi)))]
+    return [("", covariant_D(ConnectionForm.from_omega(omega), psi))]
 
 
 def _ext_ym(phi_name: str, psi, omega):
-    conn = ConnectionForm.trivial() if omega is None else ConnectionForm.from_omega(omega)
+    conn = ConnectionForm() if omega is None else ConnectionForm.from_omega(omega)
     return [("", lift_pointwise(interior_after_tilde, _PHI_VALUE_CHOICES[phi_name](psi.space),
                                 psi, covariant_D(conn, psi)))]
 

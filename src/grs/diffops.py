@@ -81,10 +81,6 @@ class ConnectionForm:
     omega: Optional[ValuedForm] = None
 
     @staticmethod
-    def trivial() -> "ConnectionForm":
-        return ConnectionForm()
-
-    @staticmethod
     def from_omega(omega: ValuedForm) -> "ConnectionForm":
         if omega.degree != 1:
             raise DegreeError("connection form must have degree 1")

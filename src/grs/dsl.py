@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
@@ -20,7 +20,7 @@ from .engine import DEFAULT_TOL, GrCondition
 from .errors import GrsError
 from .exterior import CONTRA, COV, AlternatingTensor, Chart, MetricSpec, sort_sign
 from .scalar import Expr, SampleSet, ZERO, bump, const, coord, cos, exp, sin, sqrt
-from .valued import LieStructure, ValueSpace, ValuedForm, abelian
+from .valued import LieStructure, ValueSpace, ValuedForm, abelian, validate_lie
 
 KEYWORDS = {
     "chart", "metric", "diag", "matrix", "field", "form", "vector",
@@ -99,21 +99,21 @@ def tokenize(text: str) -> Tuple[List[Token], List[Diagnostic]]:
                 toks.append(Token("IDENT", raw[i:j], ln, col))
                 i = j
                 continue
-            if c.isdigit() or (c == "." and i + 1 < n and raw[i + 1].isdigit()):
+            if c.isdecimal() or (c == "." and i + 1 < n and raw[i + 1].isdecimal()):
                 j = i
-                while j < n and raw[j].isdigit():
+                while j < n and raw[j].isdecimal():
                     j += 1
                 if j < n and raw[j] == "." and not raw[j:j + 2] == "..":
                     j += 1
-                    while j < n and raw[j].isdigit():
+                    while j < n and raw[j].isdecimal():
                         j += 1
                 if j < n and raw[j] in "eE":
                     k = j + 1
                     if k < n and raw[k] in "+-":
                         k += 1
-                    if k < n and raw[k].isdigit():
+                    if k < n and raw[k].isdecimal():
                         j = k
-                        while j < n and raw[j].isdigit():
+                        while j < n and raw[j].isdecimal():
                             j += 1
                 toks.append(Token("NUMBER", raw[i:j], ln, col))
                 i = j
@@ -972,12 +972,24 @@ class _Binder:
             self.fail("algebra dimension must be >= 1", st.line)
         labels = tuple(f"e{k + 1}" for k in range(st.dim))
         if st.brackets:
-            for i, j, k, _v in st.brackets:
+            for i, j, k, v in st.brackets:
                 if not all(1 <= a <= st.dim for a in (i, j, k)):
                     self.fail("bracket indices are 1-based and must be <= dim",
                               st.line)
-            lie = LieStructure.from_triples(
-                st.dim, [(i - 1, j - 1, k - 1, v) for i, j, k, v in st.brackets])
+                # inf makes the Jacobi sums NaN, which validate_lie lets through
+                if not math.isfinite(v):
+                    self.fail(f"bracket value must be finite, got {v!r}", st.line)
+            triples = [(i - 1, j - 1, k - 1, v) for i, j, k, v in st.brackets]
+            lie = LieStructure.from_triples(st.dim, triples)
+            # the Jacobi sums are quadratic in C: test C / max|C| at a fixed tolerance
+            cmax = max(abs(t[3]) for t in triples) or 1.0
+            check = validate_lie(LieStructure.from_triples(
+                st.dim, [(i, j, k, v / cmax) for i, j, k, v in triples]))
+            for what, bad in (("antisymmetry", check.antisymmetry_violation),
+                              ("the Jacobi identity", check.jacobi_violation)):
+                if bad is not None:
+                    self.fail(f"brackets break {what} at indices "
+                              f"({', '.join(str(t + 1) for t in bad)})", st.line)
         else:
             lie = abelian(st.dim)
         self.spaces[st.name] = ValueSpace(labels=labels, lie=lie)

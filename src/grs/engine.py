@@ -6,6 +6,9 @@ per (value label, form component).  ``verify`` compiles all of a
 condition's trees into one deduplicated ``Program`` and evaluates it over
 fixed blocks of ``BLOCK_ROWS`` sample points, reducing each block into
 running norms, so memory does not grow with the number of points.
+A condition's values at chosen points come from the same compiler:
+``Program(cond.roots()).at(points)``, one row per component in label
+order.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -54,12 +57,6 @@ class GrCondition:
     def roots(self) -> List[Expr]:
         """Every residual component, label by label."""
         return [e for comps in self.residuals.values() for _idx, e in comps]
-
-    def residual(self, pt: Sequence[float]) -> Dict[str, List[complex]]:
-        """Labeled residual component values at one sample point."""
-        values = iter(Program(self.roots()).at([pt])[:, 0].tolist())
-        return {label: [next(values) for _ in comps]
-                for label, comps in self.residuals.items()}
 
 
 @dataclass

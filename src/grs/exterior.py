@@ -26,14 +26,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
-from .errors import (
-    DegreeError,
-    DimensionError,
-    EvalSingularity,
-    SingularMetricError,
-    VarianceError,
-)
-from .scalar import Expr, Program, as_expr, is_zero, sqrt
+from .errors import DegreeError, DimensionError, SingularMetricError, VarianceError
+from .scalar import Expr, as_expr, is_zero, sqrt
 
 COV = "covariant"
 CONTRA = "contravariant"
@@ -122,16 +116,6 @@ class MetricSpec:
             d = determinant(self.rows)
             self._sqrt_abs_det = sqrt(sqrt(d * d))
         return self._sqrt_abs_det
-
-    def inverse_at(self, pt: Sequence[float]):
-        """g^-1 at one point, evaluated from ``inverse_entries``, as an
-        n x n complex array; a singular point raises SingularMetricError."""
-        entries = [as_expr(e) for row in self.inverse_entries() for e in row]
-        try:
-            values = Program(entries).at([pt])
-        except EvalSingularity as e:
-            raise SingularMetricError(f"metric singular at {tuple(pt)}") from e
-        return values.reshape(self.dim, self.dim)
 
 
 def determinant(rows):
@@ -347,15 +331,13 @@ def _pairing_det(ginv_rows, I: MultiIndex, J: MultiIndex):
     return determinant([[ginv_rows[i][j] for j in J] for i in I])
 
 
-def hodge(w: AlternatingTensor, at: Optional[Sequence[float]] = None) -> AlternatingTensor:
+def hodge(w: AlternatingTensor) -> AlternatingTensor:
     """Hodge star defined by alpha ^ *beta = <alpha, beta>_g vol.
 
     Built symbolically from g^-1 and sqrt|det g| on any metric; on a
-    constant metric numeric components stay numeric.  ``at`` evaluates
-    the result at one point.
+    constant metric numeric components stay numeric.  ``ev`` on the
+    result evaluates it at one point.
     """
-    if at is not None:
-        return hodge(w).ev(at)
     if w.variance != COV:
         raise VarianceError("hodge acts on forms")
     chart = w.chart
@@ -401,25 +383,6 @@ def musical_tilde(w: AlternatingTensor) -> AlternatingTensor:
         if total is not None and not is_zero(total):
             out[J] = total
     return AlternatingTensor(chart, target, p, _prune(out))
-
-
-def metric_pairing(a: AlternatingTensor, b: AlternatingTensor):
-    """g^(mu nu) a_mu b_nu for two 1-forms."""
-    _check_same(a, b)
-    if a.degree != 1 or b.degree != 1:
-        raise DegreeError("metric pairing is defined for 1-forms")
-    if a.variance != COV or b.variance != COV:
-        raise VarianceError("metric pairing acts on covariant 1-forms")
-    rows = a.chart.metric.inverse_entries()
-    total = as_expr(0.0) if _has_expr(a) or _has_expr(b) else 0.0
-    for (i,), va in a.components.items():
-        for (j,), vb in b.components.items():
-            total = total + rows[i][j] * va * vb
-    return total
-
-
-def _has_expr(t: AlternatingTensor) -> bool:
-    return any(isinstance(v, Expr) for v in t.components.values())
 
 
 def volume_form(chart: Chart) -> AlternatingTensor:

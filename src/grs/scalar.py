@@ -57,15 +57,15 @@ class Expr:
     ``_diff(axis)`` is the node's differentiation rule; it reaches its
     children's derivatives through ``diff``, which caches each result in
     the node's ``_d`` slot (axis -> derivative).  The tree is immutable,
-    so the cache is always valid.  The cache slots ``_prog`` and ``_d``
-    are underscore-prefixed because they are not part of the node's
-    structure: the public slots are.
+    so the cache is always valid.  The cache slot ``_d`` is
+    underscore-prefixed because it is not part of the node's structure:
+    the public slots are.
     ``_parts`` returns (children, hashable non-node fields): together with
     the node type this is the structural key ``Program`` merges on.
     ``_eval(blk, param, *child_values)`` computes the node over a block.
     """
 
-    __slots__ = ("_prog", "_d")
+    __slots__ = ("_d",)
 
     def diff(self, axis: int) -> "Expr":
         """Exact partial derivative along a 0-based coordinate axis."""
@@ -98,11 +98,9 @@ class Expr:
         raise NotImplementedError
 
     def ev(self, coords: Sequence[float]) -> complex:
-        """Evaluate at a sample point (sequence of reals)."""
-        prog = getattr(self, "_prog", None)
-        if prog is None:
-            prog = self._prog = Program([self])
-        return complex(prog.at([coords])[0, 0])
+        """Evaluate at a sample point (sequence of reals), compiling a
+        one-root ``Program`` on each call."""
+        return complex(Program([self]).at([coords])[0, 0])
 
     # arithmetic sugar; everything funnels through the folding constructors
     def __add__(self, other):

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .errors import DegreeError, DimensionError
 from .exterior import COV, AlternatingTensor, Chart, MultiIndex, zero_tensor
 from .scalar import Expr, as_expr, is_zero
@@ -106,11 +104,7 @@ class ValueSpace:
         return self.labels.index(label)
 
 
-def scalar_space() -> ValueSpace:
-    return ValueSpace(labels=("1",))
-
-
-SCALAR_SPACE = scalar_space()
+SCALAR_SPACE = ValueSpace(labels=("1",))
 
 
 def sym_space(base: ValueSpace) -> ValueSpace:
@@ -205,35 +199,6 @@ class PhiMap:
     @staticmethod
     def diagonal(space: ValueSpace) -> "PhiMap":
         return PhiMap(space, space, space, lambda i, j: {i: 1.0} if i == j else {})
-
-    @staticmethod
-    def endomorphism(space: ValueSpace, matrix) -> "PhiMap":
-        """phi(Pi, E_i) = Pi(E_i); the endomorphism is fixed, so the map is
-        used with a dummy 1-dimensional first slot."""
-        m = np.asarray(matrix, dtype=complex)
-        if m.shape != (space.dim, space.dim):
-            raise DimensionError("endomorphism matrix shape mismatch")
-
-        def act(_i, j):
-            return {k: m[k, j] for k in range(space.dim) if m[k, j] != 0}
-
-        return PhiMap(SCALAR_SPACE, space, space, act)
-
-
-def apply_phi(m: PhiMap, a: Sequence, b: Sequence) -> list:
-    """Apply the bilinear map to coefficient vectors on the source bases."""
-    if len(a) != m.source1.dim or len(b) != m.source2.dim:
-        raise DimensionError("coefficient vector length mismatch")
-    out = [0.0 + 0.0j] * m.target.dim
-    for i, va in enumerate(a):
-        if is_zero(va):
-            continue
-        for j, vb in enumerate(b):
-            if is_zero(vb):
-                continue
-            for k, c in m.basis_action(i, j).items():
-                out[k] = out[k] + c * va * vb
-    return out
 
 
 @dataclass

@@ -91,6 +91,8 @@ def test_signatures_are_rendered_from_the_schema():
     assert get_entry("frobenius_vector").signature == "fields: vector..., [pi: projection]"
     assert get_entry("dirac").signature == (
         "psi: spinor, [m: real = 1.0], [sign: -1|1 = -1], [A: 1-form], [e: real = 0.0]")
+    assert get_entry("ext_maxwell_currents").signature == (
+        "F: 2-form, J1: 1-form, J2: 1-form, J3: 1-form, J4: 1-form")
     assert get_entry("ricci_flat").params == ()
     for cid in ALL_IDS:
         for p in get_entry(cid).params:

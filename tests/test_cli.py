@@ -213,6 +213,24 @@ class TestVerify:
         assert main(["verify", str(p)]) == 2
         assert "not symmetric" in capsys.readouterr().err
 
+    def test_superscript_digit_exits_two(self, tmp_path, capsys):
+        p = tmp_path / "sup.grs"
+        p.write_text(PASSING_SPEC.replace("field r2 = x^2", "field r2 = 2\u00b2 * x^2"))
+        assert main(["verify", str(p)]) == 2
+        assert "unexpected character '\u00b2'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("brackets", ["(1, 2, 3, 1e400)", "(1, 2, 3, 1) (1, 1, 2, 1)"])
+    def test_algebra_that_is_no_lie_algebra_exits_two(self, tmp_path, brackets, capsys):
+        p = tmp_path / "alg.grs"
+        p.write_text("chart R3 (x, y, z) metric diag(1, 1, 1)\n"
+                     f"algebra g dim 3 bracket {brackets}\n"
+                     "form a : 1 values g = x * dy @ e1 + y * dz @ e2\n"
+                     "check bianchi(a) on random(-2..2, -2..2, -2..2; 20, seed 1)\n")
+        assert main(["verify", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "(line 2, col 1)" in captured.err.splitlines()[0]
+
     def test_negative_seed_override_exits_two(self, passing_spec, capsys):
         assert main(["verify", passing_spec, "--seed", "-1"]) == 2
         assert "seed" in capsys.readouterr().err
@@ -381,6 +399,13 @@ class TestEval:
     def test_overflowing_constant_power_is_infinite(self, expr, printed, capsys):
         assert main(["eval", expr, "--at", "x=1"]) == 0
         assert capsys.readouterr().out == f"{printed}\n"
+
+    def test_superscript_digit_exits_two(self, capsys):
+        assert main(["eval", "x * \u00b2", "--at", "x=1"]) == 2
+        assert "unexpected character '\u00b2'" in capsys.readouterr().err
+        # other decimal digits still read as numbers: Arabic-Indic three
+        assert main(["eval", "1\u0663 * x", "--at", "x=1"]) == 0
+        assert capsys.readouterr().out == "13.0\n"
 
     def test_singularity_reported(self, capsys):
         assert main(["eval", "1 / x", "--at", "x=0"]) == 2

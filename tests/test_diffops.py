@@ -85,7 +85,7 @@ class TestExteriorDerivative:
 class TestCovariantD:
     def test_trivial_is_d(self, r3, V3):
         vf = ValuedForm(r3, 0, COV, V3, {((), "e2"): x * y})
-        a = covariant_D(ConnectionForm.trivial(), vf)
+        a = covariant_D(ConnectionForm(), vf)
         b = exterior_d(vf)
         assert a.components.keys() == b.components.keys()
 

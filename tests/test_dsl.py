@@ -245,6 +245,24 @@ class TestBinder:
         assert [(d.message, d.line, d.column) for d in diags] == [
             (f"{what} must be a whole number", 2, col)]
 
+    @pytest.mark.parametrize("brackets, message", [
+        ("(1, 2, 3, 1e400)", "bracket value must be finite, got inf"),
+        ("(1, 2, 3, 1) (1, 1, 2, 1)", "brackets break antisymmetry at indices (1, 1, 2)"),
+        ("(1, 2, 1, 1) (1, 3, 2, 1)",
+         "brackets break the Jacobi identity at indices (1, 2, 3)"),
+    ])
+    def test_algebra_must_be_a_lie_algebra(self, brackets, message):
+        _, diags = self._load("chart R3 (x, y, z) metric diag(1, 1, 1)\n"
+                              f"algebra g dim 3 bracket {brackets}\n")
+        assert [(d.message, d.line) for d in diags] == [(message, 2)]
+
+    def test_large_structure_constants_bind(self):
+        # Jacobi sums of su2 scaled by 1e6 are of order 1e12: the check scales with them
+        _, diags = self._load(
+            "chart R3 (x, y, z) metric diag(1, 1, 1)\n"
+            "algebra su2 dim 3 bracket (1, 2, 3, 1e6) (2, 3, 1, 1e6) (3, 1, 2, 1e6)\n")
+        assert not diags
+
     def test_integers_in_exponent_form(self):
         checks, diags = self._load(
             "chart R3 (x, y, z) metric diag(1, 1, 1)\n"

@@ -1,0 +1,50 @@
+"""Every name a ``grs`` module imports is used in that module."""
+
+import ast
+from pathlib import Path
+
+import grs
+
+MODULES = sorted(p for p in Path(grs.__file__).parent.glob("*.py") if p.name != "__init__.py")
+
+
+def _imported(tree):
+    """(bound name, line) for each import outside ``from __future__``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                yield a.asname or a.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for a in node.names:
+                yield a.asname or a.name, node.lineno
+
+
+def _annotations(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.AnnAssign):
+            yield node.annotation
+        elif isinstance(node, ast.arg) and node.annotation is not None:
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            yield node.returns
+
+
+def _used(tree):
+    """Names read in the module, including those inside string annotations."""
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for ann in _annotations(tree):
+        for c in ast.walk(ann):
+            if isinstance(c, ast.Constant) and isinstance(c.value, str):
+                names |= _used(ast.parse(c.value, mode="eval"))
+    return names
+
+
+def test_every_import_is_used():
+    offenders = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        used = _used(tree)
+        offenders += [f"{path.name}:{line}: {name}" for name, line in _imported(tree)
+                      if name not in used]
+    print("\n".join(offenders))
+    assert not offenders, "unused imports:\n" + "\n".join(offenders)

@@ -10,7 +10,6 @@ from grs.valued import (
     ValueSpace,
     ValuedForm,
     abelian,
-    apply_phi,
     lift_pointwise,
     scalar_valued,
     su2,
@@ -70,10 +69,8 @@ class TestValueSpace:
 class TestPhiMap:
     def test_lie_bracket_matches_cross_product(self, V3):
         phi = PhiMap.lie_bracket(V3)
-        out = apply_phi(phi, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
-        assert out == [0.0, 0.0, 1.0]
-        out = apply_phi(phi, [0.0, 0.0, 1.0], [1.0, 0.0, 0.0])
-        assert out == [0.0, 1.0, 0.0]
+        assert phi.basis_action(0, 1) == {2: 1.0}
+        assert phi.basis_action(2, 0) == {1: 1.0}
 
     def test_lie_bracket_needs_structure(self):
         with pytest.raises(DimensionError):
@@ -82,39 +79,31 @@ class TestPhiMap:
     def test_symmetrized_product(self, V3):
         phi = PhiMap.symmetrized_product(V3)
         # e1 v e2 lands on the same target label in either order
-        a = apply_phi(phi, [1, 0, 0], [0, 1, 0])
-        b = apply_phi(phi, [0, 1, 0], [1, 0, 0])
-        assert a == b
-        assert sum(1 for v in a if v != 0) == 1
+        a = phi.basis_action(0, 1)
+        assert a == phi.basis_action(1, 0)
+        assert len(a) == 1
         assert phi.target.dim == 6
 
     def test_abstract_bracket_antisymmetry(self, V3):
         phi = PhiMap.abstract_bracket(V3)
-        a = apply_phi(phi, [1, 0, 0], [0, 0, 1])
-        b = apply_phi(phi, [0, 0, 1], [1, 0, 0])
-        assert a == [-v for v in b]
-        assert apply_phi(phi, [0, 1, 0], [0, 1, 0]) == [0, 0, 0]
+        a = phi.basis_action(0, 2)
+        assert a == {k: -c for k, c in phi.basis_action(2, 0).items()}
+        assert phi.basis_action(1, 1) == {}
 
     def test_diagonal(self, V3):
         phi = PhiMap.diagonal(V3)
-        assert apply_phi(phi, [2, 0, 0], [3, 0, 0]) == [6, 0, 0]
-        assert apply_phi(phi, [1, 0, 0], [0, 1, 0]) == [0, 0, 0]
+        assert phi.basis_action(0, 0) == {0: 1.0}
+        assert phi.basis_action(0, 1) == {}
 
     def test_function_product_requires_scalars(self, V3):
         with pytest.raises(DimensionError):
             PhiMap.function_product(V3)
 
-    def test_apply_phi_length_check(self, V3):
-        phi = PhiMap.lie_bracket(V3)
+    def test_first_slot_space_mismatch(self, r3, V3):
+        s = scalar_valued(form(r3, 1, {(0,): 1.0}))
+        B = ValuedForm(r3, 1, COV, V3, {((0,), "e2"): 1.0})
         with pytest.raises(DimensionError):
-            apply_phi(phi, [1.0], [0.0, 1.0, 0.0])
-
-    def test_endomorphism(self):
-        space = ValueSpace(labels=("a", "b"))
-        phi = PhiMap.endomorphism(space, [[0, 1], [1, 0]])
-        assert apply_phi(phi, [1.0], [2.0, 5.0]) == [5.0, 2.0]
-        with pytest.raises(DimensionError):
-            PhiMap.endomorphism(space, [[1.0]])
+            lift_pointwise(wedge, PhiMap.lie_bracket(V3), s, B)
 
 
 class TestValuedForm:
