@@ -59,7 +59,6 @@ from .valued import (
     ValueSpace,
     ValuedForm,
     abelian,
-    scalar_valued,
     su2,
     validate_lie,
 )

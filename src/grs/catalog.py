@@ -12,6 +12,7 @@ runs, the DSL binder maps positional arguments with it and
 """
 
 import inspect
+import math
 import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -66,7 +67,6 @@ from .valued import (
     ValueSpace,
     ValuedForm,
     lift_pointwise,
-    scalar_valued,
     su2,
 )
 
@@ -191,7 +191,8 @@ def _real_value(v) -> Optional[float]:
 
 
 def _is_real(v, _chart) -> bool:
-    return _real_value(v) is not None
+    v = _real_value(v)
+    return v is not None and math.isfinite(v)
 
 
 def _form_kind(degree: Optional[int] = None, valued: bool = False) -> Kind:
@@ -225,7 +226,7 @@ SPINOR = Kind("spinor", "a C^4-valued 0-form or 4 fields", lambda v, _c: (
     or isinstance(v, (list, tuple)) and len(v) == 4 and all(map(_is_scalar, v))))
 PROJECTION = Kind("projection", "a projection (a diagonal list or a matrix)",
                   lambda v, _c: isinstance(v, (list, tuple)) and len(v) > 0)
-REAL = Kind("real", "a real number", _is_real, lambda v, _c: _real_value(v))
+REAL = Kind("real", "a finite real number", _is_real, lambda v, _c: _real_value(v))
 SIGN = Kind("-1|1", "-1 or 1", lambda v, _c: _real_value(v) in (-1.0, 1.0),
             lambda v, _c: int(_real_value(v)))
 PHI_CHOICE = Kind("|".join(_PHI_VALUE_CHOICES), "one of " + ", ".join(_PHI_VALUE_CHOICES),
@@ -236,33 +237,28 @@ PHI_CHOICE = Kind("|".join(_PHI_VALUE_CHOICES), "one of " + ", ".join(_PHI_VALUE
 # entry builders
 #
 # Each builder's signature after ``chart`` is its entry's parameter schema.
-# A builder returns its residuals as (label, piece) pairs.  A piece is one
-# expression, filed under ``label``, or a valued form, whose slice E is
-# filed under ``label + E`` (a scalar form's one slice under ``label``;
-# "" keeps the slice labels).  ``build`` adds the pairs in order to the
-# one condition it makes for the entry, named by the entry's id.
+# A builder returns its residuals as (label, piece) pairs.  A piece is an
+# expression or a form, filed under ``label`` (a form under "1" if ``label``
+# is ""), or a valued form, whose slice E is filed under ``label + E``.
+# ``build`` adds the pairs in order to the one condition it makes for the
+# entry, named by the entry's id.
 #
 # Entries whose section is sigma = 1 return D psi itself: phi(1, E_j) = E_j,
-# so the pairing Phi(1, D psi) is D psi.
-
-
-def _along(chart, X, alpha: ValuedForm) -> ValuedForm:
-    """i(X) alpha for a vector X."""
-    sigma = scalar_valued(vector_as_multivector(chart, X))
-    return lift_pointwise(interior, PhiMap.function_product(), sigma, alpha)
+# so the pairing Phi(1, D psi) is D psi.  Entries on a one-dimensional value
+# space call the form-level map (interior, wedge, d) itself: phi(1, 1) = 1.
 
 
 def _first_integral(chart, X: VECTOR, f: FIELD):
-    return [("", _along(chart, X, exterior_d(scalar_valued(form(chart, 0, {(): f})))))]
+    return [("", interior(vector_as_multivector(chart, X), d_form(form(chart, 0, {(): f}))))]
 
 
 def _relative_invariant(chart, X: VECTOR, alpha: FORM):
-    return [("", _along(chart, X, exterior_d(scalar_valued(alpha))))]
+    return [("", interior(vector_as_multivector(chart, X), d_form(alpha)))]
 
 
 def _absolute_invariant(chart, X: VECTOR, alpha: FORM):
-    a = scalar_valued(alpha)
-    return [("relative", _along(chart, X, exterior_d(a))), ("algebraic", _along(chart, X, a))]
+    v = vector_as_multivector(chart, X)
+    return [("relative", interior(v, d_form(alpha))), ("algebraic", interior(v, alpha))]
 
 
 def _check_nondegenerate(chart, omega: AlternatingTensor):
@@ -285,13 +281,13 @@ def _omega_matrix(omega: AlternatingTensor):
 
 def _symplectic_closed(chart, omega: TWO_FORM):
     _check_nondegenerate(chart, omega)
-    return [("", exterior_d(scalar_valued(omega)))]
+    return [("", d_form(omega))]
 
 
 def _hamiltonian_field(chart, omega: TWO_FORM, X: VECTOR):
     _check_nondegenerate(chart, omega)
     ixo = interior(vector_as_multivector(chart, X), omega)
-    return [("", exterior_d(scalar_valued(ixo)))]
+    return [("", d_form(ixo))]
 
 
 # first_integral along Z of the bracket s = omega^-1(alpha, beta)
@@ -303,7 +299,8 @@ def _poisson_first_integrals(chart, omega: TWO_FORM, Z: VECTOR, alpha: ONE_FORM,
     for (i,), va in alpha.components.items():
         for (j,), vb in beta.components.items():
             s = s + winv[i][j] * as_expr(va) * as_expr(vb)
-    return [("bracket", _along(chart, Z, exterior_d(scalar_valued(form(chart, 0, {(): s})))))]
+    ds = d_form(form(chart, 0, {(): s}))
+    return [("bracket", interior(vector_as_multivector(chart, Z), ds))]
 
 
 # Lie brackets of vector fields, which no form-level map covers
@@ -325,11 +322,7 @@ def _frobenius_pfaff(chart, *forms: ONE_FORM):
     w = forms[0]
     for other in forms[1:]:
         w = wedge(w, other)
-    sigma = scalar_valued(w)
-    product = PhiMap.function_product()
-    return [(f"alpha{m + 1}", lift_pointwise(wedge, product, sigma,
-                                             exterior_d(scalar_valued(alpha))))
-            for m, alpha in enumerate(forms)]
+    return [(f"alpha{m + 1}", wedge(w, d_form(alpha))) for m, alpha in enumerate(forms)]
 
 
 # a Levi-Civita derivative of vector components, not of a form
@@ -351,7 +344,7 @@ def _theta_pi_parallel(chart, psi: VALUED_FORM, theta: MULTIVECTOR, pi: PROJECTI
     for j in range(r):
         terms = [slices[i].scale(c) for i, c in enumerate(pim[j]) if c != 0]
         if terms:
-            out.append((psi.space.labels[j], scalar_valued(sum(terms[1:], terms[0]))))
+            out.append((psi.space.labels[j], sum(terms[1:], terms[0])))
     return out
 
 
@@ -365,8 +358,9 @@ def _autoparallel_vector(chart, u: VECTOR):
 
 
 def _null_autoparallel(chart, u: VECTOR):
-    u_form = scalar_valued(musical_tilde(vector_as_multivector(chart, u)))
-    return [("u.du", _along(chart, u, exterior_d(u_form))), ("null_norm", _along(chart, u, u_form))]
+    v = vector_as_multivector(chart, u)
+    u_form = musical_tilde(v)
+    return [("u.du", interior(v, d_form(u_form))), ("null_norm", interior(v, u_form))]
 
 
 # divergences with Christoffel terms, not an exterior derivative
@@ -423,13 +417,11 @@ def _ext_maxwell_currents(chart, F: TWO_FORM, J1: ONE_FORM, J2: ONE_FORM, J3: ON
 
 def _pfaff_currents(chart, J1: ONE_FORM, J2: ONE_FORM, J3: ONE_FORM, J4: ONE_FORM):
     Js = (J1, J2, J3, J4)
-    product = PhiMap.function_product()
     out = []
     for a, Ja in enumerate(Js):
-        dJa = exterior_d(scalar_valued(Ja))
+        dJa = d_form(Ja)
         for b, Jb in enumerate(Js):
-            out.append((f"J{a + 1}|J{b + 1}",
-                        lift_pointwise(wedge, product, scalar_valued(wedge(Ja, Jb)), dJa)))
+            out.append((f"J{a + 1}|J{b + 1}", wedge(wedge(Ja, Jb), dJa)))
     return out
 
 

@@ -798,12 +798,17 @@ class BoundCheck:
     tol: float
 
 
+@dataclass(frozen=True)
+class _Rejected:  # in scope (chart, fields, objects, spaces) for a rejected declaration
+    kind: str
+    line: int
+
+
 class _Binder:
     def __init__(self, lines: List[str]):
         self.lines = lines
         self.diags: List[Diagnostic] = []
         self.chart: Optional[Chart] = None
-        self.chart_line = 0  # line of the last chart statement, bound or not
         self.coords: Tuple[str, ...] = ()  # coordinate names in scope
         self.fields: Dict[str, Expr] = {}
         self.objects: Dict[str, object] = {}  # forms, vectors, valued forms
@@ -819,6 +824,14 @@ class _Binder:
         self.report(msg, line)
         raise _Bail()
 
+    def _bound(self, value, line: int):
+        """``value``, or a note naming its rejected declaration and a bail."""
+        if isinstance(value, _Rejected):
+            self.report(f"not bound: the {value.kind} on line {value.line} was rejected",
+                        line, "note")
+            raise _Bail()
+        return value
+
     # --- expression binding
 
     def bind_expr(self, ast: ExprAst, line: int) -> Expr:
@@ -832,7 +845,7 @@ class _Binder:
             if ident in self.coords:
                 return coord(self.coords.index(ident))
             if ident in self.fields:
-                return self.fields[ident]
+                return self._bound(self.fields[ident], line)
             if ident == "i":
                 return const(1j)
             self.fail(f"unknown name {ident!r}", line)
@@ -863,10 +876,20 @@ class _Binder:
         for st in doc.statements:
             try:
                 self._stmt(st)
+                continue
             except GrsError as e:  # from any layer: an error on the statement's line
                 self.report(str(e), st.line)
             except _Bail:
-                continue
+                pass
+            # later uses of a rejected declaration get a note, not errors of their own
+            if isinstance(st, ChartStmt):
+                self.chart = _Rejected("chart", st.line)
+            elif isinstance(st, FieldStmt):
+                self.fields[st.name] = _Rejected("field", st.line)
+            elif isinstance(st, VFormStmt):
+                self.objects[st.name] = _Rejected(st.kind, st.line)
+            elif isinstance(st, AlgebraStmt):
+                self.spaces[st.name] = _Rejected("algebra", st.line)
 
     def _stmt(self, st: Statement) -> None:
         if isinstance(st, ChartStmt):
@@ -882,18 +905,14 @@ class _Binder:
             self._check(st)
 
     def _need_chart(self, line: int) -> Chart:
-        if self.chart is None and self.chart_line:
-            self.report(f"not bound: the chart on line {self.chart_line} was rejected",
-                        line, "note")
-            raise _Bail()
         if self.chart is None:
             self.fail("no chart declared yet", line)
-        return self.chart
+        return self._bound(self.chart, line)
 
     def _chart(self, st: ChartStmt) -> None:
         # a new chart starts a fresh scope for fields and geometry objects,
-        # and a rejected chart line leaves no chart for later statements
-        self.chart, self.chart_line, self.coords = None, st.line, st.coords
+        # rejected ones included; a rejected chart line leaves no chart
+        self.chart, self.coords = None, st.coords
         self.fields.clear()
         self.objects.clear()
         if st.metric_kind == "diag":
@@ -925,7 +944,7 @@ class _Binder:
             self.fail(f"degree {st.degree} is out of range on a {n}-chart", st.line)
         space = None
         if st.values is not None:
-            space = self.spaces.get(st.values)
+            space = self._bound(self.spaces.get(st.values), st.line)
             if space is None:
                 self.fail(f"unknown value space {st.values!r}", st.line)
         components: Dict[tuple, Expr] = {}
@@ -1000,9 +1019,9 @@ class _Binder:
         if isinstance(ast, Name):
             ident = ast.ident
             if ident in self.objects:
-                return self.objects[ident]
+                return self._bound(self.objects[ident], line)
             if ident in self.fields:
-                return self.fields[ident]
+                return self._bound(self.fields[ident], line)
             if param.kind.words:  # a bare word, e.g. phi=sym
                 return ident
         return self.bind_expr(ast, line)
@@ -1011,6 +1030,8 @@ class _Binder:
         """Map the arguments onto the entry's parameter schema: a vararg
         takes every positional argument, otherwise positional arguments
         fill the required parameters in order; the catalog checks kinds."""
+        if st.tol is not None and not math.isfinite(st.tol):
+            self.fail(f"tolerance must be finite, got {st.tol!r}", st.line)
         if st.tol is not None and st.tol <= 0:
             self.fail("tol must be positive", st.line)
         chart = self._need_chart(st.line)

@@ -1,8 +1,8 @@
 """Labeled residual conditions and their evaluation over sample sets.
 
-A ``GrCondition`` is filled in by ``add``, one labeled piece at a time; a
-catalog builder's pieces are already fully symbolic, one expression tree
-per (value label, form component).  ``verify`` compiles all of a
+A ``GrCondition`` is filled in by ``add``, one labeled piece (an expression,
+a form or a valued form) at a time; a catalog builder's pieces are already
+fully symbolic, one expression tree per component.  ``verify`` compiles all of a
 condition's trees into one deduplicated ``Program`` and evaluates it over
 fixed blocks of ``BLOCK_ROWS`` sample points, reducing each block into
 running norms, so memory does not grow with the number of points.
@@ -21,7 +21,7 @@ from typing import List, Optional, Tuple, Union
 import numpy as np
 
 from .errors import DomainError, EmptySampleSet
-from .exterior import MultiIndex
+from .exterior import AlternatingTensor, MultiIndex
 from .scalar import Expr, Program, SampleSet, as_expr, magnitude
 from .valued import ValuedForm
 
@@ -39,20 +39,22 @@ class GrCondition:
     def labels(self) -> List[str]:
         return list(self.residuals.keys())
 
-    def add(self, label: str, piece: Union[ValuedForm, Expr, complex]) -> None:
+    def add(self, label: str, piece: Union[ValuedForm, AlternatingTensor, Expr, complex]) -> None:
         """Append ``piece``'s components under ``label``.
 
-        An expression is one component.  A valued form's slice E goes under
-        ``label + E``; the scalar space's one slice "1" goes under ``label``
-        alone, or under "1" when ``label`` is empty.
+        An expression is one component.  A form's components go under
+        ``label``, or under "1" when ``label`` is empty.  A valued form's
+        slice E is a form filed under ``label + E``.
         """
-        if not isinstance(piece, ValuedForm):
+        if isinstance(piece, ValuedForm):
+            for lab in piece.space.labels:
+                self.add(label + lab, piece.label_slice(lab))
+        elif isinstance(piece, AlternatingTensor):
+            comps = sorted(piece.components.items())
+            self.residuals.setdefault(label or "1", []).extend(
+                (idx, as_expr(v)) for idx, v in comps)
+        else:
             self.residuals.setdefault(label, []).append(((), as_expr(piece)))
-            return
-        for lab in piece.space.labels:
-            key = (label or lab) if lab == "1" else label + lab
-            comps = sorted(piece.label_slice(lab).components.items())
-            self.residuals.setdefault(key, []).extend((idx, as_expr(v)) for idx, v in comps)
 
     def roots(self) -> List[Expr]:
         """Every residual component, label by label."""

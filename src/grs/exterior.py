@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
-from .errors import DegreeError, DimensionError, SingularMetricError, VarianceError
+from .errors import DegreeError, DimensionError, DomainError, SingularMetricError, VarianceError
 from .scalar import Expr, as_expr, is_zero, sqrt
 
 COV = "covariant"
@@ -75,6 +75,8 @@ class MetricSpec:
     @staticmethod
     def diagonal(values) -> "MetricSpec":
         vals = [float(v) for v in values]
+        if not all(map(math.isfinite, vals)):
+            raise DomainError(f"diagonal metric entries must be finite, got {vals!r}")
         if any(v == 0.0 for v in vals):
             raise SingularMetricError("diagonal metric entry is zero")
         n = len(vals)
@@ -318,13 +320,6 @@ def interior(v: AlternatingTensor, w: AlternatingTensor) -> AlternatingTensor:
 def interior_after_tilde(a: AlternatingTensor, w: AlternatingTensor) -> AlternatingTensor:
     """i(tilde a) w: substitution of a form's raised multivector into w."""
     return interior(musical_tilde(a), w)
-
-
-def scalar_multiply(a: AlternatingTensor, w: AlternatingTensor) -> AlternatingTensor:
-    """The 0-form a times w."""
-    if a.degree != 0:
-        raise DegreeError("scalar multiplier must be a 0-form")
-    return w.scale(a.get(()))
 
 
 def _pairing_det(ginv_rows, I: MultiIndex, J: MultiIndex):

@@ -32,6 +32,7 @@ at points that are neither singular nor excluded by the caller.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -738,6 +739,9 @@ class SampleSet:
     def __post_init__(self):
         if self.kind == "random" and self.seed < 0:
             raise DomainError(f"seed must be >= 0, got {self.seed}")
+        for lo, hi in self.bounds:
+            if not math.isfinite(hi - lo):  # also inf or NaN when a bound is
+                raise DomainError(f"sample range {lo!r}..{hi!r} is not finite or too wide")
         if self.requested > MAX_POINTS:
             raise DomainError(f"{self.requested} sample points requested; "
                               f"at most {MAX_POINTS} are allowed")

@@ -104,9 +104,6 @@ class ValueSpace:
         return self.labels.index(label)
 
 
-SCALAR_SPACE = ValueSpace(labels=("1",))
-
-
 def sym_space(base: ValueSpace) -> ValueSpace:
     """V v V with labels E_i v E_j for i <= j."""
     labels = tuple(
@@ -140,12 +137,6 @@ class PhiMap:
     def basis_action(self, i: int, j: int) -> Dict[int, float]:
         """Coefficients of phi(E_i, F_j) on the target basis."""
         return self._basis_action(i, j)
-
-    @staticmethod
-    def function_product(space: ValueSpace = SCALAR_SPACE) -> "PhiMap":
-        if space.dim != 1:
-            raise DimensionError("function product needs 1-dimensional value spaces")
-        return PhiMap(space, space, space, lambda i, j: {0: 1.0})
 
     @staticmethod
     def lie_bracket(space: ValueSpace) -> "PhiMap":
@@ -260,11 +251,6 @@ class ValuedForm:
         for k, v in other.components.items():
             out[k] = out[k] + v if k in out else v
         return ValuedForm(self.chart, self.degree, self.variance, self.space, out)
-
-
-def scalar_valued(t: AlternatingTensor) -> ValuedForm:
-    """Wrap a plain form as a valued form over the 1-dimensional space."""
-    return ValuedForm.from_slices(SCALAR_SPACE, [t])
 
 
 def lift_pointwise(phi_form: Callable[[AlternatingTensor, AlternatingTensor], AlternatingTensor],

@@ -276,6 +276,57 @@ def test_malformed_chart_is_a_diagnostic_and_binds_nothing_after_it(chart_line, 
     assert "note: not bound: the chart on line 1 was rejected (line 2, col 1)" in err
 
 
+def test_uses_of_a_rejected_declaration_get_a_note(tmp_path, capsys):
+    p = tmp_path / "alg.grs"
+    p.write_text("chart R3 (x, y, z) metric diag(1, 1, 1)\n"
+                 "algebra g dim 3 bracket (1, 2, 3, 1e400)\n"
+                 "form a : 1 values g = x * dy @ e1 + y * dz @ e2\n"
+                 "check bianchi(a) on random(-2..2, -2..2, -2..2; 20, seed 1)\n")
+    assert main(["verify", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error: ") == 1 and "(line 2, col 1)" in err.splitlines()[0]
+    assert "note: not bound: the algebra on line 2 was rejected (line 3, col 1)" in err
+    assert "note: not bound: the form on line 3 was rejected (line 4, col 1)" in err
+
+
+def test_a_new_chart_drops_rejected_fields(tmp_path, capsys):
+    check = "check first_integral(X, h) on random(-2..2, -2..2; 20, seed 13)\n"
+    p = tmp_path / "field.grs"
+    p.write_text("chart R2 (x, y) metric diag(1, 1)\n"
+                 "vector X : 1 = 1 * dy\n"
+                 "field h = x * q\n" + check +
+                 "chart R2 (x, y) metric diag(1, 1)\n"
+                 "vector X : 1 = 1 * dy\n" + check)
+    assert main(["verify", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert "error: unknown name 'q' (line 3, col 1)" in err
+    assert "note: not bound: the field on line 3 was rejected (line 4, col 1)" in err
+    # the new chart's scope has no h at all
+    assert "error: unknown name 'h' (line 7, col 1)" in err
+
+
+_TOL_CHECK = "check first_integral(X, r2) on random(-2..2, -2..2; 20, seed 13) tol 1e400\n"
+
+
+@pytest.mark.parametrize("old, new, line", [
+    ("random(-2..2,", "random(-1e400..2,", 4),
+    ("random(-2..2, -2..2;", "random(-1e308..1e308, -2..2;", 4),
+    ("random(-2..2, -2..2; 100, seed 13)", "grid(-1e400..2, -2..2; 4)", 4),
+    ("diag(1, 1)", "diag(1e400, 1)", 1),
+    ("first_integral(X, r2)", "schrodinger(r2, hbar=1e400)", 4),
+    ("seed 13)\n", "seed 13)\n" + _TOL_CHECK, 5),
+], ids=["random_bound", "random_width", "grid_bound", "metric_diag", "real_parameter",
+        "spec_tol"])
+def test_non_finite_number_is_a_diagnostic_on_its_line(tmp_path, old, new, line, capsys):
+    p = tmp_path / "inf.grs"
+    p.write_text(PASSING_SPEC.replace(old, new))
+    assert main(["verify", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    first = captured.err.splitlines()[0]
+    assert first.startswith("error: ") and first.endswith(f"(line {line}, col 1)")
+
+
 def test_nesting_deeper_than_the_bound_exits_two(tmp_path, capsys):
     p = tmp_path / "deep.grs"
     p.write_text("chart R2 (x, y) metric diag(1, 1)\n"

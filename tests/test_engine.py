@@ -4,13 +4,14 @@ import pytest
 
 from grs.engine import DEFAULT_TOL, GrCondition, verify
 from grs.errors import DegreeError, DomainError, EmptySampleSet
-from grs.exterior import COV, Chart, MetricSpec, form, scalar_multiply, wedge
+from grs.exterior import COV, Chart, MetricSpec, form, wedge
 from grs.scalar import Program, SampleSet, const, coord, sin
-from grs.valued import PhiMap, ValueSpace, ValuedForm, lift_pointwise, scalar_valued
+from grs.valued import PhiMap, ValueSpace, ValuedForm, lift_pointwise
 from grs.diffops import exterior_d
 
 
 x, y = coord(0), coord(1)
+ONE = ValueSpace(labels=("1",))  # a one-dimensional value space
 
 
 @pytest.fixture
@@ -18,13 +19,17 @@ def r2():
     return Chart(("x", "y"), MetricSpec.diagonal([1, 1]))
 
 
+def _one_valued(t):
+    return ValuedForm.from_slices(ONE, [t])
+
+
 def _scalar_section(chart, e):
-    return scalar_valued(form(chart, 0, {(): e}))
+    return _one_valued(form(chart, 0, {(): e}))
 
 
 def _pair(phi_form, sigma, d_sigma_tilde):
-    """Phi(sigma, D sigma~) (x) phi with the function product as phi."""
-    return lift_pointwise(phi_form, PhiMap.function_product(), sigma, d_sigma_tilde)
+    """Phi(sigma, D sigma~) (x) phi with phi(1, 1) = 1 as phi."""
+    return lift_pointwise(phi_form, PhiMap.diagonal(ONE), sigma, d_sigma_tilde)
 
 
 def _condition(name, *pieces):
@@ -127,8 +132,7 @@ class TestVerify:
 
 class TestCondition:
     def test_add_valued_prefix(self, r2):
-        vf = scalar_valued(form(r2, 1, {(0,): x}))
-        cond = _condition("p", ("flux", vf))
+        cond = _condition("p", ("flux", form(r2, 1, {(0,): x})))
         assert cond.labels() == ["flux"]
 
     def test_valued_slices_go_under_the_label(self, r2):
@@ -152,8 +156,8 @@ class TestCondition:
 
 
 def test_add_keeps_the_paired_components(r2):
-    sigma = scalar_valued(form(r2, 0, {(): x * y}))
-    paired = _pair(scalar_multiply, sigma, exterior_d(_scalar_section(r2, sin(x))))
+    sigma = _scalar_section(r2, x * y)
+    paired = _pair(wedge, sigma, exterior_d(_scalar_section(r2, sin(x))))
     cond = _condition("c", ("", paired))
     assert [repr(e) for _idx, e in sorted(paired.label_slice("1").components.items())] \
         == [repr(e) for e in cond.roots()]
@@ -164,18 +168,19 @@ class TestShapeErrorsWithEmptySlices:
 
     def test_wedge_with_empty_d_alpha(self):
         r3 = Chart(("x", "y", "z"), MetricSpec.diagonal([1, 1, 1]))
-        sigma = scalar_valued(form(r3, 2, {(0, 1): x}))
-        d_alpha = exterior_d(scalar_valued(form(r3, 1, {(2,): const(1.0)})))
+        sigma = _one_valued(form(r3, 2, {(0, 1): x}))
+        d_alpha = exterior_d(_one_valued(form(r3, 1, {(2,): const(1.0)})))
         assert not d_alpha.components
         with pytest.raises(DegreeError):
             _pair(wedge, sigma, d_alpha)
 
     def test_scalar_multiply_with_empty_one_form(self, r2):
-        sigma = scalar_valued(form(r2, 1, {}))
+        # 1 + 2 exceeds the chart dimension 2
+        sigma = _one_valued(form(r2, 1, {}))
         with pytest.raises(DegreeError):
-            _pair(scalar_multiply, sigma, exterior_d(_scalar_section(r2, x * y)))
+            _pair(wedge, sigma, exterior_d(_one_valued(form(r2, 1, {(0,): x * y}))))
 
     def test_empty_pairing_keeps_the_result_degree(self, r2):
-        sigma = scalar_valued(form(r2, 0, {}))
-        paired = _pair(scalar_multiply, sigma, exterior_d(_scalar_section(r2, x)))
+        sigma = _one_valued(form(r2, 0, {}))
+        paired = _pair(wedge, sigma, exterior_d(_scalar_section(r2, x)))
         assert paired.degree == 1 and not paired.components

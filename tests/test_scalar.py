@@ -300,3 +300,10 @@ class TestSampleSet:
             SampleSet.random_box([(-1, 1)], 10, seed=-1)
         # the grid kind carries no seed
         SampleSet.grid([(-1, 1)], 3)
+
+    @pytest.mark.parametrize("bounds", [(-math.inf, 2), (0, math.nan), (-1e308, 1e308)])
+    def test_non_finite_range_rejected(self, bounds):
+        with pytest.raises(DomainError, match="finite"):
+            SampleSet.random_box([bounds], 10, seed=1)
+        with pytest.raises(DomainError, match="finite"):
+            SampleSet.grid([bounds], 3)

@@ -6,12 +6,10 @@ from grs.scalar import coord
 from grs.valued import (
     LieStructure,
     PhiMap,
-    SCALAR_SPACE,
     ValueSpace,
     ValuedForm,
     abelian,
     lift_pointwise,
-    scalar_valued,
     su2,
     validate_lie,
 )
@@ -95,12 +93,8 @@ class TestPhiMap:
         assert phi.basis_action(0, 0) == {0: 1.0}
         assert phi.basis_action(0, 1) == {}
 
-    def test_function_product_requires_scalars(self, V3):
-        with pytest.raises(DimensionError):
-            PhiMap.function_product(V3)
-
     def test_first_slot_space_mismatch(self, r3, V3):
-        s = scalar_valued(form(r3, 1, {(0,): 1.0}))
+        s = ValuedForm.from_slices(ValueSpace(labels=("1",)), [form(r3, 1, {(0,): 1.0})])
         B = ValuedForm(r3, 1, COV, V3, {((0,), "e2"): 1.0})
         with pytest.raises(DimensionError):
             lift_pointwise(wedge, PhiMap.lie_bracket(V3), s, B)
@@ -143,13 +137,6 @@ class TestValuedForm:
         with pytest.raises(DimensionError, match="different spaces"):
             a + b
 
-    def test_scalar_valued_wrapper(self, r3):
-        a = form(r3, 1, {(1,): 3.0})
-        vf = scalar_valued(a)
-        assert vf.space is SCALAR_SPACE
-        assert set(vf.components) == {((1,), "1")}
-        assert vf.components[((1,), "1")].ev((0, 0, 0)) == 3.0
-
 
 class TestLiftPointwise:
     def test_wedge_with_lie_bracket(self, r3, V3):
@@ -172,6 +159,6 @@ class TestLiftPointwise:
 
     def test_space_mismatch(self, r3, V3):
         A = ValuedForm(r3, 1, COV, V3, {((0,), "e1"): 1.0})
-        s = scalar_valued(form(r3, 1, {(0,): 1.0}))
+        s = ValuedForm.from_slices(ValueSpace(labels=("1",)), [form(r3, 1, {(0,): 1.0})])
         with pytest.raises(DimensionError):
             lift_pointwise(wedge, PhiMap.lie_bracket(V3), A, s)
