@@ -132,7 +132,7 @@ def pair_space() -> ValueSpace:
 
 def field_pair(chart: Chart, F: AlternatingTensor) -> ValuedForm:
     """Omega = F (x) e1 + *F (x) e2."""
-    return ValuedForm.from_slices(pair_space(), [F, hodge(F)], variance=COV)
+    return ValuedForm(pair_space(), [F, hodge(F)])
 
 
 def _normalize_pi(pi, n: int):
@@ -339,7 +339,7 @@ def _theta_pi_parallel(chart, psi: VALUED_FORM, theta: MULTIVECTOR, pi: PROJECTI
     pim = [[_const_val(v) for v in row] for row in _normalize_pi(pi, r)]
     if any(c is None for row in pim for c in row):
         raise ParameterError("pi entries must be constant numbers")
-    slices = [interior(theta, s) for s in dpsi.slices()]
+    slices = [interior(theta, s) for s in dpsi.slices]
     out = []
     for j in range(r):
         terms = [slices[i].scale(c) for i, c in enumerate(pim[j]) if c != 0]
@@ -394,7 +394,7 @@ def _maxwell_vacuum(chart, F: TWO_FORM):
 
 def _maxwell_currents(chart, F: TWO_FORM, m_current: THREE_FORM, j_current: THREE_FORM):
     omega = field_pair(chart, F)
-    rhs = ValuedForm.from_slices(omega.space, [m_current, j_current], variance=COV)
+    rhs = ValuedForm(omega.space, [m_current, j_current])
     return [("", exterior_d(omega) + rhs.scale(-1.0))]
 
 
@@ -410,8 +410,7 @@ def _ext_maxwell_currents(chart, F: TWO_FORM, J1: ONE_FORM, J2: ONE_FORM, J3: ON
     Fs = hodge(F)
     it = interior_after_tilde
     sym = PhiMap.symmetrized_product(omega.space)
-    rhs = ValuedForm.from_slices(
-        sym.target, [it(J1, F), it(J3, F) + it(J4, Fs), it(J2, F)], variance=COV)
+    rhs = ValuedForm(sym.target, [it(J1, F), it(J3, F) + it(J4, Fs), it(J2, F)])
     return [("", lift_pointwise(it, sym, omega, exterior_d(omega)) + rhs.scale(-1.0))]
 
 
@@ -426,8 +425,7 @@ def _pfaff_currents(chart, J1: ONE_FORM, J2: ONE_FORM, J3: ONE_FORM, J4: ONE_FOR
 
 
 def _yang_mills(chart, omega: CONNECTION):
-    star = ValuedForm.from_slices(omega.space, [hodge(s) for s in curvature(omega).slices()],
-                                  variance=COV)
+    star = curvature(omega).map(hodge)
     return [("", covariant_D(ConnectionForm.from_omega(omega), star))]
 
 
@@ -472,7 +470,7 @@ def _schrodinger(chart, psi: FIELD, V: FIELD = 0.0, hbar: REAL = 1.0, mass: REAL
 def _dirac(chart, psi: SPINOR, m: REAL = 1.0, sign: SIGN = -1, A: ONE_FORM = None,
            e: REAL = 0.0):
     if isinstance(psi, ValuedForm):
-        comps = [psi.label_slice(lab).get(()) for lab in psi.space.labels]
+        comps = [s.get(()) for s in psi.slices]
         labels = psi.space.labels
     else:
         comps = [as_expr(v) for v in psi]
@@ -505,6 +503,10 @@ class Param:
     def check(self, value, chart: Chart):
         if not self.kind.accepts(value, chart):
             raise ParameterError(f"parameter {self.name!r} must be {self.kind.noun}")
+        # a form is judged on its own chart, so it must be the entry's
+        if isinstance(value, (AlternatingTensor, ValuedForm)) and value.chart != chart:
+            raise ParameterError(f"parameter {self.name!r} lives on another chart "
+                                 f"than the entry's")
         return self.kind.convert(value, chart)
 
 
@@ -695,8 +697,8 @@ def _fx_theta_pi():
     chart = minkowski()
     space = pair_space()
     y = coord(1)
-    closed = ValuedForm(chart, 1, COV, space, {((0,), "e1"): as_expr(1.0)})
-    open_ = ValuedForm(chart, 1, COV, space, {((0,), "e1"): y})
+    closed = ValuedForm.from_components(chart, 1, COV, space, {((0,), "e1"): as_expr(1.0)})
+    open_ = ValuedForm.from_components(chart, 1, COV, space, {((0,), "e1"): y})
     theta = multivector(chart, 2, {(0, 1): as_expr(1.0)})
     pi = [1.0, 0.0]
     return [
@@ -711,9 +713,7 @@ def _fx_autoparallel_valued_form():
     chart = minkowski()
     z = coord(2)
     good = field_pair(chart, plane_wave_F(chart))
-    bad = ValuedForm.from_slices(pair_space(),
-                                 [form(chart, 2, {(0, 1): z}),
-                                  form(chart, 2, {})], variance=COV)
+    bad = ValuedForm(pair_space(), [form(chart, 2, {(0, 1): z}), form(chart, 2, {})])
     return [
         Fixture("wave_pair", chart, {"psi": good, "phi": "sym"}, True, _box(chart)),
         Fixture("sheared_field", chart, {"psi": bad, "phi": "sym"}, False, _box(chart)),
@@ -836,9 +836,10 @@ def _fx_yang_mills():
     space = _su2_space()
     z, xi = coord(2), coord(3)
     x, y = coord(0), coord(1)
-    abelian_dir = ValuedForm(chart, 1, COV, space, {((0,), "e3"): sin(z - xi)})
-    generic = ValuedForm(chart, 1, COV, space,
-                         {((1,), "e1"): x, ((2,), "e2"): y * y})
+    abelian_dir = ValuedForm.from_components(chart, 1, COV, space,
+                                             {((0,), "e3"): sin(z - xi)})
+    generic = ValuedForm.from_components(chart, 1, COV, space,
+                                         {((1,), "e1"): x, ((2,), "e2"): y * y})
     return [
         Fixture("single_direction_wave", chart, {"omega": abelian_dir}, True, _box(chart)),
         Fixture("generic_connection", chart, {"omega": generic}, False, _box(chart)),
@@ -849,9 +850,9 @@ def _fx_bianchi():
     chart = minkowski()
     space = _su2_space()
     x, y, z = coord(0), coord(1), coord(2)
-    omega = ValuedForm(chart, 1, COV, space,
-                       {((0,), "e1"): y, ((1,), "e2"): z * x, ((2,), "e3"): x})
-    not_curvature = ValuedForm(chart, 2, COV, space, {((0, 1), "e1"): z})
+    omega = ValuedForm.from_components(
+        chart, 1, COV, space, {((0,), "e1"): y, ((1,), "e2"): z * x, ((2,), "e3"): x})
+    not_curvature = ValuedForm.from_components(chart, 2, COV, space, {((0, 1), "e1"): z})
     return [
         Fixture("curvature_of_connection", chart, {"omega": omega}, True, _box(chart)),
         Fixture("arbitrary_two_form", chart,
@@ -869,10 +870,9 @@ def _fx_ext_ym_bracket():
     space = _pair_lie_space()
     F = plane_wave_F(chart)
     z = coord(2)
-    sym_pair = ValuedForm.from_slices(space, [F, F], variance=COV)
-    skew_pair = ValuedForm.from_slices(
-        space, [form(chart, 2, {(0, 1): z}), form(chart, 2, {(0, 1): as_expr(1.0)})],
-        variance=COV)
+    sym_pair = ValuedForm(space, [F, F])
+    skew_pair = ValuedForm(
+        space, [form(chart, 2, {(0, 1): z}), form(chart, 2, {(0, 1): as_expr(1.0)})])
     return [
         Fixture("equal_components", chart, {"psi": sym_pair}, True, _box(chart)),
         Fixture("unbalanced_exchange", chart, {"psi": skew_pair}, False, _box(chart)),
@@ -884,9 +884,8 @@ def _fx_ext_ym_diagonal():
     space = _pair_lie_space()
     F = plane_wave_F(chart)
     z = coord(2)
-    good = ValuedForm.from_slices(space, [F, hodge(F)], variance=COV)
-    bad = ValuedForm.from_slices(space,
-                                 [form(chart, 2, {(0, 1): z}), hodge(F)], variance=COV)
+    good = ValuedForm(space, [F, hodge(F)])
+    bad = ValuedForm(space, [form(chart, 2, {(0, 1): z}), hodge(F)])
     return [
         Fixture("self_conserving", chart, {"psi": good}, True, _box(chart)),
         Fixture("leaking_component", chart, {"psi": bad}, False, _box(chart)),
@@ -898,10 +897,8 @@ def _fx_ext_ym_sym():
     space = _pair_lie_space()
     F = plane_wave_F(chart)
     z = coord(2)
-    good = ValuedForm.from_slices(space, [F, hodge(F)], variance=COV)
-    bad = ValuedForm.from_slices(space,
-                                 [form(chart, 2, {(0, 1): z}),
-                                  form(chart, 2, {})], variance=COV)
+    good = ValuedForm(space, [F, hodge(F)])
+    bad = ValuedForm(space, [form(chart, 2, {(0, 1): z}), form(chart, 2, {})])
     return [
         Fixture("wave_pair", chart, {"psi": good}, True, _box(chart)),
         Fixture("sheared_component", chart, {"psi": bad}, False, _box(chart)),

@@ -61,8 +61,7 @@ def d_form(w: AlternatingTensor) -> AlternatingTensor:
 
 def exterior_d(psi: ValuedForm) -> ValuedForm:
     """d acts per value component: d(psi^i (x) E_i) = (d psi^i) (x) E_i."""
-    return ValuedForm.from_slices(psi.space, [d_form(s) for s in psi.slices()],
-                                  variance=psi.variance)
+    return psi.map(d_form)
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +101,7 @@ def covariant_D(conn: ConnectionForm, psi: ValuedForm) -> ValuedForm:
     if omega.space.dim != psi.space.dim:
         raise DimensionError("connection and section value spaces differ")
     paired = lift_pointwise(wedge, PhiMap.lie_bracket(omega.space), omega, psi)
-    return base + ValuedForm.from_slices(psi.space, paired.slices(), variance=psi.variance)
+    return base + ValuedForm(psi.space, paired.slices)
 
 
 def curvature(omega: ValuedForm) -> ValuedForm:

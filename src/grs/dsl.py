@@ -858,6 +858,8 @@ class _Binder:
                 expo = self._const_value(ast.b)
                 if expo is None:
                     self.fail("exponent must be a numeric literal", line)
+                if not math.isfinite(expo):
+                    self.fail(f"exponent must be finite, got {expo!r}", line)
                 return args[0] ** Fraction(expo)
             return _BINARY[ast.op](*args)
         self.fail(f"cannot bind expression node {ast!r}", line)
@@ -977,7 +979,8 @@ class _Binder:
             components[key] = components[key] + coeff if key in components else coeff
         variance = CONTRA if st.kind == "vector" else COV
         if space is not None:
-            obj: object = ValuedForm(chart, st.degree, variance, space, components)
+            obj: object = ValuedForm.from_components(chart, st.degree, variance, space,
+                                                     components)
         elif st.kind == "vector" and st.degree == 1:
             obj = [ZERO] * n
             for (axis,), e in components.items():

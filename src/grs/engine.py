@@ -47,8 +47,8 @@ class GrCondition:
         slice E is a form filed under ``label + E``.
         """
         if isinstance(piece, ValuedForm):
-            for lab in piece.space.labels:
-                self.add(label + lab, piece.label_slice(lab))
+            for lab, s in zip(piece.space.labels, piece.slices):
+                self.add(label + lab, s)
         elif isinstance(piece, AlternatingTensor):
             comps = sorted(piece.components.items())
             self.residuals.setdefault(label or "1", []).extend(

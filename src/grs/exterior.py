@@ -21,13 +21,14 @@ Conventions:
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import DegreeError, DimensionError, DomainError, SingularMetricError, VarianceError
-from .scalar import Expr, as_expr, is_zero, sqrt
+from .scalar import Const, Expr, as_expr, is_zero, sqrt
 
 COV = "covariant"
 CONTRA = "contravariant"
@@ -88,18 +89,20 @@ class MetricSpec:
         """Metric from square ``rows`` of expressions or numbers.
 
         Only the upper triangle is read: entry (i, j) with i > j is taken
-        from (j, i), and the lower triangle is not checked, since entries
+        from (j, i), and the two triangles are not compared, since entries
         such as a*b and b*a are equal without being the same tree.  The
         DSL binder rejects a matrix whose two triangles are written
-        differently.
+        differently.  Every constant entry must be finite.
         """
-        rows = [list(r) for r in rows]
+        rows = [[as_expr(v) for v in r] for r in rows]
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise DimensionError("metric matrix must be square")
+        for i, j in itertools.product(range(n), repeat=2):
+            if isinstance(rows[i][j], Const) and not cmath.isfinite(rows[i][j].value):
+                raise DomainError(f"metric matrix entry [{i + 1}, {j + 1}] is not finite")
         # store the upper triangle; symmetry by construction
-        return MetricSpec([[as_expr(rows[min(i, j)][max(i, j)]) for j in range(n)]
-                           for i in range(n)])
+        return MetricSpec([[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)])
 
     def entries(self) -> list:
         """g as rows: the stored rows, not a copy."""

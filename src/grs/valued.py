@@ -1,20 +1,22 @@
 """Forms and multivectors with values in a finite-dimensional space.
 
-A valued form Psi = psi^i (x) E_i is stored as a map
-(multi-index, basis label) -> scalar expression.  The value-level
-bilinear maps (Lie bracket, symmetrized product, ...) act on basis
-labels; the form-level map is supplied by the caller and is applied to
-the per-label slices.
+A valued form Psi = psi^i (x) E_i is stored as its slices: one plain
+``AlternatingTensor`` psi^i per basis label E_i, all on one chart with
+one degree and one variance.  A form-level operator acts slice by slice
+(``ValuedForm.map``); a value-level bilinear map (Lie bracket,
+symmetrized product, ...) is a table of coefficients on basis labels,
+and ``lift_pointwise`` pairs two valued forms through it and a
+form-level map supplied by the caller.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Tuple
 
-from .errors import DegreeError, DimensionError
-from .exterior import COV, AlternatingTensor, Chart, MultiIndex, zero_tensor
-from .scalar import Expr, as_expr, is_zero
+from .errors import DegreeError, DimensionError, VarianceError
+from .exterior import AlternatingTensor, Chart, MultiIndex, zero_tensor
+from .scalar import as_expr, is_zero
 
 
 @dataclass(frozen=True)
@@ -91,6 +93,8 @@ class ValueSpace:
     lie: Optional[LieStructure] = None
 
     def __post_init__(self):
+        if not self.labels:
+            raise DimensionError("a value space needs at least one label")
         if len(set(self.labels)) != len(self.labels):
             raise DimensionError("value-space labels must be unique")
         if self.lie is not None and self.lie.dim != len(self.labels):
@@ -104,153 +108,118 @@ class ValueSpace:
         return self.labels.index(label)
 
 
-def sym_space(base: ValueSpace) -> ValueSpace:
-    """V v V with labels E_i v E_j for i <= j."""
-    labels = tuple(
-        f"{base.labels[i]}∨{base.labels[j]}"
-        for i in range(base.dim)
-        for j in range(i, base.dim)
-    )
-    return ValueSpace(labels=labels)
-
-
-def bracket_space(base: ValueSpace) -> ValueSpace:
-    """Abstract bracket labels [E_i, E_j] for i < j."""
-    labels = tuple(
-        f"[{base.labels[i]},{base.labels[j]}]"
-        for i in range(base.dim)
-        for j in range(i + 1, base.dim)
-    )
-    return ValueSpace(labels=labels)
-
-
+@dataclass
 class PhiMap:
-    """Value-space bilinear map; acts on basis labels, extended bilinearly."""
+    """Value-space bilinear map phi(E_i, E_j) = sum_k c_k F_k, stored as its
+    table (i, j) -> {k: c_k} of nonzero coefficients on the ``target``
+    basis F; both arguments live in spaces of dimension ``dim``."""
 
-    def __init__(self, source1: ValueSpace, source2: ValueSpace, target: ValueSpace,
-                 basis_action: Callable[[int, int], Dict[int, float]]):
-        self.source1 = source1
-        self.source2 = source2
-        self.target = target
-        self._basis_action = basis_action
-
-    def basis_action(self, i: int, j: int) -> Dict[int, float]:
-        """Coefficients of phi(E_i, F_j) on the target basis."""
-        return self._basis_action(i, j)
+    dim: int
+    target: ValueSpace
+    table: Dict[Tuple[int, int], Dict[int, float]]
 
     @staticmethod
     def lie_bracket(space: ValueSpace) -> "PhiMap":
         if space.lie is None:
             raise DimensionError("value space carries no Lie structure")
-        L = space.lie
-
-        def act(i, j):
-            return {k: c for k, c in enumerate(L.bracket_coeffs(i, j)) if c != 0.0}
-
-        return PhiMap(space, space, space, act)
+        n = space.dim
+        return PhiMap(n, space, {
+            (i, j): {k: c for k, c in enumerate(space.lie.bracket_coeffs(i, j)) if c != 0.0}
+            for i in range(n) for j in range(n)})
 
     @staticmethod
     def symmetrized_product(space: ValueSpace) -> "PhiMap":
-        target = sym_space(space)
-        n = space.dim
-        pos = {}
-        t = 0
-        for i in range(n):
-            for j in range(i, n):
-                pos[(i, j)] = t
-                t += 1
-
-        def act(i, j):
-            a, b = min(i, j), max(i, j)
-            return {pos[(a, b)]: 1.0}
-
-        return PhiMap(space, space, target, act)
+        """phi(E_i, E_j) = E_i v E_j on the labels of V v V, i <= j."""
+        n, labels = space.dim, space.labels
+        pairs = [(i, j) for i in range(n) for j in range(i, n)]
+        table = {}
+        for t, (i, j) in enumerate(pairs):
+            table[(i, j)] = table[(j, i)] = {t: 1.0}
+        target = ValueSpace(tuple(f"{labels[i]}∨{labels[j]}" for i, j in pairs))
+        return PhiMap(n, target, table)
 
     @staticmethod
     def abstract_bracket(space: ValueSpace) -> "PhiMap":
-        """phi(E_i, E_j) = [E_i, E_j] kept as an abstract antisymmetric label."""
-        target = bracket_space(space)
-        n = space.dim
-        pos = {}
-        t = 0
-        for i in range(n):
-            for j in range(i + 1, n):
-                pos[(i, j)] = t
-                t += 1
-
-        def act(i, j):
-            if i == j:
-                return {}
-            if i < j:
-                return {pos[(i, j)]: 1.0}
-            return {pos[(j, i)]: -1.0}
-
-        return PhiMap(space, space, target, act)
+        """phi(E_i, E_j) = [E_i, E_j] kept as an abstract antisymmetric label, i < j."""
+        n, labels = space.dim, space.labels
+        if n < 2:
+            raise DimensionError("the abstract bracket needs a value space of dimension >= 2")
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        table = {}
+        for t, (i, j) in enumerate(pairs):
+            table[(i, j)] = {t: 1.0}
+            table[(j, i)] = {t: -1.0}
+        target = ValueSpace(tuple(f"[{labels[i]},{labels[j]}]" for i, j in pairs))
+        return PhiMap(n, target, table)
 
     @staticmethod
     def diagonal(space: ValueSpace) -> "PhiMap":
-        return PhiMap(space, space, space, lambda i, j: {i: 1.0} if i == j else {})
+        return PhiMap(space.dim, space, {(i, i): {i: 1.0} for i in range(space.dim)})
 
 
-@dataclass
+@dataclass(frozen=True)
 class ValuedForm:
-    """Degree-p form (or multivector) with values in ``space``."""
+    """Psi = psi^i (x) E_i: one form (or multivector) psi^i per label of
+    ``space``, in label order.
 
-    chart: Chart
-    degree: int
-    variance: str
+    The slices must share one chart, one degree and one variance; their
+    components are made expressions and zero ones are dropped.
+    """
+
     space: ValueSpace
-    components: Dict[Tuple[MultiIndex, str], Expr] = field(default_factory=dict)
+    slices: Tuple[AlternatingTensor, ...]
 
     def __post_init__(self):
-        clean = {}
-        for (idx, label), v in self.components.items():
-            idx = tuple(idx)
-            if len(idx) != self.degree or list(idx) != sorted(set(idx)):
-                raise DegreeError(f"bad multi-index {idx} for degree {self.degree}")
-            if label not in self.space.labels:
-                raise DimensionError(f"unknown value label {label!r}")
-            e = as_expr(v)
-            if not is_zero(e):
-                clean[(idx, label)] = e
-        self.components = clean
-
-    def label_slice(self, label: str) -> AlternatingTensor:
-        comp = {idx: v for (idx, lab), v in self.components.items() if lab == label}
-        return AlternatingTensor(self.chart, self.variance, self.degree, comp)
-
-    def slices(self) -> List[AlternatingTensor]:
-        return [self.label_slice(lab) for lab in self.space.labels]
+        if len(self.slices) != self.space.dim:
+            raise DimensionError("one slice per basis label required")
+        first = self.slices[0]
+        for s in self.slices[1:]:
+            if s.chart is not first.chart and s.chart != first.chart:
+                raise DimensionError("slices must share a chart")
+            if s.degree != first.degree:
+                raise DegreeError("slices must share a degree")
+            if s.variance != first.variance:
+                raise VarianceError("slices must share a variance")
+        object.__setattr__(self, "slices", tuple(AlternatingTensor(
+            s.chart, s.variance, s.degree,
+            {k: e for k, v in s.components.items() if not is_zero(e := as_expr(v))})
+            for s in self.slices))
 
     @staticmethod
-    def from_slices(space: ValueSpace, slices: Sequence[AlternatingTensor],
-                    variance: Optional[str] = None) -> "ValuedForm":
-        if len(slices) != space.dim:
-            raise DimensionError("one slice per basis label required")
-        chart = slices[0].chart
-        degree = slices[0].degree
-        var = variance or slices[0].variance
-        comp = {}
-        for lab, t in zip(space.labels, slices):
-            if t.degree != degree:
-                raise DegreeError("slices must share a degree")
-            for idx, v in t.components.items():
-                comp[(idx, lab)] = as_expr(v)
-        return ValuedForm(chart, degree, var, space, comp)
+    def from_components(chart: Chart, degree: int, variance: str, space: ValueSpace,
+                        components: Dict[Tuple[MultiIndex, str], object]) -> "ValuedForm":
+        """The valued form with hand-written (multi-index, label) -> value components."""
+        per_label: Dict[str, dict] = {lab: {} for lab in space.labels}
+        for (idx, label), v in components.items():
+            if label not in per_label:
+                raise DimensionError(f"unknown value label {label!r}")
+            per_label[label][tuple(idx)] = v
+        return ValuedForm(space, [AlternatingTensor(chart, variance, degree, comps)
+                                  for comps in per_label.values()])
+
+    @property
+    def chart(self) -> Chart:
+        return self.slices[0].chart
+
+    @property
+    def degree(self) -> int:
+        return self.slices[0].degree
+
+    @property
+    def variance(self) -> str:
+        return self.slices[0].variance
+
+    def map(self, f: Callable[[AlternatingTensor], AlternatingTensor]) -> "ValuedForm":
+        """f applied per slice: f(psi^i) (x) E_i."""
+        return ValuedForm(self.space, [f(s) for s in self.slices])
 
     def scale(self, c) -> "ValuedForm":
-        return ValuedForm(self.chart, self.degree, self.variance, self.space,
-                          {k: c * v for k, v in self.components.items()})
+        return self.map(lambda s: s.scale(c))
 
     def __add__(self, other: "ValuedForm") -> "ValuedForm":
         if self.space is not other.space and self.space != other.space:
             raise DimensionError("valued forms live in different spaces")
-        if self.degree != other.degree:
-            raise DegreeError("cannot add different degrees")
-        out = dict(self.components)
-        for k, v in other.components.items():
-            out[k] = out[k] + v if k in out else v
-        return ValuedForm(self.chart, self.degree, self.variance, self.space, out)
+        return ValuedForm(self.space, [a + b for a, b in zip(self.slices, other.slices)])
 
 
 def lift_pointwise(phi_form: Callable[[AlternatingTensor, AlternatingTensor], AlternatingTensor],
@@ -259,30 +228,25 @@ def lift_pointwise(phi_form: Callable[[AlternatingTensor, AlternatingTensor], Al
 
     phi_form is first applied once to zero slices of A's and B's degree
     and variance: that raises any degree or variance mismatch even when
-    every slice is empty, and gives the result's degree.
+    every slice is empty, and gives the zero slice of the result.
     """
     if A.chart is not B.chart and A.chart != B.chart:
         raise DimensionError("valued forms live on different charts")
-    if A.space.dim != phi_value.source1.dim or B.space.dim != phi_value.source2.dim:
+    if A.space.dim != phi_value.dim or B.space.dim != phi_value.dim:
         raise DimensionError("value spaces do not match the bilinear map")
-    degree = phi_form(zero_tensor(A.chart, A.variance, A.degree),
-                      zero_tensor(B.chart, B.variance, B.degree)).degree
-    target = phi_value.target
+    zero = phi_form(zero_tensor(A.chart, A.variance, A.degree),
+                    zero_tensor(B.chart, B.variance, B.degree))
     per_label: Dict[int, AlternatingTensor] = {}
-    a_slices = A.slices()
-    b_slices = B.slices()
-    for i, ai in enumerate(a_slices):
+    for i, ai in enumerate(A.slices):
         if not ai.components:
             continue
-        for j, bj in enumerate(b_slices):
-            if not bj.components:
-                continue
-            action = phi_value.basis_action(i, j)
-            if not action:
+        for j, bj in enumerate(B.slices):
+            action = phi_value.table.get((i, j))
+            if not bj.components or not action:
                 continue
             t = phi_form(ai, bj)
             for k, c in action.items():
                 piece = t.scale(c)
                 per_label[k] = per_label[k] + piece if k in per_label else piece
-    slices = [per_label.get(k, zero_tensor(A.chart, COV, degree)) for k in range(target.dim)]
-    return ValuedForm.from_slices(target, slices, variance=COV)
+    return ValuedForm(phi_value.target,
+                      [per_label.get(k, zero) for k in range(phi_value.target.dim)])

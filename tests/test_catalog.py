@@ -126,7 +126,8 @@ def test_position_dependent_pi_of_theta_pi_parallel_rejected():
     from grs.scalar import coord
     from grs.valued import ValuedForm, ValueSpace
     chart = minkowski()
-    psi = ValuedForm(chart, 1, COV, ValueSpace(("e1", "e2")), {((0,), "e1"): coord(1)})
+    psi = ValuedForm.from_components(chart, 1, COV, ValueSpace(("e1", "e2")),
+                                     {((0,), "e1"): coord(1)})
     theta = multivector(chart, 2, {(0, 1): 1.0})
     with pytest.raises(ParameterError):
         build("theta_pi_parallel", chart, psi=psi, theta=theta, pi=[coord(0), 0.0])
@@ -143,6 +144,29 @@ def test_wedge_entries_reject_a_chart_too_small():
         build("frobenius_pfaff", chart, forms=[a, b])
     with pytest.raises(DegreeError, match="wedge degree 2\\+2 exceeds chart dimension 3"):
         build("pfaff_currents", chart, J1=a, J2=b, J3=a, J4=b)
+
+
+def test_a_form_on_another_chart_is_rejected():
+    from grs.catalog import plane_wave_F
+    from grs.exterior import COV, multivector
+    from grs.valued import ValuedForm, ValueSpace, su2
+    flat4 = euclidean(("x", "y", "z", "xi"))
+    mink = minkowski()
+    # judged on its own chart, this wave would pass on Minkowski
+    with pytest.raises(ParameterError, match="'F' lives on another chart than the entry's"):
+        build("maxwell_vacuum", flat4, F=plane_wave_F(mink))
+    omega = ValuedForm.from_components(mink, 1, COV, ValueSpace(("e1", "e2", "e3"), lie=su2()),
+                                       {((0,), "e1"): 1.0})
+    with pytest.raises(ParameterError, match="'omega' lives on another chart"):
+        build("yang_mills", flat4, omega=omega)
+    pair = ValuedForm(ValueSpace(("e1", "e2")), [plane_wave_F(mink), form(mink, 2, {})])
+    with pytest.raises(ParameterError, match="'theta' lives on another chart"):
+        build("theta_pi_parallel", mink, psi=pair, theta=multivector(flat4, 1, {(0,): 1.0}),
+              pi=[1.0, 0.0])
+    # the same wave built on the entry's chart is checked there
+    sample = fixtures("maxwell_vacuum")[0].sample
+    assert not verify(build("maxwell_vacuum", flat4, F=plane_wave_F(flat4)), sample).passed
+    assert verify(build("maxwell_vacuum", mink, F=plane_wave_F(mink)), sample).passed
 
 
 def test_poisson_bracket_keeps_its_label_through_the_pairing():
@@ -163,7 +187,7 @@ def _coulomb_params(entry, chart, power):
         # one su(2) direction, so the bracket terms vanish: F = dA with A ~ r^(1-power) dt
         A = r ** (1 - power) * (1.0 / (1 - power))
         space = ValueSpace(("e1", "e2", "e3"), lie=su2())
-        return {"omega": ValuedForm(chart, 1, COV, space, {((3,), "e3"): A})}
+        return {"omega": ValuedForm.from_components(chart, 1, COV, space, {((3,), "e3"): A})}
     params = {"F": form(chart, 2, {(0, 3): r ** -power})}
     if entry == "maxwell_currents":
         params.update(m_current=form(chart, 3, {}), j_current=form(chart, 3, {}))

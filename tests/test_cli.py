@@ -315,8 +315,10 @@ _TOL_CHECK = "check first_integral(X, r2) on random(-2..2, -2..2; 20, seed 13) t
     ("diag(1, 1)", "diag(1e400, 1)", 1),
     ("first_integral(X, r2)", "schrodinger(r2, hbar=1e400)", 4),
     ("seed 13)\n", "seed 13)\n" + _TOL_CHECK, 5),
+    ("metric diag(1, 1)", "metric matrix [[1e400, 0], [0, 1]]", 1),
+    ("x^2 + y^2", "x^1e400 + y^2", 3),
 ], ids=["random_bound", "random_width", "grid_bound", "metric_diag", "real_parameter",
-        "spec_tol"])
+        "spec_tol", "metric_matrix", "exponent"])
 def test_non_finite_number_is_a_diagnostic_on_its_line(tmp_path, old, new, line, capsys):
     p = tmp_path / "inf.grs"
     p.write_text(PASSING_SPEC.replace(old, new))
@@ -450,6 +452,12 @@ class TestEval:
     def test_overflowing_constant_power_is_infinite(self, expr, printed, capsys):
         assert main(["eval", expr, "--at", "x=1"]) == 0
         assert capsys.readouterr().out == f"{printed}\n"
+
+    @pytest.mark.parametrize("expr", ["x^1e400", "x^-1e400", "2^(-1e400)"])
+    def test_non_finite_exponent_exits_two(self, expr, capsys):
+        assert main(["eval", expr, "--at", "x=2"]) == 2
+        err = capsys.readouterr().err
+        assert "exponent must be finite" in err and "Traceback" not in err
 
     def test_superscript_digit_exits_two(self, capsys):
         assert main(["eval", "x * \u00b2", "--at", "x=1"]) == 2

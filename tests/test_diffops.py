@@ -40,6 +40,12 @@ from grs.valued import ValueSpace, ValuedForm, su2
 x, y, z = coord(0), coord(1), coord(2)
 
 
+def comps(vf):
+    """A valued form's components as (multi-index, label) -> value."""
+    return {(idx, lab): v for lab, s in zip(vf.space.labels, vf.slices)
+            for idx, v in s.components.items()}
+
+
 @pytest.fixture
 def r3():
     return Chart(("x", "y", "z"), MetricSpec.diagonal([1, 1, 1]))
@@ -77,35 +83,35 @@ class TestExteriorDerivative:
             d_form(vol)
 
     def test_valued_d_acts_per_label(self, r3, V3):
-        vf = ValuedForm(r3, 0, COV, V3, {((), "e1"): x, ((), "e3"): y})
+        vf = ValuedForm.from_components(r3, 0, COV, V3, {((), "e1"): x, ((), "e3"): y})
         dvf = exterior_d(vf)
-        assert set(dvf.components) == {((0,), "e1"), ((1,), "e3")}
+        assert set(comps(dvf)) == {((0,), "e1"), ((1,), "e3")}
 
 
 class TestCovariantD:
     def test_trivial_is_d(self, r3, V3):
-        vf = ValuedForm(r3, 0, COV, V3, {((), "e2"): x * y})
+        vf = ValuedForm.from_components(r3, 0, COV, V3, {((), "e2"): x * y})
         a = covariant_D(ConnectionForm(), vf)
         b = exterior_d(vf)
-        assert a.components.keys() == b.components.keys()
+        assert comps(a).keys() == comps(b).keys()
 
     def test_lie_connection_bracket_term(self, r3, V3):
         # omega = dx (x) e1 acting on a constant section e2 contributes
         # [e1, e2] = e3 along dx
-        omega = ValuedForm(r3, 1, COV, V3, {((0,), "e1"): 1.0})
-        psi = ValuedForm(r3, 0, COV, V3, {((), "e2"): 1.0})
+        omega = ValuedForm.from_components(r3, 1, COV, V3, {((0,), "e1"): 1.0})
+        psi = ValuedForm.from_components(r3, 0, COV, V3, {((), "e2"): 1.0})
         out = covariant_D(ConnectionForm.from_omega(omega), psi)
-        assert set(out.components) == {((0,), "e3")}
-        assert out.components[((0,), "e3")].ev((0, 0, 0)) == 1.0
+        assert set(comps(out)) == {((0,), "e3")}
+        assert comps(out)[((0,), "e3")].ev((0, 0, 0)) == 1.0
 
     def test_from_omega_degree_check(self, r3, V3):
-        bad = ValuedForm(r3, 2, COV, V3, {((0, 1), "e1"): 1.0})
+        bad = ValuedForm.from_components(r3, 2, COV, V3, {((0, 1), "e1"): 1.0})
         with pytest.raises(DegreeError):
             ConnectionForm.from_omega(bad)
 
     def test_from_omega_needs_lie(self, r3):
         plain = ValueSpace(labels=("a",))
-        w = ValuedForm(r3, 1, COV, plain, {((0,), "a"): 1.0})
+        w = ValuedForm.from_components(r3, 1, COV, plain, {((0,), "a"): 1.0})
         with pytest.raises(DimensionError):
             ConnectionForm.from_omega(w)
 
@@ -119,23 +125,22 @@ class TestConnectionPairing:
     POINTS = [(0.2, -0.4, 0.9), (1.1, 0.3, -0.5), (-0.7, 0.6, 0.1)]
 
     def _omega(self, r3, V3):
-        return ValuedForm(r3, 1, COV, V3, {
+        return ValuedForm.from_components(r3, 1, COV, V3, {
             ((0,), "e1"): sin(y), ((1,), "e1"): x * z,
             ((1,), "e2"): exp(0.3 * x), ((2,), "e3"): x * y,
         })
 
     def _psi(self, r3, space):
         e1, e2, e3 = space.labels
-        return ValuedForm(r3, 1, COV, space, {
+        return ValuedForm.from_components(r3, 1, COV, space, {
             ((0,), e1): y * z, ((2,), e2): cos(x), ((1,), e3): x + z, ((2,), e3): y,
         })
 
     def _expected(self, omega, psi, pt):
         """d psi + sum C^m_jk omega^j ^ psi^k, label index m -> {multi-index: value}."""
         d_psi = exterior_d(psi)
-        out = [{idx: v.ev(pt) for idx, v in d_psi.label_slice(lab).components.items()}
-               for lab in psi.space.labels]
-        w, p = omega.slices(), psi.slices()
+        out = [{idx: v.ev(pt) for idx, v in s.components.items()} for s in d_psi.slices]
+        w, p = omega.slices, psi.slices
         for j, k, m, c in self.SU2:
             for idx, v in wedge(w[j], p[k]).components.items():
                 out[m][idx] = out[m].get(idx, 0.0) + c * v.ev(pt)
@@ -145,7 +150,7 @@ class TestConnectionPairing:
         for pt in self.POINTS:
             want = self._expected(omega, psi, pt)
             for m, lab in enumerate(psi.space.labels):
-                have = {idx: v.ev(pt) for idx, v in got.label_slice(lab).components.items()}
+                have = {idx: v.ev(pt) for idx, v in got.slices[m].components.items()}
                 assert set(have) <= set(want[m])
                 for idx, v in want[m].items():
                     assert have.get(idx, 0.0) == pytest.approx(v, abs=1e-12)
@@ -162,35 +167,35 @@ class TestConnectionPairing:
         self._assert_matches(out, omega, psi)
 
     def test_unequal_dimensions_raise(self, r3, V3):
-        psi = ValuedForm(r3, 0, COV, ValueSpace(labels=("a", "b")), {((), "a"): x})
+        psi = ValuedForm.from_components(r3, 0, COV, ValueSpace(labels=("a", "b")), {((), "a"): x})
         with pytest.raises(DimensionError):
             covariant_D(ConnectionForm.from_omega(self._omega(r3, V3)), psi)
 
     def test_curvature_needs_a_lie_structure(self, r3):
         plain = ValueSpace(labels=("a", "b", "c"))
         with pytest.raises(DimensionError):
-            curvature(ValuedForm(r3, 1, COV, plain, {((0,), "a"): y}))
+            curvature(ValuedForm.from_components(r3, 1, COV, plain, {((0,), "a"): y}))
 
 
 class TestCurvature:
     def test_abelian_part_is_d_omega(self, r3, V3):
-        omega = ValuedForm(r3, 1, COV, V3, {((1,), "e1"): x})
+        omega = ValuedForm.from_components(r3, 1, COV, V3, {((1,), "e1"): x})
         om = curvature(omega)
-        assert set(om.components) == {((0, 1), "e1")}
+        assert set(comps(om)) == {((0, 1), "e1")}
 
     def test_bracket_contribution(self, r3, V3):
         # omega = x dy e1 + y dx e2: d-part gives dx^dy (e1 - e2),
         # bracket part gives -xy dx^dy e3
-        omega = ValuedForm(r3, 1, COV, V3,
-                           {((1,), "e1"): x, ((0,), "e2"): y})
+        omega = ValuedForm.from_components(r3, 1, COV, V3,
+                                           {((1,), "e1"): x, ((0,), "e2"): y})
         om = curvature(omega)
         pt = (0.5, 0.8, 0.0)
-        assert om.components[((0, 1), "e1")].ev(pt) == pytest.approx(1.0)
-        assert om.components[((0, 1), "e2")].ev(pt) == pytest.approx(-1.0)
-        assert om.components[((0, 1), "e3")].ev(pt) == pytest.approx(-0.4)
+        assert comps(om)[((0, 1), "e1")].ev(pt) == pytest.approx(1.0)
+        assert comps(om)[((0, 1), "e2")].ev(pt) == pytest.approx(-1.0)
+        assert comps(om)[((0, 1), "e3")].ev(pt) == pytest.approx(-0.4)
 
     def test_bianchi_identity(self, r3, V3):
-        omega = ValuedForm(r3, 1, COV, V3, {
+        omega = ValuedForm.from_components(r3, 1, COV, V3, {
             ((0,), "e1"): sin(y),
             ((1,), "e2"): x * z,
             ((2,), "e3"): exp(0.3 * x) * y,
@@ -198,7 +203,7 @@ class TestCurvature:
         om = curvature(omega)
         res = covariant_D(ConnectionForm.from_omega(omega), om)
         for pt in [(0.2, -0.4, 0.9), (1.1, 0.3, -0.5)]:
-            for v in res.components.values():
+            for v in comps(res).values():
                 assert abs(v.ev(pt)) < 1e-10
 
 

@@ -20,7 +20,7 @@ def r2():
 
 
 def _one_valued(t):
-    return ValuedForm.from_slices(ONE, [t])
+    return ValuedForm(ONE, [t])
 
 
 def _scalar_section(chart, e):
@@ -137,7 +137,7 @@ class TestCondition:
 
     def test_valued_slices_go_under_the_label(self, r2):
         space = ValueSpace(labels=("e1", "e2"))
-        vf = ValuedForm(r2, 1, COV, space, {((1,), "e1"): x, ((0,), "e2"): y})
+        vf = ValuedForm.from_components(r2, 1, COV, space, {((1,), "e1"): x, ((0,), "e2"): y})
         assert _condition("own", ("", vf)).labels() == ["e1", "e2"]
         cond = _condition("prefixed", ("d.", vf))
         assert cond.labels() == ["d.e1", "d.e2"]
@@ -159,7 +159,7 @@ def test_add_keeps_the_paired_components(r2):
     sigma = _scalar_section(r2, x * y)
     paired = _pair(wedge, sigma, exterior_d(_scalar_section(r2, sin(x))))
     cond = _condition("c", ("", paired))
-    assert [repr(e) for _idx, e in sorted(paired.label_slice("1").components.items())] \
+    assert [repr(e) for _idx, e in sorted(paired.slices[0].components.items())] \
         == [repr(e) for e in cond.roots()]
 
 
@@ -170,7 +170,7 @@ class TestShapeErrorsWithEmptySlices:
         r3 = Chart(("x", "y", "z"), MetricSpec.diagonal([1, 1, 1]))
         sigma = _one_valued(form(r3, 2, {(0, 1): x}))
         d_alpha = exterior_d(_one_valued(form(r3, 1, {(2,): const(1.0)})))
-        assert not d_alpha.components
+        assert not any(s.components for s in d_alpha.slices)
         with pytest.raises(DegreeError):
             _pair(wedge, sigma, d_alpha)
 
@@ -183,4 +183,4 @@ class TestShapeErrorsWithEmptySlices:
     def test_empty_pairing_keeps_the_result_degree(self, r2):
         sigma = _one_valued(form(r2, 0, {}))
         paired = _pair(wedge, sigma, exterior_d(_scalar_section(r2, x)))
-        assert paired.degree == 1 and not paired.components
+        assert paired.degree == 1 and not any(s.components for s in paired.slices)

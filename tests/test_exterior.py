@@ -6,6 +6,7 @@ import pytest
 from grs.errors import (
     DegreeError,
     DimensionError,
+    DomainError,
     EvalSingularity,
     SingularMetricError,
     VarianceError,
@@ -279,6 +280,13 @@ class TestMetricSpec:
                                [as_expr(0.0), sin(th) * sin(th)]])
         assert g._inverse is None
         assert g.inverse_entries() is g.inverse_entries()
+
+    @pytest.mark.parametrize("entry", [1e400, -1e400, float("nan"), complex(0, 1e400)])
+    def test_matrix_rejects_a_non_finite_constant_entry(self, entry):
+        with pytest.raises(DomainError, match=r"entry \[2, 1\] is not finite"):
+            MetricSpec.matrix([[1.0, 0.0], [entry, 1.0]])
+        with pytest.raises(DomainError, match=r"entry \[1, 1\] is not finite"):
+            MetricSpec.matrix([[as_expr(entry), 0.0], [0.0, 1.0]])
 
 
 def test_determinant_keeps_the_entries_type():
