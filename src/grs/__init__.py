@@ -13,10 +13,10 @@ from .errors import (
     DomainError,
     EmptySampleSet,
     EvalSingularity,
-    GammaConventionError,
     GrsError,
     MissingParameter,
     NonIdempotentProjection,
+    NotALieAlgebra,
     ParameterError,
     SingularMetricError,
     StepError,
@@ -60,12 +60,8 @@ from .valued import (
     ValuedForm,
     abelian,
     su2,
-    validate_lie,
 )
 from .diffops import (
-    ConnectionForm,
-    GammaSystem,
-    HamiltonianSpec,
     christoffels_from_metric,
     covariant_D,
     curvature,

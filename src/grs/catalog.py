@@ -19,9 +19,6 @@ from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .diffops import (
-    ConnectionForm,
-    GammaSystem,
-    HamiltonianSpec,
     check_idempotent,
     christoffels_from_metric,
     covariant_D,
@@ -310,8 +307,7 @@ def _frobenius_vector(chart, *fields: VECTOR, pi: PROJECTION = None):
     items = []
     for a in range(len(fields)):
         for b in range(a + 1, len(fields)):
-            res = projected_lie(pi, fields[a])(fields[b])
-            for mu, e in enumerate(res):
+            for mu, e in enumerate(projected_lie(pi, fields[a], fields[b])):
                 items.append((f"[{a + 1},{b + 1}].{chart.coord_names[mu]}", e))
     return items
 
@@ -426,18 +422,17 @@ def _pfaff_currents(chart, J1: ONE_FORM, J2: ONE_FORM, J3: ONE_FORM, J4: ONE_FOR
 
 def _yang_mills(chart, omega: CONNECTION):
     star = curvature(omega).map(hodge)
-    return [("", covariant_D(ConnectionForm.from_omega(omega), star))]
+    return [("", covariant_D(omega, star))]
 
 
 def _bianchi(chart, omega: CONNECTION, psi: VALUED_2FORM = None):
     psi = curvature(omega) if psi is None else psi
-    return [("", covariant_D(ConnectionForm.from_omega(omega), psi))]
+    return [("", covariant_D(omega, psi))]
 
 
 def _ext_ym(phi_name: str, psi, omega):
-    conn = ConnectionForm() if omega is None else ConnectionForm.from_omega(omega)
     return [("", lift_pointwise(interior_after_tilde, _PHI_VALUE_CHOICES[phi_name](psi.space),
-                                psi, covariant_D(conn, psi)))]
+                                psi, covariant_D(omega, psi)))]
 
 
 def _ext_yang_mills_bracket(chart, psi: VALUED_2FORM, omega: CONNECTION = None):
@@ -462,8 +457,7 @@ def _ricci_flat(chart):
 
 # a second-order scalar operator, not a first-order pairing
 def _schrodinger(chart, psi: FIELD, V: FIELD = 0.0, hbar: REAL = 1.0, mass: REAL = 1.0):
-    h = HamiltonianSpec(hbar=hbar, mass=mass, potential=as_expr(V))
-    return [("psi", schrodinger_residual(h, psi, chart.dim))]
+    return [("psi", schrodinger_residual(psi, chart.dim, as_expr(V), hbar, mass))]
 
 
 # gamma matrices mix spinor components, not form degrees
@@ -476,8 +470,7 @@ def _dirac(chart, psi: SPINOR, m: REAL = 1.0, sign: SIGN = -1, A: ONE_FORM = Non
         comps = [as_expr(v) for v in psi]
         labels = ("e1", "e2", "e3", "e4")
     potential = None if A is None else [as_expr(A.get((mu,))) for mu in range(4)]
-    gs = GammaSystem(mass=m, sign=sign, potential=potential, charge=e)
-    return list(zip(labels, dirac_residual(gs, comps)))
+    return list(zip(labels, dirac_residual(comps, m, sign, potential, e)))
 
 
 # ---------------------------------------------------------------------------

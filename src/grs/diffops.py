@@ -1,24 +1,25 @@
 """Differential operators: exterior and covariant derivatives, Lie
-brackets and projected Lie operators, curvature and Ricci from a metric,
+brackets and projected Lie brackets, curvature and Ricci from a metric,
 Schrodinger and Dirac residual operators, and a fixed-step geodesic
 integrator.
+
+Each operator takes its inputs directly: ``covariant_D(omega, psi)``
+builds D = d + omega ^ [., .] from the connection form itself (D = d for
+``omega=None``), ``nabla_X`` takes the Christoffel symbols,
+``schrodinger_residual`` takes hbar, mass and the potential, and
+``dirac_residual`` takes the mass, the mass-term sign and the EM
+coupling, reading gamma^mu from ``GAMMA_UPPER``.  Each checks its own
+parameters where it uses them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (
-    DegreeError,
-    DimensionError,
-    GammaConventionError,
-    NonIdempotentProjection,
-    StepError,
-)
+from .errors import DegreeError, DimensionError, NonIdempotentProjection, StepError
 from .exterior import (
     COV,
     AlternatingTensor,
@@ -68,40 +69,21 @@ def exterior_d(psi: ValuedForm) -> ValuedForm:
 # connections and covariant exterior derivative
 
 
-@dataclass
-class ConnectionForm:
-    """A Lie-algebra-valued 1-form omega, or none (D = d).
+def covariant_D(omega: Optional[ValuedForm], psi: ValuedForm) -> ValuedForm:
+    """D psi = d psi + omega ^ [., psi], with D = d when ``omega`` is None.
 
-    D psi = d psi + omega ^ [., psi]: the connection term is the pairing
-    whose form-level map is the wedge and whose value-level map is the
-    Lie bracket, summing C^m_jk omega^j ^ psi^k (x) E_m.
+    The connection term is the pairing whose form-level map is the wedge
+    and whose value-level map is the Lie bracket of omega's value space,
+    summing C^m_jk omega^j ^ psi^k (x) E_m.  psi's value space needs
+    omega's dimension, not its labels: the bracket term lands on psi's
+    labels by index.
     """
-
-    omega: Optional[ValuedForm] = None
-
-    @staticmethod
-    def from_omega(omega: ValuedForm) -> "ConnectionForm":
-        if omega.degree != 1:
-            raise DegreeError("connection form must have degree 1")
-        if omega.space.lie is None:
-            raise DimensionError("connection form needs a Lie-structured value space")
-        return ConnectionForm(omega)
-
-
-def covariant_D(conn: ConnectionForm, psi: ValuedForm) -> ValuedForm:
-    """D psi = d psi + the wedge (x) Lie-bracket pairing of omega with psi.
-
-    psi's value space needs omega's dimension, not its labels: the
-    bracket term lands on psi's labels by index.
-    """
-    base = exterior_d(psi)
-    omega = conn.omega
     if omega is None:
-        return base
-    if omega.space.dim != psi.space.dim:
-        raise DimensionError("connection and section value spaces differ")
+        return exterior_d(psi)
+    if omega.degree != 1:
+        raise DegreeError("connection form must have degree 1")
     paired = lift_pointwise(wedge, PhiMap.lie_bracket(omega.space), omega, psi)
-    return base + ValuedForm(psi.space, paired.slices)
+    return exterior_d(psi) + ValuedForm(psi.space, paired.slices)
 
 
 def curvature(omega: ValuedForm) -> ValuedForm:
@@ -123,11 +105,10 @@ def nabla_X(gamma, X: VectorField, u: VectorField) -> VectorField:
         acc: Expr = ZERO
         for nu in range(n):
             acc = acc + X[nu] * u[mu].diff(nu)
-            if gamma is not None:
-                for s in range(n):
-                    g = as_expr(gamma[mu][nu][s])
-                    if not is_zero(g):
-                        acc = acc + g * X[nu] * u[s]
+            for s in range(n):
+                g = as_expr(gamma[mu][nu][s])
+                if not is_zero(g):
+                    acc = acc + g * X[nu] * u[s]
         out.append(acc)
     return out
 
@@ -146,11 +127,6 @@ def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
     return out
 
 
-def apply_projection(pi, v: VectorField) -> VectorField:
-    n = len(v)
-    return [sum((as_expr(pi[i][j]) * v[j] for j in range(n)), start=ZERO) for i in range(n)]
-
-
 def check_idempotent(pi, pts: Sequence[Sequence[float]], tol: float = 1e-10) -> None:
     """Raise NonIdempotentProjection unless pi*pi == pi at every point."""
     n = len(pi)
@@ -163,13 +139,11 @@ def check_idempotent(pi, pts: Sequence[Sequence[float]], tol: float = 1e-10) -> 
         raise NonIdempotentProjection(f"pi^2 != pi at {pt}")
 
 
-def projected_lie(pi, X: VectorField) -> Callable[[VectorField], VectorField]:
-    """D(X): Y -> pi([X, Y])."""
-
-    def op(Y: VectorField) -> VectorField:
-        return apply_projection(pi, lie_bracket(X, Y))
-
-    return op
+def projected_lie(pi, X: VectorField, Y: VectorField) -> VectorField:
+    """pi([X, Y]): the Lie bracket projected pointwise by the matrix pi."""
+    v = lie_bracket(X, Y)
+    n = len(v)
+    return [sum((as_expr(pi[i][j]) * v[j] for j in range(n)), start=ZERO) for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -255,27 +229,18 @@ def metricity_residual(metric: MetricSpec):
 # Schrodinger operator
 
 
-@dataclass(frozen=True)
-class HamiltonianSpec:
-    """H = -hbar^2/(2m) Laplacian + V over the spatial axes (time is last)."""
-
-    hbar: float = 1.0
-    mass: float = 1.0
-    potential: Expr = ZERO
-
-    def __post_init__(self):
-        if self.hbar <= 0 or self.mass <= 0:
-            raise DimensionError("hbar and mass must be positive")
-
-
-def schrodinger_residual(h: HamiltonianSpec, psi: Expr, dim: int) -> Expr:
-    """i hbar d_t psi - H psi on a chart whose last axis is time."""
+def schrodinger_residual(psi: Expr, dim: int, potential: Expr = ZERO,
+                         hbar: float = 1.0, mass: float = 1.0) -> Expr:
+    """i hbar d_t psi - H psi with H = -hbar^2/(2 mass) Laplacian + potential
+    over the spatial axes, on a chart whose last axis is time."""
+    if hbar <= 0 or mass <= 0:
+        raise DimensionError("hbar and mass must be positive")
     t_axis = dim - 1
-    res = (1j * h.hbar) * psi.diff(t_axis)
-    coeff = h.hbar * h.hbar / (2.0 * h.mass)
+    res = (1j * hbar) * psi.diff(t_axis)
+    coeff = hbar * hbar / (2.0 * mass)
     for k in range(t_axis):
         res = res + coeff * psi.diff(k).diff(k)
-    res = res - h.potential * psi
+    res = res - potential * psi
     return res
 
 
@@ -301,74 +266,36 @@ def dirac_representation() -> List[np.ndarray]:
     return gammas
 
 
-MINKOWSKI_SIGNATURE = (-1.0, -1.0, -1.0, 1.0)
+# gamma^mu = eta^mu_mu gamma_mu, for the signature (-,-,-,+)
+GAMMA_UPPER = [eta * g for eta, g in zip((-1.0, -1.0, -1.0, 1.0), dirac_representation())]
 
 
-@dataclass
-class GammaSystem:
-    """Dirac data: gamma matrices, mass, mass-term sign, optional EM coupling.
+def dirac_residual(psi: Sequence[Expr], mass: float = 1.0, sign: int = -1,
+                   potential: Optional[Sequence[Expr]] = None,
+                   charge: float = 0.0) -> List[Expr]:
+    """(i gamma^mu (d_mu - i e A_mu) + sign m) psi, componentwise.
 
-    ``sign`` is the literal sign of the mass term in the residual
-    (i gamma^mu (d_mu - i e A_mu) + sign * m) psi.
+    ``sign`` is the literal sign of the mass term; ``potential`` holds
+    A_mu, one per axis, and ``charge`` is e.
     """
-
-    gammas: List[np.ndarray] = None
-    mass: float = 1.0
-    sign: int = -1
-    potential: Optional[List[Expr]] = None  # A_mu, one per axis
-    charge: float = 0.0
-
-    def __post_init__(self):
-        if self.gammas is None:
-            self.gammas = dirac_representation()
-        if self.mass < 0:
-            raise DimensionError("mass must be >= 0")
-        if self.sign not in (1, -1):
-            raise DimensionError("sign must be +1 or -1")
-        self.validate()
-
-    def validate(self):
-        """Clifford invariant and the -2 trace identity, both exact."""
-        eta = MINKOWSKI_SIGNATURE
-        eye = np.eye(4, dtype=complex)
-        for mu in range(4):
-            for nu in range(4):
-                anti = self.gammas[mu] @ self.gammas[nu] + self.gammas[nu] @ self.gammas[mu]
-                want = 2.0 * (eta[mu] if mu == nu else 0.0) * eye
-                if not np.array_equal(anti, want):
-                    raise GammaConventionError(
-                        f"anticommutator violated at mu={mu}, nu={nu}")
-        # gamma_mu^2 = eta_mm id, so gamma_mu^-1 = eta^mm gamma_mu exactly
-        contraction = np.zeros((4, 4), dtype=complex)
-        for mu in range(4):
-            inv = (1.0 / eta[mu]) * self.gammas[mu]
-            if not np.array_equal(self.gammas[mu] @ inv, eye):
-                raise GammaConventionError(f"gamma_{mu} inverse is not exact")
-            contraction = contraction + (1.0 / eta[mu]) * self.gammas[mu] @ inv
-        if not np.array_equal(contraction, -2.0 * eye):
-            raise GammaConventionError("eta^mn gamma_m gamma_n^-1 != -2 id")
-
-    def gamma_upper(self, mu: int) -> np.ndarray:
-        return MINKOWSKI_SIGNATURE[mu] * self.gammas[mu]
-
-
-def dirac_residual(gs: GammaSystem, psi: Sequence[Expr]) -> List[Expr]:
-    """(i gamma^mu (d_mu - i e A_mu) + sign m) psi, componentwise."""
+    if mass < 0:
+        raise DimensionError("mass must be >= 0")
+    if sign not in (1, -1):
+        raise DimensionError("sign must be +1 or -1")
     if len(psi) != 4:
         raise DimensionError("Dirac section needs 4 components")
     psi = [as_expr(p) for p in psi]
     out = []
     for j in range(4):
-        acc: Expr = (gs.sign * gs.mass) * psi[j]
+        acc: Expr = (sign * mass) * psi[j]
         for mu in range(4):
-            gu = gs.gamma_upper(mu)
             for i in range(4):
-                coeff = gu[j, i]
+                coeff = GAMMA_UPPER[mu][j, i]
                 if coeff == 0:
                     continue
                 term = psi[i].diff(mu)
-                if gs.potential is not None and gs.charge != 0.0:
-                    term = term - (1j * gs.charge) * (gs.potential[mu] * psi[i])
+                if potential is not None and charge != 0.0:
+                    term = term - (1j * charge) * (potential[mu] * psi[i])
                 acc = acc + (1j * coeff) * term
         out.append(acc)
     return out

@@ -67,7 +67,7 @@ class ResidualReport:
 
     condition: str
     entry: str
-    sample: dict
+    seed: Optional[int]  # None for a grid
     requested: int
     excluded: int
     evaluated: int
@@ -83,7 +83,7 @@ class ResidualReport:
             "samples": {
                 "requested": self.requested,
                 "excluded": self.excluded,
-                "seed": self.sample.get("seed"),
+                "seed": self.seed,
             },
             "norms": {lab: {"linf": n["linf"], "rms": n["rms"]}
                       for lab, n in self.norms.items()},
@@ -180,7 +180,7 @@ def verify(c: GrCondition, sample: SampleSet, tol: float = DEFAULT_TOL) -> Resid
     return ResidualReport(
         condition=c.name,
         entry=c.entry,
-        sample=sample.describe(),
+        seed=None if sample.kind == "grid" else sample.seed,
         requested=sample.requested,
         excluded=excluded,
         evaluated=evaluated,

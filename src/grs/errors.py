@@ -33,8 +33,8 @@ class NonIdempotentProjection(GrsError):
     """Pointwise projection matrix fails pi*pi == pi."""
 
 
-class GammaConventionError(GrsError):
-    """Gamma matrices violate the Clifford anticommutation invariant."""
+class NotALieAlgebra(GrsError):
+    """Structure constants not finite, not antisymmetric or breaking Jacobi."""
 
 
 class DegenerateFormError(GrsError):

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import DegreeError, DimensionError, DomainError, SingularMetricError, VarianceError
-from .scalar import Const, Expr, as_expr, is_zero, sqrt
+from .scalar import Const, Expr, as_expr, intern_ops, is_zero, sqrt
 
 COV = "covariant"
 CONTRA = "contravariant"
@@ -63,6 +63,10 @@ class MetricSpec:
     ``det`` is a number for a constant metric and None for a matrix
     metric, whose determinant is an expression inside its inverse and
     sqrt|det g|.
+
+    Two metrics are equal when their ``det`` and the structure of their
+    rows (``scalar.intern_ops``) are, so charts made by two calls of one
+    function are equal.  That key is built on first comparison or hash.
     """
 
     def __init__(self, rows, det=None):
@@ -72,6 +76,19 @@ class MetricSpec:
         self.det = det
         self._inverse = None
         self._sqrt_abs_det = None if det is None else abs(det) ** 0.5
+        self._key = None
+
+    def _value(self) -> tuple:
+        if self._key is None:
+            ops, roots = intern_ops(as_expr(v) for row in self.rows for v in row)
+            self._key = (self.det, tuple(ops), tuple(roots))
+        return self._key
+
+    def __eq__(self, other) -> bool:
+        return self is other or isinstance(other, MetricSpec) and self._value() == other._value()
+
+    def __hash__(self) -> int:
+        return hash(self._value())
 
     @staticmethod
     def diagonal(values) -> "MetricSpec":

@@ -490,47 +490,61 @@ class Bump(Expr):
 # compiled programs
 
 
-class Program:
-    """Root expressions compiled to one deduplicated op list.
+def intern_ops(exprs: Iterable[Expr]) -> Tuple[List[tuple], List[int]]:
+    """The structure of ``exprs`` as one deduplicated op list.
 
     Structurally equal subtrees -- same node type, same constant, axis,
-    exponent or order, same children -- become one op.  Ops are stored in
-    topological order and each is evaluated once per call over a whole
-    array of points; an intermediate is dropped after its last consumer.
+    exponent or order, same children -- become one op ``(node type,
+    param, child op indices)``.  Returns the ops in topological order and
+    each root's op index.  The result depends on the trees' structure
+    only, not on which nodes they share, so it is also a value key for
+    a sequence of expressions.
+    """
+    # keyed by the node object itself: Expr has identity equality
+    slot_of: Dict[Expr, int] = {}     # node -> op index
+    interned: Dict[tuple, int] = {}   # op -> op index
+    ops: List[tuple] = []
+    roots: List[int] = []
+    for root in exprs:
+        # (node, None) on the first visit; (node, parts) once its
+        # children are pushed above it, so _parts runs once per node
+        stack = [(root, None)]
+        while stack:
+            node, parts = stack.pop()
+            if node in slot_of:
+                continue
+            if parts is None:
+                parts = node._parts()
+                todo = [k for k in parts[0] if k not in slot_of]
+                if todo:
+                    stack.append((node, parts))
+                    stack.extend((k, None) for k in todo)
+                    continue
+            kids, param = parts
+            op = (type(node), param, tuple(slot_of[k] for k in kids))
+            i = interned.get(op)
+            if i is None:
+                i = interned[op] = len(ops)
+                ops.append(op)
+            slot_of[node] = i
+        roots.append(slot_of[root])
+    return ops, roots
+
+
+class Program:
+    """Root expressions compiled to one deduplicated op list (``intern_ops``).
+
+    Ops are stored in topological order and each is evaluated once per
+    call over a whole array of points; an intermediate is dropped after
+    its last consumer.
     """
 
     __slots__ = ("_ops", "_roots")
 
     def __init__(self, exprs: Iterable[Expr]):
-        # keyed by the node object itself: Expr has identity equality
-        slot_of: Dict[Expr, int] = {}     # node -> op index
-        interned: Dict[tuple, int] = {}   # structural key -> op index
-        ops: List[tuple] = []             # (eval, param, child slots, dead slots)
-        roots: List[int] = []
-        for root in exprs:
-            # (node, None) on the first visit; (node, parts) once its
-            # children are pushed above it, so _parts runs once per node
-            stack = [(root, None)]
-            while stack:
-                node, parts = stack.pop()
-                if node in slot_of:
-                    continue
-                if parts is None:
-                    parts = node._parts()
-                    todo = [k for k in parts[0] if k not in slot_of]
-                    if todo:
-                        stack.append((node, parts))
-                        stack.extend((k, None) for k in todo)
-                        continue
-                kids, param = parts
-                args = tuple(slot_of[k] for k in kids)
-                key = (type(node), param, args)
-                i = interned.get(key)
-                if i is None:
-                    i = interned[key] = len(ops)
-                    ops.append((type(node)._eval, param, args, []))
-                slot_of[node] = i
-            roots.append(slot_of[root])
+        ops, roots = intern_ops(exprs)
+        # (eval, param, child slots, dead slots)
+        ops = [(t._eval, param, args, []) for t, param, args in ops]
         last_use = {a: i for i, op in enumerate(ops) for a in op[2]}
         keep = set(roots)
         for a, i in last_use.items():
@@ -793,12 +807,3 @@ class SampleSet:
         lows = np.array([b[0] for b in self.bounds])
         highs = np.array([b[1] for b in self.bounds])
         return rng.uniform(lows, highs, size=(self.count, len(self.bounds)))
-
-    def describe(self) -> dict:
-        d = {"kind": self.kind, "bounds": [list(b) for b in self.bounds]}
-        if self.kind == "grid":
-            d["counts"] = list(self.counts)
-        else:
-            d["count"] = self.count
-            d["seed"] = self.seed
-        return d

@@ -11,20 +11,47 @@ form-level map supplied by the caller.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .errors import DegreeError, DimensionError, VarianceError
+import numpy as np
+
+from .errors import DegreeError, DimensionError, NotALieAlgebra, VarianceError
 from .exterior import AlternatingTensor, Chart, MultiIndex, zero_tensor
 from .scalar import as_expr, is_zero
 
 
 @dataclass(frozen=True)
 class LieStructure:
-    """Structure constants C[k][i][j] for [E_i, E_j] = C^k_ij E_k."""
+    """Structure constants C[k][i][j] for [E_i, E_j] = C^k_ij E_k.
+
+    Constants that are not finite, not antisymmetric or break the Jacobi
+    identity raise NotALieAlgebra, naming the first offending indices
+    (i, j, k) 1-based.  The Jacobi sums are quadratic in C, so both
+    identities are tested on C / max|C| at a fixed tolerance.
+    """
 
     dim: int
     constants: tuple  # nested tuple [k][i][j]
+
+    def __post_init__(self):
+        c = np.array(self.constants, dtype=float)
+        if not np.isfinite(c).all():
+            raise NotALieAlgebra("structure constants must be finite")
+        c = c / (np.abs(c).max() or 1.0)
+        anti = np.argwhere(abs(c + c.transpose(0, 2, 1)) > 1e-12)  # at [k, i, j]
+        if len(anti):
+            _broken("antisymmetry", anti[0][[1, 2, 0]])
+        for i in range(self.dim):  # the Jacobi sums at [i, j, k, l], one i at a time
+            if not c[:, :, i].any():  # antisymmetric C: every term has a factor C^._.i
+                continue
+            jacobi = (np.einsum("mj,lmk->jkl", c[:, i], c)
+                      + np.einsum("mjk,lm->jkl", c, c[:, :, i])
+                      + np.einsum("mk,lmj->jkl", c[:, :, i], c))
+            bad = np.argwhere(abs(jacobi) > 1e-12)
+            if len(bad):
+                _broken("the Jacobi identity", (i, *bad[0][:2]))
 
     @staticmethod
     def from_triples(dim: int, triples) -> "LieStructure":
@@ -35,12 +62,19 @@ class LieStructure:
         """
         c = [[[0.0] * dim for _ in range(dim)] for _ in range(dim)]
         for i, j, k, v in triples:
+            if not math.isfinite(v):
+                raise NotALieAlgebra(f"bracket value must be finite, got {v!r}")
             c[k][i][j] = float(v)
             c[k][j][i] = -float(v)
         return LieStructure(dim, tuple(tuple(tuple(row) for row in mat) for mat in c))
 
     def bracket_coeffs(self, i: int, j: int) -> List[float]:
         return [self.constants[k][i][j] for k in range(self.dim)]
+
+
+def _broken(what: str, ijk) -> None:
+    raise NotALieAlgebra(f"brackets break {what} at indices "
+                         f"({', '.join(str(t + 1) for t in ijk)})")
 
 
 def su2() -> LieStructure:
@@ -52,37 +86,6 @@ def su2() -> LieStructure:
 def abelian(dim: int) -> LieStructure:
     return LieStructure(dim, tuple(
         tuple(tuple(0.0 for _ in range(dim)) for _ in range(dim)) for _ in range(dim)))
-
-
-@dataclass
-class LieValidation:
-    ok: bool
-    antisymmetry_violation: Optional[Tuple[int, int, int]] = None
-    jacobi_violation: Optional[Tuple[int, int, int]] = None
-
-
-def validate_lie(L: LieStructure, tol: float = 1e-12) -> LieValidation:
-    """Check antisymmetry and the Jacobi identity; report first violation."""
-    n = L.dim
-    c = L.constants
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                if abs(c[k][i][j] + c[k][j][i]) > tol:
-                    return LieValidation(False, antisymmetry_violation=(i, j, k))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    s = sum(
-                        c[m][i][j] * c[l][m][k]
-                        + c[m][j][k] * c[l][m][i]
-                        + c[m][k][i] * c[l][m][j]
-                        for m in range(n)
-                    )
-                    if abs(s) > tol:
-                        return LieValidation(False, jacobi_violation=(i, j, k))
-    return LieValidation(True)
 
 
 @dataclass(frozen=True)

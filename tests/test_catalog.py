@@ -208,3 +208,44 @@ def test_hodge_entries_on_schwarzschild(entry):
     assert coulomb.passed and coulomb.evaluated == 100, coulomb.linf
     control = verify(build(entry, chart, **_coulomb_params(entry, chart, 3)), sample, 1e-10)
     assert not control.passed and control.linf > 1e-5
+
+
+class TestChartsCompareByValue:
+    """Two calls of one chart function give equal charts; a chart with the
+    same coordinate names and another metric stays a different chart."""
+
+    def test_two_minkowski_calls_are_equal(self):
+        assert minkowski() == minkowski()
+        assert hash(minkowski()) == hash(minkowski())
+
+    def test_maxwell_on_a_second_minkowski_call_passes(self):
+        from grs.catalog import plane_wave_F
+        cond = build("maxwell_vacuum", minkowski(), F=plane_wave_F(minkowski()))
+        assert verify(cond, fixtures("maxwell_vacuum")[0].sample).passed
+
+    def test_wedge_of_forms_on_two_minkowski_calls(self):
+        from grs.exterior import wedge
+        from grs.scalar import coord
+        a = form(minkowski(), 1, {(0,): coord(1)})
+        b = form(minkowski(), 1, {(1,): coord(0)})
+        assert set(wedge(a, b).components) == {(0, 1)}
+
+    def test_minkowski_named_euclidean_chart_is_rejected(self):
+        from grs.catalog import plane_wave_F
+        flat4 = euclidean(("x", "y", "z", "xi"))
+        assert flat4 != minkowski()
+        with pytest.raises(ParameterError, match="'F' lives on another chart"):
+            build("maxwell_vacuum", minkowski(), F=plane_wave_F(flat4))
+
+
+def test_yang_mills_rejects_structure_constants_that_break_jacobi():
+    from grs.errors import GrsError
+    from grs.exterior import COV
+    from grs.valued import LieStructure, ValuedForm, ValueSpace
+    chart = euclidean(("x", "y", "z"))
+    with pytest.raises(GrsError, match="Jacobi"):
+        # [e1, e2] = e2, [e1, e3] = e3, [e2, e3] = e1 is no Lie algebra
+        lie = LieStructure.from_triples(3, [(0, 1, 1, 1.0), (0, 2, 2, 1.0), (1, 2, 0, 1.0)])
+        omega = ValuedForm.from_components(chart, 1, COV, ValueSpace(("e1", "e2", "e3"), lie),
+                                           {((0,), "e1"): 1.0, ((1,), "e2"): 1.0})
+        build("yang_mills", chart, omega=omega)

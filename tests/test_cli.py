@@ -477,3 +477,23 @@ class TestEval:
     def test_bindings_that_make_no_chart_exit_two(self, at, message, capsys):
         assert main(["eval", "x", "--at", at]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("spec, old, new, message", [
+    ("schrodinger.grs", "schrodinger(pw)", "schrodinger(pw, hbar=0)",
+     "hbar and mass must be positive"),
+    ("schrodinger.grs", "schrodinger(pw)", "schrodinger(pw, mass=-1)",
+     "hbar and mass must be positive"),
+    ("dirac.grs", "dirac(psi, m=1,", "dirac(psi, m=-1,", "mass must be >= 0"),
+], ids=["hbar_zero", "negative_mass", "negative_dirac_mass"])
+def test_operator_parameter_out_of_range_exits_two(tmp_path, spec, old, new, message, capsys):
+    text = (SPEC_DIR / spec).read_text()
+    assert text.count(old) == 1
+    p = tmp_path / spec
+    p.write_text(text.replace(old, new))
+    line = 1 + text[:text.index(old)].count("\n")
+    assert main(["verify", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    entry = spec.removesuffix(".grs")
+    assert captured.err.splitlines()[0] == f"error: {entry}: {message} (line {line}, col 1)"

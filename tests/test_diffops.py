@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from grs.diffops import (
-    ConnectionForm,
-    GammaSystem,
-    HamiltonianSpec,
+    GAMMA_UPPER,
     check_idempotent,
     christoffels_from_metric,
     covariant_D,
@@ -28,7 +26,6 @@ from grs.engine import verify
 from grs.errors import (
     DegreeError,
     DimensionError,
-    GammaConventionError,
     NonIdempotentProjection,
     StepError,
 )
@@ -91,7 +88,7 @@ class TestExteriorDerivative:
 class TestCovariantD:
     def test_trivial_is_d(self, r3, V3):
         vf = ValuedForm.from_components(r3, 0, COV, V3, {((), "e2"): x * y})
-        a = covariant_D(ConnectionForm(), vf)
+        a = covariant_D(None, vf)
         b = exterior_d(vf)
         assert comps(a).keys() == comps(b).keys()
 
@@ -100,20 +97,22 @@ class TestCovariantD:
         # [e1, e2] = e3 along dx
         omega = ValuedForm.from_components(r3, 1, COV, V3, {((0,), "e1"): 1.0})
         psi = ValuedForm.from_components(r3, 0, COV, V3, {((), "e2"): 1.0})
-        out = covariant_D(ConnectionForm.from_omega(omega), psi)
+        out = covariant_D(omega, psi)
         assert set(comps(out)) == {((0,), "e3")}
         assert comps(out)[((0,), "e3")].ev((0, 0, 0)) == 1.0
 
-    def test_from_omega_degree_check(self, r3, V3):
+    def test_connection_degree_check(self, r3, V3):
         bad = ValuedForm.from_components(r3, 2, COV, V3, {((0, 1), "e1"): 1.0})
+        psi = ValuedForm.from_components(r3, 0, COV, V3, {((), "e2"): 1.0})
         with pytest.raises(DegreeError):
-            ConnectionForm.from_omega(bad)
+            covariant_D(bad, psi)
 
-    def test_from_omega_needs_lie(self, r3):
+    def test_connection_needs_lie_structure(self, r3):
         plain = ValueSpace(labels=("a",))
         w = ValuedForm.from_components(r3, 1, COV, plain, {((0,), "a"): 1.0})
+        psi = ValuedForm.from_components(r3, 0, COV, plain, {((), "a"): x})
         with pytest.raises(DimensionError):
-            ConnectionForm.from_omega(w)
+            covariant_D(w, psi)
 
 
 class TestConnectionPairing:
@@ -157,19 +156,19 @@ class TestConnectionPairing:
 
     def test_su2_connection_adds_the_bracket_sum(self, r3, V3):
         omega, psi = self._omega(r3, V3), self._psi(r3, V3)
-        self._assert_matches(covariant_D(ConnectionForm.from_omega(omega), psi), omega, psi)
+        self._assert_matches(covariant_D(omega, psi), omega, psi)
 
     def test_bracket_term_lands_on_psi_labels_by_index(self, r3, V3):
         other = ValueSpace(labels=("a", "b", "c"))
         omega, psi = self._omega(r3, V3), self._psi(r3, other)
-        out = covariant_D(ConnectionForm.from_omega(omega), psi)
+        out = covariant_D(omega, psi)
         assert out.space is other
         self._assert_matches(out, omega, psi)
 
     def test_unequal_dimensions_raise(self, r3, V3):
         psi = ValuedForm.from_components(r3, 0, COV, ValueSpace(labels=("a", "b")), {((), "a"): x})
         with pytest.raises(DimensionError):
-            covariant_D(ConnectionForm.from_omega(self._omega(r3, V3)), psi)
+            covariant_D(self._omega(r3, V3), psi)
 
     def test_curvature_needs_a_lie_structure(self, r3):
         plain = ValueSpace(labels=("a", "b", "c"))
@@ -201,7 +200,7 @@ class TestCurvature:
             ((2,), "e3"): exp(0.3 * x) * y,
         })
         om = curvature(omega)
-        res = covariant_D(ConnectionForm.from_omega(omega), om)
+        res = covariant_D(omega, om)
         for pt in [(0.2, -0.4, 0.9), (1.1, 0.3, -0.5)]:
             for v in comps(res).values():
                 assert abs(v.ev(pt)) < 1e-10
@@ -303,7 +302,7 @@ class TestVectorOperators:
     def test_nabla_flat_directional_derivative(self):
         u = [x * y, sin(x)]
         X = [const(1), ZERO]
-        out = nabla_X(None, X, u)
+        out = nabla_X(christoffels_from_metric(MetricSpec.diagonal([1, 1])), X, u)
         pt = (0.5, 2.0)
         assert out[0].ev(pt) == pytest.approx(2.0)
         assert out[1].ev(pt) == pytest.approx(math.cos(0.5))
@@ -325,8 +324,7 @@ class TestVectorOperators:
 
     def test_projected_lie(self):
         pi = [[1.0, 0.0], [0.0, 0.0]]
-        op = projected_lie(pi, [ZERO, x])
-        out = op([const(1), ZERO])
+        out = projected_lie(pi, [ZERO, x], [const(1), ZERO])
         # [X, Y] = (0, -1); projection keeps only the first slot
         assert out[0].ev((0.3, 0.0)) == 0.0
         assert out[1].ev((0.3, 0.0)) == 0.0
@@ -338,61 +336,62 @@ class TestSchrodinger:
         k, w = 1.3, 1.3 * 1.3 / 2.0
         xx, t = coord(0), coord(1)
         psi = exp(1j * (k * xx - w * t))
-        res = schrodinger_residual(HamiltonianSpec(), psi, dim=2)
+        res = schrodinger_residual(psi, dim=2)
         assert abs(res.ev((0.4, 0.9))) < 1e-12
 
     def test_wrong_frequency_fails(self):
         xx, t = coord(0), coord(1)
         psi = exp(1j * (xx - t))
-        res = schrodinger_residual(HamiltonianSpec(), psi, dim=2)
+        res = schrodinger_residual(psi, dim=2)
         assert abs(res.ev((0.0, 0.0))) == pytest.approx(0.5)
 
     def test_potential_term(self):
         xx, t = coord(0), coord(1)
         psi = exp(-1j * t)
-        h = HamiltonianSpec(potential=const(1.0))
-        res = schrodinger_residual(h, psi, dim=2)
+        res = schrodinger_residual(psi, dim=2, potential=const(1.0))
         assert abs(res.ev((0.2, 0.5))) < 1e-12
 
     def test_invalid_parameters(self):
+        psi = exp(-1j * coord(1))
         with pytest.raises(DimensionError):
-            HamiltonianSpec(hbar=0.0)
+            schrodinger_residual(psi, dim=2, hbar=0.0)
         with pytest.raises(DimensionError):
-            HamiltonianSpec(mass=-1.0)
+            schrodinger_residual(psi, dim=2, mass=-1.0)
 
 
 class TestDirac:
     def test_default_representation_validates(self):
-        GammaSystem()  # __post_init__ runs validate()
-
-    def test_broken_gammas_rejected(self):
-        gammas = [np.eye(4, dtype=complex)] * 4
-        with pytest.raises(GammaConventionError):
-            GammaSystem(gammas=gammas)
+        # {gamma^mu, gamma^nu} = 2 eta^mu_nu, exactly, for eta = diag(-1, -1, -1, 1)
+        eta = np.diag([-1.0, -1.0, -1.0, 1.0])
+        for mu in range(4):
+            for nu in range(4):
+                anti = GAMMA_UPPER[mu] @ GAMMA_UPPER[nu] + GAMMA_UPPER[nu] @ GAMMA_UPPER[mu]
+                assert np.array_equal(anti, 2.0 * eta[mu, nu] * np.eye(4))
 
     def test_parameter_checks(self):
+        psi = [exp(-1j * coord(3)), ZERO, ZERO, ZERO]
         with pytest.raises(DimensionError):
-            GammaSystem(mass=-1.0)
+            dirac_residual(psi, mass=-1.0)
         with pytest.raises(DimensionError):
-            GammaSystem(sign=2)
+            dirac_residual(psi, sign=2)
 
     def test_rest_solution(self):
         xi = coord(3)
         psi = [exp(-1j * xi), ZERO, ZERO, ZERO]
-        res = dirac_residual(GammaSystem(mass=1.0, sign=-1), psi)
+        res = dirac_residual(psi, mass=1.0, sign=-1)
         for r in res:
             assert abs(r.ev((0.1, 0.2, 0.3, 0.4))) < 1e-14
 
     def test_mass_mismatch_unit_residual(self):
         xi = coord(3)
         psi = [exp(-1j * xi), ZERO, ZERO, ZERO]
-        res = dirac_residual(GammaSystem(mass=2.0, sign=-1), psi)
+        res = dirac_residual(psi, mass=2.0, sign=-1)
         mags = [abs(r.ev((0.0, 0.0, 0.0, 0.7))) for r in res]
         assert max(mags) == pytest.approx(1.0, abs=1e-12)
 
     def test_component_count(self):
         with pytest.raises(DimensionError):
-            dirac_residual(GammaSystem(), [ZERO, ZERO])
+            dirac_residual([ZERO, ZERO])
 
 
 class TestGeodesics:

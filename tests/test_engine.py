@@ -126,6 +126,10 @@ class TestVerify:
         assert d["samples"]["seed"] == 2
         assert set(d["norms"]["r"]) == {"linf", "rms"}
 
+    def test_grid_report_has_no_seed(self, r2):
+        rep = verify(self._abs_x_condition(r2), SampleSet.grid([(-1, 1), (-1, 1)], 3), tol=2.0)
+        assert rep.to_dict()["samples"]["seed"] is None
+
     def test_default_tolerance(self):
         assert DEFAULT_TOL == 1e-9
 

@@ -1,6 +1,6 @@
 import pytest
 
-from grs.errors import DegreeError, DimensionError, VarianceError
+from grs.errors import DegreeError, DimensionError, NotALieAlgebra, VarianceError
 from grs.exterior import COV, Chart, MetricSpec, form, hodge, multivector, wedge
 from grs.scalar import coord
 from grs.valued import (
@@ -11,7 +11,6 @@ from grs.valued import (
     abelian,
     lift_pointwise,
     su2,
-    validate_lie,
 )
 
 
@@ -33,26 +32,25 @@ def V3():
 
 class TestLieStructure:
     def test_su2_is_a_lie_algebra(self):
-        v = validate_lie(su2())
-        assert v.ok
+        assert su2().bracket_coeffs(0, 1) == [0.0, 0.0, 1.0]  # constructing checks it
 
     def test_abelian_is_a_lie_algebra(self):
-        assert validate_lie(abelian(4)).ok
+        assert abelian(4).bracket_coeffs(1, 2) == [0.0] * 4
 
     def test_antisymmetry_violation_reported(self):
         c = [[[0.0, 1.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
-        bad = LieStructure(2, tuple(tuple(tuple(r) for r in m) for m in c))
-        v = validate_lie(bad)
-        assert not v.ok
-        assert v.antisymmetry_violation is not None
+        with pytest.raises(NotALieAlgebra, match=r"antisymmetry at indices \(1, 2, 1\)"):
+            LieStructure(2, tuple(tuple(tuple(r) for r in m) for m in c))
 
     def test_jacobi_violation_reported(self):
         # [e0,e1] = e1, [e0,e2] = e2, [e1,e2] = e0 fails Jacobi
-        bad = LieStructure.from_triples(
-            3, [(0, 1, 1, 1.0), (0, 2, 2, 1.0), (1, 2, 0, 1.0)])
-        v = validate_lie(bad)
-        assert not v.ok
-        assert v.jacobi_violation is not None
+        with pytest.raises(NotALieAlgebra, match="the Jacobi identity at indices"):
+            LieStructure.from_triples(3, [(0, 1, 1, 1.0), (0, 2, 2, 1.0), (1, 2, 0, 1.0)])
+
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_non_finite_constants_rejected(self, value):
+        with pytest.raises(NotALieAlgebra, match="must be finite"):
+            LieStructure(1, (((value,),),))
 
     def test_from_triples_antisymmetric_completion(self):
         L = LieStructure.from_triples(3, [(0, 1, 2, 1.0)])
