@@ -25,6 +25,7 @@ from grs.scalar import (
     cos,
     exp,
     fd_diff,
+    intern_ops,
     is_zero,
     sin,
     sqrt,
@@ -195,6 +196,16 @@ OP_LIST_DIGEST = "cd099202505e192187ed12096125f54f4b848a00ee91561fb656fc01b777e3
 
 
 class TestCompile:
+    def test_intern_ops_ignores_sharing(self):
+        # a value key: the same ops whether equal subtrees are one node or copies
+        a = sin(x * y)
+
+        def copy():
+            return sin(coord(0) * coord(1))
+
+        assert intern_ops([a * a + a, a]) == intern_ops([copy() * copy() + copy(), copy()])
+        assert intern_ops([a]) != intern_ops([sin(y * x)])
+
     def test_each_node_is_taken_apart_once(self, monkeypatch):
         roots = [r for row in ricci(MetricSpec.matrix(_dense_flat_rows())) for r in row]
         seen = []
