@@ -156,6 +156,10 @@ def christoffels_from_metric(metric: MetricSpec):
     g = [[as_expr(v) for v in row] for row in metric.entries()]
     ginv = metric.inverse_entries()
     half = as_expr(0.5)
+    # d_m g_rn + d_n g_rm - d_r g_mn, built once for each r some g^lr uses
+    used = [r for r in range(n) if any(not is_zero(ginv[l][r]) for l in range(n))]
+    bracket = {(r, m, nu): g[r][nu].diff(m) + g[r][m].diff(nu) - g[m][nu].diff(r)
+               for r in used for m in range(n) for nu in range(m, n)}
     gamma = [[[ZERO for _ in range(n)] for _ in range(n)] for _ in range(n)]
     for l in range(n):
         for m in range(n):
@@ -164,8 +168,7 @@ def christoffels_from_metric(metric: MetricSpec):
                 for r in range(n):
                     if is_zero(ginv[l][r]):
                         continue
-                    term = g[r][nu].diff(m) + g[r][m].diff(nu) - g[m][nu].diff(r)
-                    acc = acc + ginv[l][r] * term
+                    acc = acc + ginv[l][r] * bracket[r, m, nu]
                 val = half * acc
                 gamma[l][m][nu] = val
                 gamma[l][nu][m] = val

@@ -4,8 +4,12 @@ A ``GrCondition`` is filled in by ``add``, one labeled piece (an expression,
 a form or a valued form) at a time; a catalog builder's pieces are already
 fully symbolic, one expression tree per component.  ``verify`` compiles all of a
 condition's trees into one deduplicated ``Program`` and evaluates it over
-fixed blocks of ``BLOCK_ROWS`` sample points, reducing each block into
-running norms, so memory does not grow with the number of points.
+blocks of sample points, reducing each block into running norms.  A
+block has as many rows as fit in ``BLOCK_BYTES`` at 16 bytes (one
+complex value) per row for each value the program holds at once
+(``Program.peak``) and each component's magnitude, so memory does not
+grow with the number of points and a small program runs in few blocks.
+The report does not depend on the block size.
 A condition's values at chosen points come from the same compiler:
 ``Program(cond.roots()).at(points)``, one row per component in label
 order.
@@ -104,8 +108,8 @@ class ResidualReport:
 DEFAULT_TOL = 1e-9
 
 
-# sample points evaluated per block; bounds verify's memory at any --points
-BLOCK_ROWS = 1024
+# bytes of values one block may hold; bounds verify's memory at any --points
+BLOCK_BYTES = 16 << 20
 
 
 def _skipped(sample: SampleSet, block: np.ndarray) -> Optional[np.ndarray]:
@@ -134,6 +138,7 @@ def verify(c: GrCondition, sample: SampleSet, tol: float = DEFAULT_TOL) -> Resid
         spans.append((width, width + len(c.residuals[lab])))
         width = spans[-1][1]
     prog = Program(c.roots())
+    rows = max(1, BLOCK_BYTES // (16 * max(1, prog.peak + width)))
     pts = sample.array()
     linf = [0.0] * len(labels)
     sumsq = [0.0] * len(labels)
@@ -142,8 +147,8 @@ def verify(c: GrCondition, sample: SampleSet, tol: float = DEFAULT_TOL) -> Resid
     worst_mag = -1.0
     # squares of huge magnitudes overflow to inf, which fails the check
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, len(pts), BLOCK_ROWS):
-            block = pts[start:start + BLOCK_ROWS]
+        for start in range(0, len(pts), rows):
+            block = pts[start:start + rows]
             skip = _skipped(sample, block)
             values, singular = prog.run(block, skip)
             keep = ~singular if skip is None else ~(singular | skip)

@@ -27,7 +27,8 @@ real ``pow``.
 Point policy: a division or negative power whose operand has magnitude
 below ``_DIV_FLOOR`` marks the point *singular*; ``sqrt`` or a
 half-integer power of a negative real raises ``DomainError``, but only
-at points that are neither singular nor excluded by the caller.
+at points that are neither singular nor excluded by the caller; the
+error names the first such point.
 """
 
 from __future__ import annotations
@@ -214,14 +215,16 @@ class _Block:
     def __init__(self, pts: np.ndarray):
         self.cols = np.ascontiguousarray(pts.T)
         self.singular = np.zeros(len(pts), dtype=bool)
-        self.domain: List[tuple] = []  # (mask, real part, message template)
+        self.domain: List[tuple] = []  # (rows, real parts there, message template)
 
     def flag_small(self, v) -> None:
         self.singular |= magnitude(v) < _DIV_FLOOR
 
     def flag_negative(self, v, template: str) -> None:
-        bad = (v.real < 0.0) & (v.imag == 0.0)
-        self.domain.append((bad, v.real, template))
+        v = np.broadcast_to(v, self.singular.shape)
+        rows = np.flatnonzero((v.real < 0.0) & (v.imag == 0.0))
+        if len(rows):
+            self.domain.append((rows, v.real[rows], template))
 
 
 class Const(Expr):
@@ -536,10 +539,11 @@ class Program:
 
     Ops are stored in topological order and each is evaluated once per
     call over a whole array of points; an intermediate is dropped after
-    its last consumer.
+    its last consumer.  ``peak`` is the most values a run holds at once,
+    roots included; each is one array over the points.
     """
 
-    __slots__ = ("_ops", "_roots")
+    __slots__ = ("_ops", "_roots", "peak")
 
     def __init__(self, exprs: Iterable[Expr]):
         ops, roots = intern_ops(exprs)
@@ -550,6 +554,11 @@ class Program:
         for a, i in last_use.items():
             if a not in keep:
                 ops[i][3].append(a)
+        live = self.peak = 0
+        for op in ops:
+            live += 1  # an op's value is made before its dead inputs go
+            self.peak = max(self.peak, live)
+            live -= len(op[3])
         self._ops = ops
         self._roots = roots
 
@@ -560,8 +569,10 @@ class Program:
         """Root values at the rows of ``pts`` (N x dim), and the singular mask.
 
         Returns ([one length-N array per root], singular).  Raises
-        DomainError for a domain violation at a row that is neither
-        singular nor marked in ``skip``.
+        DomainError for the first row with a domain violation that is
+        neither singular nor marked in ``skip`` (the first such op in op
+        order if several fail there), so the error names the same row
+        whichever rows ``pts`` is cut into.
         """
         n = len(pts)
         blk = _Block(pts)
@@ -572,10 +583,13 @@ class Program:
                 for a in dead:
                     vals[a] = None
         ignore = blk.singular if skip is None else blk.singular | skip
-        for bad, re, template in blk.domain:
-            hit = bad & ~ignore
-            if hit.any():
-                raise DomainError(template.format(float(_rows(re, n)[np.argmax(hit)])))
+        first = None  # (row, real part, template) of the earliest violation
+        for rows, re, template in blk.domain:
+            hit = np.flatnonzero(~ignore[rows])
+            if len(hit) and (first is None or rows[hit[0]] < first[0]):
+                first = rows[hit[0]], re[hit[0]], template
+        if first is not None:
+            raise DomainError(first[2].format(float(first[1])))
         return [_rows(vals[r], n) for r in self._roots], blk.singular
 
     def at(self, pts) -> np.ndarray:

@@ -2,10 +2,12 @@ import math
 
 import pytest
 
+from grs import engine
+from grs.catalog import build, schwarzschild_chart
 from grs.engine import DEFAULT_TOL, GrCondition, verify
 from grs.errors import DegreeError, DomainError, EmptySampleSet
 from grs.exterior import COV, Chart, MetricSpec, form, wedge
-from grs.scalar import Program, SampleSet, const, coord, sin
+from grs.scalar import Program, SampleSet, const, coord, sin, sqrt
 from grs.valued import PhiMap, ValueSpace, ValuedForm, lift_pointwise
 from grs.diffops import exterior_d
 
@@ -132,6 +134,65 @@ class TestVerify:
 
     def test_default_tolerance(self):
         assert DEFAULT_TOL == 1e-9
+
+    def test_condition_without_components_passes(self):
+        rep = verify(GrCondition(name="empty"), SampleSet.random_box([(-1, 1)], 7, seed=3))
+        assert rep.passed and rep.evaluated == rep.requested == 7
+
+
+class TestBlockSize:
+    """A report does not depend on how many rows a block holds."""
+
+    ROWS = (None, 333, 7)  # None: the default budget
+
+    def _each_block_size(self, monkeypatch, cond, run):
+        """``run()`` under a budget giving each of ``ROWS`` rows per block."""
+        width = len(cond.roots())
+        per_row = 16 * (Program(cond.roots()).peak + width)
+        out = []
+        for rows in self.ROWS:
+            if rows is not None:
+                monkeypatch.setattr(engine, "BLOCK_BYTES", per_row * rows)
+            out.append(run())
+        monkeypatch.undo()
+        return out
+
+    def test_schwarzschild_report(self, monkeypatch):
+        cond = build("ricci_flat", schwarzschild_chart(1.0))
+        sample = SampleSet.random_box([(3, 10), (0.3, 2.8), (0, 6.2), (-1, 1)], 5000, seed=13)
+        reports = self._each_block_size(
+            monkeypatch, cond, lambda: verify(cond, sample, tol=1e-8).to_dict())
+        assert reports[0] == reports[1] == reports[2]
+
+    def test_singular_and_excluded_points(self, monkeypatch):
+        cond = _condition("blocks", ("a", sin(3 * x) * y), ("b", const(1) / x + y))
+        # 25 points with x = 0 are singular; the 41 x 5 with y > 0.6 are
+        # excluded, 5 of them singular too
+        sample = SampleSet.grid([(-2, 2), (-1, 1)], (41, 25)).with_exclusion(
+            lambda p: p[1] > 0.6)
+
+        def run():
+            rep = verify(cond, sample)
+            return rep.excluded, rep.evaluated, rep.worst_point, rep.to_dict()
+
+        first, *rest = self._each_block_size(monkeypatch, cond, run)
+        assert first[:2] == (25 + 41 * 5 - 5, 41 * 25 - 225)
+        assert all(r == first for r in rest)
+
+    def test_domain_error_names_the_first_row(self, monkeypatch):
+        # both roots go negative only in the last tenth of the points; the
+        # second one first, though its op comes later
+        cond = _condition("late", ("a", sqrt(0.95 - x)), ("b", sqrt(0.9 - x)))
+        sample = SampleSet.grid([(-1, 1)], 1000)
+
+        def run():
+            with pytest.raises(DomainError) as err:
+                verify(cond, sample)
+            return str(err.value)
+
+        first = next(v for v in (0.9 - u for (u,) in sample.array().tolist()) if v < 0)
+        messages = self._each_block_size(monkeypatch, cond, run)
+        assert messages == [f"sqrt of negative real {first}"] * 3
 
 
 class TestCondition:

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grs import engine
 from grs.catalog import build, catalog_ids, fixtures, schwarzschild_chart
 from grs.engine import GrCondition, verify
 from grs.errors import DomainError, EvalSingularity
@@ -180,15 +181,21 @@ def test_singular_and_out_of_domain_point_is_excluded():
         verify(cond, SampleSet.grid([(-0.5, 1)], 3), tol=2.0)
 
 
-def test_blocked_reduction_matches_point_at_a_time():
+def test_blocked_reduction_matches_point_at_a_time(monkeypatch):
     """Norms and worst point over several blocks equal a sequential fold."""
     x, y = coord(0), coord(1)
     cond = GrCondition(name="blocks")
     for label, e in [("a", sin(3 * x) * y), ("a", exp(-x * y)), ("b", 1 / x)]:
         cond.add(label, e)
-    # 17 x 201 = 3,417 points in four blocks; the 201 with x = 0 are singular
+    # a budget of 1,024 rows: 17 x 201 = 3,417 points in four blocks;
+    # the 201 with x = 0 are singular
+    monkeypatch.setattr(engine, "BLOCK_BYTES", 16 * (Program(cond.roots()).peak + 3) * 1024)
+    runs = []
+    run = Program.run
+    monkeypatch.setattr(Program, "run", lambda self, *a: runs.append(len(a[0])) or run(self, *a))
     sample = SampleSet.grid([(-2, 2), (-1, 1)], (17, 201))
     rep = verify(cond, sample, tol=1e-9)
+    assert runs == [1024, 1024, 1024, 345]
     linf = {"a": 0.0, "b": 0.0}
     sumsq = {"a": 0.0, "b": 0.0}
     worst, worst_point, excluded = -1.0, None, 0

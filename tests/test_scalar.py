@@ -231,6 +231,17 @@ class TestCompile:
         h = hashlib.sha256("".join(_op_list_digest(p) for p in progs).encode())
         assert h.hexdigest() == OP_LIST_DIGEST
 
+    def test_peak_live_values(self):
+        # the most values a Schwarzschild ricci_flat run holds at once
+        prog = Program(catalog.build("ricci_flat", catalog.schwarzschild_chart(1.0)).roots())
+        assert prog.peak == 41
+
+    def test_empty_program(self):
+        prog = Program([])
+        assert (len(prog), prog.peak) == (0, 0)
+        values, singular = prog.run(np.zeros((3, 2)))
+        assert values == [] and not singular.any()
+
 
 def test_fd_convergence_is_fourth_order():
     e = sin(x) * exp(x)
