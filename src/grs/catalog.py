@@ -99,10 +99,10 @@ def schwarzschild_chart(mass: float = 1.0) -> Chart:
     return Chart(("r", "theta", "phi", "t"), g)
 
 
-def soliton_field(v_over_c: float, alpha: Optional[float] = None) -> Expr:
-    """exp(-x^2-y^2) * bump(alpha (z - (v/c) xi)); spatially finite profile."""
-    if alpha is None:
-        alpha = 1.0 / (1.0 - v_over_c ** 2) ** 0.5
+def soliton_field(v_over_c: float) -> Expr:
+    """exp(-x^2-y^2) * bump(alpha (z - (v/c) xi)) with alpha the Lorentz
+    factor 1/sqrt(1 - (v/c)^2); spatially finite profile."""
+    alpha = 1.0 / (1.0 - v_over_c ** 2) ** 0.5
     x, y, z, xi = (coord(i) for i in range(4))
     return exp(-(x * x) - (y * y)) * bump(alpha * (z - v_over_c * xi))
 
@@ -558,17 +558,8 @@ class Fixture:
     tol: Optional[float] = None
 
 
-def _box(chart: Chart, lo=-2.0, hi=2.0, count=200, seed=13) -> SampleSet:
-    return SampleSet.random_box([(lo, hi)] * chart.dim, count, seed)
-
-
-def _sphere_sample(count=200, seed=13) -> SampleSet:
-    return SampleSet.random_box([(0.4, 2.7), (0.0, 6.2)], count, seed)
-
-
-def _schwarzschild_sample(count=500, seed=13) -> SampleSet:
-    return SampleSet.random_box(
-        [(3.0, 10.0), (0.3, 2.8), (0.0, 6.2), (-1.0, 1.0)], count, seed)
+def _box(chart: Chart) -> SampleSet:
+    return SampleSet.random_box([(-2.0, 2.0)] * chart.dim, 200, seed=13)
 
 
 def _fx_first_integral():
@@ -903,8 +894,10 @@ def _fx_ricci_flat():
     return [
         Fixture("flat", flat, {}, True, _box(flat)),
         Fixture("schwarzschild", schwarzschild_chart(1.0), {}, True,
-                _schwarzschild_sample(), tol=1e-8),
-        Fixture("two_sphere", sphere_chart(), {}, False, _sphere_sample()),
+                SampleSet.random_box([(3.0, 10.0), (0.3, 2.8), (0.0, 6.2), (-1.0, 1.0)],
+                                     500, seed=13), tol=1e-8),
+        Fixture("two_sphere", sphere_chart(), {}, False,
+                SampleSet.random_box([(0.4, 2.7), (0.0, 6.2)], 200, seed=13)),
     ]
 
 

@@ -127,13 +127,13 @@ def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
     return out
 
 
-def check_idempotent(pi, pts: Sequence[Sequence[float]], tol: float = 1e-10) -> None:
-    """Raise NonIdempotentProjection unless pi*pi == pi at every point."""
+def check_idempotent(pi, pts: Sequence[Sequence[float]]) -> None:
+    """Raise NonIdempotentProjection unless pi*pi == pi to 1e-10 at every point."""
     n = len(pi)
     pts = np.asarray(pts, dtype=float)
     prog = Program([as_expr(pi[i][j]) for i in range(n) for j in range(n)])
     m = prog.at(pts).T.reshape(len(pts), n, n)
-    off = np.max(np.abs(m @ m - m), axis=(1, 2)) > tol
+    off = np.max(np.abs(m @ m - m), axis=(1, 2)) > 1e-10
     if off.any():
         pt = tuple(pts[np.argmax(off)].tolist())
         raise NonIdempotentProjection(f"pi^2 != pi at {pt}")

@@ -7,9 +7,11 @@ condition's trees into one deduplicated ``Program`` and evaluates it over
 blocks of sample points, reducing each block into running norms.  A
 block has as many rows as fit in ``BLOCK_BYTES`` at 16 bytes (one
 complex value) per row for each value the program holds at once
-(``Program.peak``) and each component's magnitude, so memory does not
-grow with the number of points and a small program runs in few blocks.
-The report does not depend on the block size.
+(``Program.peak``) and each component's magnitude, so a small program
+runs in few blocks.  ``SampleSet.blocks`` draws each block's points when
+the loop asks for it and drops the points the sample set excludes, so
+the program never sees an excluded point and memory does not grow with
+the number of points.  The report does not depend on the block size.
 A condition's values at chosen points come from the same compiler:
 ``Program(cond.roots()).at(points)``, one row per component in label
 order.
@@ -112,13 +114,6 @@ DEFAULT_TOL = 1e-9
 BLOCK_BYTES = 16 << 20
 
 
-def _skipped(sample: SampleSet, block: np.ndarray) -> Optional[np.ndarray]:
-    """Rows of ``block`` the sample set's exclusion predicate rejects."""
-    if sample.exclude is None:
-        return None
-    return np.array([sample.exclude(p) for p in map(tuple, block.tolist())], dtype=bool)
-
-
 def verify(c: GrCondition, sample: SampleSet, tol: float = DEFAULT_TOL) -> ResidualReport:
     """Evaluate the condition over the sample set and reduce to norms.
 
@@ -139,7 +134,6 @@ def verify(c: GrCondition, sample: SampleSet, tol: float = DEFAULT_TOL) -> Resid
         width = spans[-1][1]
     prog = Program(c.roots())
     rows = max(1, BLOCK_BYTES // (16 * max(1, prog.peak + width)))
-    pts = sample.array()
     linf = [0.0] * len(labels)
     sumsq = [0.0] * len(labels)
     evaluated = 0
@@ -147,11 +141,9 @@ def verify(c: GrCondition, sample: SampleSet, tol: float = DEFAULT_TOL) -> Resid
     worst_mag = -1.0
     # squares of huge magnitudes overflow to inf, which fails the check
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, len(pts), rows):
-            block = pts[start:start + rows]
-            skip = _skipped(sample, block)
-            values, singular = prog.run(block, skip)
-            keep = ~singular if skip is None else ~(singular | skip)
+        for block in sample.blocks(rows):
+            values, singular = prog.run(block)
+            keep = ~singular
             block = block[keep]
             if not len(block):
                 continue
@@ -174,7 +166,7 @@ def verify(c: GrCondition, sample: SampleSet, tol: float = DEFAULT_TOL) -> Resid
             if m > worst_mag or (np.isnan(m) and not np.isnan(worst_mag)):
                 worst_mag = m
                 worst_point = block[i].tolist()
-    excluded = len(pts) - evaluated
+    excluded = sample.requested - evaluated
     if evaluated == 0:
         raise EmptySampleSet(f"no points left for {c.name!r} after exclusions")
     norms = OrderedDict()

@@ -229,9 +229,6 @@ class AlternatingTensor:
     def get(self, key: MultiIndex):
         return self.components.get(tuple(key), 0.0)
 
-    def items(self):
-        return self.components.items()
-
     def map_components(self, f) -> "AlternatingTensor":
         return AlternatingTensor(
             self.chart,

@@ -27,8 +27,8 @@ real ``pow``.
 Point policy: a division or negative power whose operand has magnitude
 below ``_DIV_FLOOR`` marks the point *singular*; ``sqrt`` or a
 half-integer power of a negative real raises ``DomainError``, but only
-at points that are neither singular nor excluded by the caller; the
-error names the first such point.
+at points that are not singular; the error names the first such point.
+Points a sample set excludes are dropped before they are evaluated.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -565,14 +565,13 @@ class Program:
     def __len__(self) -> int:
         return len(self._ops)
 
-    def run(self, pts: np.ndarray, skip: Optional[np.ndarray] = None):
+    def run(self, pts: np.ndarray):
         """Root values at the rows of ``pts`` (N x dim), and the singular mask.
 
         Returns ([one length-N array per root], singular).  Raises
-        DomainError for the first row with a domain violation that is
-        neither singular nor marked in ``skip`` (the first such op in op
-        order if several fail there), so the error names the same row
-        whichever rows ``pts`` is cut into.
+        DomainError for the first row with a domain violation that is not
+        singular (the first such op in op order if several fail there), so
+        the error names the same row whichever rows ``pts`` is cut into.
         """
         n = len(pts)
         blk = _Block(pts)
@@ -582,10 +581,9 @@ class Program:
                 vals[i] = ev(blk, param, *[vals[a] for a in args])
                 for a in dead:
                     vals[a] = None
-        ignore = blk.singular if skip is None else blk.singular | skip
         first = None  # (row, real part, template) of the earliest violation
         for rows, re, template in blk.domain:
-            hit = np.flatnonzero(~ignore[rows])
+            hit = np.flatnonzero(~blk.singular[rows])
             if len(hit) and (first is None or rows[hit[0]] < first[0]):
                 first = rows[hit[0]], re[hit[0]], template
         if first is not None:
@@ -753,8 +751,8 @@ class SampleSet:
 
     ``kind`` is "grid" (tensor grid, ``counts`` points per axis) or
     "random" (uniform box, ``count`` draws from a seeded generator).
-    ``exclude`` skips points (e.g. metric singularities); skipped points
-    are counted by the caller.  At most ``MAX_POINTS`` points in total.
+    ``exclude`` drops points (e.g. metric singularities) before anything
+    evaluates them.  At most ``MAX_POINTS`` points in total.
     """
 
     kind: str
@@ -781,6 +779,9 @@ class SampleSet:
             counts = (points_per_axis,) * len(bounds)
         else:
             counts = tuple(int(k) for k in points_per_axis)
+        if len(counts) != len(bounds):
+            raise DomainError(f"grid needs one point count per range, got {len(counts)} "
+                              f"for {len(bounds)}")
         if any(k < 1 for k in counts):
             raise DomainError("grid needs at least one point per axis")
         return SampleSet(kind="grid", bounds=bounds, counts=counts)
@@ -804,10 +805,15 @@ class SampleSet:
             return n
         return self.count
 
-    def array(self) -> np.ndarray:
-        """All points as rows of an (N, dim) array, in a fixed,
-        seed-deterministic order (pre-exclusion); grids vary the last
-        axis fastest."""
+    def blocks(self, rows: int) -> Iterator[np.ndarray]:
+        """The points as arrays of at most ``rows`` rows, each drawn when
+        asked for, so memory does not grow with the number of points.
+
+        The order is fixed and seed-deterministic whatever ``rows`` is: a
+        random set is one stream of draws from its seeded generator, and a
+        grid varies the last axis fastest.  Rows ``exclude`` rejects are
+        dropped, so a block can be shorter than ``rows``, or empty.
+        """
         if self.kind == "grid":
             axes = []
             for (lo, hi), k in zip(self.bounds, self.counts):
@@ -815,9 +821,23 @@ class SampleSet:
                     axes.append(np.array([0.5 * (lo + hi)]))
                 else:
                     axes.append(lo + np.arange(k) * ((hi - lo) / (k - 1)))
-            mesh = np.meshgrid(*axes, indexing="ij")
-            return np.stack(mesh, axis=-1).reshape(-1, len(axes))
-        rng = np.random.default_rng(self.seed)
-        lows = np.array([b[0] for b in self.bounds])
-        highs = np.array([b[1] for b in self.bounds])
-        return rng.uniform(lows, highs, size=(self.count, len(self.bounds)))
+        else:
+            rng = np.random.default_rng(self.seed)
+            lows = np.array([b[0] for b in self.bounds])
+            highs = np.array([b[1] for b in self.bounds])
+        for start in range(0, self.requested, rows):
+            stop = min(start + rows, self.requested)
+            if self.kind == "grid":
+                index = np.unravel_index(np.arange(start, stop), self.counts)
+                block = np.stack([a[i] for a, i in zip(axes, index)], axis=-1)
+            else:
+                block = rng.uniform(lows, highs, size=(stop - start, len(lows)))
+            if self.exclude is not None:
+                kept = [not self.exclude(p) for p in map(tuple, block.tolist())]
+                block = block[np.array(kept, dtype=bool)]
+            yield block
+
+    def array(self) -> np.ndarray:
+        """The points ``exclude`` keeps, as the rows of one (N, dim) array,
+        in the order ``blocks`` gives them."""
+        return next(self.blocks(self.requested))

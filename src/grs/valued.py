@@ -36,6 +36,8 @@ class LieStructure:
     constants: tuple  # nested tuple [k][i][j]
 
     def __post_init__(self):
+        if self.dim < 1:
+            raise DimensionError("algebra dimension must be >= 1")
         c = np.array(self.constants, dtype=float)
         if not np.isfinite(c).all():
             raise NotALieAlgebra("structure constants must be finite")
@@ -106,9 +108,6 @@ class ValueSpace:
     @property
     def dim(self) -> int:
         return len(self.labels)
-
-    def index(self, label: str) -> int:
-        return self.labels.index(label)
 
 
 @dataclass

@@ -497,3 +497,22 @@ def test_operator_parameter_out_of_range_exits_two(tmp_path, spec, old, new, mes
     assert captured.out == ""
     entry = spec.removesuffix(".grs")
     assert captured.err.splitlines()[0] == f"error: {entry}: {message} (line {line}, col 1)"
+
+
+@pytest.mark.parametrize("spec, argv, code, out, err", [
+    (PASSING_SPEC, ["--points", "0"], 2, "", "error: --points must be >= 1\n"),
+    ("chart R2 (x, y) metric diag(1, 1)\nalgebra g dim 0\n", [], 2, "",
+     "error: algebra dimension must be >= 1 (line 2, col 1)\n  algebra g dim 0\n  ^\n"),
+    (None, ["eval", "x", "--at", "x=abc"], 2, "", "error: bad number in binding 'x=abc'\n"),
+    (None, ["eval", "x@y", "--at", "x=1"], 2, "",
+     "error: unexpected trailing input '@' (line 1, col 2)\n  x@y\n   ^\n"),
+    (None, ["eval", "i*x", "--at", "x=2"], 0, "2j\n", ""),
+], ids=["zero_points", "algebra_dim_0", "non_number_binding", "eval_trailing_input",
+        "complex_eval"])
+def test_command_line_outcome(tmp_path, spec, argv, code, out, err, capsys):
+    if spec is not None:
+        p = tmp_path / "spec.grs"
+        p.write_text(spec)
+        argv = ["verify", str(p)] + argv
+    assert main(argv) == code
+    assert capsys.readouterr() == (out, err)

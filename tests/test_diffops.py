@@ -21,7 +21,7 @@ from grs.diffops import (
     riemann,
     schrodinger_residual,
 )
-from grs.catalog import build
+from grs.catalog import build, minkowski
 from grs.engine import verify
 from grs.errors import (
     DegreeError,
@@ -392,6 +392,27 @@ class TestDirac:
     def test_component_count(self):
         with pytest.raises(DimensionError):
             dirac_residual([ZERO, ZERO])
+
+    def test_gauge_transformed_rest_solution(self):
+        # psi' = exp(i e chi) psi solves the coupled equation for A = d chi
+        chi = x * sin(z)
+        charge = 0.7
+        chart = minkowski()
+        A = form(chart, 1, {(0,): chi.diff(0), (2,): chi.diff(2)})
+        psi = [exp(1j * charge * chi) * exp(-1j * coord(3)), ZERO, ZERO, ZERO]
+        sample = SampleSet.random_box([(-2, 2)] * 4, 200, seed=13)
+
+        def run(**coupling):
+            cond = build("dirac", chart, psi=psi, m=1.0, sign=-1, **coupling)
+            return verify(cond, sample, tol=1e-12)
+
+        coupled = run(A=A, e=charge)
+        uncoupled = run()
+        flipped = run(A=A, e=-charge)
+        assert coupled.passed and coupled.linf < 1e-15
+        assert not uncoupled.passed and uncoupled.linf == pytest.approx(1.3155, abs=1e-4)
+        # the residual is linear in the charge mismatch: 2e against e
+        assert not flipped.passed and flipped.linf == pytest.approx(2 * uncoupled.linf)
 
 
 class TestGeodesics:

@@ -309,6 +309,55 @@ class TestBinder:
         assert not diags and len(checks) == 1
 
 
+R2 = "chart R2 (x, y) metric diag(1, 1)\n"
+G2 = R2 + "algebra g dim 2\n"
+
+
+@pytest.mark.parametrize("text, message, line", [
+    # parser
+    (R2 + "algebra g 3\n", "expected keyword 'dim'", 2),
+    (R2 + "fild f = x\n", "expected a statement keyword, got 'fild'", 2),
+    ("chart R2 (x, y) metric foo(1, 1)\n", "expected 'diag' or 'matrix' after 'metric'", 1),
+    (R2 + "form w : 2 = x * dx ^w ey\n", "basis tokens are spelled d<coordinate>", 2),
+    (R2 + "algebra g dim 3 bracket (1, 2, 3)\n",
+     "expected a bracket triple '(i, j, k, value)'", 2),
+    (R2 + "algebra g dim 3 bracket\n",
+     "expected at least one bracket triple '(i, j, k, value)'", 2),
+    (R2 + "field f = x\ncheck first_integral(X=f, f) on grid(-1..1, -1..1; 3)\n",
+     "positional argument after a named argument", 3),
+    (R2 + "field f = x\ncheck first_integral(f, f) on lattice(-1..1; 3)\n",
+     "expected 'grid' or 'random'", 3),
+    # binder
+    (R2 + "field f = x^y\n", "exponent must be a numeric literal", 2),
+    ("field f = x\n", "no chart declared yet", 1),
+    ("chart R2 (x, y) metric diag(1, 1, 1)\n",
+     "metric diagonal length must match the chart dimension", 1),
+    (R2 + "form w : 1 values g = x * dx @ e1\n", "unknown value space 'g'", 2),
+    (R2 + "form w : 1 = x * dz\n", "basis token dz does not match a coordinate", 2),
+    (R2 + "form w : 2 = x * dx\n", "term has 1 basis factors, degree is 2", 2),
+    (G2 + "form w : 1 values g = x * dx\n", "valued form terms need an '@ label'", 3),
+    (G2 + "form w : 1 values g = x * dx @ e3\n", "unknown value label 'e3'", 3),
+    (R2 + "form w : 1 = x * dx @ e1\n", "'@ label' requires a 'values' declaration", 2),
+    (R2 + "algebra g dim 2 bracket (1, 2, 3, 1)\n",
+     "bracket indices are 1-based and must be <= dim", 2),
+    (R2 + "algebra g dim 0\n", "algebra dimension must be >= 1", 2),
+])
+def test_diagnostic_names_its_line(text, message, line):
+    _, diags = dsl.load(text)
+    assert [(d.severity, d.message, d.line) for d in diags] == [("error", message, line)]
+
+
+def test_repeated_basis_factor_drops_the_term():
+    from grs.engine import verify
+    reports = []
+    for omega in ("x * dx ^w dy", "x * dx ^w dy + 3 * y * dy ^w dy"):
+        checks, diags = dsl.load(R2 + f"form omega : 2 = {omega}\nvector X : 1 = 1 * dx\n"
+                                 "check hamiltonian_field(omega, X) on grid(-1..1, -1..1; 3)\n")
+        assert not diags
+        reports.append(verify(checks[0].condition, checks[0].sample).to_dict())
+    assert reports[0] == reports[1] and reports[0]["norms"]["1"]["linf"] == 1.0
+
+
 class TestParameterSchema:
     """Arguments are mapped and checked by each entry's parameter schema."""
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 
@@ -193,6 +194,22 @@ class TestBlockSize:
         first = next(v for v in (0.9 - u for (u,) in sample.array().tolist()) if v < 0)
         messages = self._each_block_size(monkeypatch, cond, run)
         assert messages == [f"sqrt of negative real {first}"] * 3
+
+
+class TestMemory:
+    def test_points_are_drawn_block_by_block(self, monkeypatch):
+        # the 200,000 4-D points alone take 6.1 MiB as one array
+        cond = _condition("m", ("r", sin(x) * y - coord(2) * coord(3)))
+        sample = SampleSet.random_box([(-1, 1)] * 4, 200_000, seed=1)
+        monkeypatch.setattr(engine, "BLOCK_BYTES", 64 << 10)
+        tracemalloc.start()
+        try:
+            rep = verify(cond, sample)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.evaluated == 200_000
+        assert peak < 2 << 20
 
 
 class TestCondition:

@@ -107,6 +107,31 @@ def test_interior_degree_error(r3):
         interior(XY, a)
 
 
+_R2 = Chart(("u", "v"), MetricSpec.diagonal([1, 1]))
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda r3: MetricSpec.matrix([[1, 0], [0]]), DimensionError, "metric matrix must be square"),
+    (lambda r3: Chart(("x", "y"), MetricSpec.diagonal([1, 1, 1])), DimensionError,
+     "metric dimension does not match chart"),
+    (lambda r3: form(r3, 4, {}), DegreeError, "degree 4 on a 3-chart"),
+    (lambda r3: form(r3, 1, {(3,): 1.0}), DimensionError, "index out of range in (3,)"),
+    (lambda r3: interior(form(r3, 1, {}), form(r3, 2, {})), VarianceError,
+     "first argument must be a multivector"),
+    (lambda r3: interior(multivector(r3, 1, {}), multivector(r3, 2, {})), VarianceError,
+     "second argument must be a form"),
+    (lambda r3: hodge(multivector(r3, 1, {(0,): 1.0})), VarianceError, "hodge acts on forms"),
+    (lambda r3: wedge(form(r3, 1, {}), form(_R2, 1, {})), DimensionError,
+     "tensors live on different charts"),
+], ids=["non_square_matrix", "chart_metric_dimension", "degree_out_of_range",
+        "index_out_of_range", "interior_of_a_form", "interior_into_a_multivector",
+        "hodge_of_a_multivector", "different_charts"])
+def test_library_error(r3, make, error, message):
+    with pytest.raises(error) as err:
+        make(r3)
+    assert str(err.value) == message
+
+
 def _basis_forms(chart, degree):
     n = chart.dim
     for idx in itertools.combinations(range(n), degree):

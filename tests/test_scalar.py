@@ -317,6 +317,32 @@ class TestSampleSet:
         kept = [p for p in map(tuple, s.array().tolist()) if not s.exclude(p)]
         assert len(kept) == 3
 
+    def test_array_holds_the_kept_points(self):
+        s = SampleSet.grid([(0, 1)], 5).with_exclusion(lambda p: p[0] < 0.5)
+        assert s.array().tolist() == [[0.5], [0.75], [1.0]]
+
+    @pytest.mark.parametrize("sample", [
+        SampleSet.random_box([(-1, 2), (0, 1), (3, 4)], 1000, seed=5),
+        SampleSet.grid([(-1, 1), (2, 3), (0, 3)], (10, 1, 7)),
+        SampleSet.grid([(-1, 1), (0, 3)], (31, 7)).with_exclusion(lambda p: p[0] < 0.2),
+    ], ids=["random", "grid-one-point-axis", "grid-predicate"])
+    def test_blocks_concatenate_to_array(self, sample):
+        whole = sample.array()
+        for rows in (1, 7, 333, sample.requested):
+            blocks = list(sample.blocks(rows))
+            assert all(len(b) <= rows for b in blocks)
+            assert np.concatenate(blocks).tobytes() == whole.tobytes()
+
+    def test_random_blocks_are_one_stream_of_draws(self):
+        s = SampleSet.random_box([(-1, 2), (0, 1)], 100, seed=5)
+        want = np.random.default_rng(5).uniform([-1, 0], [2, 1], size=(100, 2))
+        assert np.concatenate(list(s.blocks(7))).tobytes() == want.tobytes()
+
+    def test_grid_needs_one_count_per_range(self):
+        with pytest.raises(DomainError) as err:
+            SampleSet.grid([(0, 1), (0, 1)], (3,))
+        assert str(err.value) == "grid needs one point count per range, got 1 for 2"
+
     def test_negative_seed_rejected(self):
         with pytest.raises(DomainError):
             SampleSet.random_box([(-1, 1)], 10, seed=-1)

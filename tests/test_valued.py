@@ -58,6 +58,25 @@ class TestLieStructure:
         assert L.bracket_coeffs(1, 0) == [0.0, 0.0, -1.0]
 
 
+_R2 = Chart(("u", "v"), MetricSpec.diagonal([1, 1]))
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda r3, V3: abelian(0), DimensionError, "algebra dimension must be >= 1"),
+    (lambda r3, V3: LieStructure.from_triples(0, []), DimensionError,
+     "algebra dimension must be >= 1"),
+    (lambda r3, V3: lift_pointwise(
+        wedge, PhiMap.lie_bracket(V3),
+        ValuedForm.from_components(r3, 1, COV, V3, {}),
+        ValuedForm.from_components(_R2, 1, COV, V3, {})), DimensionError,
+     "valued forms live on different charts"),
+], ids=["abelian_0", "from_triples_0", "different_charts"])
+def test_library_error(r3, V3, make, error, message):
+    with pytest.raises(error) as err:
+        make(r3, V3)
+    assert str(err.value) == message
+
+
 class TestValueSpace:
     def test_duplicate_labels(self):
         with pytest.raises(DimensionError):
