@@ -10,8 +10,9 @@ complex value) per row for each value the program holds at once
 (``Program.peak``) and each component's magnitude, so a small program
 runs in few blocks.  ``SampleSet.blocks`` draws each block's points when
 the loop asks for it and drops the points the sample set excludes, so
-the program never sees an excluded point and memory does not grow with
-the number of points.  The report does not depend on the block size.
+the program never sees an excluded point (nor runs on a block left
+empty) and memory does not grow with the number of points.  The report
+does not depend on the block size.
 A condition's values at chosen points come from the same compiler:
 ``Program(cond.roots()).at(points)``, one row per component in label
 order.
@@ -142,6 +143,8 @@ def verify(c: GrCondition, sample: SampleSet, tol: float = DEFAULT_TOL) -> Resid
     # squares of huge magnitudes overflow to inf, which fails the check
     with np.errstate(over="ignore", invalid="ignore"):
         for block in sample.blocks(rows):
+            if not len(block):
+                continue  # exclude rejected every row
             values, singular = prog.run(block)
             keep = ~singular
             block = block[keep]

@@ -18,11 +18,14 @@ frees like any other.
 
 Evaluation goes through one path: a ``Program`` compiles a list of root
 expressions into a deduplicated, topologically sorted op list and runs
-each op once per call on whole arrays of points.  The arithmetic follows
-CPython's ``complex``/``cmath`` formulas (Smith division, binary integer
-powers, libm ``exp``/``sin``/``cos`` through numpy's complex kernels), so
-results match a pointwise ``cmath`` evaluation up to the last bits of
-real ``pow``.
+each op once per call on whole arrays of points, handing its node
+type's kernel the node's parameter and its zero, one or two input
+arrays.  The arithmetic follows CPython's ``complex``/``cmath`` formulas
+(Smith division, binary integer powers, libm ``exp``/``sin``/``cos``
+through numpy's complex kernels), so results match a pointwise ``cmath``
+evaluation up to the last bits of real ``pow``; on finite operands,
+addition, subtraction, multiplication, division and negation equal
+Python ``complex`` arithmetic bit for bit.
 
 Point policy: a division or negative power whose operand has magnitude
 below ``_DIV_FLOOR`` marks the point *singular*; ``sqrt`` or a
@@ -168,7 +171,7 @@ def magnitude(v):
 
 
 def _cmul(a, b):
-    if not (_is_c(a) and _is_c(b)):
+    if a.dtype.kind != "c" or b.dtype.kind != "c":
         return a * b  # one factor real: every product is a single rounding
     ar, ai, br, bi = a.real, a.imag, b.real, b.imag
     return _cpx(ar * br - ai * bi, ar * bi + ai * br)
@@ -176,8 +179,8 @@ def _cmul(a, b):
 
 def _cdiv(a, b):
     """CPython's complex division: Smith's scaling by the larger part of b."""
-    if not _is_c(b):
-        return _cpx(a.real / b, a.imag / b) if _is_c(a) else a / b
+    if b.dtype.kind != "c":
+        return _cpx(a.real / b, a.imag / b) if a.dtype.kind == "c" else a / b
     ar, ai, br, bi = a.real, a.imag, b.real, b.imag
     by_re = np.abs(br) >= np.abs(bi)
     ratio = np.where(by_re, bi / br, br / bi)
@@ -508,23 +511,29 @@ def intern_ops(exprs: Iterable[Expr]) -> Tuple[List[tuple], List[int]]:
     interned: Dict[tuple, int] = {}   # op -> op index
     ops: List[tuple] = []
     roots: List[int] = []
+    slot = slot_of.__getitem__
     for root in exprs:
         # (node, None) on the first visit; (node, parts) once its
         # children are pushed above it, so _parts runs once per node
         stack = [(root, None)]
+        push, pop = stack.append, stack.pop
         while stack:
-            node, parts = stack.pop()
+            node, parts = pop()
             if node in slot_of:
                 continue
             if parts is None:
                 parts = node._parts()
-                todo = [k for k in parts[0] if k not in slot_of]
-                if todo:
-                    stack.append((node, parts))
-                    stack.extend((k, None) for k in todo)
+                waiting = False
+                for k in parts[0]:
+                    if k not in slot_of:
+                        if not waiting:
+                            push((node, parts))
+                            waiting = True
+                        push((k, None))
+                if waiting:
                     continue
             kids, param = parts
-            op = (type(node), param, tuple(slot_of[k] for k in kids))
+            op = (type(node), param, tuple(map(slot, kids)))
             i = interned.get(op)
             if i is None:
                 i = interned[op] = len(ops)
@@ -537,29 +546,38 @@ def intern_ops(exprs: Iterable[Expr]) -> Tuple[List[tuple], List[int]]:
 class Program:
     """Root expressions compiled to one deduplicated op list (``intern_ops``).
 
-    Ops are stored in topological order and each is evaluated once per
-    call over a whole array of points; an intermediate is dropped after
-    its last consumer.  ``peak`` is the most values a run holds at once,
-    roots included; each is one array over the points.
+    Ops are stored in topological order as (kernel, param, input slots,
+    dead slots).  ``run`` evaluates each once per call over a whole array
+    of points, calling the kernel with the param and its zero, one or two
+    input arrays (no node has more children), and drops each dead slot,
+    an intermediate whose last consumer this op is.  ``peak`` is the most
+    values a run holds at once, roots included; each is one array over
+    the points.
     """
 
     __slots__ = ("_ops", "_roots", "peak")
 
     def __init__(self, exprs: Iterable[Expr]):
         ops, roots = intern_ops(exprs)
-        # (eval, param, child slots, dead slots)
-        ops = [(t._eval, param, args, []) for t, param, args in ops]
-        last_use = {a: i for i, op in enumerate(ops) for a in op[2]}
+        last_use = {}  # slot -> index of the op that reads it last
+        for i, (_t, _param, args) in enumerate(ops):
+            for a in args:
+                last_use[a] = i
+        dead = [[] for _ in ops]
         keep = set(roots)
         for a, i in last_use.items():
             if a not in keep:
-                ops[i][3].append(a)
-        live = self.peak = 0
-        for op in ops:
+                dead[i].append(a)
+        # (eval, param, child slots, dead slots)
+        self._ops = []
+        live = peak = 0
+        for (t, param, args), gone in zip(ops, dead):
+            self._ops.append((t._eval, param, args, gone))
             live += 1  # an op's value is made before its dead inputs go
-            self.peak = max(self.peak, live)
-            live -= len(op[3])
-        self._ops = ops
+            if live > peak:
+                peak = live
+            live -= len(gone)
+        self.peak = peak
         self._roots = roots
 
     def __len__(self) -> int:
@@ -575,10 +593,18 @@ class Program:
         """
         n = len(pts)
         blk = _Block(pts)
-        vals: list = [None] * len(self._ops)
+        vals: list = []
+        push = vals.append
         with np.errstate(all="ignore"):
-            for i, (ev, param, args, dead) in enumerate(self._ops):
-                vals[i] = ev(blk, param, *[vals[a] for a in args])
+            # every node has at most two children
+            for ev, param, args, dead in self._ops:
+                if len(args) == 2:
+                    a0, a1 = args
+                    push(ev(blk, param, vals[a0], vals[a1]))
+                elif args:
+                    push(ev(blk, param, vals[args[0]]))
+                else:
+                    push(ev(blk, param))
                 for a in dead:
                     vals[a] = None
         first = None  # (row, real part, template) of the earliest violation
@@ -625,7 +651,8 @@ def is_zero(e) -> bool:
 
 
 def add(a: Expr, b: Expr) -> Expr:
-    va, vb = _const_val(a), _const_val(b)
+    va = a.value if type(a) is Const else None
+    vb = b.value if type(b) is Const else None
     if va is not None and vb is not None:
         return Const(va + vb)
     if va == 0:
@@ -636,7 +663,8 @@ def add(a: Expr, b: Expr) -> Expr:
 
 
 def sub(a: Expr, b: Expr) -> Expr:
-    va, vb = _const_val(a), _const_val(b)
+    va = a.value if type(a) is Const else None
+    vb = b.value if type(b) is Const else None
     if va is not None and vb is not None:
         return Const(va - vb)
     if vb == 0:
@@ -647,7 +675,8 @@ def sub(a: Expr, b: Expr) -> Expr:
 
 
 def mul(a: Expr, b: Expr) -> Expr:
-    va, vb = _const_val(a), _const_val(b)
+    va = a.value if type(a) is Const else None
+    vb = b.value if type(b) is Const else None
     if va is not None and vb is not None:
         return Const(va * vb)
     if va == 0 or vb == 0:
@@ -660,7 +689,8 @@ def mul(a: Expr, b: Expr) -> Expr:
 
 
 def div(a: Expr, b: Expr) -> Expr:
-    va, vb = _const_val(a), _const_val(b)
+    va = a.value if type(a) is Const else None
+    vb = b.value if type(b) is Const else None
     if vb is not None and vb != 0:
         if va is not None:
             return Const(va / vb)
@@ -763,6 +793,8 @@ class SampleSet:
     exclude: Optional[Callable[[tuple], bool]] = field(default=None, compare=False)
 
     def __post_init__(self):
+        if not self.bounds:
+            raise DomainError("a sample set needs at least one range")
         if self.kind == "random" and self.seed < 0:
             raise DomainError(f"seed must be >= 0, got {self.seed}")
         for lo, hi in self.bounds:

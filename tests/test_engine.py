@@ -195,6 +195,21 @@ class TestBlockSize:
         messages = self._each_block_size(monkeypatch, cond, run)
         assert messages == [f"sqrt of negative real {first}"] * 3
 
+    def test_blocks_the_predicate_empties_are_not_run(self, monkeypatch):
+        cond = _condition("gaps", ("a", sin(3 * x) * y))
+        # the last axis varies fastest, so each 10-row block is one x, and
+        # the first 20 of the 40 x values are negative
+        sample = SampleSet.grid([(-1, 1), (0, 1)], (40, 10)).with_exclusion(
+            lambda p: p[0] < 0)
+        want = verify(cond, sample).to_dict()
+        runs = []
+        run = Program.run
+        monkeypatch.setattr(Program, "run", lambda self, pts: runs.append(len(pts)) or run(self, pts))
+        monkeypatch.setattr(engine, "BLOCK_BYTES", 16 * (Program(cond.roots()).peak + 1) * 10)
+        assert verify(cond, sample).to_dict() == want
+        assert runs == [10] * 20
+        assert (want["samples"]["requested"], want["samples"]["excluded"]) == (400, 200)
+
 
 class TestMemory:
     def test_points_are_drawn_block_by_block(self, monkeypatch):

@@ -22,8 +22,8 @@ from grs.catalog import build, catalog_ids, fixtures, schwarzschild_chart
 from grs.engine import GrCondition, verify
 from grs.errors import DomainError, EvalSingularity
 from grs.scalar import (
-    Add, Bump, Const, Coord, Cos, Div, Exp, Mul, Neg, Pow, Program, SampleSet,
-    Sin, Sqrt, Sub, coord, exp, sin, sqrt,
+    Add, Bump, Const, Coord, Cos, Div, Exp, Expr, Mul, Neg, Pow, Program,
+    SampleSet, Sin, Sqrt, Sub, coord, exp, sin, sqrt,
 )
 
 _FLOOR = 1e-300
@@ -216,3 +216,78 @@ def test_blocked_reduction_matches_point_at_a_time(monkeypatch):
         assert rep.norms[lab] == {"linf": linf[lab],
                                   "rms": (sumsq[lab] / evaluated) ** 0.5}
     assert rep.worst_point == worst_point
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_operands = st.one_of(_finite, st.builds(complex, _finite, _finite))
+
+
+def _same(got, want):
+    """Equal parts, NaN matching NaN: no tolerance."""
+    return all(g == w or (math.isnan(g) and math.isnan(w))
+               for g, w in ((got.real, want.real), (got.imag, want.imag)))
+
+
+def _array_operand(v, axis):
+    """A node whose value is ``v`` when coordinate ``axis`` holds v.real
+    and ``axis + 1`` holds v.imag; complex if ``v`` is."""
+    if isinstance(v, complex):
+        return Add(Coord(axis), Mul(Const(1j), Coord(axis + 1)))
+    return Coord(axis)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.sampled_from([Add, Sub, Mul, Div, Neg]), _operands, _operands, st.booleans())
+def test_kernels_equal_python_complex_arithmetic(cls, a, b, consts):
+    """Array and constant kernels give CPython's complex results bit for bit."""
+    if cls is Div and math.hypot(b.real, b.imag) < _FLOOR:
+        return  # singular: excluded, not evaluated
+    if consts:
+        pt, ea, eb = [0.0], Const(a), Const(b)
+    else:
+        pt = [a.real, a.imag, b.real, b.imag]
+        ea, eb = _array_operand(a, 0), _array_operand(b, 2)
+    node = Neg(ea) if cls is Neg else cls(ea, eb)
+    va, vb, got = Program([ea, eb, node]).at([pt])[:, 0].tolist()
+    assert va == a and vb == b
+    want = -va if cls is Neg else _BINARY[cls](va, vb)
+    assert _same(got, want), (got, want)
+
+
+def _one_of_each():
+    """One node of every concrete type over coordinates 0 and 1."""
+    x, y = Coord(0), Coord(1)
+    s = Add(Mul(Const(0.5), x), Const(0.25j))
+    return [
+        Const(1.5), Const(0.5 - 2j), x,
+        Add(x, y), Sub(x, s), Mul(s, y), Div(s, Add(y, Const(3.0))), Neg(s),
+        Pow(s, Fraction(3)), Pow(Add(y, Const(3.0)), Fraction(-3, 2)),
+        Sin(s), Cos(x), Exp(s), Sqrt(Add(y, Const(3.0))),
+        Bump(x, 0), Bump(Mul(Const(0.5), y), 1), Bump(x, 2),
+    ]
+
+
+def _concrete(cls):
+    for sub in cls.__subclasses__():
+        if "_eval" in vars(sub):
+            yield sub
+        yield from _concrete(sub)
+
+
+def test_every_node_type_has_at_most_two_children():
+    # Program.run dispatches on 0, 1 or 2 inputs
+    nodes = _one_of_each()
+    assert {type(n) for n in nodes} == set(_concrete(Expr))
+    assert all(len(n._parts()[0]) <= 2 for n in nodes)
+    # the folding constructors recognise constants by exact type
+    assert not Const.__subclasses__()
+
+
+def test_a_program_of_every_node_type_matches_reference():
+    roots = _one_of_each()
+    pts = [(0.3, -0.7), (-0.9, 1.2), (0.0, 0.5), (1.4, -1.1)]
+    got = Program(roots).at(pts)
+    for j, pt in enumerate(pts):
+        want = _outcome(roots, pt)
+        assert isinstance(want, list)
+        assert all(map(_close, got[:, j].tolist(), want)), (pt, got[:, j], want)

@@ -343,6 +343,15 @@ class TestSampleSet:
             SampleSet.grid([(0, 1), (0, 1)], (3,))
         assert str(err.value) == "grid needs one point count per range, got 1 for 2"
 
+    @pytest.mark.parametrize("make", [
+        lambda: SampleSet.grid([], 3),
+        lambda: SampleSet.random_box([], 5, seed=1),
+    ], ids=["grid", "random"])
+    def test_a_sample_set_needs_a_range(self, make):
+        with pytest.raises(DomainError) as err:
+            make()
+        assert str(err.value) == "a sample set needs at least one range"
+
     def test_negative_seed_rejected(self):
         with pytest.raises(DomainError):
             SampleSet.random_box([(-1, 1)], 10, seed=-1)
