@@ -56,8 +56,7 @@ from .exterior import (
     wedge,
 )
 from .scalar import (
-    Const, Expr, SampleSet, ZERO, _const_val, as_expr, bump, const, coord, cos, exp, is_zero,
-    sin,
+    Const, Expr, SampleSet, ZERO, _const_val, as_expr, bump, const, coord, cos, exp, sin,
 )
 from .valued import (
     PhiMap,
@@ -115,12 +114,7 @@ def plane_wave_F(chart: Chart) -> AlternatingTensor:
 
 
 def vector_as_multivector(chart: Chart, v: Sequence[Expr]) -> AlternatingTensor:
-    comp = {}
-    for i, e in enumerate(v):
-        e = as_expr(e)
-        if not is_zero(e):
-            comp[(i,)] = e
-    return AlternatingTensor(chart, CONTRA, 1, comp)
+    return AlternatingTensor(chart, CONTRA, 1, {(i,): as_expr(e) for i, e in enumerate(v)})
 
 
 def pair_space() -> ValueSpace:

@@ -56,8 +56,7 @@ def d_form(w: AlternatingTensor) -> AlternatingTensor:
             key, sign = ss
             term = sign * dv
             out[key] = out[key] + term if key in out else term
-    return AlternatingTensor(chart, COV, w.degree + 1,
-                             {k: v for k, v in out.items() if not is_zero(v)})
+    return AlternatingTensor(chart, COV, w.degree + 1, out)
 
 
 def exterior_d(psi: ValuedForm) -> ValuedForm:

@@ -1,19 +1,22 @@
 """A small declarative language for charts, fields, forms, and checks.
 
-Documents parse to an AST with structural equality; ``bind_document``
-resolves names against the catalog and produces runnable checks.  All
-errors are reported as diagnostics with line/column positions, and the
-parser recovers at statement boundaries so several errors surface in one
-pass.
+``tokenize`` splits each line with one regular expression, ``_TOKEN``:
+names, numbers, ``..``, ``^w`` and one-character symbols, skipping blanks
+and ``#`` comments.  Documents parse to an AST with structural equality;
+``bind_document`` resolves names against the catalog and produces runnable
+checks.  All errors are reported as diagnostics with line/column
+positions, and the parser recovers at statement boundaries so several
+errors surface in one pass.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from . import catalog
 from .engine import DEFAULT_TOL, GrCondition
@@ -65,16 +68,21 @@ class _Bail(Exception):
 # lexer
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # IDENT NUMBER SYM EOF
     text: str
     line: int
     col: int
 
 
-_TWO_CHAR = ("..",)
-_ONE_CHAR = "()[],;=:+-*/^@"
+# one alternative per token kind, tried in order; BAD is any other character
+_TOKEN = re.compile(r"""
+    [ \t]+ | \#.*
+  | (?P<IDENT>[^\W\d]\w*)
+  | (?P<NUMBER>(?:\d+(?:\.(?!\.)\d*)?|\.\d+)(?:[eE][+-]?\d+)?)
+  | (?P<SYM>\^w(?![^\W_])|\.\.|[()[\],;=:+\-*/^@])
+  | (?P<BAD>.)
+""", re.VERBOSE)
 
 
 def tokenize(text: str) -> Tuple[List[Token], List[Diagnostic]]:
@@ -82,58 +90,20 @@ def tokenize(text: str) -> Tuple[List[Token], List[Diagnostic]]:
     toks: List[Token] = []
     diags: List[Diagnostic] = []
     for ln, raw in enumerate(lines, start=1):
-        i = 0
-        n = len(raw)
-        while i < n:
-            c = raw[i]
-            if c in " \t\r":
-                i += 1
+        pos = 0
+        while pos < len(raw):
+            m = _TOKEN.match(raw, pos)
+            kind, c = m.lastgroup, raw[pos]
+            # a numeral that is no digit (², ½) is a word character, yet
+            # may not start a name
+            if kind == "BAD" or kind == "IDENT" and not (c.isalpha() or c == "_"):
+                diags.append(Diagnostic("error", f"unexpected character {c!r}",
+                                        ln, pos + 1, raw))
+                pos += 1
                 continue
-            if c == "#":
-                break
-            col = i + 1
-            if c.isalpha() or c == "_":
-                j = i
-                while j < n and (raw[j].isalnum() or raw[j] == "_"):
-                    j += 1
-                toks.append(Token("IDENT", raw[i:j], ln, col))
-                i = j
-                continue
-            if c.isdecimal() or (c == "." and i + 1 < n and raw[i + 1].isdecimal()):
-                j = i
-                while j < n and raw[j].isdecimal():
-                    j += 1
-                if j < n and raw[j] == "." and not raw[j:j + 2] == "..":
-                    j += 1
-                    while j < n and raw[j].isdecimal():
-                        j += 1
-                if j < n and raw[j] in "eE":
-                    k = j + 1
-                    if k < n and raw[k] in "+-":
-                        k += 1
-                    if k < n and raw[k].isdecimal():
-                        j = k
-                        while j < n and raw[j].isdecimal():
-                            j += 1
-                toks.append(Token("NUMBER", raw[i:j], ln, col))
-                i = j
-                continue
-            if raw[i:i + 2] == "^w" and (i + 2 >= n or not raw[i + 2].isalnum()):
-                toks.append(Token("SYM", "^w", ln, col))
-                i += 2
-                continue
-            two = raw[i:i + 2]
-            if two in _TWO_CHAR:
-                toks.append(Token("SYM", two, ln, col))
-                i += 2
-                continue
-            if c in _ONE_CHAR:
-                toks.append(Token("SYM", c, ln, col))
-                i += 1
-                continue
-            diags.append(Diagnostic("error", f"unexpected character {c!r}",
-                                    ln, col, raw))
-            i += 1
+            if kind:
+                toks.append(Token(kind, m.group(), ln, pos + 1))
+            pos = m.end()
     toks.append(Token("EOF", "", len(lines), len(lines[-1]) + 1))
     return toks, diags
 

@@ -209,7 +209,8 @@ class Chart:
 
 @dataclass
 class AlternatingTensor:
-    """Degree-p antisymmetric tensor, covariant (form) or contravariant."""
+    """Degree-p antisymmetric tensor, covariant (form) or contravariant.
+    Components that are exactly zero are dropped on construction."""
 
     chart: Chart
     variance: str
@@ -225,6 +226,7 @@ class AlternatingTensor:
                 raise DegreeError(f"bad multi-index {key} for degree {self.degree}")
             if any(not (0 <= i < n) for i in key):
                 raise DimensionError(f"index out of range in {key}")
+        self.components = {k: v for k, v in self.components.items() if not is_zero(v)}
 
     def get(self, key: MultiIndex):
         return self.components.get(tuple(key), 0.0)
@@ -243,9 +245,7 @@ class AlternatingTensor:
         def val(v):
             return v.ev(pt) if isinstance(v, Expr) else v
 
-        out = {k: val(v) for k, v in self.components.items()}
-        return AlternatingTensor(self.chart, self.variance, self.degree,
-                                 {k: v for k, v in out.items() if v != 0})
+        return self.map_components(val)
 
     def __add__(self, other: "AlternatingTensor") -> "AlternatingTensor":
         _check_same(self, other)
@@ -254,7 +254,7 @@ class AlternatingTensor:
         out = dict(self.components)
         for k, v in other.components.items():
             out[k] = out[k] + v if k in out else v
-        return AlternatingTensor(self.chart, self.variance, self.degree, _prune(out))
+        return AlternatingTensor(self.chart, self.variance, self.degree, out)
 
     def __sub__(self, other: "AlternatingTensor") -> "AlternatingTensor":
         return self + other.scale(-1)
@@ -263,21 +263,17 @@ class AlternatingTensor:
         return self.map_components(lambda v: c * v)
 
 
-def _prune(components: dict) -> dict:
-    return {k: v for k, v in components.items() if not is_zero(v)}
-
-
 def _check_same(a: AlternatingTensor, b: AlternatingTensor):
     if a.chart is not b.chart and a.chart != b.chart:
         raise DimensionError("tensors live on different charts")
 
 
 def form(chart: Chart, degree: int, components: dict) -> AlternatingTensor:
-    return AlternatingTensor(chart, COV, degree, dict(components))
+    return AlternatingTensor(chart, COV, degree, components)
 
 
 def multivector(chart: Chart, degree: int, components: dict) -> AlternatingTensor:
-    return AlternatingTensor(chart, CONTRA, degree, dict(components))
+    return AlternatingTensor(chart, CONTRA, degree, components)
 
 
 def zero_tensor(chart: Chart, variance: str, degree: int) -> AlternatingTensor:
@@ -300,7 +296,7 @@ def wedge(a: AlternatingTensor, b: AlternatingTensor) -> AlternatingTensor:
             key, sign = ss
             term = sign * (va * vb)
             out[key] = out[key] + term if key in out else term
-    return AlternatingTensor(a.chart, a.variance, p + q, _prune(out))
+    return AlternatingTensor(a.chart, a.variance, p + q, out)
 
 
 def _interior_basis(axis: int, w: AlternatingTensor) -> AlternatingTensor:
@@ -312,7 +308,7 @@ def _interior_basis(axis: int, w: AlternatingTensor) -> AlternatingTensor:
         rest = key[:pos] + key[pos + 1:]
         term = v if pos % 2 == 0 else -v
         out[rest] = out[rest] + term if rest in out else term
-    return AlternatingTensor(w.chart, COV, w.degree - 1, _prune(out))
+    return AlternatingTensor(w.chart, COV, w.degree - 1, out)
 
 
 def interior(v: AlternatingTensor, w: AlternatingTensor) -> AlternatingTensor:
@@ -370,9 +366,9 @@ def hodge(w: AlternatingTensor) -> AlternatingTensor:
             ip = _pairing_det(ginv, A, B)
             term = (sign * sqrt_abs_det) * (ip * vb)
             coeff = term if coeff is None else coeff + term
-        if coeff is not None and not is_zero(coeff):
+        if coeff is not None:
             out[comp] = coeff
-    return AlternatingTensor(chart, COV, n - p, _prune(out))
+    return AlternatingTensor(chart, COV, n - p, out)
 
 
 def musical_tilde(w: AlternatingTensor) -> AlternatingTensor:
@@ -392,9 +388,9 @@ def musical_tilde(w: AlternatingTensor) -> AlternatingTensor:
         for I, v in w.components.items():
             term = _pairing_det(rows, J, I) * v
             total = term if total is None else total + term
-        if total is not None and not is_zero(total):
+        if total is not None:
             out[J] = total
-    return AlternatingTensor(chart, target, p, _prune(out))
+    return AlternatingTensor(chart, target, p, out)
 
 
 def volume_form(chart: Chart) -> AlternatingTensor:

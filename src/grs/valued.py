@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DegreeError, DimensionError, NotALieAlgebra, VarianceError
 from .exterior import AlternatingTensor, Chart, MultiIndex, zero_tensor
-from .scalar import as_expr, is_zero
+from .scalar import as_expr
 
 
 @dataclass(frozen=True)
@@ -182,10 +182,8 @@ class ValuedForm:
                 raise DegreeError("slices must share a degree")
             if s.variance != first.variance:
                 raise VarianceError("slices must share a variance")
-        object.__setattr__(self, "slices", tuple(AlternatingTensor(
-            s.chart, s.variance, s.degree,
-            {k: e for k, v in s.components.items() if not is_zero(e := as_expr(v))})
-            for s in self.slices))
+        object.__setattr__(self, "slices", tuple(s.map_components(as_expr)
+                                                 for s in self.slices))
 
     @staticmethod
     def from_components(chart: Chart, degree: int, variance: str, space: ValueSpace,

@@ -21,7 +21,7 @@ from grs.diffops import (
     riemann,
     schrodinger_residual,
 )
-from grs.catalog import build, minkowski
+from grs.catalog import build, minkowski, schwarzschild_chart, sphere_chart
 from grs.engine import verify
 from grs.errors import (
     DegreeError,
@@ -232,6 +232,25 @@ class TestMetricGeometry:
                 for c in range(3):
                     for d in range(3):
                         assert R[a][b][c][d].ev((0.4, 0.1, -0.2)) == 0.0
+
+    @pytest.mark.parametrize("make_chart, points", [
+        (sphere_chart, [(0.8, 0.1), (1.9, -0.4), (2.6, 1.3)]),
+        (schwarzschild_chart, [(3.5, 0.7, 0.2, 0.0), (7.0, 2.1, -1.0, 4.0)]),
+        (lambda: pulled_back_euclidean(conformal=True),
+         [(0.9, -0.3, 0.4), (-0.7, 0.5, 1.1)]),
+    ], ids=["sphere", "schwarzschild", "conformal"])
+    def test_riemann_contracts_to_ricci(self, make_chart, points):
+        # riemann and ricci are built separately; sum_mu R^mu_s_mu_n = Ric_sn
+        metric = make_chart().metric
+        R, ric = riemann(metric), ricci(metric)
+        n = metric.dim
+        for pt in points:
+            assert max(abs(R[a][b][c][d].ev(pt)) for a in range(n) for b in range(n)
+                       for c in range(n) for d in range(n)) > 0.01
+            for s in range(n):
+                for nu in range(n):
+                    contracted = sum(R[mu][s][mu][nu].ev(pt) for mu in range(n))
+                    assert abs(contracted - ric[s][nu].ev(pt)) <= 1e-12
 
     def test_metricity(self, sphere):
         res = metricity_residual(sphere.metric)

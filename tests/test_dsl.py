@@ -1,6 +1,8 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grs import dsl
 
@@ -38,6 +40,48 @@ class TestTokenizer:
     def test_bad_character_reported(self):
         _, diags = dsl.tokenize("field f = 2 ? 3")
         assert any(d.severity == "error" for d in diags)
+
+    @pytest.mark.parametrize("text, tokens, error_cols", [
+        ("1..2", [("NUMBER", "1", 1), ("SYM", "..", 2), ("NUMBER", "2", 4)], []),
+        ("1.e5", [("NUMBER", "1.e5", 1)], []),
+        ("1e", [("NUMBER", "1", 1), ("IDENT", "e", 2)], []),
+        ("...", [("SYM", "..", 1)], [3]),
+        ("x ^wt", [("IDENT", "x", 1), ("SYM", "^", 3), ("IDENT", "wt", 4)], []),
+        ("dx ^w_", [("IDENT", "dx", 1), ("SYM", "^w", 4), ("IDENT", "_", 6)], []),
+        ("θ", [("IDENT", "θ", 1)], []),
+        ("٣", [("NUMBER", "٣", 1)], []),
+        ("²z", [("IDENT", "z", 2)], [1]),
+    ])
+    def test_edge_cases(self, text, tokens, error_cols):
+        toks, diags = dsl.tokenize(text)
+        assert [(t.kind, t.text, t.col) for t in toks[:-1]] == tokens
+        assert [d.column for d in diags] == error_cols
+        assert all(d.message.startswith("unexpected character") for d in diags)
+
+
+# pieces that reach every token rule, its edges and the errors between them
+_LEX_PIECES = ["..", ".", "^w", "^w_", "^", "w", "x", "_", "e", "E", "1", "07", "1e5",
+               "2E-3", "e+", ".5", "1.", "#", "θ", "٣", "²", "?", " ", "\t", "\n",
+               "(", ")", ",", ";", "=", ":", "+", "-", "*", "/", "@", "[", "]"]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from(_LEX_PIECES), max_size=30).map("".join))
+def test_lexer_covers_each_character_once(text):
+    toks, diags = dsl.tokenize(text)
+    lines = text.splitlines() or [""]
+    assert [t.kind for t in toks].count("EOF") == 1 and toks[-1].kind == "EOF"
+    for ln, raw in enumerate(lines, start=1):
+        on_line = [t for t in toks[:-1] if t.line == ln]
+        errors = [d.column for d in diags if d.line == ln]
+        for cols in ([t.col for t in on_line], errors):
+            assert all(a < b for a, b in zip(cols, cols[1:]))
+        covered = [d - 1 for d in errors]
+        for t in on_line:
+            assert raw[t.col - 1:t.col - 1 + len(t.text)] == t.text
+            covered += range(t.col - 1, t.col - 1 + len(t.text))
+        code = raw.split("#")[0]
+        assert sorted(covered) == [i for i, c in enumerate(code) if c not in " \t"]
 
 
 class TestParser:

@@ -1,5 +1,5 @@
-"""Every function, class and method in ``grs`` is referenced in ``grs``
-or exported from the package."""
+"""Every function, class, method and module constant in ``grs`` is
+referenced in ``grs`` or exported from the package."""
 
 import ast
 from pathlib import Path
@@ -20,7 +20,8 @@ KEPT = {
 
 
 def _definitions(tree):
-    """(qualified name, bare name, line) for each top-level def and method."""
+    """(qualified name, bare name, line) for each top-level def, method and
+    name assigned at module level."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for node in tree.body:
         if isinstance(node, defs):
@@ -29,6 +30,10 @@ def _definitions(tree):
             for item in node.body:
                 if isinstance(item, defs):
                     yield f"{node.name}.{item.name}", item.name, item.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for name in (n for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)):
+                yield name.id, name.id, node.lineno
 
 
 def _annotations(tree):
@@ -46,7 +51,7 @@ def _references(tree):
     including those inside string annotations."""
     refs = set()
     for n in ast.walk(tree):
-        if isinstance(n, ast.Name):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
             refs.add(n.id)
         elif isinstance(n, ast.Attribute):
             refs.add(n.attr)
