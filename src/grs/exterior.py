@@ -10,7 +10,8 @@ metric entries: plain floats for a constant diagonal metric, ``Expr`` for
 a matrix metric; numeric forms on a constant metric therefore stay numeric.
 The Hodge star and the volume form are symbolic on any metric; a point
 where g is singular is flagged by the divisions in g^-1 when the residual
-is evaluated.
+is evaluated.  Every determinant here is a minor expanded over (row,
+column) index sets, each built once per call and shared.
 
 Conventions:
   * orientation is the declared coordinate order, vol = dx^1...dx^n * sqrt|det g|;
@@ -140,47 +141,52 @@ class MetricSpec:
         return self._sqrt_abs_det
 
 
+def _minor(rows, R: MultiIndex, C: MultiIndex, memo: dict):
+    """det of rows R x columns C by Laplace along R's first row, skipping
+    zero entries; ``memo`` keeps each (R, C) minor as one shared object."""
+    if len(R) <= 1:
+        return rows[R[0]][C[0]] if R else 1.0
+    if (R, C) not in memo:
+        r = R[0]
+        total = 0 * rows[r][C[0]]  # a zero of the entries' type
+        for pos, c in enumerate(C):
+            if is_zero(rows[r][c]):
+                continue
+            term = rows[r][c] * _minor(rows, R[1:], C[:pos] + C[pos + 1:], memo)
+            total = total + (term if pos % 2 == 0 else -term)
+        memo[R, C] = total
+    return memo[R, C]
+
+
 def determinant(rows):
     """Laplace expansion along the first row, skipping zero entries.
 
+    Minors are expanded over index sets and shared, not copied and
+    re-expanded, so a dense n x n matrix costs O(n 2^n), not O(n!).
     Entries may be numbers or ``Expr`` trees; the result has their type,
     so an expression matrix whose first row vanishes gives an ``Expr``
     zero.  The 0x0 determinant is 1.
     """
-    n = len(rows)
-    if n == 0:
-        return 1.0
-    if n == 1:
-        return rows[0][0]
-    total = 0 * rows[0][0]  # a zero of the entries' type
-    for j in range(n):
-        if is_zero(rows[0][j]):
-            continue
-        minor = [[rows[r][c] for c in range(n) if c != j] for r in range(1, n)]
-        term = rows[0][j] * determinant(minor)
-        total = total + (term if j % 2 == 0 else -term)
-    return total
+    axes = tuple(range(len(rows)))
+    return _minor(rows, axes, axes, {})
 
 
 def inverse_expr(rows) -> list:
     """Inverse of a square matrix of numbers or expressions: 1/g_ii for a
-    diagonal matrix, adjugate/det otherwise."""
+    diagonal matrix, adjugate/det otherwise, with every minor shared."""
     n = len(rows)
     if all(is_zero(rows[i][j]) for i in range(n) for j in range(n) if i != j):
         return [[(1.0 / rows[i][i] if i == j else rows[i][j]) for j in range(n)]
                 for i in range(n)]
-    det = determinant(rows)
-    inv = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            minor = [[rows[r][c] for c in range(n) if c != i] for r in range(n) if r != j]
-            cof = determinant(minor)
-            if (i + j) % 2 == 1:
-                cof = -cof
-            row.append(cof / det)
-        inv.append(row)
-    return inv
+    axes = tuple(range(n))
+    memo: dict = {}
+    det = _minor(rows, axes, axes, memo)
+
+    def entry(i, j):
+        cof = _minor(rows, axes[:j] + axes[j + 1:], axes[:i] + axes[i + 1:], memo)
+        return (-cof if (i + j) % 2 == 1 else cof) / det
+
+    return [[entry(i, j) for j in range(n)] for i in range(n)]
 
 
 @dataclass(frozen=True)
@@ -256,9 +262,6 @@ class AlternatingTensor:
             out[k] = out[k] + v if k in out else v
         return AlternatingTensor(self.chart, self.variance, self.degree, out)
 
-    def __sub__(self, other: "AlternatingTensor") -> "AlternatingTensor":
-        return self + other.scale(-1)
-
     def scale(self, c) -> "AlternatingTensor":
         return self.map_components(lambda v: c * v)
 
@@ -299,18 +302,6 @@ def wedge(a: AlternatingTensor, b: AlternatingTensor) -> AlternatingTensor:
     return AlternatingTensor(a.chart, a.variance, p + q, out)
 
 
-def _interior_basis(axis: int, w: AlternatingTensor) -> AlternatingTensor:
-    out: dict = {}
-    for key, v in w.components.items():
-        if axis not in key:
-            continue
-        pos = key.index(axis)
-        rest = key[:pos] + key[pos + 1:]
-        term = v if pos % 2 == 0 else -v
-        out[rest] = out[rest] + term if rest in out else term
-    return AlternatingTensor(w.chart, COV, w.degree - 1, out)
-
-
 def interior(v: AlternatingTensor, w: AlternatingTensor) -> AlternatingTensor:
     """Substitution of a q-vector into a p-form, first slots first."""
     _check_same(v, w)
@@ -320,23 +311,27 @@ def interior(v: AlternatingTensor, w: AlternatingTensor) -> AlternatingTensor:
         raise VarianceError("second argument must be a form")
     if v.degree > w.degree:
         raise DegreeError(f"interior degree {v.degree} > form degree {w.degree}")
-    result = zero_tensor(w.chart, COV, w.degree - v.degree)
+    out: dict = {}
     for idx, coeff in v.components.items():
-        piece = w
-        # i(X1^...^Xq) = i(Xq) o ... o i(X1): innermost (first) factor first
-        for axis in idx:
-            piece = _interior_basis(axis, piece)
-        result = result + piece.scale(coeff)
-    return result
+        for key, val in w.components.items():
+            # i(X1^...^Xq) = i(Xq) o ... o i(X1): innermost (first) factor first
+            for axis in idx:
+                if axis not in key:
+                    break
+                pos = key.index(axis)
+                key = key[:pos] + key[pos + 1:]
+                if pos % 2 == 1:
+                    val = -val
+            else:
+                term = coeff * val
+                out[key] = out[key] + term if key in out else term
+        out = {k: x for k, x in out.items() if not is_zero(x)}
+    return AlternatingTensor(w.chart, COV, w.degree - v.degree, out)
 
 
 def interior_after_tilde(a: AlternatingTensor, w: AlternatingTensor) -> AlternatingTensor:
     """i(tilde a) w: substitution of a form's raised multivector into w."""
     return interior(musical_tilde(a), w)
-
-
-def _pairing_det(ginv_rows, I: MultiIndex, J: MultiIndex):
-    return determinant([[ginv_rows[i][j] for j in J] for i in I])
 
 
 def hodge(w: AlternatingTensor) -> AlternatingTensor:
@@ -355,6 +350,7 @@ def hodge(w: AlternatingTensor) -> AlternatingTensor:
     sqrt_abs_det = chart.metric.sqrt_abs_det()
 
     all_axes = tuple(range(n))
+    memo: dict = {}
     out: dict = {}
     for A in itertools.combinations(all_axes, p):
         comp = tuple(i for i in all_axes if i not in A)
@@ -363,7 +359,7 @@ def hodge(w: AlternatingTensor) -> AlternatingTensor:
         _, sign = ss
         coeff = None
         for B, vb in w.components.items():
-            ip = _pairing_det(ginv, A, B)
+            ip = _minor(ginv, A, B, memo)
             term = (sign * sqrt_abs_det) * (ip * vb)
             coeff = term if coeff is None else coeff + term
         if coeff is not None:
@@ -382,11 +378,12 @@ def musical_tilde(w: AlternatingTensor) -> AlternatingTensor:
         target = COV
     n = chart.dim
     p = w.degree
+    memo: dict = {}
     out: dict = {}
     for J in itertools.combinations(range(n), p):
         total = None
         for I, v in w.components.items():
-            term = _pairing_det(rows, J, I) * v
+            term = _minor(rows, J, I, memo) * v
             total = term if total is None else total + term
         if total is not None:
             out[J] = total

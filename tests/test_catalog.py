@@ -249,3 +249,20 @@ def test_yang_mills_rejects_structure_constants_that_break_jacobi():
         omega = ValuedForm.from_components(chart, 1, COV, ValueSpace(("e1", "e2", "e3"), lie),
                                            {((0,), "e1"): 1.0, ((1,), "e2"): 1.0})
         build("yang_mills", chart, omega=omega)
+
+
+def test_mass_energy_passes_uniform_dust_on_a_curved_chart():
+    # dust moving uniformly along x, written in cylindrical coordinates:
+    # Gamma is non-zero here, so a wrong sign on d_s or on either Gamma
+    # term leaves a residual instead of only negating one
+    from grs.exterior import Chart, MetricSpec
+    from grs.scalar import ONE, ZERO, SampleSet, coord, cos, sin
+    r, phi = coord(0), coord(1)
+    g = MetricSpec.matrix([[-ONE, ZERO, ZERO, ZERO], [ZERO, -(r * r), ZERO, ZERO],
+                           [ZERO, ZERO, -ONE, ZERO], [ZERO, ZERO, ZERO, ONE]])
+    chart = Chart(("r", "phi", "z", "xi"), g)
+    u = [cos(phi), -(sin(phi) / r), ZERO, ONE]
+    cond = build("mass_energy", chart, u=u, rho=ONE)
+    sample = SampleSet.random_box([(0.5, 2.0), (0.0, 6.2), (-1.0, 1.0), (-1.0, 1.0)], 64, 13)
+    rep = verify(cond, sample, DEFAULT_TOL)
+    assert rep.passed, f"linf={rep.linf:.3e}"

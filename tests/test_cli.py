@@ -1,5 +1,6 @@
 import argparse
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -516,3 +517,37 @@ def test_command_line_outcome(tmp_path, spec, argv, code, out, err, capsys):
         argv = ["verify", str(p)] + argv
     assert main(argv) == code
     assert capsys.readouterr() == (out, err)
+
+
+def _dense_spec(n):
+    """g_ij = delta_ij + 0.1 x_i x_j on n coordinates, both triangles written alike."""
+    names = [f"x{i}" for i in range(1, n + 1)]
+
+    def entry(i, j):
+        a, b = sorted((i, j))
+        return ("1 + " if i == j else "") + f"0.1*{names[a]}*{names[b]}"
+
+    rows = ", ".join("[" + ", ".join(entry(i, j) for j in range(n)) + "]" for i in range(n))
+    box = ", ".join(["-1..1"] * n)
+    return (f"chart D ({', '.join(names)}) metric matrix [{rows}]\n"
+            f"check ricci_flat() on random({box}; 8, seed 5)\n")
+
+
+def test_dense_eight_dimensional_metric_verifies_quickly(tmp_path, capsys):
+    # the largest chart a spec may declare, with a dense symbolic metric:
+    # re-expanding every minor took over a minute and 1.5 GB for this report
+    p = tmp_path / "dense8.grs"
+    p.write_text(_dense_spec(8))
+    start = time.perf_counter()
+    assert main(["verify", str(p)]) == 1
+    assert time.perf_counter() - start < 10.0
+    assert capsys.readouterr().out.splitlines()[2].split() == [
+        "ricci_flat", "ricci_flat", "8", "6.199e-01", "5.427e-01", "1e-09", "FAIL"]
+
+
+def test_nine_dimensional_spec_chart_exits_two(tmp_path, capsys):
+    p = tmp_path / "dense9.grs"
+    p.write_text(_dense_spec(9))
+    assert main(["verify", str(p)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: chart dimension must be in 1..8 (line 1, col 1)\n")

@@ -454,3 +454,21 @@ class TestGeodesics:
         gam = [[[as_expr(-1.0)]]]
         with pytest.raises(StepError):
             geodesic_integrate(gam, (0.0,), (1.0,), 5000, 0.1)
+
+
+def test_inclined_great_circle_converges_at_fourth_order(sphere):
+    # off the equator every Christoffel term acts on the path, so a wrong
+    # RK4 stage shows as first- or second-order convergence
+    gam = christoffels_from_metric(sphere.metric)
+
+    def max_error(ds, length=2.0):
+        steps = round(length / ds)
+        xs, _ = geodesic_integrate(gam, (math.pi / 2, 0.0), (0.6, 0.8), steps, ds)
+        th, ph = xs[:, 0], xs[:, 1]
+        on_sphere = np.stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)], 1)
+        s = ds * np.arange(steps + 1)[:, None]
+        # the exact circle through (1, 0, 0) with unit tangent (0, 0.8, -0.6)
+        exact = np.cos(s) * [1.0, 0.0, 0.0] + np.sin(s) * [0.0, 0.8, -0.6]
+        return np.max(np.linalg.norm(on_sphere - exact, axis=1))
+
+    assert max_error(0.02) / max_error(0.01) >= 12

@@ -1,6 +1,8 @@
 import itertools
 import math
+import time
 
+import numpy as np
 import pytest
 
 from grs.errors import (
@@ -26,7 +28,7 @@ from grs.exterior import (
     wedge,
 )
 from grs.catalog import schwarzschild_chart, sphere_chart
-from grs.exterior import determinant
+from grs.exterior import determinant, inverse_expr
 from grs.scalar import Program, as_expr, coord, sin
 
 
@@ -325,3 +327,56 @@ def test_determinant_keeps_the_entries_type():
     # a first row of zeros gives an Expr zero, so cof / det stays symbolic
     inv = inverse_expr(rows)
     assert all(isinstance(e, Expr) for row in inv for e in row)
+
+
+def test_interior_sign_on_the_second_slot(r3):
+    # i(dy)(dx ^ dy) = -dx: dy fills the second slot, one transposition away
+    w = form(r3, 2, {(0, 1): 1.0})
+    Y = multivector(r3, 1, {(1,): 1.0})
+    assert interior(Y, w).components == {(0,): -1.0}
+
+
+def _perm_sign(perm):
+    inversions = sum(perm[a] > perm[b] for a, b in itertools.combinations(range(len(perm)), 2))
+    return -1 if inversions % 2 else 1
+
+
+def test_interior_of_a_bivector_is_the_form_on_its_factors(mink):
+    # i(X ^ Y) w = w(X, Y, .), with w(X, Y, .)_k summed over the full
+    # antisymmetric array of w, which is built from permutations alone
+    rng = np.random.default_rng(3)
+    n = 4
+    w = form(mink, 3, {key: rng.uniform(-1, 1) for key in itertools.combinations(range(n), 3)})
+    X, Y = rng.uniform(-1, 1, n), rng.uniform(-1, 1, n)
+    XY = multivector(mink, 2, {(a, b): X[a] * Y[b] - X[b] * Y[a]
+                               for a, b in itertools.combinations(range(n), 2)})
+    full = np.zeros((n, n, n))
+    for key, v in w.components.items():
+        for perm in itertools.permutations(range(3)):
+            full[tuple(key[p] for p in perm)] = _perm_sign(perm) * v
+    expected = np.einsum("i,j,ijk->k", X, Y, full)
+    got = interior(XY, w)
+    assert [got.get((k,)) for k in range(n)] == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_minors_match_numpy(n):
+    a = np.eye(n) + 0.1 * np.random.default_rng(n).uniform(-1, 1, (n, n))
+    rows = a.tolist()
+    assert determinant(rows) == pytest.approx(np.linalg.det(a), rel=1e-12)
+    np.testing.assert_allclose(np.array(inverse_expr(rows)), np.linalg.inv(a), rtol=1e-12)
+
+
+def test_dense_eight_by_eight_inverse_is_built_fast():
+    # with minors re-expanded per cofactor this took seconds (O(n!) nodes)
+    n = 8
+    u = [sin(coord(i)) + 0.5 for i in range(n)]
+    rows = [[(1.0 if i == j else 0.0) + 0.1 * u[i] * u[j] for j in range(n)] for i in range(n)]
+    start = time.perf_counter()
+    inv = inverse_expr(rows)
+    assert time.perf_counter() - start < 1.0
+    pt = tuple(0.3 * k - 1.0 for k in range(n))
+    got = Program([e for row in inv for e in row]).at([pt])[:, 0].real.reshape(n, n)
+    uv = np.sin(np.array(pt)) + 0.5
+    np.testing.assert_allclose(got, np.linalg.inv(np.eye(n) + 0.1 * np.outer(uv, uv)),
+                               rtol=1e-12)
