@@ -325,7 +325,6 @@ def interior(v: AlternatingTensor, w: AlternatingTensor) -> AlternatingTensor:
             else:
                 term = coeff * val
                 out[key] = out[key] + term if key in out else term
-        out = {k: x for k, x in out.items() if not is_zero(x)}
     return AlternatingTensor(w.chart, COV, w.degree - v.degree, out)
 
 

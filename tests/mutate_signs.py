@@ -13,11 +13,14 @@ killed only when a test of meaning fails.  The mutants are:
 Augmented assignments (``j -= 1``) are left alone.  Run it from the
 repository root:
 
-    python tests/mutate_signs.py [--list] [--workdir DIR] [--only K ...]
+    python tests/mutate_signs.py [--list]
 
-It first checks that the unmutated copy passes (exit status 2 if not),
-then prints one line per mutant and lists the survivors at the end; the
-exit status is 1 when any mutant survives.
+``--list`` prints the mutants and runs nothing.  Otherwise it copies the
+tree into a new temporary directory (removed at the end), checks that
+the unmutated copy passes (exit status 2 if not), then prints one line
+per mutant and lists the survivors at the end; the exit status is 1 when
+any mutant survives.  A mutant whose run exceeds TIMEOUT_S seconds
+counts as killed.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ WITHOUT_PINS = [
     "--deselect=tests/test_scalar.py::TestCompile::test_op_lists_are_pinned",
     "--deselect=tests/test_acceptance.py::test_10_end_to_end",
 ]
+TIMEOUT_S = 600
 SWAP = {"+": "-", "-": "+", "add": "sub", "sub": "add"}
 
 
@@ -72,9 +76,6 @@ def mutants(source: bytes):
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--workdir", help="where to copy the tree (default: a new temporary directory)")
-    ap.add_argument("--only", type=int, nargs="*", help="run only these mutant numbers")
-    ap.add_argument("--timeout", type=float, default=600.0, help="seconds per mutant run")
     ap.add_argument("--list", action="store_true", help="print the mutants and run nothing")
     args = ap.parse_args(argv)
     if args.list:
@@ -83,8 +84,15 @@ def main(argv=None) -> int:
             print(f"#{k} line {lineno}: {old!r} -> {new!r}")
         return 0
 
-    work = Path(args.workdir or tempfile.mkdtemp(prefix="mutate_signs_")) / "tree"
-    shutil.rmtree(work, ignore_errors=True)
+    work = Path(tempfile.mkdtemp(prefix="mutate_signs_"))
+    try:
+        return run_mutants(work)
+    finally:
+        shutil.rmtree(work)
+
+
+def run_mutants(work: Path) -> int:
+    """Copy the tree into ``work`` and run every mutant there."""
     for part in ("src", "tests", "pyproject.toml", "README.md"):
         copy = shutil.copytree if (ROOT / part).is_dir() else shutil.copy2
         copy(ROOT / part, work / part)
@@ -95,26 +103,20 @@ def main(argv=None) -> int:
     env = {**os.environ, "PYTHONPATH": str(work / "src")}
 
     if subprocess.run(cmd, cwd=work, env=env, capture_output=True).returncode != 0:
-        print(f"the unmutated copy in {work} fails its tests; no mutant was run")
+        print("the unmutated copy fails its tests; no mutant was run")
         return 2
     survivors = []
-    try:
-        for k, (offset, old, new, lineno) in enumerate(mutants(source)):
-            if args.only and k not in args.only:
-                continue
-            target.write_bytes(source[:offset] + new.encode() + source[offset + len(old):])
-            try:
-                run = subprocess.run(cmd, cwd=work, env=env, capture_output=True,
-                                     timeout=args.timeout)
-                verdict = "survived" if run.returncode == 0 else "killed"
-            except subprocess.TimeoutExpired:
-                verdict = "killed (timeout)"
-            label = f"#{k} line {lineno}: {old!r} -> {new!r}  | {lines[lineno - 1].strip()}"
-            print(f"{verdict:16} {label}", flush=True)
-            if verdict == "survived":
-                survivors.append(label)
-    finally:
-        target.write_bytes(source)
+    for k, (offset, old, new, lineno) in enumerate(mutants(source)):
+        target.write_bytes(source[:offset] + new.encode() + source[offset + len(old):])
+        try:
+            run = subprocess.run(cmd, cwd=work, env=env, capture_output=True, timeout=TIMEOUT_S)
+            verdict = "survived" if run.returncode == 0 else "killed"
+        except subprocess.TimeoutExpired:
+            verdict = "killed (timeout)"
+        label = f"#{k} line {lineno}: {old!r} -> {new!r}  | {lines[lineno - 1].strip()}"
+        print(f"{verdict:16} {label}", flush=True)
+        if verdict == "survived":
+            survivors.append(label)
     print(f"\n{len(survivors)} survivor(s)")
     for label in survivors:
         print("  " + label)

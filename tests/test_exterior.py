@@ -375,7 +375,16 @@ def test_dense_eight_by_eight_inverse_is_built_fast():
     start = time.perf_counter()
     inv = inverse_expr(rows)
     assert time.perf_counter() - start < 1.0
-    pt = tuple(0.3 * k - 1.0 for k in range(n))
+    # the same bound without the clock: 12,649 node objects with shared
+    # minors, 1,266,547 with every minor copied and expanded again
+    seen, stack = set(), [e for row in inv for e in row]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parts()[0])
+    assert len(seen) < 20_000
+    pt =tuple(0.3 * k - 1.0 for k in range(n))
     got = Program([e for row in inv for e in row]).at([pt])[:, 0].real.reshape(n, n)
     uv = np.sin(np.array(pt)) + 0.5
     np.testing.assert_allclose(got, np.linalg.inv(np.eye(n) + 0.1 * np.outer(uv, uv)),
