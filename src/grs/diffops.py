@@ -150,7 +150,19 @@ def projected_lie(pi, X: VectorField, Y: VectorField) -> VectorField:
 
 
 def christoffels_from_metric(metric: MetricSpec):
-    """Levi-Civita symbols Gamma^l_mn = 1/2 g^lr (d_m g_rn + d_n g_rm - d_r g_mn)."""
+    """Levi-Civita symbols Gamma^l_mn = 1/2 g^lr (d_m g_rn + d_n g_rm - d_r g_mn)
+    as nested tuples, ``gamma[l][m][n]``.
+
+    Built on the first call for ``metric`` and kept on it, as its inverse
+    is: every later call returns the same object, which tuples keep from
+    being changed by one of the operators that share it.
+    """
+    if metric._christoffels is None:
+        metric._christoffels = _levi_civita(metric)
+    return metric._christoffels
+
+
+def _levi_civita(metric: MetricSpec):
     n = metric.dim
     g = [[as_expr(v) for v in row] for row in metric.entries()]
     ginv = metric.inverse_entries()
@@ -171,7 +183,7 @@ def christoffels_from_metric(metric: MetricSpec):
                 val = half * acc
                 gamma[l][m][nu] = val
                 gamma[l][nu][m] = val
-    return gamma
+    return tuple(tuple(map(tuple, plane)) for plane in gamma)
 
 
 def riemann(metric: MetricSpec):

@@ -61,6 +61,11 @@ class MetricSpec:
     so forms on it stay numeric, and ``Expr`` trees for a matrix metric.
     Each is built once.  A matrix metric's inverse (a cofactor expansion)
     and sqrt|det g| are built on first use, so making a chart stays cheap.
+    The Levi-Civita symbols are kept here too: ``diffops.christoffels_from_metric``
+    builds them on its first call for this object and returns that same
+    immutable object afterwards, so every operator on one metric reads
+    one Gamma (and, since derivatives are memoized on nodes, one dGamma).
+    Equal but distinct metrics each build their own.
     ``det`` is a number for a constant metric and None for a matrix
     metric, whose determinant is an expression inside its inverse and
     sqrt|det g|.
@@ -76,6 +81,7 @@ class MetricSpec:
         self.dim = len(rows)
         self.det = det
         self._inverse = None
+        self._christoffels = None  # Gamma as nested tuples; see diffops.christoffels_from_metric
         self._sqrt_abs_det = None if det is None else abs(det) ** 0.5
         self._key = None
 

@@ -1,10 +1,13 @@
-"""Sign-mutation harness for ``src/grs/exterior.py`` (pytest does not
-collect it: the file name does not start with ``test_``).
+"""Sign-mutation harness for ``src/grs/exterior.py`` and the metric
+geometry of ``src/grs/diffops.py`` (pytest does not collect it: the file
+name does not start with ``test_``).
 
 It makes one mutant at a time in a copy of the tree and runs tier-1 on
 the copy without the four byte pins (the report digests, the fixture-tree
 pin, the op-list pin and the golden JSON), so that a mutant counts as
-killed only when a test of meaning fails.  The mutants are:
+killed only when a test of meaning fails.  TARGETS names the files and,
+for a file only part of which is mutated, its top-level functions.  The
+mutants are:
 
   * each binary ``+`` turned into ``-``, and each binary ``-`` into ``+``;
   * each unary minus on a non-constant operand dropped;
@@ -35,7 +38,11 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-TARGET = Path("src/grs/exterior.py")
+# (file, top-level functions to mutate, or None for the whole file)
+TARGETS = (
+    (Path("src/grs/exterior.py"), None),
+    (Path("src/grs/diffops.py"), ("_levi_civita", "riemann", "ricci", "metricity_residual")),
+)
 WITHOUT_PINS = [
     "--ignore=tests/test_report_digest.py",
     "--ignore=tests/test_fixture_trees.py",
@@ -46,8 +53,9 @@ TIMEOUT_S = 600
 SWAP = {"+": "-", "-": "+", "add": "sub", "sub": "add"}
 
 
-def mutants(source: bytes):
-    """(offset, old bytes, new bytes, line) for each mutant of ``source``."""
+def mutants(source: bytes, functions=None):
+    """(offset, old bytes, new bytes, line) for each mutant of ``source``,
+    or of its top-level ``functions`` when they are named."""
     starts = [0]
     for line in source.splitlines(keepends=True):
         starts.append(starts[-1] + len(line))
@@ -55,8 +63,12 @@ def mutants(source: bytes):
     def at(lineno, col):  # ast offsets are UTF-8 byte columns
         return starts[lineno - 1] + col
 
+    tree = ast.parse(source)
+    if functions is not None:
+        tree.body = [f for f in tree.body
+                     if isinstance(f, ast.FunctionDef) and f.name in functions]
     found = []
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
             lo = at(node.left.end_lineno, node.left.end_col_offset)
             hi = at(node.right.lineno, node.right.col_offset)
@@ -79,9 +91,8 @@ def main(argv=None) -> int:
     ap.add_argument("--list", action="store_true", help="print the mutants and run nothing")
     args = ap.parse_args(argv)
     if args.list:
-        source = (ROOT / TARGET).read_bytes()
-        for k, (_, old, new, lineno) in enumerate(mutants(source)):
-            print(f"#{k} line {lineno}: {old!r} -> {new!r}")
+        for k, (path, _, _, old, new, lineno) in enumerate(all_mutants(ROOT)):
+            print(f"#{k} {path}:{lineno}: {old!r} -> {new!r}")
         return 0
 
     work = Path(tempfile.mkdtemp(prefix="mutate_signs_"))
@@ -91,14 +102,19 @@ def main(argv=None) -> int:
         shutil.rmtree(work)
 
 
+def all_mutants(root: Path):
+    """(path, source, offset, old, new, line) for each mutant of TARGETS under ``root``."""
+    for path, functions in TARGETS:
+        source = (root / path).read_bytes()
+        for offset, old, new, lineno in mutants(source, functions):
+            yield path, source, offset, old, new, lineno
+
+
 def run_mutants(work: Path) -> int:
     """Copy the tree into ``work`` and run every mutant there."""
     for part in ("src", "tests", "pyproject.toml", "README.md"):
         copy = shutil.copytree if (ROOT / part).is_dir() else shutil.copy2
         copy(ROOT / part, work / part)
-    target = work / TARGET
-    source = target.read_bytes()
-    lines = source.decode().splitlines()
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *WITHOUT_PINS]
     env = {**os.environ, "PYTHONPATH": str(work / "src")}
 
@@ -106,14 +122,18 @@ def run_mutants(work: Path) -> int:
         print("the unmutated copy fails its tests; no mutant was run")
         return 2
     survivors = []
-    for k, (offset, old, new, lineno) in enumerate(mutants(source)):
+    for k, (path, source, offset, old, new, lineno) in enumerate(all_mutants(work)):
+        target = work / path
         target.write_bytes(source[:offset] + new.encode() + source[offset + len(old):])
         try:
             run = subprocess.run(cmd, cwd=work, env=env, capture_output=True, timeout=TIMEOUT_S)
             verdict = "survived" if run.returncode == 0 else "killed"
         except subprocess.TimeoutExpired:
             verdict = "killed (timeout)"
-        label = f"#{k} line {lineno}: {old!r} -> {new!r}  | {lines[lineno - 1].strip()}"
+        finally:
+            target.write_bytes(source)
+        line = source.decode().splitlines()[lineno - 1].strip()
+        label = f"#{k} {path}:{lineno}: {old!r} -> {new!r}  | {line}"
         print(f"{verdict:16} {label}", flush=True)
         if verdict == "survived":
             survivors.append(label)

@@ -266,3 +266,38 @@ def test_mass_energy_passes_uniform_dust_on_a_curved_chart():
     sample = SampleSet.random_box([(0.5, 2.0), (0.0, 6.2), (-1.0, 1.0), (-1.0, 1.0)], 64, 13)
     rep = verify(cond, sample, DEFAULT_TOL)
     assert rep.passed, f"linf={rep.linf:.3e}"
+
+
+def test_ext_maxwell_currents_subtracts_the_j4_term():
+    # the plane wave solves the vacuum system, so with J1 = J2 = J3 = 0 the
+    # middle slice is -i(J4~) *F alone; J4 = dy, since i(d/dx) kills *F here
+    import itertools
+    import numpy as np
+    from grs.catalog import plane_wave_F
+    from grs.scalar import Program, as_expr
+    chart = minkowski()
+    F = plane_wave_F(chart)
+    zero = form(chart, 1, {})
+    cond = build("ext_maxwell_currents", chart, F=F, J1=zero, J2=zero, J3=zero,
+                 J4=form(chart, 1, {(1,): 1.0}))
+    middle = cond.residuals["e1∨e2"]
+    pts = np.random.default_rng(5).uniform(-2, 2, (6, 4))
+    got = np.zeros((len(pts), 4))
+    for (c,), v in zip([idx for idx, _ in middle], Program([e for _, e in middle]).at(pts)):
+        got[:, c] = v.real
+    # reference: *F_cd = 1/2 F^ab eps_abcd (sqrt|g| = 1), and (i(v) w)_c = v^a w_ac
+    ginv = np.diag([-1.0, -1.0, -1.0, 1.0])
+    eps = np.zeros((4,) * 4)
+    for perm in itertools.permutations(range(4)):
+        eps[perm] = np.linalg.det(np.eye(4)[list(perm)])
+    keys = list(F.components)
+    vals = Program([as_expr(F.components[k]) for k in keys]).at(pts).real
+    for p in range(len(pts)):
+        Fm = np.zeros((4, 4))
+        for (a, b), v in zip(keys, vals[:, p]):
+            Fm[a, b], Fm[b, a] = v, -v
+        star = 0.5 * np.einsum("ab,abcd->cd", ginv @ Fm @ ginv, eps)
+        v = ginv @ [0.0, 1.0, 0.0, 0.0]
+        ref = -np.einsum("a,ac->c", v, star)
+        assert np.max(np.abs(ref)) > 0.01
+        assert np.max(np.abs(got[p] - ref)) <= 1e-12

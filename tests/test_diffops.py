@@ -1,8 +1,11 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import grs
+from grs import diffops
 from grs.diffops import (
     GAMMA_UPPER,
     check_idempotent,
@@ -22,6 +25,7 @@ from grs.diffops import (
     schrodinger_residual,
 )
 from grs.catalog import build, minkowski, schwarzschild_chart, sphere_chart
+from grs.dsl import load
 from grs.engine import verify
 from grs.errors import (
     DegreeError,
@@ -30,8 +34,10 @@ from grs.errors import (
     StepError,
 )
 from grs.exterior import COV, Chart, MetricSpec, form, wedge
-from grs.scalar import ZERO, Program, SampleSet, as_expr, const, coord, cos, exp, is_zero, sin
+from grs.scalar import (ZERO, Program, SampleSet, as_expr, const, coord, cos, exp, fd_diff,
+                        is_zero, sin)
 from grs.valued import ValueSpace, ValuedForm, su2
+from test_scalar import _dense_flat_rows
 
 
 x, y, z = coord(0), coord(1), coord(2)
@@ -258,6 +264,54 @@ class TestMetricGeometry:
             assert abs(v.ev((1.2, 0.5))) < 1e-12
 
 
+class TestChristoffelsBuiltOnce:
+    """Gamma is built on the first call for a metric object, kept on it and
+    shared, read-only, by every operator on that metric."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        built = []
+        real = diffops._levi_civita
+
+        def counted(metric):
+            built.append(metric)  # the object itself, so no id is reused
+            return real(metric)
+        monkeypatch.setattr(diffops, "_levi_civita", counted)
+        return built
+
+    def test_same_object_and_read_only(self):
+        metric = schwarzschild_chart().metric
+        gam = christoffels_from_metric(metric)
+        assert christoffels_from_metric(metric) is gam
+        with pytest.raises(TypeError):
+            gam[0][1][1] = ZERO
+        with pytest.raises(TypeError):
+            gam[0][1] = (ZERO,) * 4
+
+    def test_equal_metrics_build_their_own(self, builds):
+        a, b = schwarzschild_chart().metric, schwarzschild_chart().metric
+        assert a == b and a is not b
+        assert christoffels_from_metric(a) is not christoffels_from_metric(b)
+        assert builds == [a, b]
+
+    def test_operators_on_one_metric_share_one_build(self, builds):
+        metric = pulled_back_euclidean(conformal=True).metric
+        ricci(metric), riemann(metric), metricity_residual(metric)
+        nabla_X(christoffels_from_metric(metric), [x, y, z], [y, z, x])
+        assert builds == [metric]
+
+    @pytest.mark.parametrize("spec", ["ricci_flat", "mass_energy", "nabla_parallel",
+                                      "autoparallel_vector"])
+    def test_shipped_spec_builds_once_per_chart(self, builds, spec):
+        # each of these specs runs two checks that need Gamma; ricci_flat
+        # puts them on two charts, the other three on one
+        text = (Path(grs.__file__).parent / "specs" / f"{spec}.grs").read_text()
+        checks, diags = load(text)
+        assert not diags and len(checks) == 2
+        charts = sum(line.startswith("chart ") for line in text.splitlines())
+        assert len(builds) == len({id(m) for m in builds}) == charts
+
+
 def pulled_back_euclidean(conformal: bool = False) -> Chart:
     """g = J^T J for x_k = u_k + 0.2 sin(u_{k+1}) (indices mod 3): flat, with
     no zero entry, so Ricci goes through the cofactor inverse.  ``conformal``
@@ -294,6 +348,44 @@ class TestNonDiagonalMetric:
         rep = verify(build("ricci_flat", pulled_back_euclidean(conformal=True)),
                      self.SAMPLE, tol=1e-10)
         assert not rep.passed and rep.evaluated == 40
+
+
+def _christoffels_by_numpy(metric, pt, h=1e-3):
+    """Gamma at one point from g's values alone: g^-1 by numpy.linalg.inv
+    and dg by ``fd_diff``'s 4th-order central difference, so neither the
+    symbolic inverse nor the derivative rules take part."""
+    n = metric.dim
+    rows = [as_expr(v) for row in metric.entries() for v in row]
+    g = Program(rows).at([pt])[:, 0].real.reshape(n, n)
+    dg = np.array([[fd_diff(e, k, pt, h).real for e in rows] for k in range(n)]).reshape(n, n, n)
+    # first kind: Gamma_rmn = 1/2 (d_m g_rn + d_n g_rm - d_r g_mn), with dg[k, i, j] = d_k g_ij
+    first = 0.5 * (dg.transpose(1, 0, 2) + dg.transpose(1, 2, 0) - dg)
+    return np.einsum("lr,rmn->lmn", np.linalg.inv(g), first)
+
+
+# 4th-order differences with h = 1e-3 agree with the exact Gamma to within
+# 7e-13 of max|Gamma| on these charts; a wrong sign or index moves entries by O(1)
+ORACLE_RTOL = 1e-10
+
+
+@pytest.mark.parametrize("make_chart, box", [
+    (lambda: Chart(("u0", "u1", "u2", "u3"), MetricSpec.matrix(_dense_flat_rows())),
+     [(-1, 1)] * 4),
+    (lambda: Chart(("u0", "u1", "u2", "u3"), MetricSpec.matrix(_dense_flat_rows(True))),
+     [(-1, 1)] * 4),
+    (schwarzschild_chart, [(3, 10), (0.3, 2.8), (0, 6.2), (-1, 1)]),
+], ids=["dense_flat", "dense_conformal", "schwarzschild"])
+def test_christoffels_match_a_numpy_oracle(make_chart, box):
+    metric = make_chart().metric
+    gam = christoffels_from_metric(metric)
+    n = metric.dim
+    prog = Program([as_expr(v) for plane in gam for row in plane for v in row])
+    lo, hi = np.array(box, dtype=float).T
+    pts = np.random.default_rng(2024).uniform(lo, hi, (4, n))
+    for pt, vals in zip(pts, prog.at(pts).T):
+        ref = _christoffels_by_numpy(metric, tuple(pt))
+        err = np.max(np.abs(vals.real.reshape(n, n, n) - ref))
+        assert err <= ORACLE_RTOL * np.max(np.abs(ref)), (tuple(pt), err)
 
 
 class TestVectorOperators:
