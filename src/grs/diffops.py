@@ -198,8 +198,12 @@ def riemann(metric: MetricSpec):
                 for nu in range(n):
                     acc = gam[rho][nu][sig].diff(mu) - gam[rho][mu][sig].diff(nu)
                     for lam in range(n):
-                        acc = acc + gam[rho][mu][lam] * gam[lam][nu][sig]
-                        acc = acc - gam[rho][nu][lam] * gam[lam][mu][sig]
+                        p, q = gam[rho][mu][lam], gam[lam][nu][sig]
+                        if not (is_zero(p) or is_zero(q)):  # else it folds away
+                            acc = acc + p * q
+                        p, q = gam[rho][nu][lam], gam[lam][mu][sig]
+                        if not (is_zero(p) or is_zero(q)):
+                            acc = acc - p * q
                     R[rho][sig][mu][nu] = acc
     return R
 
@@ -215,8 +219,12 @@ def ricci(metric: MetricSpec):
             for mu in range(n):
                 acc = acc + gam[mu][nu][sig].diff(mu) - gam[mu][mu][sig].diff(nu)
                 for lam in range(n):
-                    acc = acc + gam[mu][mu][lam] * gam[lam][nu][sig]
-                    acc = acc - gam[mu][nu][lam] * gam[lam][mu][sig]
+                    p, q = gam[mu][mu][lam], gam[lam][nu][sig]
+                    if not (is_zero(p) or is_zero(q)):  # else it folds away
+                        acc = acc + p * q
+                    p, q = gam[mu][nu][lam], gam[lam][mu][sig]
+                    if not (is_zero(p) or is_zero(q)):
+                        acc = acc - p * q
             out[sig][nu] = acc
             out[nu][sig] = acc
     return out

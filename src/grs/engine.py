@@ -146,14 +146,15 @@ def verify(c: GrCondition, sample: SampleSet, tol: float = DEFAULT_TOL) -> Resid
             if not len(block):
                 continue  # exclude rejected every row
             values, singular = prog.run(block)
-            keep = ~singular
-            block = block[keep]
-            if not len(block):
-                continue
+            if singular.any():
+                keep = ~singular
+                block, values = block[keep], [v[keep] for v in values]
+                if not len(block):
+                    continue
             evaluated += len(block)
             mags = np.empty((len(block), width))  # points x components
             for j, v in enumerate(values):
-                mags[:, j] = magnitude(v)[keep]
+                mags[:, j] = magnitude(v)
             for k, (a, b) in enumerate(spans):
                 m = mags[:, a:b]
                 # np.maximum, unlike max(), keeps a NaN

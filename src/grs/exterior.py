@@ -87,8 +87,8 @@ class MetricSpec:
 
     def _value(self) -> tuple:
         if self._key is None:
-            ops, roots = intern_ops(as_expr(v) for row in self.rows for v in row)
-            self._key = (self.det, tuple(ops), tuple(roots))
+            cols = intern_ops(as_expr(v) for row in self.rows for v in row)
+            self._key = (self.det, *map(tuple, cols))
         return self._key
 
     def __eq__(self, other) -> bool:

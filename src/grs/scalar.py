@@ -17,15 +17,15 @@ and its cache form a reference cycle, which the cyclic garbage collector
 frees like any other.
 
 Evaluation goes through one path: a ``Program`` compiles a list of root
-expressions into a deduplicated, topologically sorted op list and runs
-each op once per call on whole arrays of points, handing its node
-type's kernel the node's parameter and its zero, one or two input
-arrays.  The arithmetic follows CPython's ``complex``/``cmath`` formulas
-(Smith division, binary integer powers, libm ``exp``/``sin``/``cos``
-through numpy's complex kernels), so results match a pointwise ``cmath``
-evaluation up to the last bits of real ``pow``; on finite operands,
-addition, subtraction, multiplication, division and negation equal
-Python ``complex`` arithmetic bit for bit.
+expressions in one walk to the columns of a deduplicated, topologically
+sorted op list and runs each op once per call on whole arrays of points,
+handing its node type's kernel the node's parameter and two input arrays,
+of which it reads one per child.  The arithmetic follows CPython's
+``complex``/``cmath`` formulas (Smith division, binary integer powers,
+libm ``exp``/``sin``/``cos`` through numpy's complex kernels), so results
+match a pointwise ``cmath`` evaluation up to the last bits of real
+``pow``; on finite operands, addition, subtraction, multiplication,
+division and negation equal Python ``complex`` arithmetic bit for bit.
 
 Point policy: a division or negative power whose operand has magnitude
 below ``_DIV_FLOOR`` marks the point *singular*; ``sqrt`` or a
@@ -52,10 +52,6 @@ _ONE = np.float64(1.0)
 MAX_POINTS = 10 ** 7
 
 
-def _is_real(z: complex) -> bool:
-    return z.imag == 0.0
-
-
 class Expr:
     """Base node.  Subclasses implement ``_diff``, ``_parts`` and ``_eval``.
 
@@ -67,7 +63,8 @@ class Expr:
     the public slots are.
     ``_parts`` returns (children, hashable non-node fields): together with
     the node type this is the structural key ``Program`` merges on.
-    ``_eval(blk, param, *child_values)`` computes the node over a block.
+    ``_eval(blk, param, a, b)`` computes the node over a block from its
+    children's values, ignoring ``a`` or ``b`` where it has no such child.
     """
 
     __slots__ = ("_d",)
@@ -245,7 +242,7 @@ class Const(Expr):
         return (), (np.float64(v.real) if v.imag == 0.0 else np.complex128(v))
 
     @staticmethod
-    def _eval(blk, v):
+    def _eval(blk, v, _a, _b):
         return v
 
     def __repr__(self):
@@ -269,7 +266,7 @@ class Coord(Expr):
         return (), self.axis
 
     @staticmethod
-    def _eval(blk, axis):
+    def _eval(blk, axis, _a, _b):
         return blk.cols[axis]
 
     def __repr__(self):
@@ -336,26 +333,6 @@ class Div(_Binary):
         return _cdiv(a, b)
 
 
-class Neg(Expr):
-    __slots__ = ("a",)
-
-    def __init__(self, a: Expr):
-        self.a = a
-
-    def _diff(self, axis):
-        return neg(self.a.diff(axis))
-
-    def _parts(self):
-        return (self.a,), None
-
-    @staticmethod
-    def _eval(blk, _p, a):
-        return -a
-
-    def __repr__(self):
-        return f"Neg({self.a!r})"
-
-
 class Pow(Expr):
     """Integer or half-integer power.  Exponent kept exact as a Fraction.
 
@@ -379,7 +356,7 @@ class Pow(Expr):
         return (self.a,), self.exponent
 
     @staticmethod
-    def _eval(blk, e, a):
+    def _eval(blk, e, a, _b):
         if e < 0:
             blk.flag_small(a)
         if e.denominator == 2:
@@ -404,6 +381,17 @@ class _Unary(Expr):
         return f"{type(self).__name__}({self.a!r})"
 
 
+class Neg(_Unary):
+    __slots__ = ()
+
+    def _diff(self, axis):
+        return neg(self.a.diff(axis))
+
+    @staticmethod
+    def _eval(blk, _p, a, _b):
+        return -a
+
+
 class Sin(_Unary):
     __slots__ = ()
 
@@ -411,7 +399,7 @@ class Sin(_Unary):
         return mul(cos(self.a), self.a.diff(axis))
 
     @staticmethod
-    def _eval(blk, _p, a):
+    def _eval(blk, _p, a, _b):
         return _libm(np.sin, a)
 
 
@@ -422,7 +410,7 @@ class Cos(_Unary):
         return neg(mul(sin(self.a), self.a.diff(axis)))
 
     @staticmethod
-    def _eval(blk, _p, a):
+    def _eval(blk, _p, a, _b):
         return _libm(np.cos, a)
 
 
@@ -433,7 +421,7 @@ class Exp(_Unary):
         return mul(self, self.a.diff(axis))
 
     @staticmethod
-    def _eval(blk, _p, a):
+    def _eval(blk, _p, a, _b):
         return _libm(np.exp, a)
 
 
@@ -444,7 +432,7 @@ class Sqrt(_Unary):
         return div(self.a.diff(axis), mul(Const(2.0), self))
 
     @staticmethod
-    def _eval(blk, _p, a):
+    def _eval(blk, _p, a, _b):
         blk.flag_negative(a, "sqrt of negative real {}")
         return np.sqrt(a)
 
@@ -473,7 +461,7 @@ class Bump(Expr):
         return (self.a,), self.order
 
     @staticmethod
-    def _eval(blk, k, a):
+    def _eval(blk, k, a, _b):
         s = a.real
         w = 1.0 - s * s
         outside = w <= 0.0
@@ -496,22 +484,26 @@ class Bump(Expr):
 # compiled programs
 
 
-def intern_ops(exprs: Iterable[Expr]) -> Tuple[List[tuple], List[int]]:
-    """The structure of ``exprs`` as one deduplicated op list.
+def intern_ops(exprs: Iterable[Expr]) -> Tuple[list, ...]:
+    """The structure of ``exprs`` as one deduplicated op list, in columns.
 
     Structurally equal subtrees -- same node type, same constant, axis,
-    exponent or order, same children -- become one op ``(node type,
-    param, child op indices)``.  Returns the ops in topological order and
-    each root's op index.  The result depends on the trees' structure
-    only, not on which nodes they share, so it is also a value key for
-    a sequence of expressions.
+    exponent or order, same children -- become one op ``(type, param, a,
+    b)``, ``a`` and ``b`` being its children's op indices (-1: no child).
+    Returns ``(types, params, a, b, roots, last)``: the ops in topological
+    order, each root's op index and each op's last reader (-1: none).  It
+    depends on the trees' structure only, not on which nodes they share,
+    so it is also a value key for a sequence of expressions.
     """
     # keyed by the node object itself: Expr has identity equality
     slot_of: Dict[Expr, int] = {}     # node -> op index
-    interned: Dict[tuple, int] = {}   # op -> op index
-    ops: List[tuple] = []
+    interned: Dict[tuple, int] = {}   # (type, param, a, b) -> op index
+    types: list = []
+    params: list = []
+    a_col: List[int] = []
+    b_col: List[int] = []
+    last: List[int] = []
     roots: List[int] = []
-    slot = slot_of.__getitem__
     for root in exprs:
         # (node, None) on the first visit; (node, parts) once its
         # children are pushed above it, so _parts runs once per node
@@ -533,55 +525,61 @@ def intern_ops(exprs: Iterable[Expr]) -> Tuple[List[tuple], List[int]]:
                 if waiting:
                     continue
             kids, param = parts
-            op = (type(node), param, tuple(map(slot, kids)))
-            i = interned.get(op)
+            a = slot_of[kids[0]] if kids else -1
+            b = slot_of[kids[1]] if len(kids) == 2 else -1
+            key = (type(node), param, a, b)
+            i = interned.get(key)
             if i is None:
-                i = interned[op] = len(ops)
-                ops.append(op)
+                i = interned[key] = len(types)
+                types.append(type(node))
+                params.append(param)
+                a_col.append(a)
+                b_col.append(b)
+                last.append(-1)
+                if a >= 0:
+                    last[a] = i
+                if b >= 0:
+                    last[b] = i
             slot_of[node] = i
         roots.append(slot_of[root])
-    return ops, roots
+    return types, params, a_col, b_col, roots, last
 
 
 class Program:
     """Root expressions compiled to one deduplicated op list (``intern_ops``).
 
-    Ops are stored in topological order as (kernel, param, input slots,
-    dead slots).  ``run`` evaluates each once per call over a whole array
-    of points, calling the kernel with the param and its zero, one or two
-    input arrays (no node has more children), and drops each dead slot,
-    an intermediate whose last consumer this op is.  ``peak`` is the most
-    values a run holds at once, roots included; each is one array over
-    the points.
+    Ops are kept as six parallel columns in topological order: kernel,
+    param, two input slots and two freed slots, the inputs (not roots)
+    whose last reader the op is.  -1 names the scratch slot past the
+    ops', read for an absent input and written when nothing is freed.
+    ``run`` calls each kernel once per call over a whole array of points
+    as ``kernel(blk, param, a, b)``.  ``peak`` is the most values a run
+    holds at once, roots included; each is one array over the points.
     """
 
-    __slots__ = ("_ops", "_roots", "peak")
+    __slots__ = ("_evs", "_params", "_a", "_b", "_fa", "_fb", "_roots", "peak")
 
     def __init__(self, exprs: Iterable[Expr]):
-        ops, roots = intern_ops(exprs)
-        last_use = {}  # slot -> index of the op that reads it last
-        for i, (_t, _param, args) in enumerate(ops):
-            for a in args:
-                last_use[a] = i
-        dead = [[] for _ in ops]
-        keep = set(roots)
-        for a, i in last_use.items():
-            if a not in keep:
-                dead[i].append(a)
-        # (eval, param, child slots, dead slots)
-        self._ops = []
+        types, self._params, self._a, self._b, self._roots, last = intern_ops(exprs)
+        for r in self._roots:
+            last[r] = -1  # a root is never freed
+        # nor is an absent input (-1): last[-1] is -1, as nothing reads the final op
+        self._evs, self._fa, self._fb = evs, fa, fb = [], [], []
         live = peak = 0
-        for (t, param, args), gone in zip(ops, dead):
-            self._ops.append((t._eval, param, args, gone))
-            live += 1  # an op's value is made before its dead inputs go
+        for i, t, a, b in zip(range(len(types)), types, self._a, self._b):
+            evs.append(t._eval)
+            a = a if last[a] == i else -1
+            b = b if last[b] == i and b != a else -1
+            fa.append(a)
+            fb.append(b)
+            live += 1  # an op's value is made before its inputs are freed
             if live > peak:
                 peak = live
-            live -= len(gone)
+            live -= (a >= 0) + (b >= 0)
         self.peak = peak
-        self._roots = roots
 
     def __len__(self) -> int:
-        return len(self._ops)
+        return len(self._evs)
 
     def run(self, pts: np.ndarray):
         """Root values at the rows of ``pts`` (N x dim), and the singular mask.
@@ -593,20 +591,13 @@ class Program:
         """
         n = len(pts)
         blk = _Block(pts)
-        vals: list = []
-        push = vals.append
+        vals = [None] * (len(self._evs) + 1)  # the last one is the scratch slot
         with np.errstate(all="ignore"):
-            # every node has at most two children
-            for ev, param, args, dead in self._ops:
-                if len(args) == 2:
-                    a0, a1 = args
-                    push(ev(blk, param, vals[a0], vals[a1]))
-                elif args:
-                    push(ev(blk, param, vals[args[0]]))
-                else:
-                    push(ev(blk, param))
-                for a in dead:
-                    vals[a] = None
+            for i, ev, param, a, b, fa, fb in zip(range(len(self._evs)), self._evs, self._params,
+                                                   self._a, self._b, self._fa, self._fb):
+                vals[i] = ev(blk, param, vals[a], vals[b])
+                vals[fa] = None
+                vals[fb] = None
         first = None  # (row, real part, template) of the earliest violation
         for rows, re, template in blk.domain:
             hit = np.flatnonzero(~blk.singular[rows])
@@ -721,7 +712,7 @@ def pow_(a: Expr, exponent) -> Expr:
         try:
             if e.denominator == 1:
                 return Const(va ** int(e))
-            if not (_is_real(va) and va.real < 0):
+            if not (va.imag == 0.0 and va.real < 0):
                 return Const(va ** float(e))
         except OverflowError:
             pass  # left unfolded: the node evaluates to an infinity

@@ -275,7 +275,7 @@ def _concrete(cls):
 
 
 def test_every_node_type_has_at_most_two_children():
-    # Program.run dispatches on 0, 1 or 2 inputs
+    # Program keeps two input slots per op; a kernel ignores those its node lacks
     nodes = _one_of_each()
     assert {type(n) for n in nodes} == set(_concrete(Expr))
     assert all(len(n._parts()[0]) <= 2 for n in nodes)

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import math
 from fractions import Fraction
@@ -180,12 +181,22 @@ def _dense_flat_rows(conformal=False):
 
 
 def _op_list_digest(prog):
-    """SHA-256 of a program's ops (node type, param, child slots, dead
-    slots) and roots; numpy scalars are hashed as Python numbers."""
+    """SHA-256 of a program's ops and roots.  Each op is hashed as the
+    tuple (kernel qualname, param, child slots, dead slots) rebuilt from
+    the program's columns, its dead slots in the order of each slot's
+    first use; numpy scalars are hashed as Python numbers."""
+    first_use = {}
+    for a, b in zip(prog._a, prog._b):
+        for k in (a, b):
+            if k >= 0:
+                first_use.setdefault(k, len(first_use))
     h = hashlib.sha256()
-    for ev, param, args, dead in prog._ops:
+    for ev, param, a, b, fa, fb in zip(prog._evs, prog._params, prog._a, prog._b,
+                                       prog._fa, prog._fb):
         if isinstance(param, np.generic):
             param = param.item()
+        args = tuple(k for k in (a, b) if k >= 0)
+        dead = sorted((k for k in (fa, fb) if k >= 0), key=first_use.__getitem__)
         h.update(repr((ev.__qualname__, param, args, dead)).encode())
     h.update(repr(prog._roots).encode())
     return h.hexdigest()
@@ -230,6 +241,27 @@ class TestCompile:
         assert [len(p) for p in progs] == [198, 1240, 2113]
         h = hashlib.sha256("".join(_op_list_digest(p) for p in progs).encode())
         assert h.hexdigest() == OP_LIST_DIGEST
+
+    def test_program_size_in_tracked_objects_does_not_grow_with_ops(self):
+        # a Program keeps its ops in a fixed set of columns, not in a
+        # container per op, so it gives the cyclic collector no more to
+        # scan for 2,113 ops than for 198
+        charts = [catalog.schwarzschild_chart(1.0),
+                  Chart(("u0", "u1", "u2", "u3"), MetricSpec.matrix(_dense_flat_rows(True)))]
+        roots = [catalog.build("ricci_flat", ch).roots() for ch in charts]
+        progs, held = [], []
+        for r in roots:
+            Program(r)  # a first build fills whatever is cached on the way
+            gc.collect()
+            gc.disable()
+            try:
+                before = len(gc.get_objects())
+                progs.append(Program(r))
+                held.append(len(gc.get_objects()) - before)
+            finally:
+                gc.enable()
+        assert [len(p) for p in progs] == [198, 2113]
+        assert held[0] == held[1]
 
     def test_peak_live_values(self):
         # the most values a Schwarzschild ricci_flat run holds at once
