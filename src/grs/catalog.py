@@ -234,17 +234,26 @@ PHI_CHOICE = Kind("|".join(_PHI_VALUE_CHOICES), "one of " + ", ".join(_PHI_VALUE
 # ``build`` adds the pairs in order to the one condition it makes for the
 # entry, named by the entry's id.
 #
-# Entries whose section is sigma = 1 return D psi itself: phi(1, E_j) = E_j,
-# so the pairing Phi(1, D psi) is D psi.  Entries on a one-dimensional value
-# space call the form-level map (interior, wedge, d) itself: phi(1, 1) = 1.
+# The paper's rule is ``_self_pairing``: psi is conserved when the projections
+# Phi(psi, D psi) of D psi on psi vanish.  autoparallel_valued_form,
+# ext_maxwell_vacuum, ext_maxwell_currents (less its currents) and the three
+# ext_yang_mills entries use it.  Entries whose section is sigma = 1 return
+# D psi itself: phi(1, E_j) = E_j, so Phi(1, D psi) is D psi.  Entries on a
+# one-dimensional value space call the form-level map (interior, wedge, d)
+# itself: phi(1, 1) = 1.
 
 
-def _first_integral(chart, X: VECTOR, f: FIELD):
-    return [("", interior(vector_as_multivector(chart, X), d_form(form(chart, 0, {(): f}))))]
+def _self_pairing(phi: str, psi: ValuedForm, omega: Optional[ValuedForm]) -> ValuedForm:
+    return lift_pointwise(interior_after_tilde, _PHI_VALUE_CHOICES[phi](psi.space),
+                          psi, covariant_D(omega, psi))
 
 
 def _relative_invariant(chart, X: VECTOR, alpha: FORM):
     return [("", interior(vector_as_multivector(chart, X), d_form(alpha)))]
+
+
+def _first_integral(chart, X: VECTOR, f: FIELD):
+    return _relative_invariant(chart, X, form(chart, 0, {(): f}))
 
 
 def _absolute_invariant(chart, X: VECTOR, alpha: FORM):
@@ -339,8 +348,7 @@ def _theta_pi_parallel(chart, psi: VALUED_FORM, theta: MULTIVECTOR, pi: PROJECTI
 
 
 def _autoparallel_valued_form(chart, psi: VALUED_FORM, phi: PHI_CHOICE = "sym"):
-    return [("", lift_pointwise(interior_after_tilde, _PHI_VALUE_CHOICES[phi](psi.space),
-                                psi, exterior_d(psi)))]
+    return [("", _self_pairing(phi, psi, None))]
 
 
 def _autoparallel_vector(chart, u: VECTOR):
@@ -389,19 +397,15 @@ def _maxwell_currents(chart, F: TWO_FORM, m_current: THREE_FORM, j_current: THRE
 
 
 def _ext_maxwell_vacuum(chart, F: TWO_FORM):
-    omega = field_pair(chart, F)
-    return [("", lift_pointwise(interior_after_tilde, PhiMap.symmetrized_product(omega.space),
-                                omega, exterior_d(omega)))]
+    return [("", _self_pairing("sym", field_pair(chart, F), None))]
 
 
 def _ext_maxwell_currents(chart, F: TWO_FORM, J1: ONE_FORM, J2: ONE_FORM, J3: ONE_FORM,
                           J4: ONE_FORM):
-    omega = field_pair(chart, F)
-    Fs = hodge(F)
+    paired = _self_pairing("sym", field_pair(chart, F), None)
     it = interior_after_tilde
-    sym = PhiMap.symmetrized_product(omega.space)
-    rhs = ValuedForm(sym.target, [it(J1, F), it(J3, F) + it(J4, Fs), it(J2, F)])
-    return [("", lift_pointwise(it, sym, omega, exterior_d(omega)) + rhs.scale(-1.0))]
+    rhs = ValuedForm(paired.space, [it(J1, F), it(J3, F) + it(J4, hodge(F)), it(J2, F)])
+    return [("", paired + rhs.scale(-1.0))]
 
 
 def _pfaff_currents(chart, J1: ONE_FORM, J2: ONE_FORM, J3: ONE_FORM, J4: ONE_FORM):
@@ -424,21 +428,16 @@ def _bianchi(chart, omega: CONNECTION, psi: VALUED_2FORM = None):
     return [("", covariant_D(omega, psi))]
 
 
-def _ext_ym(phi_name: str, psi, omega):
-    return [("", lift_pointwise(interior_after_tilde, _PHI_VALUE_CHOICES[phi_name](psi.space),
-                                psi, covariant_D(omega, psi)))]
-
-
 def _ext_yang_mills_bracket(chart, psi: VALUED_2FORM, omega: CONNECTION = None):
-    return _ext_ym("bracket", psi, omega)
+    return [("", _self_pairing("bracket", psi, omega))]
 
 
 def _ext_yang_mills_diagonal(chart, psi: VALUED_2FORM, omega: CONNECTION = None):
-    return _ext_ym("diag", psi, omega)
+    return [("", _self_pairing("diag", psi, omega))]
 
 
 def _ext_yang_mills_sym(chart, psi: VALUED_2FORM):
-    return _ext_ym("sym", psi, None)
+    return [("", _self_pairing("sym", psi, None))]
 
 
 # the curvature of the chart metric itself; no field to pair

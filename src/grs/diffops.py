@@ -1,7 +1,8 @@
 """Differential operators: exterior and covariant derivatives, Lie
 brackets and projected Lie brackets, curvature and Ricci from a metric,
 Schrodinger and Dirac residual operators, and a fixed-step geodesic
-integrator.
+integrator.  Riemann's component formula is written once, in
+``_riemann_into``; ``ricci`` is its trace through that same routine.
 
 Each operator takes its inputs directly: ``covariant_D(omega, psi)``
 builds D = d + omega ^ [., .] from the connection form itself (D = d for
@@ -186,30 +187,30 @@ def _levi_civita(metric: MetricSpec):
     return tuple(tuple(map(tuple, plane)) for plane in gamma)
 
 
+def _riemann_into(acc: Expr, gam, rho: int, sig: int, mu: int, nu: int) -> Expr:
+    """acc + R^rho_sigma_mu_nu, with R^rho_sigma_mu_nu = d_mu G^rho_nu_sigma
+    - d_nu G^rho_mu_sigma + G^rho_mu_lam G^lam_nu_sigma - G^rho_nu_lam G^lam_mu_sigma."""
+    acc = acc + gam[rho][nu][sig].diff(mu) - gam[rho][mu][sig].diff(nu)
+    for lam in range(len(gam)):
+        p, q = gam[rho][mu][lam], gam[lam][nu][sig]
+        if not (is_zero(p) or is_zero(q)):  # else it folds away
+            acc = acc + p * q
+        p, q = gam[rho][nu][lam], gam[lam][mu][sig]
+        if not (is_zero(p) or is_zero(q)):
+            acc = acc - p * q
+    return acc
+
+
 def riemann(metric: MetricSpec):
-    """R^rho_sigma_mu_nu = d_mu G^rho_nu_sigma - d_nu G^rho_mu_sigma
-    + G^rho_mu_lam G^lam_nu_sigma - G^rho_nu_lam G^lam_mu_sigma."""
+    """R^rho_sigma_mu_nu as nested lists, ``R[rho][sigma][mu][nu]``."""
     n = metric.dim
     gam = christoffels_from_metric(metric)
-    R = [[[[ZERO for _ in range(n)] for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    for rho in range(n):
-        for sig in range(n):
-            for mu in range(n):
-                for nu in range(n):
-                    acc = gam[rho][nu][sig].diff(mu) - gam[rho][mu][sig].diff(nu)
-                    for lam in range(n):
-                        p, q = gam[rho][mu][lam], gam[lam][nu][sig]
-                        if not (is_zero(p) or is_zero(q)):  # else it folds away
-                            acc = acc + p * q
-                        p, q = gam[rho][nu][lam], gam[lam][mu][sig]
-                        if not (is_zero(p) or is_zero(q)):
-                            acc = acc - p * q
-                    R[rho][sig][mu][nu] = acc
-    return R
+    return [[[[_riemann_into(ZERO, gam, rho, sig, mu, nu) for nu in range(n)]
+              for mu in range(n)] for sig in range(n)] for rho in range(n)]
 
 
 def ricci(metric: MetricSpec):
-    """R_sigma_nu = R^mu_sigma_mu_nu (contraction of the Riemann tensor)."""
+    """R_sigma_nu = R^mu_sigma_mu_nu, one running sum over mu per (sigma, nu)."""
     n = metric.dim
     gam = christoffels_from_metric(metric)
     out = [[ZERO for _ in range(n)] for _ in range(n)]
@@ -217,16 +218,8 @@ def ricci(metric: MetricSpec):
         for nu in range(sig, n):
             acc: Expr = ZERO
             for mu in range(n):
-                acc = acc + gam[mu][nu][sig].diff(mu) - gam[mu][mu][sig].diff(nu)
-                for lam in range(n):
-                    p, q = gam[mu][mu][lam], gam[lam][nu][sig]
-                    if not (is_zero(p) or is_zero(q)):  # else it folds away
-                        acc = acc + p * q
-                    p, q = gam[mu][nu][lam], gam[lam][mu][sig]
-                    if not (is_zero(p) or is_zero(q)):
-                        acc = acc - p * q
-            out[sig][nu] = acc
-            out[nu][sig] = acc
+                acc = _riemann_into(acc, gam, mu, sig, mu, nu)
+            out[sig][nu] = out[nu][sig] = acc
     return out
 
 

@@ -179,7 +179,8 @@ def determinant(rows):
 
 def inverse_expr(rows) -> list:
     """Inverse of a square matrix of numbers or expressions: 1/g_ii for a
-    diagonal matrix, adjugate/det otherwise, with every minor shared."""
+    diagonal matrix, adjugate/det otherwise, with every minor shared.  A
+    determinant that folds to a non-finite constant raises DomainError."""
     n = len(rows)
     if all(is_zero(rows[i][j]) for i in range(n) for j in range(n) if i != j):
         return [[(1.0 / rows[i][i] if i == j else rows[i][j]) for j in range(n)]
@@ -187,6 +188,9 @@ def inverse_expr(rows) -> list:
     axes = tuple(range(n))
     memo: dict = {}
     det = _minor(rows, axes, axes, memo)
+    folded = as_expr(det)
+    if isinstance(folded, Const) and not cmath.isfinite(folded.value):
+        raise DomainError("matrix determinant is not finite: its products overflow a double")
 
     def entry(i, j):
         cof = _minor(rows, axes[:j] + axes[j + 1:], axes[:i] + axes[i + 1:], memo)
@@ -283,10 +287,6 @@ def form(chart: Chart, degree: int, components: dict) -> AlternatingTensor:
 
 def multivector(chart: Chart, degree: int, components: dict) -> AlternatingTensor:
     return AlternatingTensor(chart, CONTRA, degree, components)
-
-
-def zero_tensor(chart: Chart, variance: str, degree: int) -> AlternatingTensor:
-    return AlternatingTensor(chart, variance, degree, {})
 
 
 def wedge(a: AlternatingTensor, b: AlternatingTensor) -> AlternatingTensor:

@@ -18,7 +18,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from .errors import DegreeError, DimensionError, NotALieAlgebra, VarianceError
-from .exterior import AlternatingTensor, Chart, MultiIndex, zero_tensor
+from .exterior import AlternatingTensor, Chart, MultiIndex
 from .scalar import as_expr
 
 
@@ -234,8 +234,8 @@ def lift_pointwise(phi_form: Callable[[AlternatingTensor, AlternatingTensor], Al
         raise DimensionError("valued forms live on different charts")
     if A.space.dim != phi_value.dim or B.space.dim != phi_value.dim:
         raise DimensionError("value spaces do not match the bilinear map")
-    zero = phi_form(zero_tensor(A.chart, A.variance, A.degree),
-                    zero_tensor(B.chart, B.variance, B.degree))
+    zero = phi_form(AlternatingTensor(A.chart, A.variance, A.degree),
+                    AlternatingTensor(B.chart, B.variance, B.degree))
     per_label: Dict[int, AlternatingTensor] = {}
     for i, ai in enumerate(A.slices):
         if not ai.components:

@@ -214,6 +214,26 @@ class TestVerify:
         assert main(["verify", str(p)]) == 2
         assert "not symmetric" in capsys.readouterr().err
 
+    def test_metric_matrix_whose_determinant_overflows_exits_two(self, tmp_path, capsys):
+        # each product in det g overflows a double, so it folds to inf - inf
+        p = tmp_path / "huge.grs"
+        p.write_text("chart P (x, y) metric matrix [[1e200, 1e199], [1e199, 1e200]]\n"
+                     "check ricci_flat() on random(-1..1, -1..1; 8, seed 1)\n")
+        assert main(["verify", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        first = captured.err.splitlines()[0]
+        assert first.startswith("error: ricci_flat: matrix determinant is not finite")
+        assert first.endswith("(line 2, col 1)")
+
+    def test_huge_diagonal_metric_matrix_passes(self, tmp_path, capsys):
+        # a diagonal matrix is inverted entry by entry, 1/g_ii, with no product
+        p = tmp_path / "huge_diag.grs"
+        p.write_text("chart P (x, y) metric matrix [[1e200, 0], [0, 1e200]]\n"
+                     "check ricci_flat() on random(-1..1, -1..1; 8, seed 1)\n")
+        assert main(["verify", str(p)]) == 0
+        assert "PASS" in capsys.readouterr().out
+
     def test_superscript_digit_exits_two(self, tmp_path, capsys):
         p = tmp_path / "sup.grs"
         p.write_text(PASSING_SPEC.replace("field r2 = x^2", "field r2 = 2\u00b2 * x^2"))

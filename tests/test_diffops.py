@@ -246,7 +246,9 @@ class TestMetricGeometry:
          [(0.9, -0.3, 0.4), (-0.7, 0.5, 1.1)]),
     ], ids=["sphere", "schwarzschild", "conformal"])
     def test_riemann_contracts_to_ricci(self, make_chart, points):
-        # riemann and ricci are built separately; sum_mu R^mu_s_mu_n = Ric_sn
+        # sum_mu R^mu_s_mu_n = Ric_sn.  Both come from diffops._riemann_into, so
+        # this checks ricci's trace, not the formula; the SymPy/numpy oracle in
+        # test_sympy_diff.py checks the formula
         metric = make_chart().metric
         R, ric = riemann(metric), ricci(metric)
         n = metric.dim

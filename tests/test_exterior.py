@@ -367,6 +367,14 @@ def test_minors_match_numpy(n):
     np.testing.assert_allclose(np.array(inverse_expr(rows)), np.linalg.inv(a), rtol=1e-12)
 
 
+@pytest.mark.parametrize("wrap", [float, as_expr], ids=["numbers", "constants"])
+def test_inverse_whose_determinant_overflows_is_rejected(wrap):
+    # 1e200 * 1e200 - 1e199 * 1e199 folds to inf - inf
+    rows = [[wrap(1e200), wrap(1e199)], [wrap(1e199), wrap(1e200)]]
+    with pytest.raises(DomainError, match="determinant is not finite"):
+        inverse_expr(rows)
+
+
 def test_dense_eight_by_eight_inverse_is_built_fast():
     # with minors re-expanded per cofactor this took seconds (O(n!) nodes)
     n = 8
