@@ -4,7 +4,12 @@ A ``GrCondition`` is filled in by ``add``, one labeled piece (an expression,
 a form or a valued form) at a time; a catalog builder's pieces are already
 fully symbolic, one expression tree per component.  ``verify`` compiles all of a
 condition's trees into one deduplicated ``Program`` and evaluates it over
-blocks of sample points, reducing each block into running norms.  A
+blocks of sample points, reducing each block into running norms.  Each
+component's magnitudes over a block are one contiguous array: a label's
+linf is the maximum over its components' arrays, its sum of squares runs
+point by point and left to right within a point, as a pointwise fold
+would, and the per-point maximum behind the worst point is an elementwise
+maximum across all components.  A NaN propagates into all three.  A
 block has as many rows as fit in ``BLOCK_BYTES`` at 16 bytes (one
 complex value) per row for each value the program holds at once
 (``Program.peak``) and each component's magnitude, so a small program
@@ -128,7 +133,7 @@ def verify(c: GrCondition, sample: SampleSet, tol: float = DEFAULT_TOL) -> Resid
     if not math.isfinite(tol):
         raise DomainError(f"tolerance must be finite, got {tol!r}")
     labels = c.labels()
-    spans = []  # each label's columns among the condition's components
+    spans = []  # each label's slice of the condition's components
     width = 0
     for lab in labels:
         spans.append((width, width + len(c.residuals[lab])))
@@ -152,19 +157,23 @@ def verify(c: GrCondition, sample: SampleSet, tol: float = DEFAULT_TOL) -> Resid
                 if not len(block):
                     continue
             evaluated += len(block)
-            mags = np.empty((len(block), width))  # points x components
-            for j, v in enumerate(values):
-                mags[:, j] = magnitude(v)
+            mags = [magnitude(v) for v in values]  # one array per component
             for k, (a, b) in enumerate(spans):
-                m = mags[:, a:b]
-                # np.maximum, unlike max(), keeps a NaN
-                linf[k] = np.maximum(linf[k], m.max(initial=0.0))
-                sq = (m * m).ravel()
-                if sq.size:
-                    # the same left-to-right sum as one point at a time
-                    sq[0] += sumsq[k]
-                    sumsq[k] = np.cumsum(sq)[-1]
-            point_max = mags.max(axis=1, initial=0.0)
+                if a == b:
+                    continue
+                for m in mags[a:b]:
+                    # np.maximum, unlike max(), keeps a NaN
+                    linf[k] = np.maximum(linf[k], m.max())
+                # the same left-to-right sum as one point at a time, so a
+                # label's squares are laid out point-major
+                sq = np.stack(mags[a:b], axis=1).ravel() if b - a > 1 else mags[a].copy()
+                sq *= sq
+                sq[0] += sumsq[k]
+                sumsq[k] = np.cumsum(sq, out=sq)[-1]
+            # the norms are done with mags, so the first array takes the maxima
+            point_max = mags[0] if mags else np.zeros(len(block))
+            for m in mags[1:]:
+                np.maximum(point_max, m, out=point_max)
             i = int(np.argmax(point_max))  # first maximum; a NaN counts as largest
             m = point_max[i]
             if m > worst_mag or (np.isnan(m) and not np.isnan(worst_mag)):

@@ -139,11 +139,16 @@ class MetricSpec:
         return self._inverse
 
     def sqrt_abs_det(self):
-        """sqrt|det g|: a float for a constant metric, else built on first
-        use as sqrt(sqrt(d * d)) with d = det g, which needs no sign."""
+        """sqrt|det g|: a float for a constant diagonal metric, else built on
+        first use as sqrt(sqrt(d * d)) with d = det g, which needs no sign.
+        A ``d * d`` that folds to a non-finite constant raises DomainError."""
         if self._sqrt_abs_det is None:
             d = determinant(self.rows)
-            self._sqrt_abs_det = sqrt(sqrt(d * d))
+            dd = d * d
+            if isinstance(dd, Const) and not cmath.isfinite(dd.value):
+                raise DomainError("metric determinant squared is not finite: "
+                                  "sqrt|det g| overflows a double")
+            self._sqrt_abs_det = sqrt(sqrt(dd))
         return self._sqrt_abs_det
 
 

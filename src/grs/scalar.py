@@ -203,8 +203,17 @@ def _ipow(x, n: int):
 
 
 def _libm(f, v):
-    """f on complex input, which numpy hands to the C library's c-functions."""
-    return f(v) if _is_c(v) else f(v + 0j).real
+    """f on complex input, which numpy hands to the C library's c-functions.
+
+    A real array is widened into one complex buffer that f overwrites in
+    place; its real parts come back as a contiguous copy, not as a
+    stride-16 view that would keep the buffer alive for every reader.  A
+    constant stays a numpy scalar.
+    """
+    if _is_c(v):
+        return f(v)
+    z = v + 0j
+    return f(z, out=z).real.copy() if z.ndim else f(z).real
 
 
 class _Block:
@@ -854,7 +863,8 @@ class SampleSet:
                 index = np.unravel_index(np.arange(start, stop), self.counts)
                 block = np.stack([a[i] for a, i in zip(axes, index)], axis=-1)
             else:
-                block = rng.uniform(lows, highs, size=(stop - start, len(lows)))
+                # the scaled draw equals rng.uniform's, without its per-call overhead
+                block = lows + (highs - lows) * rng.random((stop - start, len(lows)))
             if self.exclude is not None:
                 kept = [not self.exclude(p) for p in map(tuple, block.tolist())]
                 block = block[np.array(kept, dtype=bool)]

@@ -226,6 +226,21 @@ class TestVerify:
         assert first.startswith("error: ricci_flat: matrix determinant is not finite")
         assert first.endswith("(line 2, col 1)")
 
+    def test_metric_matrix_whose_determinant_squared_overflows_exits_two(self, tmp_path,
+                                                                        capsys):
+        # det g = 1e160 is finite, but sqrt|det g| squares it first
+        chart = ("chart M (x, y, z, xi) metric matrix [[1e80, 0, 0, 0], [0, -1, 0, 0], "
+                 "[0, 0, -1, 0], [0, 0, 0, 1e80]]\n")
+        body = (SPEC_DIR / "maxwell_vacuum.grs").read_text().splitlines()
+        p = tmp_path / "huge_vol.grs"
+        p.write_text(chart + body[1] + "\n" + body[3].replace("200, seed", "20, seed") + "\n")
+        assert main(["verify", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        first = captured.err.splitlines()[0]
+        assert first.startswith("error: maxwell_vacuum: metric determinant squared is not finite")
+        assert first.endswith("(line 3, col 1)")
+
     def test_huge_diagonal_metric_matrix_passes(self, tmp_path, capsys):
         # a diagonal matrix is inverted entry by entry, 1/g_ii, with no product
         p = tmp_path / "huge_diag.grs"

@@ -375,6 +375,18 @@ def test_inverse_whose_determinant_overflows_is_rejected(wrap):
         inverse_expr(rows)
 
 
+@pytest.mark.parametrize("rows", [
+    [[1e100, 1], [1, 1e100]],  # det g = 1e200 is finite; its square is not
+    [[1e200, 1e199], [1e199, 1e200]],  # det g folds to inf - inf
+], ids=["square", "determinant"])
+def test_sqrt_abs_det_whose_square_overflows_is_rejected(rows):
+    metric = MetricSpec.matrix(rows)
+    with pytest.raises(DomainError, match="determinant squared is not finite"):
+        metric.sqrt_abs_det()
+    with pytest.raises(DomainError, match="determinant squared is not finite"):
+        volume_form(Chart(("x", "y"), metric))
+
+
 def test_dense_eight_by_eight_inverse_is_built_fast():
     # with minors re-expanded per cofactor this took seconds (O(n!) nodes)
     n = 8

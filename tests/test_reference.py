@@ -21,6 +21,7 @@ from grs import engine
 from grs.catalog import build, catalog_ids, fixtures, schwarzschild_chart
 from grs.engine import GrCondition, verify
 from grs.errors import DomainError, EvalSingularity
+from grs.exterior import Chart, MetricSpec, form
 from grs.scalar import (
     Add, Bump, Const, Coord, Cos, Div, Exp, Expr, Mul, Neg, Pow, Program,
     SampleSet, Sin, Sqrt, Sub, coord, exp, sin, sqrt,
@@ -216,6 +217,83 @@ def test_blocked_reduction_matches_point_at_a_time(monkeypatch):
         assert rep.norms[lab] == {"linf": linf[lab],
                                   "rms": (sumsq[lab] / evaluated) ** 0.5}
     assert rep.worst_point == worst_point
+
+
+def _fold(cond, sample):
+    """Norms and worst point as ``verify`` reports them, folded one point at
+    a time in Python: each point is its own one-row run, a NaN propagates
+    into a label's linf and rms, and the worst point is the first with the
+    largest component magnitude, a NaN counting as largest."""
+    labels = [lab for lab, comps in cond.residuals.items() for _ in comps]
+    prog = Program(cond.roots())
+    linf = dict.fromkeys(cond.residuals, 0.0)
+    sumsq = dict.fromkeys(cond.residuals, 0.0)
+    worst, worst_point, evaluated = -1.0, None, 0
+    for pt in sample.array().tolist():
+        values, singular = prog.run(np.array([pt]))
+        if singular[0]:
+            continue
+        evaluated += 1
+        mags = [abs(complex(v[0])) for v in values]
+        for lab, m in zip(labels, mags):
+            if not m <= linf[lab] and not math.isnan(linf[lab]):  # m larger or NaN
+                linf[lab] = m
+            sumsq[lab] += m * m
+        top = math.nan if any(map(math.isnan, mags)) else max(mags, default=0.0)
+        if top > worst or (math.isnan(top) and not math.isnan(worst)):
+            worst, worst_point = top, pt
+    norms = {lab: {"linf": linf[lab], "rms": (sumsq[lab] / evaluated) ** 0.5}
+             for lab in cond.residuals}
+    return norms, worst_point
+
+
+def _edge_conditions():
+    x, y = coord(0), coord(1)
+    chart = Chart(("x", "y"), MetricSpec.diagonal([1, 1]))
+    empty = GrCondition(name="empty label")
+    empty.add("a", sin(3 * x) * y)
+    empty.add("b", form(chart, 1, {}))  # a label with no components
+    for comp in (exp(-x * y), 1e-3 * y, x * x):  # summed point by point
+        empty.add("c", comp)
+    # at the grid point p = (x0, y0), e is exp(710) = inf, and e - e is NaN
+    x0, y0 = _EDGE_SAMPLE.array()[250].tolist()
+    e = exp(710 - 1e6 * ((x - x0) * (x - x0) + (y - y0) * (y - y0)))
+    nan = GrCondition(name="NaN in a middle component")
+    nan.add("a", 1 / x)
+    for comp in (sin(3 * x) * y, e - e, exp(-x * y)):
+        nan.add("b", comp)
+    huge = GrCondition(name="square overflows")
+    huge.add("a", sin(x))
+    huge.add("b", 1e200 * (x + 3))
+    return {"empty": empty, "nan": nan, "huge": huge}
+
+
+# 9 x 41 grid points; the one at index 250 (x = 1) is in the second block of
+# 150 rows, and the 41 with x = 0 are singular for 1 / x
+_EDGE_SAMPLE = SampleSet.grid([(-2, 2), (-1, 1)], (9, 41))
+
+
+@pytest.mark.parametrize("case", ["empty", "nan", "huge"])
+def test_reduction_edge_cases_match_point_at_a_time(case, monkeypatch):
+    cond = _edge_conditions()[case]
+    norms, worst_point = _fold(cond, _EDGE_SAMPLE)
+    per_row = 16 * (Program(cond.roots()).peak + len(cond.roots()))
+    for rows in (None, 150, 7):  # None: the default budget, one block
+        if rows is not None:
+            monkeypatch.setattr(engine, "BLOCK_BYTES", per_row * rows)
+        rep = verify(cond, _EDGE_SAMPLE)
+        for lab, want in norms.items():
+            got = rep.norms[lab]
+            assert _same(complex(got["linf"]), complex(want["linf"])), (rows, lab)
+            assert _same(complex(got["rms"]), complex(want["rms"])), (rows, lab)
+        assert rep.worst_point == worst_point, rows
+    if case == "empty":
+        assert norms["b"] == {"linf": 0.0, "rms": 0.0}
+    elif case == "nan":
+        assert math.isnan(norms["b"]["linf"]) and math.isnan(norms["b"]["rms"])
+        assert worst_point == _EDGE_SAMPLE.array()[250].tolist()
+    else:
+        assert math.isfinite(norms["b"]["linf"]) and norms["b"]["rms"] == math.inf
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)

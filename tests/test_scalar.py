@@ -268,6 +268,24 @@ class TestCompile:
         prog = Program(catalog.build("ricci_flat", catalog.schwarzschild_chart(1.0)).roots())
         assert prog.peak == 41
 
+    def test_libm_kernels_return_contiguous_rows(self):
+        # a real input's values come back as their own contiguous array,
+        # not as a strided view of a complex one
+        z = x + 0.5j * y
+        roots = [f(a) for a in (x, z) for f in (sin, cos, exp, lambda a: bump(0.5 * a))]
+        values, _ = Program(roots).run(np.random.default_rng(1).uniform(-1, 1, (50, 2)))
+        for v in values:
+            assert v.shape == (50,) and v.flags.c_contiguous, v.strides
+
+    def test_libm_of_a_constant_equals_math(self):
+        # a constant's value stays a scalar, broadcast to each block's rows
+        prog = Program([sin(const(0.5)), x])
+        sample = SampleSet.random_box([(-1, 1)], 40, seed=2)
+        for rows in (1, 7, sample.requested):
+            for block in sample.blocks(rows):
+                values, _ = prog.run(block)
+                assert values[0].tolist() == [math.sin(0.5)] * len(block)
+
     def test_empty_program(self):
         prog = Program([])
         assert (len(prog), prog.peak) == (0, 0)
@@ -366,9 +384,19 @@ class TestSampleSet:
             assert np.concatenate(blocks).tobytes() == whole.tobytes()
 
     def test_random_blocks_are_one_stream_of_draws(self):
-        s = SampleSet.random_box([(-1, 2), (0, 1)], 100, seed=5)
-        want = np.random.default_rng(5).uniform([-1, 0], [2, 1], size=(100, 2))
-        assert np.concatenate(list(s.blocks(7))).tobytes() == want.tobytes()
+        # bit-equal to Generator.uniform's draws: blocks scale rng.random()
+        # themselves, so a platform where that rounds differently fails here
+        # instead of moving every report digest
+        boxes = [[(3, 10), (0.3, 2.8), (0, 6.2), (-1, 1)], [(-1e3, 1e3)] * 4]
+        for seed in (0, 5, 2 ** 63):
+            for dim in range(1, 5):
+                for box in (b[:dim] for b in boxes):
+                    lows, highs = zip(*box)
+                    want = np.random.default_rng(seed).uniform(lows, highs, size=(100, dim))
+                    s = SampleSet.random_box(box, 100, seed=seed)
+                    for rows in (1, 7, s.requested):
+                        got = np.concatenate(list(s.blocks(rows)))
+                        assert got.tobytes() == want.tobytes(), (seed, dim, box, rows)
 
     def test_grid_needs_one_count_per_range(self):
         with pytest.raises(DomainError) as err:
