@@ -31,14 +31,18 @@ KEYWORDS = {
     "grid", "random", "seed",
 }
 
-_STATEMENT_KEYWORDS = ("chart", "field", "form", "vector", "algebra", "check")
-
 _FUNCTIONS = {"sin": sin, "cos": cos, "exp": exp, "sqrt": sqrt, "bump": bump}
 
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
+# the one precedence table, climbed by the parser and read by the printer; a
+# prefix - binds at _UNARY, so -x^2 is -(x^2); atoms never take parentheses
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
+_UNARY = 3
+_ATOM = 5
+
 # how deep parentheses, unary minus, ^ and calls may nest: the parser
-# recurses ~6 frames a level, well inside Python's 1,000-frame limit
+# recurses at most 5 frames a level, well inside Python's 1,000-frame limit
 MAX_NESTING = 100
 
 
@@ -315,16 +319,11 @@ class _Parser:
     def document(self) -> SpecDocument:
         stmts: List[Statement] = []
         while self.peek().kind != "EOF":
-            t = self.peek()
-            start = self.pos
-            if t.kind != "IDENT" or t.text not in _STATEMENT_KEYWORDS:
-                try:
-                    self.error(f"expected a statement keyword, got {t.text!r}")
-                except _Bail:
-                    self._sync(start)
-                continue
+            t, start = self.peek(), self.pos
             try:
-                stmts.append(self._statement(t.text))
+                if t.text not in _STATEMENTS:  # only an IDENT spells a keyword
+                    self.error(f"expected a statement keyword, got {t.text!r}")
+                stmts.append(_STATEMENTS[t.text](self))
             except _Bail:
                 self._sync(start)
         return SpecDocument(tuple(stmts))
@@ -333,24 +332,8 @@ class _Parser:
         """Skip tokens until the next statement keyword."""
         if self.pos == start:
             self.next()
-        while True:
-            t = self.peek()
-            if t.kind == "EOF":
-                return
-            if t.kind == "IDENT" and t.text in _STATEMENT_KEYWORDS:
-                return
+        while self.peek().kind != "EOF" and self.peek().text not in _STATEMENTS:
             self.next()
-
-    def _statement(self, kw: str) -> Statement:
-        if kw == "chart":
-            return self.chart_stmt()
-        if kw == "field":
-            return self.field_stmt()
-        if kw in ("form", "vector"):
-            return self.vform_stmt()
-        if kw == "algebra":
-            return self.algebra_stmt()
-        return self.check_stmt()
 
     def chart_stmt(self) -> ChartStmt:
         t0 = self.next()
@@ -408,7 +391,7 @@ class _Parser:
 
     def _basis_token(self) -> str:
         t = self.expect_ident("basis token (d<coordinate>)")
-        if len(t.text) < 2 or not t.text.startswith("d"):
+        if not _is_basis(t.text):
             self.error("basis tokens are spelled d<coordinate>", t)
         return t.text[1:]
 
@@ -492,60 +475,38 @@ class _Parser:
         hi = self.number()
         return (lo, hi)
 
-    # --- expressions (precedence climbing; ^ > unary - > * / > + -)
+    # --- expressions: precedence climbing over _PREC
 
-    def expr(self) -> ExprAst:
-        return self._additive()
-
-    def _additive(self) -> ExprAst:
-        left = self._multiplicative()
-        while True:
-            if self.accept_sym("+"):
-                op = "+"
-            elif self.accept_sym("-"):
-                op = "-"
-            else:
-                return left
-            left = Bin(op, left, self._multiplicative())
-
-    def _multiplicative(self) -> ExprAst:
-        left = self._unary()
-        while True:
-            if self.at_sym("*"):
-                # '*' followed by a basis token belongs to the vterm syntax
-                nxt = self.toks[self.pos + 1]
-                if nxt.kind == "IDENT" and self._looks_like_basis(nxt.text):
-                    return left
-                self.next()
-                left = Bin("*", left, self._unary())
-            elif self.accept_sym("/"):
-                left = Bin("/", left, self._unary())
-            else:
-                return left
-
-    def _looks_like_basis(self, text: str) -> bool:
-        if len(text) < 2 or not text.startswith("d"):
-            return False
-        after = self.toks[self.pos + 2]
-        return after.kind != "SYM" or after.text not in ("(", "^")
-
-    def _unary(self) -> ExprAst:
-        # every nesting construct re-enters here, so one counter bounds them all
+    def expr(self, prec: int = 1) -> ExprAst:
+        """An operand and each operator after it that binds at least as
+        tightly as ``prec``.  A right operand is parsed one level up, or
+        at its operator's own level for the right-associative ``^``."""
         if self.depth > MAX_NESTING:
             self.error(f"expression nested more than {MAX_NESTING} levels deep")
+        left = Un("-", self._nested(_UNARY)) if self.accept_sym("-") else self._atom()
+        while True:
+            op = self.peek().text  # only a SYM spells an operator
+            level = _PREC.get(op, 0)
+            if level < prec or op == "*" and self._basis_follows():
+                return left
+            self.next()
+            left = Bin(op, left, self._nested(level) if op == "^" else self.expr(level + 1))
+
+    def _nested(self, prec: int = 1) -> ExprAst:
+        """``expr(prec)`` one level deeper: in parentheses or a call, after a - or ^."""
         self.depth += 1
         try:
-            if self.accept_sym("-"):
-                return Un("-", self._unary())
-            return self._power()
+            return self.expr(prec)
         finally:
             self.depth -= 1
 
-    def _power(self) -> ExprAst:
-        base = self._atom()
-        if self.accept_sym("^"):
-            return Bin("^", base, self._unary())  # right-associative
-        return base
+    def _basis_follows(self) -> bool:
+        """Whether the ``*`` at the cursor starts basis factors: d<name>, no ( or ^ next."""
+        nxt = self.toks[self.pos + 1]
+        if nxt.kind != "IDENT" or not _is_basis(nxt.text):
+            return False
+        after = self.toks[self.pos + 2]  # an IDENT is followed by EOF at least
+        return after.kind != "SYM" or after.text not in ("(", "^")
 
     def _atom(self) -> ExprAst:
         t = self.peek()
@@ -558,16 +519,27 @@ class _Parser:
             self.next()
             if t.text in _FUNCTIONS:
                 self.expect_sym("(")
-                arg = self.expr()
+                arg = self._nested()
                 self.expect_sym(")")
                 return Call(t.text, arg)
             return Name(t.text)
         if self.accept_sym("("):
-            inner = self.expr()
+            inner = self._nested()
             self.expect_sym(")")
             return inner
         self.error("expected an expression"
                    if t.kind == "EOF" else f"expected an expression, got {t.text!r}")
+
+
+_STATEMENTS: Dict[str, Callable[[_Parser], Statement]] = {
+    "chart": _Parser.chart_stmt, "field": _Parser.field_stmt, "form": _Parser.vform_stmt,
+    "vector": _Parser.vform_stmt, "algebra": _Parser.algebra_stmt, "check": _Parser.check_stmt,
+}
+
+
+def _is_basis(ident: str) -> bool:
+    """Whether ``ident`` is spelled like a basis token, d<coordinate>."""
+    return len(ident) > 1 and ident.startswith("d")
 
 
 def parse(text: str) -> Tuple[Optional[SpecDocument], List[Diagnostic]]:
@@ -633,19 +605,6 @@ def _walk(ast: ExprAst, visit: Callable[[ExprAst, list], object],
     return values[0]
 
 
-def same_expr(a: ExprAst, b: ExprAst) -> bool:
-    """Structural equality of two ASTs, walked without recursion: each
-    subtree is interned by its type, its own fields and its children's
-    ids, as ``scalar.Program`` merges nodes."""
-    ids: Dict[tuple, int] = {}
-
-    def intern(node: ExprAst, kids: list) -> int:
-        own = tuple(v for k, v in vars(node).items() if k not in ("a", "b", "arg"))
-        return ids.setdefault((type(node), own, tuple(kids)), len(ids))
-
-    return _walk(a, intern) == _walk(b, intern)
-
-
 # ---------------------------------------------------------------------------
 # pretty printer
 
@@ -655,11 +614,6 @@ def _fmt_num(v: float) -> str:
     if math.isinf(v):  # repr gives "inf", which would re-parse as a name
         return "1e999" if v > 0 else "-1e999"
     return repr(v)
-
-
-# precedence levels: + - =1, * / =2, unary - =3, ^ =4; atoms never take parentheses
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
-_ATOM = 5
 
 
 def _wrap(printed: Tuple[str, int], parent_prec: int) -> str:
@@ -677,11 +631,17 @@ def _print_node(e: ExprAst, kids: List[Tuple[str, int]]) -> Tuple[str, int]:
     if isinstance(e, Call):
         return f"{e.fn}({kids[0][0]})", _ATOM
     if isinstance(e, Un):
-        return "-" + _wrap(kids[0], 3), 3
+        return "-" + _wrap(kids[0], _UNARY), _UNARY
     prec = _PREC[e.op]
     if e.op == "^":  # right-associative
-        return f"{_wrap(kids[0], prec + 1)}^{_wrap(kids[1], prec)}", prec
-    return f"{_wrap(kids[0], prec)} {e.op} {_wrap(kids[1], prec + 1)}", prec
+        expo = _wrap(kids[1], prec)
+        if expo.startswith("w"):  # x^w, x^w_ or x^w^2 would lex as the wedge ^w
+            expo = f"({expo})"
+        return f"{_wrap(kids[0], prec + 1)}^{expo}", prec
+    right = _wrap(kids[1], prec + 1)
+    if e.op == "*" and isinstance(e.b, Name) and _is_basis(e.b.ident):
+        right = f"({right})"  # '* dy' would read as a basis factor
+    return f"{_wrap(kids[0], prec)} {e.op} {right}", prec
 
 
 def print_expr(e: ExprAst, parent_prec: int = 0) -> str:
@@ -689,7 +649,7 @@ def print_expr(e: ExprAst, parent_prec: int = 0) -> str:
 
 
 def _print_vterm(t: VTerm) -> str:
-    s = print_expr(t.coeff, 2)
+    s = print_expr(t.coeff, _PREC["*"])
     if t.basis:
         s += " * " + " ^w ".join("d" + b for b in t.basis)
     if t.label is not None:
@@ -891,14 +851,16 @@ class _Binder:
             if len(rows) != len(st.coords) or any(len(r) != len(st.coords) for r in rows):
                 self.fail("metric matrix must be square with the chart dimension",
                           st.line)
-            # MetricSpec reads only the upper triangle; compared as written
+            # MetricSpec reads only the upper triangle; compared as written, by
+            # the canonical print, which tells apart any two ASTs the parser makes
             c = st.coords
             for i in range(len(c)):
                 for j in range(i + 1, len(c)):
-                    if not same_expr(st.rows[i][j], st.rows[j][i]):
+                    upper, lower = print_expr(st.rows[i][j]), print_expr(st.rows[j][i])
+                    if upper != lower:
                         self.fail(f"metric matrix is not symmetric: entry [{c[i]}, {c[j]}] "
-                                  f"is {print_expr(st.rows[i][j])} but entry [{c[j]}, {c[i]}] "
-                                  f"is {print_expr(st.rows[j][i])}", st.line)
+                                  f"is {upper} but entry [{c[j]}, {c[i]}] is {lower}",
+                                  st.line)
             metric = MetricSpec.matrix(rows)
         self.chart = Chart(st.coords, metric)
 
@@ -951,7 +913,6 @@ class _Binder:
         self.objects[st.name] = obj
 
     def _algebra(self, st: AlgebraStmt) -> None:
-        labels = tuple(f"e{k + 1}" for k in range(st.dim))
         if st.brackets:
             for i, j, k, _v in st.brackets:
                 if not all(1 <= a <= st.dim for a in (i, j, k)):
@@ -962,7 +923,8 @@ class _Binder:
                 st.dim, [(i - 1, j - 1, k - 1, v) for i, j, k, v in st.brackets])
         else:
             lie = abelian(st.dim)
-        self.spaces[st.name] = ValueSpace(labels=labels, lie=lie)
+        # the labels last: abelian and from_triples reject a dim too large to hold
+        self.spaces[st.name] = ValueSpace(tuple(f"e{k + 1}" for k in range(st.dim)), lie)
 
     def _resolve_arg(self, ast: ArgValue, param: "catalog.Param", line: int):
         if isinstance(ast, ListLit):

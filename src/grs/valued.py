@@ -21,6 +21,18 @@ from .errors import DegreeError, DimensionError, NotALieAlgebra, VarianceError
 from .exterior import AlternatingTensor, Chart, MultiIndex
 from .scalar import as_expr
 
+# The structure constants are a dense dim^3 table, and the Jacobi check
+# costs dim^4 per bracketed index: 0.09 s at dim 32 and 2.9 s at dim 64 with
+# every index bracketed (2-vCPU VM); dim 100000 would exhaust memory.
+MAX_ALGEBRA_DIM = 32
+
+
+def _check_dim(dim: int) -> None:
+    if dim < 1:
+        raise DimensionError("algebra dimension must be >= 1")
+    if dim > MAX_ALGEBRA_DIM:
+        raise DimensionError(f"algebra dimension must be at most {MAX_ALGEBRA_DIM}, got {dim}")
+
 
 @dataclass(frozen=True)
 class LieStructure:
@@ -36,8 +48,7 @@ class LieStructure:
     constants: tuple  # nested tuple [k][i][j]
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise DimensionError("algebra dimension must be >= 1")
+        _check_dim(self.dim)
         c = np.array(self.constants, dtype=float)
         if not np.isfinite(c).all():
             raise NotALieAlgebra("structure constants must be finite")
@@ -62,6 +73,7 @@ class LieStructure:
         Antisymmetric completion is applied: supplying (i, j, k, v) also
         sets C^k_ji = -v.
         """
+        _check_dim(dim)
         c = [[[0.0] * dim for _ in range(dim)] for _ in range(dim)]
         for i, j, k, v in triples:
             if not math.isfinite(v):
@@ -86,6 +98,7 @@ def su2() -> LieStructure:
 
 
 def abelian(dim: int) -> LieStructure:
+    _check_dim(dim)
     return LieStructure(dim, tuple(
         tuple(tuple(0.0 for _ in range(dim)) for _ in range(dim)) for _ in range(dim)))
 

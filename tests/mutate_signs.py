@@ -1,16 +1,18 @@
-"""Sign-mutation harness for ``src/grs/exterior.py`` and the metric
-geometry of ``src/grs/diffops.py`` (pytest does not collect it: the file
-name does not start with ``test_``).
+"""Sign-mutation harness for ``src/grs/exterior.py``, the metric
+geometry of ``src/grs/diffops.py`` and the derivative rules of
+``src/grs/scalar.py`` (pytest does not collect it: the file name does
+not start with ``test_``).
 
 It makes one mutant at a time in a copy of the tree and runs tier-1 on
 the copy without the four byte pins (the report digests, the fixture-tree
 pin, the op-list pin and the golden JSON), so that a mutant counts as
 killed only when a test of meaning fails.  TARGETS names the files and,
-for a file only part of which is mutated, its top-level functions.  The
-mutants are:
+for a file only part of which is mutated, its top-level functions and
+methods (``Class.method``).  The mutants are:
 
   * each binary ``+`` turned into ``-``, and each binary ``-`` into ``+``;
-  * each unary minus on a non-constant operand dropped;
+  * each unary minus on a non-constant operand dropped, and each call of
+    ``neg(`` turned into a bare ``(``;
   * each call of ``add(`` turned into ``sub(``, and back.
 
 Augmented assignments (``j -= 1``) are left alone.  Run it from the
@@ -38,10 +40,12 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-# (file, top-level functions to mutate, or None for the whole file)
+# (file, top-level functions and methods to mutate, or None for the whole file)
 TARGETS = (
     (Path("src/grs/exterior.py"), None),
     (Path("src/grs/diffops.py"), ("_levi_civita", "_riemann_into", "metricity_residual")),
+    (Path("src/grs/scalar.py"), tuple(f"{c}._diff" for c in (
+        "Add", "Sub", "Mul", "Div", "Pow", "Neg", "Sin", "Cos", "Exp", "Sqrt", "Bump"))),
 )
 WITHOUT_PINS = [
     "--ignore=tests/test_report_digest.py",
@@ -50,12 +54,23 @@ WITHOUT_PINS = [
     "--deselect=tests/test_acceptance.py::test_10_end_to_end",
 ]
 TIMEOUT_S = 600
-SWAP = {"+": "-", "-": "+", "add": "sub", "sub": "add"}
+SWAP = {"+": "-", "-": "+", "add": "sub", "sub": "add", "neg": ""}
+
+
+def _definitions(tree):
+    """(qualified name, node) for each top-level function and each method."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{node.name}.{item.name}", item
 
 
 def mutants(source: bytes, functions=None):
     """(offset, old bytes, new bytes, line) for each mutant of ``source``,
-    or of its top-level ``functions`` when they are named."""
+    or of its top-level functions and methods when ``functions`` names them."""
     starts = [0]
     for line in source.splitlines(keepends=True):
         starts.append(starts[-1] + len(line))
@@ -65,8 +80,7 @@ def mutants(source: bytes, functions=None):
 
     tree = ast.parse(source)
     if functions is not None:
-        tree.body = [f for f in tree.body
-                     if isinstance(f, ast.FunctionDef) and f.name in functions]
+        tree.body = [f for name, f in _definitions(tree) if name in functions]
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
@@ -80,7 +94,7 @@ def mutants(source: bytes, functions=None):
             hi = at(node.operand.lineno, node.operand.col_offset)
             found.append((lo, source[lo:hi].decode(), "", node.lineno))
         elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-              and node.func.id in ("add", "sub")):
+              and node.func.id in SWAP):
             name = node.func.id
             found.append((at(node.lineno, node.col_offset), name, SWAP[name], node.lineno))
     return sorted(found)

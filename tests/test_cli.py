@@ -373,6 +373,17 @@ def test_nesting_deeper_than_the_bound_exits_two(tmp_path, capsys):
     assert "nested more than 100 levels deep" in capsys.readouterr().err
 
 
+def test_huge_algebra_dimension_exits_two_at_once(tmp_path, capsys):
+    # a dense dim^3 table of structure constants would exhaust memory first
+    p = tmp_path / "algebra.grs"
+    p.write_text("chart R2 (x, y) metric diag(1, 1)\nalgebra g dim 100000\n")
+    start = time.perf_counter()
+    assert main(["verify", str(p)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err.startswith(
+        "error: algebra dimension must be at most 32, got 100000 (line 2, col 1)")
+
+
 def _metric_matrix_spec(tmp_path, upper: str, lower: str):
     p = tmp_path / "long_entry.grs"
     p.write_text(f"chart P (x, y) metric matrix [[1, {upper}], [{lower}, 2]]\n"

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grs import dsl
+from grs.valued import MAX_ALGEBRA_DIM
 
 
 SPEC_DIR = Path(__file__).resolve().parents[1] / "src" / "grs" / "specs"
@@ -169,7 +170,8 @@ class TestPrinter:
         assert printed.splitlines()[1] == f"field f = {terms}"
         doc2, diags2 = dsl.parse(printed)
         assert doc2 is not None and not diags2
-        assert dsl.same_expr(doc2.statements[1].expr, doc.statements[1].expr)
+        assert (dsl.print_expr(doc2.statements[1].expr)
+                == dsl.print_expr(doc.statements[1].expr))
 
     def test_literals_beyond_double_range_round_trip(self):
         # 1e400 is inf as a double; it must not print as the name "inf"
@@ -183,12 +185,42 @@ class TestPrinter:
         assert "inf" not in printed
         assert dsl.parse(printed) == (doc, [])
 
+    @pytest.mark.parametrize("field, printed", [
+        ("x * (dy)", "x * (dy)"),  # '* dy' would read as a basis factor
+        ("x ^ w", "x^(w)"),  # '^w' would read as the wedge
+    ], ids=["basis", "wedge"])
+    def test_operand_that_reads_as_syntax_round_trips(self, field, printed):
+        doc, diags = dsl.parse(f"chart M (x, dy) metric diag(1, 1)\nfield f = {field}\n")
+        assert doc is not None and not diags
+        text = dsl.print_document(doc)
+        assert text.splitlines()[1] == f"field f = {printed}"
+        assert dsl.parse(text) == (doc, [])
+
     def test_expression_round_trip(self):
         src = "-(x + 2.0) ^ 2 * sin(y) / 3.0"
         ast, _ = dsl.parse_expression(src)
         printed = dsl.print_expr(ast)
         ast2, _ = dsl.parse_expression(printed)
         assert dsl.print_expr(ast2) == printed
+
+
+# every node the parser makes, over names next to the d<name> and ^w syntax
+_EXPRESSIONS = st.recursive(
+    st.floats(min_value=0, allow_nan=False, allow_infinity=True).map(dsl.Num)
+    | st.sampled_from(["x", "θ", "i", "e", "d", "dy", "dx2", "d_", "w", "w_", "wt"])
+    .map(dsl.Name),
+    lambda kids: (st.builds(dsl.Un, st.just("-"), kids)
+                  | st.builds(dsl.Bin, st.sampled_from("+-*/^"), kids, kids)
+                  | st.builds(dsl.Call, st.sampled_from(["sin", "cos", "exp", "sqrt", "bump"]),
+                              kids)),
+    max_leaves=25)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(_EXPRESSIONS)
+def test_printed_expression_parses_back_to_itself(ast):
+    # the binder compares metric entries by their print, so printing must be injective
+    assert dsl.parse_expression(dsl.print_expr(ast)) == (ast, [])
 
 
 class TestBinder:
@@ -316,6 +348,19 @@ class TestBinder:
         assert not diags
         assert (checks[0].sample.count, checks[0].sample.seed) == (1000, 13)
 
+    def test_largest_algebra_binds(self):
+        # su(2) on each run of three labels: the Jacobi check meets every index
+        n = MAX_ALGEBRA_DIM
+        brackets = " ".join(f"({a}, {b}, {c}, 1)" for k in range(1, n - 1, 3)
+                            for a, b, c in ((k, k + 1, k + 2), (k + 1, k + 2, k),
+                                            (k + 2, k, k + 1)))
+        checks, diags = self._load(
+            "chart R3 (x, y, z) metric diag(1, 1, 1)\n"
+            f"algebra g dim {n} bracket {brackets}\n"
+            f"form a : 1 values g = x * dy @ e1 + z * dx @ e{n}\n"
+            "check bianchi(a) on random(-2..2, -2..2, -2..2; 20, seed 13)\n")
+        assert not diags and len(checks) == 1
+
     def test_non_symmetric_metric_matrix_names_both_entries(self):
         # the lower triangle used to be dropped: this read as the identity metric
         _, diags = self._load(
@@ -385,6 +430,8 @@ G2 = R2 + "algebra g dim 2\n"
     (R2 + "algebra g dim 2 bracket (1, 2, 3, 1)\n",
      "bracket indices are 1-based and must be <= dim", 2),
     (R2 + "algebra g dim 0\n", "algebra dimension must be >= 1", 2),
+    (R2 + f"algebra g dim {MAX_ALGEBRA_DIM + 1}\n",
+     f"algebra dimension must be at most {MAX_ALGEBRA_DIM}, got {MAX_ALGEBRA_DIM + 1}", 2),
 ])
 def test_diagnostic_names_its_line(text, message, line):
     _, diags = dsl.load(text)

@@ -4,6 +4,7 @@ from grs.errors import DegreeError, DimensionError, NotALieAlgebra, VarianceErro
 from grs.exterior import COV, Chart, MetricSpec, form, hodge, multivector, wedge
 from grs.scalar import coord
 from grs.valued import (
+    MAX_ALGEBRA_DIM,
     LieStructure,
     PhiMap,
     ValueSpace,
@@ -65,12 +66,18 @@ _R2 = Chart(("u", "v"), MetricSpec.diagonal([1, 1]))
     (lambda r3, V3: abelian(0), DimensionError, "algebra dimension must be >= 1"),
     (lambda r3, V3: LieStructure.from_triples(0, []), DimensionError,
      "algebra dimension must be >= 1"),
+    *[(make, DimensionError,
+       f"algebra dimension must be at most {MAX_ALGEBRA_DIM}, got {MAX_ALGEBRA_DIM + 1}")
+      for make in (lambda r3, V3: abelian(MAX_ALGEBRA_DIM + 1),
+                   lambda r3, V3: LieStructure.from_triples(MAX_ALGEBRA_DIM + 1, []),
+                   lambda r3, V3: LieStructure(MAX_ALGEBRA_DIM + 1, ()))],
     (lambda r3, V3: lift_pointwise(
         wedge, PhiMap.lie_bracket(V3),
         ValuedForm.from_components(r3, 1, COV, V3, {}),
         ValuedForm.from_components(_R2, 1, COV, V3, {})), DimensionError,
      "valued forms live on different charts"),
-], ids=["abelian_0", "from_triples_0", "different_charts"])
+], ids=["abelian_0", "from_triples_0", "abelian_too_big", "from_triples_too_big",
+        "structure_too_big", "different_charts"])
 def test_library_error(r3, V3, make, error, message):
     with pytest.raises(error) as err:
         make(r3, V3)
