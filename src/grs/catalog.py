@@ -316,8 +316,6 @@ def _frobenius_vector(chart, *fields: VECTOR, pi: PROJECTION = None):
 
 
 def _frobenius_pfaff(chart, *forms: ONE_FORM):
-    if not forms:
-        return []
     w = forms[0]
     for other in forms[1:]:
         w = wedge(w, other)
@@ -335,9 +333,11 @@ def _nabla_parallel(chart, X: VECTOR, sigma: VECTOR):
 def _theta_pi_parallel(chart, psi: VALUED_FORM, theta: MULTIVECTOR, pi: PROJECTION):
     dpsi = exterior_d(psi)
     r = psi.space.dim
-    pim = [[_const_val(v) for v in row] for row in _normalize_pi(pi, r)]
+    pi = _normalize_pi(pi, r)
+    pim = [[_const_val(v) for v in row] for row in pi]
     if any(c is None for row in pim for c in row):
         raise ParameterError("pi entries must be constant numbers")
+    check_idempotent(pi, _probe_points(chart.dim))
     slices = [interior(theta, s) for s in dpsi.slices]
     out = []
     for j in range(r):
@@ -520,11 +520,14 @@ class CatalogEntry:
 
     def arguments(self, chart: Chart, params: dict):
         """Check ``params`` against the schema and return the builder's
-        positional and keyword arguments.  A None value counts as absent."""
+        positional and keyword arguments.  A None value counts as absent, and
+        so does an empty list for the vararg."""
         unknown = sorted(set(params) - {p.name for p in self.params})
         if unknown:
             raise ParameterError(f"unknown parameter(s): {', '.join(map(repr, unknown))}")
-        missing = [p.name for p in self.params if p.required and params.get(p.name) is None]
+        missing = [p.name for p in self.params if p.required and (
+            params.get(p.name) is None
+            or p.vararg and isinstance(params[p.name], (list, tuple)) and not params[p.name])]
         if missing:
             raise MissingParameter(f"missing parameter(s): {', '.join(missing)}")
         args, kwargs = [], {}

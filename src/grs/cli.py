@@ -17,7 +17,6 @@ from typing import List, Optional
 from . import catalog, dsl
 from .engine import verify
 from .errors import GrsError
-from .exterior import Chart, MetricSpec
 
 
 @functools.cache
@@ -152,20 +151,13 @@ def cmd_eval(args) -> int:
         except ValueError:
             print(f"error: bad number in binding {piece!r}", file=sys.stderr)
             return 2
-    ast, diags = dsl.parse_expression(args.expr)
-    if ast is None:
-        for d in diags:
-            print(d.render(), file=sys.stderr)
-        return 2
-    names = tuple(name for name, _ in bindings)
-    binder = dsl._Binder(args.expr.splitlines())
     try:
-        binder.coords = Chart(names, MetricSpec.diagonal([1.0] * len(names))).coord_names
-        value = binder.bind_expr(ast, 1).ev(tuple(v for _, v in bindings))
-    except dsl._Bail:
-        for d in binder.diags:
-            print(d.render(), file=sys.stderr)
-        return 2
+        expr, diags = dsl.bind_expression(args.expr, tuple(name for name, _ in bindings))
+        if expr is None:
+            for d in diags:
+                print(d.render(), file=sys.stderr)
+            return 2
+        value = expr.ev(tuple(v for _, v in bindings))
     except GrsError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -128,12 +128,14 @@ def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
 
 
 def check_idempotent(pi, pts: Sequence[Sequence[float]]) -> None:
-    """Raise NonIdempotentProjection unless pi*pi == pi to 1e-10 at every point."""
+    """Raise NonIdempotentProjection unless pi*pi == pi to 1e-10 at every
+    point; a non-finite entry fails too."""
     n = len(pi)
     pts = np.asarray(pts, dtype=float)
     prog = Program([as_expr(pi[i][j]) for i in range(n) for j in range(n)])
     m = prog.at(pts).T.reshape(len(pts), n, n)
-    off = np.max(np.abs(m @ m - m), axis=(1, 2)) > 1e-10
+    with np.errstate(invalid="ignore"):  # inf * 0 is nan, and nan fails the test
+        off = ~np.all(np.abs(m @ m - m) <= 1e-10, axis=(1, 2))
     if off.any():
         pt = tuple(pts[np.argmax(off)].tolist())
         raise NonIdempotentProjection(f"pi^2 != pi at {pt}")

@@ -606,7 +606,7 @@ def _walk(ast: ExprAst, visit: Callable[[ExprAst, list], object],
 
 
 # ---------------------------------------------------------------------------
-# pretty printer
+# expression printer
 
 
 def _fmt_num(v: float) -> str:
@@ -644,69 +644,10 @@ def _print_node(e: ExprAst, kids: List[Tuple[str, int]]) -> Tuple[str, int]:
     return f"{_wrap(kids[0], prec)} {e.op} {right}", prec
 
 
-def print_expr(e: ExprAst, parent_prec: int = 0) -> str:
-    return _wrap(_walk(e, _print_node), parent_prec)
-
-
-def _print_vterm(t: VTerm) -> str:
-    s = print_expr(t.coeff, _PREC["*"])
-    if t.basis:
-        s += " * " + " ^w ".join("d" + b for b in t.basis)
-    if t.label is not None:
-        s += f" @ {t.label}"
-    return s
-
-
-def _print_arg(a: ArgValue) -> str:
-    if isinstance(a, ListLit):
-        return "[" + ", ".join(_fmt_num(v) for v in a.items) + "]"
-    return print_expr(a)
-
-
-def _print_sample(s: SampleAst) -> str:
-    ranges = ", ".join(f"{_fmt_num(lo)}..{_fmt_num(hi)}" for lo, hi in s.ranges)
-    if s.kind == "random":
-        return f"random({ranges}; {s.count}, seed {s.seed})"
-    return f"grid({ranges}; {s.count})"
-
-
-def print_document(doc: SpecDocument) -> str:
-    out: List[str] = []
-    for st in doc.statements:
-        if isinstance(st, ChartStmt):
-            coords = ", ".join(st.coords)
-            if st.metric_kind == "diag":
-                metric = "diag(" + ", ".join(_fmt_num(v) for v in st.diag) + ")"
-            else:
-                rows = ", ".join(
-                    "[" + ", ".join(print_expr(e) for e in row) + "]"
-                    for row in st.rows)
-                metric = f"matrix [{rows}]"
-            out.append(f"chart {st.name} ({coords}) metric {metric}")
-        elif isinstance(st, FieldStmt):
-            out.append(f"field {st.name} = {print_expr(st.expr)}")
-        elif isinstance(st, VFormStmt):
-            head = f"{st.kind} {st.name} : {st.degree}"
-            if st.values:
-                head += f" values {st.values}"
-            body = " + ".join(_print_vterm(t) for t in st.terms)
-            out.append(f"{head} = {body}")
-        elif isinstance(st, AlgebraStmt):
-            line = f"algebra {st.name} dim {st.dim}"
-            if st.brackets:
-                trip = " ".join(
-                    f"({i}, {j}, {k}, {_fmt_num(v)})" for i, j, k, v in st.brackets)
-                line += f" bracket {trip}"
-            out.append(line)
-        elif isinstance(st, CheckStmt):
-            parts = [_print_arg(a) for a in st.args]
-            parts += [f"{k}={_print_arg(v)}" for k, v in st.named]
-            line = (f"check {st.entry}({', '.join(parts)}) "
-                    f"on {_print_sample(st.sample)}")
-            if st.tol is not None:
-                line += f" tol {_fmt_num(st.tol)}"
-            out.append(line)
-    return "\n".join(out) + "\n"
+def print_expr(e: ExprAst) -> str:
+    """``e`` as text that parses back to ``e``, so that two ASTs print
+    alike only when they are equal (the binder compares metric entries so)."""
+    return _walk(e, _print_node)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1002,3 +943,18 @@ def load(text: str) -> Tuple[List[BoundCheck], List[Diagnostic]]:
         return [], diags
     checks, bind_diags = bind_document(doc, source=text)
     return checks, diags + bind_diags
+
+
+def bind_expression(text: str,
+                    coords: Tuple[str, ...]) -> Tuple[Optional[Expr], List[Diagnostic]]:
+    """Parse ``text`` and bind it over the coordinates ``coords``: (expr or None
+    on an error, diagnostics); names no chart may have raise DimensionError."""
+    ast, diags = parse_expression(text)
+    if ast is None:
+        return None, diags
+    b = _Binder(text.splitlines())
+    b.coords = Chart(coords, MetricSpec.diagonal([1.0] * len(coords))).coord_names
+    try:
+        return b.bind_expr(ast, 1), diags + b.diags
+    except _Bail:
+        return None, diags + b.diags

@@ -1,7 +1,8 @@
-"""Sign-mutation harness for ``src/grs/exterior.py``, the metric
-geometry of ``src/grs/diffops.py`` and the derivative rules of
-``src/grs/scalar.py`` (pytest does not collect it: the file name does
-not start with ``test_``).
+"""Sign-mutation harness for ``src/grs/exterior.py``, the operators and
+metric geometry of ``src/grs/diffops.py``, ``lift_pointwise`` in
+``src/grs/valued.py``, the catalog builders that carry a sign and the
+derivative rules of ``src/grs/scalar.py`` (pytest does not collect it:
+the file name does not start with ``test_``).
 
 It makes one mutant at a time in a copy of the tree and runs tier-1 on
 the copy without the four byte pins (the report digests, the fixture-tree
@@ -24,8 +25,8 @@ repository root:
 tree into a new temporary directory (removed at the end), checks that
 the unmutated copy passes (exit status 2 if not), then prints one line
 per mutant and lists the survivors at the end; the exit status is 1 when
-any mutant survives.  A mutant whose run exceeds TIMEOUT_S seconds
-counts as killed.
+any mutant survives that EQUIVALENT does not list.  A mutant whose run
+exceeds TIMEOUT_S seconds counts as killed.
 """
 
 from __future__ import annotations
@@ -43,10 +44,23 @@ ROOT = Path(__file__).resolve().parents[1]
 # (file, top-level functions and methods to mutate, or None for the whole file)
 TARGETS = (
     (Path("src/grs/exterior.py"), None),
-    (Path("src/grs/diffops.py"), ("_levi_civita", "_riemann_into", "metricity_residual")),
+    (Path("src/grs/diffops.py"), (
+        "d_form", "covariant_D", "curvature", "nabla_X", "lie_bracket", "projected_lie",
+        "_levi_civita", "_riemann_into", "metricity_residual", "schrodinger_residual",
+        "dirac_residual")),
+    (Path("src/grs/valued.py"), ("lift_pointwise",)),
+    (Path("src/grs/catalog.py"), ("_omega_matrix", "_poisson_first_integrals", "_mass_energy",
+                                  "_maxwell_currents", "_ext_maxwell_currents")),
     (Path("src/grs/scalar.py"), tuple(f"{c}._diff" for c in (
         "Add", "Sub", "Mul", "Div", "Pow", "Neg", "Sin", "Cos", "Exp", "Sqrt", "Bump"))),
 )
+# surviving mutants that change no verdict, by (file, mutated line, old, new)
+EQUIVALENT = {
+    (Path("src/grs/exterior.py"), "return (-cof if (i + j) % 2 == 1 else cof) / det", "+", "-"):
+        "(i - j) % 2 has the parity of (i + j) % 2",
+    (Path("src/grs/catalog.py"), "s = s + winv[i][j] * as_expr(va) * as_expr(vb)", "+", "-"):
+        "it negates the Poisson bracket s, so the residual Z(s) only changes sign",
+}
 WITHOUT_PINS = [
     "--ignore=tests/test_report_digest.py",
     "--ignore=tests/test_fixture_trees.py",
@@ -148,6 +162,9 @@ def run_mutants(work: Path) -> int:
             target.write_bytes(source)
         line = source.decode().splitlines()[lineno - 1].strip()
         label = f"#{k} {path}:{lineno}: {old!r} -> {new!r}  | {line}"
+        if verdict == "survived" and (path, line, old, new) in EQUIVALENT:
+            verdict = "equivalent"
+            label += f"  ({EQUIVALENT[path, line, old, new]})"
         print(f"{verdict:16} {label}", flush=True)
         if verdict == "survived":
             survivors.append(label)

@@ -65,6 +65,30 @@ def test_bad_projection_rejected():
               pi=[[1.0, 1.0], [1.0, 1.0]])
 
 
+@pytest.mark.parametrize("cid, params", [
+    ("frobenius_pfaff", {"forms": []}),
+    ("frobenius_vector", {"fields": [], "pi": [0.0, 0.0, 1.0]}),
+])
+def test_empty_vararg_is_missing(cid, params):
+    # an empty list would build a condition with no residual, which passes
+    with pytest.raises(MissingParameter):
+        build(cid, euclidean(("x", "y", "z")), **params)
+
+
+def test_vararg_must_be_a_list():
+    chart = euclidean(("x", "y", "z"))
+    with pytest.raises(ParameterError, match="must be a list"):
+        build("frobenius_pfaff", chart, forms=form(chart, 1, {(2,): 1.0}))
+
+
+def test_theta_pi_must_be_a_projection():
+    fx = fixtures("theta_pi_parallel")[0]
+    with pytest.raises(NonIdempotentProjection):
+        build("theta_pi_parallel", fx.chart, **dict(fx.params, pi=[[0.5, 0.5], [0.5, 0.7]]))
+    # a projection need not be diagonal
+    build("theta_pi_parallel", fx.chart, **dict(fx.params, pi=[[0.5, 0.5], [0.5, 0.5]]))
+
+
 def _cases():
     for cid in ALL_IDS:
         for fx in fixtures(cid):

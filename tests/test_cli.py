@@ -526,13 +526,31 @@ class TestEval:
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
+# a constant pi fails at every probe point, so the first one is named
+_NOT_PI_AT = "pi^2 != pi at (-0.4767757315013672, -0.4030177131717534, 0.6284514811885606"
+_NOT_PI_3 = _NOT_PI_AT + ")"
+_NOT_PI_4 = _NOT_PI_AT + ", -0.8161681157298062)"
+
+
 @pytest.mark.parametrize("spec, old, new, message", [
     ("schrodinger.grs", "schrodinger(pw)", "schrodinger(pw, hbar=0)",
      "hbar and mass must be positive"),
     ("schrodinger.grs", "schrodinger(pw)", "schrodinger(pw, mass=-1)",
      "hbar and mass must be positive"),
     ("dirac.grs", "dirac(psi, m=1,", "dirac(psi, m=-1,", "mass must be >= 0"),
-], ids=["hbar_zero", "negative_mass", "negative_dirac_mass"])
+    # an empty vararg checked nothing and passed; a non-projection pi passed too
+    ("frobenius_pfaff.grs", "frobenius_pfaff(flat)", "frobenius_pfaff()",
+     "missing parameter(s): forms"),
+    ("frobenius_vector.grs", "frobenius_vector(E1, E2,", "frobenius_vector(",
+     "missing parameter(s): fields"),
+    ("theta_pi_parallel.grs", "(good, th, pi=[1, 0])", "(good, th, pi=[2, 0])", _NOT_PI_4),
+    ("frobenius_vector.grs", "(E1, E2, pi=[0, 0, 1])", "(E1, E2, pi=[0, 0, 2])", _NOT_PI_3),
+    # inf * inf - inf is nan, which must fail the test, not slip past it
+    ("theta_pi_parallel.grs", "(good, th, pi=[1, 0])", "(good, th, pi=[1e400, 0])", _NOT_PI_4),
+    ("frobenius_vector.grs", "(E1, E2, pi=[0, 0, 1])", "(E1, E2, pi=[0, 0, 1e400])", _NOT_PI_3),
+], ids=["hbar_zero", "negative_mass", "negative_dirac_mass", "no_forms", "no_fields",
+        "theta_pi_not_a_projection", "frobenius_pi_not_a_projection",
+        "theta_pi_infinite", "frobenius_pi_infinite"])
 def test_operator_parameter_out_of_range_exits_two(tmp_path, spec, old, new, message, capsys):
     text = (SPEC_DIR / spec).read_text()
     assert text.count(old) == 1
@@ -554,8 +572,15 @@ def test_operator_parameter_out_of_range_exits_two(tmp_path, spec, old, new, mes
     (None, ["eval", "x@y", "--at", "x=1"], 2, "",
      "error: unexpected trailing input '@' (line 1, col 2)\n  x@y\n   ^\n"),
     (None, ["eval", "i*x", "--at", "x=2"], 0, "2j\n", ""),
+    ("chart R2 (x, y) metric diag(1, 1)\nfield f = sin(x\n", [], 2, "",
+     "error: expected ')' (line 2, col 16)\n  field f = sin(x\n                 ^\n"),
+    ("chart R1 (x) metric diag(1)\nvector E : 1 = 1 * dx\n"
+     "check frobenius_vector(E, pi=[[1]]) on grid(-1..1; 2)\n", [], 2, "",
+     "error: expected a number (line 3, col 31)\n"
+     "  check frobenius_vector(E, pi=[[1]]) on grid(-1..1; 2)\n"
+     "                                ^\n"),
 ], ids=["zero_points", "algebra_dim_0", "non_number_binding", "eval_trailing_input",
-        "complex_eval"])
+        "complex_eval", "unclosed_call", "nested_list_argument"])
 def test_command_line_outcome(tmp_path, spec, argv, code, out, err, capsys):
     if spec is not None:
         p = tmp_path / "spec.grs"

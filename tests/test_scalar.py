@@ -17,6 +17,7 @@ from grs.scalar import (
     Mul,
     Pow,
     Program,
+    ONE,
     SampleSet,
     ZERO,
     as_expr,
@@ -42,6 +43,11 @@ def test_constant_folding():
     assert (x * 1) is x
     assert (x + 0) is x
     assert (const(3) * const(4)).ev(()) == 12
+
+
+def test_division_by_one_and_power_zero_fold():
+    assert (x / 1) is x
+    assert (x ** 0) is ONE
 
 
 @pytest.mark.parametrize("base,exponent,value", [
@@ -302,6 +308,11 @@ def test_fd_convergence_is_fourth_order():
     assert 12.0 <= err_h / err_h2 <= 20.0
 
 
+def test_fd_step_must_be_positive():
+    with pytest.raises(DomainError, match="step must be positive"):
+        fd_diff(sin(x), 0, (0.5,), h=0)
+
+
 class TestBump:
     def test_support(self):
         b = bump(x)
@@ -356,6 +367,12 @@ class TestSampleSet:
         assert len(pts) == 9
         assert g.requested == 9
         assert (0.0, 0.0) in pts and (1.0, 2.0) in pts
+
+    def test_no_points_rejected(self):
+        with pytest.raises(DomainError, match="at least one point per axis"):
+            SampleSet.grid([(0, 1), (0, 2)], 0)
+        with pytest.raises(DomainError, match="sample count must be >= 1"):
+            SampleSet.random_box([(0, 1)], 0, seed=1)
 
     def test_bounds_respected(self):
         s = SampleSet.random_box([(-1, 1), (3, 4)], 200, seed=11)

@@ -14,7 +14,6 @@ PROTOCOL = {"_diff", "_parts", "_eval"}
 # names kept although nothing in grs calls them, each with its reason
 KEPT = {
     "metricity_residual": "acceptance test 08 checks Levi-Civita metricity with it",
-    "print_document": "the DSL round-trip tests print a parsed document with it",
     "SampleSet.with_exclusion": "the exclusion-floor tests and ROADMAP B use it",
 }
 
