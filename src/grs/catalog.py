@@ -43,6 +43,7 @@ from .exterior import (
     CONTRA,
     COV,
     AlternatingTensor,
+    MAX_CHART_DIM,
     Chart,
     MetricSpec,
     determinant,
@@ -139,7 +140,7 @@ def _normalize_pi(pi, n: int):
     return [[as_expr(v) for v in row] for row in pi]
 
 
-_PROBE_BOX = SampleSet.random_box([(-1, 1)] * 8, 8, seed=2)
+_PROBE_BOX = SampleSet.random_box([(-1, 1)] * MAX_CHART_DIM, 8, seed=2)
 
 
 def _probe_points(n: int):

@@ -26,6 +26,7 @@ from .exterior import (
     AlternatingTensor,
     MetricSpec,
     sort_sign,
+    sum_terms,
     wedge,
 )
 from .scalar import Expr, Program, ZERO, as_expr, is_zero
@@ -44,7 +45,7 @@ def d_form(w: AlternatingTensor) -> AlternatingTensor:
     n = chart.dim
     if w.degree >= n:
         raise DegreeError("exterior derivative overflows the top degree")
-    out: dict = {}
+    terms = []
     for idx, v in w.components.items():
         e = as_expr(v)
         for axis in range(n):
@@ -55,9 +56,8 @@ def d_form(w: AlternatingTensor) -> AlternatingTensor:
             if ss is None:
                 continue
             key, sign = ss
-            term = sign * dv
-            out[key] = out[key] + term if key in out else term
-    return AlternatingTensor(chart, COV, w.degree + 1, out)
+            terms.append((key, sign * dv))
+    return AlternatingTensor(chart, COV, w.degree + 1, sum_terms(terms))
 
 
 def exterior_d(psi: ValuedForm) -> ValuedForm:

@@ -2,11 +2,14 @@
 
 ``tokenize`` splits each line with one regular expression, ``_TOKEN``:
 names, numbers, ``..``, ``^w`` and one-character symbols, skipping blanks
-and ``#`` comments.  Documents parse to an AST with structural equality;
-``bind_document`` resolves names against the catalog and produces runnable
-checks.  All errors are reported as diagnostics with line/column
-positions, and the parser recovers at statement boundaries so several
-errors surface in one pass.
+and ``#`` comments.  Documents parse to an AST with structural equality,
+but ``==`` and ``hash`` recurse once per nesting level, so a long field
+(1,500 terms) raises RecursionError: the binder and the round-trip tests
+compare expressions by ``print_expr`` instead.  ``bind_document``
+resolves names against the catalog and produces runnable checks.  All
+errors are reported as diagnostics with line/column positions, and the
+parser recovers at statement boundaries so several errors surface in
+one pass.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 from . import catalog
 from .engine import DEFAULT_TOL, GrCondition
 from .errors import GrsError
-from .exterior import CONTRA, COV, AlternatingTensor, Chart, MetricSpec, sort_sign
+from .exterior import CONTRA, COV, AlternatingTensor, Chart, MetricSpec, sort_sign, sum_terms
 from .scalar import Expr, SampleSet, ZERO, bump, const, coord, cos, exp, sin, sqrt
 from .valued import LieStructure, ValueSpace, ValuedForm, abelian
 
@@ -815,7 +818,7 @@ class _Binder:
             space = self._bound(self.spaces.get(st.values), st.line)
             if space is None:
                 self.fail(f"unknown value space {st.values!r}", st.line)
-        components: Dict[tuple, Expr] = {}
+        terms = []
         for term in st.terms:
             coeff = self.bind_expr(term.coeff, st.line)
             axes = []
@@ -840,7 +843,8 @@ class _Binder:
                 if term.label is not None:
                     self.fail("'@ label' requires a 'values' declaration", st.line)
                 key = idx
-            components[key] = components[key] + coeff if key in components else coeff
+            terms.append((key, coeff))
+        components = sum_terms(terms)
         variance = CONTRA if st.kind == "vector" else COV
         if space is not None:
             obj: object = ValuedForm.from_components(chart, st.degree, variance, space,

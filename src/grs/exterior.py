@@ -13,6 +13,10 @@ where g is singular is flagged by the divisions in g^-1 when the residual
 is evaluated.  Every determinant here is a minor expanded over (row,
 column) index sets, each built once per call and shared.
 
+Every operation sums the terms that land on one multi-index through
+``sum_terms``: left to right, keys in first-appearance order.  That order
+fixes each residual tree, and so the trees and bits the pins hold.
+
 Conventions:
   * orientation is the declared coordinate order, vol = dx^1...dx^n * sqrt|det g|;
   * the induced pairing on p-forms is the determinant one,
@@ -26,7 +30,7 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .errors import DegreeError, DimensionError, DomainError, SingularMetricError, VarianceError
 from .scalar import Const, Expr, as_expr, intern_ops, is_zero, sqrt
@@ -35,6 +39,17 @@ COV = "covariant"
 CONTRA = "contravariant"
 
 MultiIndex = Tuple[int, ...]
+
+MAX_CHART_DIM = 8  # a chart has 1..MAX_CHART_DIM axes
+
+
+def sum_terms(terms: Iterable[Tuple[object, object]]) -> dict:
+    """Sum (key, value) terms per key left to right, so a, b, c give (a + b) + c
+    and a lone term comes back as itself; keys in first-appearance order."""
+    out: dict = {}
+    for key, value in terms:
+        out[key] = out[key] + value if key in out else value
+    return out
 
 
 def sort_sign(indices: Sequence[int]) -> Optional[Tuple[MultiIndex, int]]:
@@ -213,8 +228,8 @@ class Chart:
 
     def __post_init__(self):
         n = len(self.coord_names)
-        if not (1 <= n <= 8):
-            raise DimensionError("chart dimension must be in 1..8")
+        if not (1 <= n <= MAX_CHART_DIM):
+            raise DimensionError(f"chart dimension must be in 1..{MAX_CHART_DIM}")
         if len(set(self.coord_names)) != n:
             raise DimensionError("coordinate names must be unique")
         if self.metric.dim != n:
@@ -262,20 +277,14 @@ class AlternatingTensor:
 
     def ev(self, pt: Sequence[float]) -> "AlternatingTensor":
         """Evaluate symbolic components at a point; numeric ones pass through."""
-
-        def val(v):
-            return v.ev(pt) if isinstance(v, Expr) else v
-
-        return self.map_components(val)
+        return self.map_components(lambda v: v.ev(pt) if isinstance(v, Expr) else v)
 
     def __add__(self, other: "AlternatingTensor") -> "AlternatingTensor":
         _check_same(self, other)
         if other.degree != self.degree:
             raise DegreeError("cannot add different degrees")
-        out = dict(self.components)
-        for k, v in other.components.items():
-            out[k] = out[k] + v if k in out else v
-        return AlternatingTensor(self.chart, self.variance, self.degree, out)
+        terms = itertools.chain(self.components.items(), other.components.items())
+        return AlternatingTensor(self.chart, self.variance, self.degree, sum_terms(terms))
 
     def scale(self, c) -> "AlternatingTensor":
         return self.map_components(lambda v: c * v)
@@ -301,16 +310,15 @@ def wedge(a: AlternatingTensor, b: AlternatingTensor) -> AlternatingTensor:
     p, q = a.degree, b.degree
     if p + q > a.chart.dim:
         raise DegreeError(f"wedge degree {p}+{q} exceeds chart dimension {a.chart.dim}")
-    out: dict = {}
+    terms = []
     for ia, va in a.components.items():
         for ib, vb in b.components.items():
             ss = sort_sign(ia + ib)
             if ss is None:
                 continue
             key, sign = ss
-            term = sign * (va * vb)
-            out[key] = out[key] + term if key in out else term
-    return AlternatingTensor(a.chart, a.variance, p + q, out)
+            terms.append((key, sign * (va * vb)))
+    return AlternatingTensor(a.chart, a.variance, p + q, sum_terms(terms))
 
 
 def interior(v: AlternatingTensor, w: AlternatingTensor) -> AlternatingTensor:
@@ -322,7 +330,7 @@ def interior(v: AlternatingTensor, w: AlternatingTensor) -> AlternatingTensor:
         raise VarianceError("second argument must be a form")
     if v.degree > w.degree:
         raise DegreeError(f"interior degree {v.degree} > form degree {w.degree}")
-    out: dict = {}
+    terms = []
     for idx, coeff in v.components.items():
         for key, val in w.components.items():
             # i(X1^...^Xq) = i(Xq) o ... o i(X1): innermost (first) factor first
@@ -334,9 +342,8 @@ def interior(v: AlternatingTensor, w: AlternatingTensor) -> AlternatingTensor:
                 if pos % 2 == 1:
                     val = -val
             else:
-                term = coeff * val
-                out[key] = out[key] + term if key in out else term
-    return AlternatingTensor(w.chart, COV, w.degree - v.degree, out)
+                terms.append((key, coeff * val))
+    return AlternatingTensor(w.chart, COV, w.degree - v.degree, sum_terms(terms))
 
 
 def interior_after_tilde(a: AlternatingTensor, w: AlternatingTensor) -> AlternatingTensor:
@@ -361,20 +368,14 @@ def hodge(w: AlternatingTensor) -> AlternatingTensor:
 
     all_axes = tuple(range(n))
     memo: dict = {}
-    out: dict = {}
+    terms = []
     for A in itertools.combinations(all_axes, p):
         comp = tuple(i for i in all_axes if i not in A)
-        ss = sort_sign(A + comp)
-        assert ss is not None
-        _, sign = ss
-        coeff = None
+        sign = sort_sign(A + comp)[1]
         for B, vb in w.components.items():
             ip = _minor(ginv, A, B, memo)
-            term = (sign * sqrt_abs_det) * (ip * vb)
-            coeff = term if coeff is None else coeff + term
-        if coeff is not None:
-            out[comp] = coeff
-    return AlternatingTensor(chart, COV, n - p, out)
+            terms.append((comp, (sign * sqrt_abs_det) * (ip * vb)))
+    return AlternatingTensor(chart, COV, n - p, sum_terms(terms))
 
 
 def musical_tilde(w: AlternatingTensor) -> AlternatingTensor:
@@ -389,15 +390,9 @@ def musical_tilde(w: AlternatingTensor) -> AlternatingTensor:
     n = chart.dim
     p = w.degree
     memo: dict = {}
-    out: dict = {}
-    for J in itertools.combinations(range(n), p):
-        total = None
-        for I, v in w.components.items():
-            term = _minor(rows, J, I, memo) * v
-            total = term if total is None else total + term
-        if total is not None:
-            out[J] = total
-    return AlternatingTensor(chart, target, p, out)
+    terms = [(J, _minor(rows, J, I, memo) * v)
+             for J in itertools.combinations(range(n), p) for I, v in w.components.items()]
+    return AlternatingTensor(chart, target, p, sum_terms(terms))
 
 
 def volume_form(chart: Chart) -> AlternatingTensor:

@@ -18,7 +18,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from .errors import DegreeError, DimensionError, NotALieAlgebra, VarianceError
-from .exterior import AlternatingTensor, Chart, MultiIndex
+from .exterior import AlternatingTensor, Chart, MultiIndex, sum_terms
 from .scalar import as_expr
 
 # The structure constants are a dense dim^3 table, and the Jacobi check
@@ -241,7 +241,7 @@ def lift_pointwise(phi_form: Callable[[AlternatingTensor, AlternatingTensor], Al
 
     phi_form is first applied once to zero slices of A's and B's degree
     and variance: that raises any degree or variance mismatch even when
-    every slice is empty, and gives the zero slice of the result.
+    every slice is empty, and gives the result's empty slice and shape.
     """
     if A.chart is not B.chart and A.chart != B.chart:
         raise DimensionError("valued forms live on different charts")
@@ -249,7 +249,7 @@ def lift_pointwise(phi_form: Callable[[AlternatingTensor, AlternatingTensor], Al
         raise DimensionError("value spaces do not match the bilinear map")
     zero = phi_form(AlternatingTensor(A.chart, A.variance, A.degree),
                     AlternatingTensor(B.chart, B.variance, B.degree))
-    per_label: Dict[int, AlternatingTensor] = {}
+    terms = [[] for _ in phi_value.target.labels]  # (key, value) terms per target label
     for i, ai in enumerate(A.slices):
         if not ai.components:
             continue
@@ -259,7 +259,6 @@ def lift_pointwise(phi_form: Callable[[AlternatingTensor, AlternatingTensor], Al
                 continue
             t = phi_form(ai, bj)
             for k, c in action.items():
-                piece = t.scale(c)
-                per_label[k] = per_label[k] + piece if k in per_label else piece
-    return ValuedForm(phi_value.target,
-                      [per_label.get(k, zero) for k in range(phi_value.target.dim)])
+                terms[k] += [(key, c * v) for key, v in t.components.items()]
+    return ValuedForm(phi_value.target, [AlternatingTensor(
+        zero.chart, zero.variance, zero.degree, sum_terms(tk)) if tk else zero for tk in terms])

@@ -1,8 +1,9 @@
 """Sign-mutation harness for ``src/grs/exterior.py``, the operators and
 metric geometry of ``src/grs/diffops.py``, ``lift_pointwise`` in
-``src/grs/valued.py``, the catalog builders that carry a sign and the
-derivative rules of ``src/grs/scalar.py`` (pytest does not collect it:
-the file name does not start with ``test_``).
+``src/grs/valued.py``, the catalog builders and chart builders that carry
+a sign, the DSL binder's form terms and the derivative rules of
+``src/grs/scalar.py`` (pytest does not collect it: the file name does not
+start with ``test_``).
 
 It makes one mutant at a time in a copy of the tree and runs tier-1 on
 the copy without the four byte pins (the report digests, the fixture-tree
@@ -50,7 +51,9 @@ TARGETS = (
         "dirac_residual")),
     (Path("src/grs/valued.py"), ("lift_pointwise",)),
     (Path("src/grs/catalog.py"), ("_omega_matrix", "_poisson_first_integrals", "_mass_energy",
-                                  "_maxwell_currents", "_ext_maxwell_currents")),
+                                  "_maxwell_currents", "_ext_maxwell_currents",
+                                  "schwarzschild_chart", "soliton_field", "plane_wave_F")),
+    (Path("src/grs/dsl.py"), ("_Binder._vform",)),
     (Path("src/grs/scalar.py"), tuple(f"{c}._diff" for c in (
         "Add", "Sub", "Mul", "Div", "Pow", "Neg", "Sin", "Cos", "Exp", "Sqrt", "Bump"))),
 )
@@ -104,9 +107,8 @@ def mutants(source: bytes, functions=None):
             found.append((source.index(sym.encode(), lo, hi), sym, SWAP[sym], node.lineno))
         elif (isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub)
               and not isinstance(node.operand, ast.Constant)):
-            lo = at(node.lineno, node.col_offset)
-            hi = at(node.operand.lineno, node.operand.col_offset)
-            found.append((lo, source[lo:hi].decode(), "", node.lineno))
+            # only the "-": a parenthesized operand keeps its "("
+            found.append((at(node.lineno, node.col_offset), "-", "", node.lineno))
         elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
               and node.func.id in SWAP):
             name = node.func.id

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from grs.catalog import (
@@ -232,6 +234,42 @@ def test_hodge_entries_on_schwarzschild(entry):
     assert coulomb.passed and coulomb.evaluated == 100, coulomb.linf
     control = verify(build(entry, chart, **_coulomb_params(entry, chart, 3)), sample, 1e-10)
     assert not control.passed and control.linf > 1e-5
+
+
+def test_schwarzschild_chart_is_the_textbook_metric():
+    """g = diag(-1/f, -r^2, -r^2 sin^2 theta, f) with f = 1 - 2M/r, so g_tt
+    vanishes on the horizon r = 2M."""
+    from grs.catalog import schwarzschild_chart
+    g = schwarzschild_chart(1.5).metric.entries()
+    for r, th in [(3.0, 0.4), (6.0, 1.2)]:
+        pt = (r, th, 0.3, 0.7)
+        f = 1.0 - 3.0 / r
+        assert g[3][3].ev(pt) == pytest.approx(f, abs=1e-15)
+        assert g[2][2].ev(pt) == pytest.approx(-(r * math.sin(th)) ** 2)
+        if f:
+            assert g[0][0].ev(pt) == pytest.approx(-1.0 / f)
+
+
+def test_soliton_field_is_the_boosted_profile():
+    """exp(-x^2 - y^2) bump(alpha (z - v xi)) with alpha = 1/sqrt(1 - v^2)."""
+    from grs.catalog import soliton_field
+    from grs.scalar import bump, const
+    v = 0.6  # alpha = 1.25
+    for x, y, z, xi in [(0.3, -0.5, 0.2, -0.4), (-0.7, 0.1, 0.5, 0.6)]:
+        want = math.exp(-x * x - y * y) * bump(const(1.25 * (z - v * xi))).ev(())
+        assert soliton_field(v).ev((x, y, z, xi)) == pytest.approx(want, rel=1e-14)
+
+
+def test_plane_wave_travels_toward_plus_z():
+    """F = d(sin(z - xi) dx) depends on z - xi only."""
+    from grs.catalog import plane_wave_F
+    F = plane_wave_F(minkowski())
+    for pt in [(0.1, 0.2, 0.3, 0.4), (0.0, -1.0, 1.1, -0.6)]:
+        shifted = (pt[0], pt[1], pt[2] + 0.5, pt[3] + 0.5)
+        here, there = F.ev(pt).components, F.ev(shifted).components
+        assert here.keys() == there.keys() == {(0, 2), (0, 3)}
+        for key in here:
+            assert here[key] == pytest.approx(there[key], abs=1e-15)
 
 
 class TestChartsCompareByValue:

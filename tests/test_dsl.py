@@ -459,6 +459,17 @@ def test_repeated_basis_factor_drops_the_term():
     assert reports[0] == reports[1] and reports[0]["norms"]["1"]["linf"] == 1.0
 
 
+def test_reordered_basis_factors_carry_the_permutation_sign():
+    from grs.engine import verify
+    # dy ^ dx = -dx ^ dy: the two terms cancel, so i(X) alpha = 0
+    checks, diags = dsl.load("chart R3 (x, y, z) metric diag(1, 1, 1)\n"
+                             "form alpha : 2 = x * dx ^w dy + x * dy ^w dx\n"
+                             "vector X : 1 = 1 * dx\n"
+                             "check absolute_invariant(X, alpha) on grid(-1..1, -1..1, -1..1; 3)\n")
+    assert not diags
+    assert verify(checks[0].condition, checks[0].sample).passed
+
+
 class TestParameterSchema:
     """Arguments are mapped and checked by each entry's parameter schema."""
 

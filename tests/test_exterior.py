@@ -27,9 +27,10 @@ from grs.exterior import (
     volume_form,
     wedge,
 )
-from grs.catalog import schwarzschild_chart, sphere_chart
-from grs.exterior import determinant, inverse_expr
-from grs.scalar import Program, as_expr, coord, sin
+from grs.catalog import _probe_points, schwarzschild_chart, sphere_chart
+from grs.exterior import MAX_CHART_DIM, determinant, inverse_expr, sum_terms
+from grs.scalar import Add, Program, as_expr, coord, sin
+from test_diffops import pulled_back_euclidean
 
 
 @pytest.fixture
@@ -52,6 +53,26 @@ def test_sort_sign():
 def test_chart_validation():
     with pytest.raises(DimensionError):
         Chart(("x", "x"), MetricSpec.diagonal([1, 1]))
+
+
+def test_chart_dimension_bound_is_shared_with_the_projection_probe():
+    names = tuple(f"x{k}" for k in range(MAX_CHART_DIM + 1))
+    Chart(names[:-1], MetricSpec.diagonal([1.0] * MAX_CHART_DIM))
+    with pytest.raises(DimensionError, match=r"^chart dimension must be in 1\.\.8$"):
+        Chart(names, MetricSpec.diagonal([1.0] * len(names)))
+    # check_idempotent probes Pi at points with one column per chart axis
+    assert _probe_points(MAX_CHART_DIM).shape[1] == MAX_CHART_DIM
+
+
+def test_sum_terms_folds_left_to_right_in_first_appearance_order():
+    a, b, c, lone, other = coord(0), coord(1), sin(coord(2)), coord(3), coord(4)
+    out = sum_terms([("k", a), ("lone", lone), ("k", b), ("other", other), ("k", c)])
+    assert list(out) == ["k", "lone", "other"]
+    assert out["lone"] is lone and out["other"] is other
+    total = out["k"]  # (a + b) + c, node by node
+    assert type(total) is Add and total.b is c
+    assert type(total.a) is Add and total.a.a is a and total.a.b is b
+    assert sum_terms([]) == {}
 
 
 def test_wedge_anticommutes(r3):
@@ -210,6 +231,8 @@ CURVED = [
     pytest.param(schwarzschild_chart, -1, [(3.5, 0.7, 1.0, 0.2), (6.0, 1.6, 4.0, -0.5),
                                            (9.0, 2.5, 0.1, 0.9)], id="schwarzschild"),
     pytest.param(_skewed_plane, 1, [(0.3, -0.8), (1.5, 0.4)], id="skewed_plane"),
+    pytest.param(lambda: pulled_back_euclidean(conformal=True), 1,
+                 [(0.9, -0.3, 0.4), (-0.7, 0.5, 1.1)], id="pulled_back_conformal"),
 ]
 
 
@@ -252,6 +275,54 @@ class TestHodgeOnCurvedCharts:
         star = hodge(a)
         # *dtheta = sin(theta) dphi on the unit sphere
         assert star.ev(pt).components == {(1,): pytest.approx(math.sin(1.0))}
+
+
+def _levi_civita(n):
+    """The Levi-Civita symbol as an n^n array, signs from inversion counts."""
+    eps = np.zeros((n,) * n)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        eps[perm] = (-1) ** inversions
+    return eps
+
+
+def _numpy_star(g, basis):
+    """*dx^B from g at one point: (*b)_J = sqrt|det g| / p! b^I eps_IJ, with
+    b^I raised by numpy.linalg's inverse and every sum over all index tuples."""
+    n, p = len(g), len(basis)
+    ginv = np.linalg.inv(g)
+    b, eps_p = np.zeros((n,) * p), _levi_civita(p)
+    for perm in itertools.permutations(range(p)):
+        b[tuple(basis[k] for k in perm)] = eps_p[perm]
+    for k in range(p):  # raise slot k
+        b = np.moveaxis(np.tensordot(b, ginv, axes=([k], [1])), -1, k)
+    star = np.tensordot(b, _levi_civita(n), axes=(list(range(p)), list(range(p))))
+    return star * math.sqrt(abs(np.linalg.det(g))) / math.factorial(p)
+
+
+class TestHodgeAgainstNumpy:
+    """hodge against a star built in numpy from the Levi-Civita symbol,
+    np.linalg.inv and np.linalg.det of g at the point, sharing nothing
+    with exterior.py's minors, inverse or volume form."""
+
+    @pytest.mark.parametrize("make_chart,_det_sign,points", CURVED)
+    def test_every_basis_form(self, make_chart, _det_sign, points):
+        chart = make_chart()
+        n = chart.dim
+        for pt in points:
+            g = np.array([[as_expr(e).ev(pt) for e in row] for row in chart.metric.entries()]).real
+            for p in range(n + 1):
+                stars = {idx: _numpy_star(g, idx) for idx in itertools.combinations(range(n), p)}
+                # every basis p-form, then one form with all of them, which sums
+                # one term per basis form into each component of its star
+                mixed = {idx: 1.0 + k for k, idx in enumerate(stars)}
+                cases = [(form(chart, p, {idx: 1.0}), star) for idx, star in stars.items()]
+                cases.append((form(chart, p, mixed), sum(c * stars[i] for i, c in mixed.items())))
+                for b, want in cases:
+                    got = hodge(b).ev(pt).components
+                    tol = 1e-10 * np.abs(want).max()
+                    for key in itertools.combinations(range(n), n - p):
+                        assert abs(got.get(key, 0.0) - want[key]) <= tol, (pt, b, key)
 
 
 class TestMusicalTilde:

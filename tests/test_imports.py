@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 import grs
+from test_uncalled import _annotations
 
 MODULES = sorted(p for p in Path(grs.__file__).parent.glob("*.py") if p.name != "__init__.py")
 
@@ -17,16 +18,6 @@ def _imported(tree):
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for a in node.names:
                 yield a.asname or a.name, node.lineno
-
-
-def _annotations(tree):
-    for node in ast.walk(tree):
-        if isinstance(node, ast.AnnAssign):
-            yield node.annotation
-        elif isinstance(node, ast.arg) and node.annotation is not None:
-            yield node.annotation
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
-            yield node.returns
 
 
 def _used(tree):
