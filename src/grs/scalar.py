@@ -22,10 +22,12 @@ sorted op list and runs each op once per call on whole arrays of points,
 handing its node type's kernel the node's parameter and two input arrays,
 of which it reads one per child.  The arithmetic follows CPython's
 ``complex``/``cmath`` formulas (Smith division, binary integer powers,
-libm ``exp``/``sin``/``cos`` through numpy's complex kernels), so results
-match a pointwise ``cmath`` evaluation up to the last bits of real
-``pow``; on finite operands, addition, subtraction, multiplication,
-division and negation equal Python ``complex`` arithmetic bit for bit.
+libm ``exp`` through numpy's complex kernel, ``sin`` and ``cos`` through
+numpy's own kernels, which give libm's values for real input), so
+results match a pointwise ``cmath`` evaluation up to the last bits of
+real ``pow``; on finite operands, addition, subtraction, multiplication,
+division and negation equal Python ``complex`` arithmetic bit for bit,
+and ``sin``, ``cos`` and ``exp`` of a real operand equal ``math``'s.
 
 Point policy: a division or negative power whose operand has magnitude
 below ``_DIV_FLOOR`` marks the point *singular*; ``sqrt`` or a
@@ -205,10 +207,13 @@ def _ipow(x, n: int):
 def _libm(f, v):
     """f on complex input, which numpy hands to the C library's c-functions.
 
-    A real array is widened into one complex buffer that f overwrites in
-    place; its real parts come back as a contiguous copy, not as a
-    stride-16 view that would keep the buffer alive for every reader.  A
-    constant stays a numpy scalar.
+    It exists for ``exp`` alone: numpy's real ``exp`` is its own SIMD
+    routine, which differs from libm's (and ``math.exp``) in the last bit
+    on a few percent of arguments, while its real ``sin`` and ``cos``
+    give libm's values and need no detour.  A real array is widened into
+    one complex buffer that f overwrites in place; its real parts come
+    back as a contiguous copy, not as a stride-16 view that would keep
+    the buffer alive for every reader.  A constant stays a numpy scalar.
     """
     if _is_c(v):
         return f(v)
@@ -409,7 +414,7 @@ class Sin(_Unary):
 
     @staticmethod
     def _eval(blk, _p, a, _b):
-        return _libm(np.sin, a)
+        return np.sin(a)
 
 
 class Cos(_Unary):
@@ -420,7 +425,7 @@ class Cos(_Unary):
 
     @staticmethod
     def _eval(blk, _p, a, _b):
-        return _libm(np.cos, a)
+        return np.cos(a)
 
 
 class Exp(_Unary):

@@ -1,7 +1,8 @@
 """Sign-mutation harness for ``src/grs/exterior.py``, the operators and
 metric geometry of ``src/grs/diffops.py``, ``lift_pointwise`` in
 ``src/grs/valued.py``, the catalog builders and chart builders that carry
-a sign, the DSL binder's form terms and the derivative rules of
+a sign, the DSL binder's form terms, and the derivative rules and the
+complex-arithmetic and ``Sub``/``Neg``/``Bump`` evaluation kernels of
 ``src/grs/scalar.py`` (pytest does not collect it: the file name does not
 start with ``test_``).
 
@@ -55,7 +56,8 @@ TARGETS = (
                                   "schwarzschild_chart", "soliton_field", "plane_wave_F")),
     (Path("src/grs/dsl.py"), ("_Binder._vform",)),
     (Path("src/grs/scalar.py"), tuple(f"{c}._diff" for c in (
-        "Add", "Sub", "Mul", "Div", "Pow", "Neg", "Sin", "Cos", "Exp", "Sqrt", "Bump"))),
+        "Add", "Sub", "Mul", "Div", "Pow", "Neg", "Sin", "Cos", "Exp", "Sqrt", "Bump"))
+     + ("_cmul", "_cdiv", "_ipow", "Sub._eval", "Neg._eval", "Bump._eval")),
 )
 # surviving mutants that change no verdict, by (file, mutated line, old, new)
 EQUIVALENT = {

@@ -352,6 +352,46 @@ class TestNonDiagonalMetric:
         assert not rep.passed and rep.evaluated == 40
 
 
+def kerr_chart(mass: float = 1.0, a: float = 0.6, a_t_phi: float | None = None) -> Chart:
+    """Kerr in Boyer-Lindquist coordinates (t, r, theta, phi), signature
+    (-, +, +, +), typed in from Kerr (1963, PRL 11, 237):
+
+        ds^2 = -(1 - 2Mr/S) dt^2 - (4Mar sin^2 th / S) dt dphi + (S/D) dr^2
+               + S dth^2 + (r^2 + a^2 + 2Ma^2 r sin^2 th / S) sin^2 th dphi^2
+
+    with S = r^2 + a^2 cos^2 th and D = r^2 - 2Mr + a^2.  ``a_t_phi``, if
+    given, replaces a in g_t phi alone, which breaks the vacuum equation."""
+    r, th = coord(1), coord(2)
+    s2 = sin(th) * sin(th)
+    big_s = r * r + a * a * cos(th) * cos(th)
+    delta = r * r - 2.0 * mass * r + a * a
+    g_tphi = -2.0 * mass * (a if a_t_phi is None else a_t_phi) * r * s2 / big_s
+    zero = const(0)
+    return Chart(("t", "r", "theta", "phi"), MetricSpec.matrix([
+        [-(1.0 - 2.0 * mass * r / big_s), zero, zero, g_tphi],
+        [zero, big_s / delta, zero, zero],
+        [zero, zero, big_s, zero],
+        [g_tphi, zero, zero, (r * r + a * a + 2.0 * mass * a * a * r * s2 / big_s) * s2],
+    ]))
+
+
+class TestKerr:
+    """A rotating vacuum solution with an off-diagonal metric, outside the
+    horizon (r+ = 1.8 for M = 1, a = 0.6)."""
+
+    SAMPLE = SampleSet.random_box([(-1.0, 1.0), (3.0, 10.0), (0.3, 2.8), (0.0, 6.2)], 500, 7)
+
+    def test_kerr_is_ricci_flat(self):
+        rep = verify(build("ricci_flat", kerr_chart()), self.SAMPLE, tol=1e-8)
+        assert rep.passed and rep.evaluated == 500
+        assert rep.linf < 1e-12
+
+    def test_a_wrong_frame_dragging_term_is_curved(self):
+        rep = verify(build("ricci_flat", kerr_chart(a_t_phi=0.66)), self.SAMPLE, tol=1e-8)
+        assert not rep.passed and rep.evaluated == 500
+        assert rep.linf > 1e-3
+
+
 def _christoffels_by_numpy(metric, pt, h=1e-3):
     """Gamma at one point from g's values alone: g^-1 by numpy.linalg.inv
     and dg by ``fd_diff``'s 4th-order central difference, so neither the

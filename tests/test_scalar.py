@@ -1,3 +1,4 @@
+import cmath
 import gc
 import hashlib
 import math
@@ -13,12 +14,15 @@ from grs.diffops import ricci
 from grs.errors import DomainError, EvalSingularity
 from grs.exterior import Chart, MetricSpec
 from grs.scalar import (
+    Cos,
+    Exp,
     Expr,
     Mul,
     Pow,
     Program,
     ONE,
     SampleSet,
+    Sin,
     ZERO,
     as_expr,
     bump,
@@ -311,6 +315,81 @@ def test_fd_convergence_is_fourth_order():
 def test_fd_step_must_be_positive():
     with pytest.raises(DomainError, match="step must be positive"):
         fd_diff(sin(x), 0, (0.5,), h=0)
+
+
+def _bits(values):
+    """The IEEE bit patterns of float ``values``, every NaN as one pattern."""
+    v = np.array(values, dtype=float)
+    return np.where(np.isnan(v), np.nan, v).view(np.uint64).tolist()
+
+
+def _math_or_nan(f, t):
+    try:
+        return f(t)
+    except ValueError:  # math.sin(inf) and math.cos(inf) raise
+        return math.nan
+
+
+class TestRealKernels:
+    """Sin, Cos and Exp of a real operand equal ``math`` bit for bit.
+
+    Sin and Cos run on numpy's real kernels; Exp runs on its complex one,
+    because numpy's real ``exp`` differs from libm in the last bit on a few
+    percent of arguments (9,409 of 200,000 draws in [0.3, 2.8]).
+    """
+
+    # 200,000 magnitudes, log-uniform in 1e-8..1e8, with random signs
+    DRAWS = (10.0 ** np.random.default_rng(29).uniform(-8, 8, 200_000)
+             * np.random.default_rng(30).choice([-1.0, 1.0], 200_000))
+    SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e300, -1e300]
+
+    @pytest.mark.parametrize("node,f", [(sin, math.sin), (cos, math.cos)])
+    def test_sin_and_cos_of_a_real_block_equal_math(self, node, f):
+        (got,), _ = Program([node(x)]).run(self.DRAWS[:, None])
+        assert got.dtype == np.float64
+        assert _bits(got) == _bits([f(t) for t in self.DRAWS.tolist()])
+
+    @pytest.mark.parametrize("cls,f", [(Sin, math.sin), (Cos, math.cos)])
+    def test_sin_and_cos_of_a_constant_equal_math(self, cls, f):
+        # the kernel a constant's op runs: its value is a 0-d numpy float
+        got = [cls._eval(None, None, c, None) for c in map(np.float64, self.DRAWS.tolist())]
+        assert all(type(v) is np.float64 for v in got[:100])
+        assert _bits(got) == _bits([f(t) for t in self.DRAWS.tolist()])
+
+    @pytest.mark.parametrize("node,f", [(sin, math.sin), (cos, math.cos)])
+    def test_special_values_equal_math(self, node, f):
+        want = _bits([_math_or_nan(f, t) for t in self.SPECIAL])
+        (block,), _ = Program([node(x)]).run(np.array(self.SPECIAL)[:, None])
+        assert _bits(block) == want
+        # one program per constant: +0.0 and -0.0 are one op key
+        consts = [Program([node(const(t))]).run(np.zeros((1, 1)))[0][0][0] for t in self.SPECIAL]
+        assert _bits(consts) == want
+
+    def test_a_negative_zero_coordinate_keeps_its_sign(self):
+        (s, c, sc), _ = Program([sin(x), cos(x), sin(const(-0.0))]).run(np.array([[-0.0]]))
+        assert math.copysign(1.0, s[0]) == -1.0 and s[0] == 0.0
+        assert math.copysign(1.0, sc[0]) == -1.0
+        assert c[0] == 1.0
+
+    def test_exp_of_a_real_block_equals_math(self):
+        # [0.3, 2.8] is where numpy's real exp departs from libm's
+        rng = np.random.default_rng(31)
+        draws = np.concatenate([rng.uniform(0.3, 2.8, 100_000), rng.uniform(-700, 700, 100_000)])
+        (got,), _ = Program([exp(x)]).run(draws[:, None])
+        assert got.dtype == np.float64
+        assert _bits(got) == _bits([math.exp(t) for t in draws.tolist()])
+        consts = [Exp._eval(None, None, c, None) for c in map(np.float64, draws[:2000].tolist())]
+        assert _bits(consts) == _bits([math.exp(t) for t in draws[:2000].tolist()])
+
+    @pytest.mark.parametrize("node,f", [(sin, cmath.sin), (cos, cmath.cos), (exp, cmath.exp)])
+    def test_complex_arguments_equal_cmath(self, node, f):
+        rng = np.random.default_rng(32)
+        z = rng.uniform(-20, 20, 20_000) + 1j * rng.uniform(-20, 20, 20_000)
+        (got,), _ = Program([node(x + 1j * y)]).run(np.column_stack([z.real, z.imag]))
+        assert got.dtype == np.complex128
+        # x + 1j * y is z exactly: 1j * y has a zero real part
+        want = np.array([f(t) for t in z.tolist()])
+        assert _bits(got.real) == _bits(want.real) and _bits(got.imag) == _bits(want.imag)
 
 
 class TestBump:
