@@ -39,6 +39,7 @@ Points a sample set excludes are dropped before they are evaluated.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -64,7 +65,8 @@ class Expr:
     underscore-prefixed because it is not part of the node's structure:
     the public slots are.
     ``_parts`` returns (children, hashable non-node fields): together with
-    the node type this is the structural key ``Program`` merges on.
+    the node type this is the structural key ``Program`` merges on
+    (``intern_ops``; a constant's value by its bits).
     ``_eval(blk, param, a, b)`` computes the node over a block from its
     children's values, ignoring ``a`` or ``b`` where it has no such child.
     """
@@ -80,14 +82,17 @@ class Expr:
         # finds its operands' derivatives cached, so ``diff`` recurses one
         # level deep however deep the tree is
         stack = [self]
+        push, pop = stack.append, stack.pop
         while stack:
             node = stack[-1]
-            todo = [k for k in node._parts()[0]
-                    if axis not in (getattr(k, "_d", None) or ())]
-            if todo:
-                stack.extend(todo)
+            waiting = False
+            for k in node._parts()[0]:
+                if axis not in (getattr(k, "_d", None) or ()):
+                    push(k)
+                    waiting = True
+            if waiting:
                 continue
-            stack.pop()
+            pop()
             memo = getattr(node, "_d", None)
             if memo is None:
                 memo = node._d = {}
@@ -508,10 +513,19 @@ def intern_ops(exprs: Iterable[Expr]) -> Tuple[list, ...]:
     order, each root's op index and each op's last reader (-1: none).  It
     depends on the trees' structure only, not on which nodes they share,
     so it is also a value key for a sequence of expressions.
+
+    Ops are deduplicated in one table per node type, keyed by an int or
+    bytes: a binary op's child slots as ``(a << 32) + b``, a unary op's
+    child slot (in one table per exponent or order, if it has one), a
+    coordinate's axis, a constant's value bytes (so constants that differ
+    only in a sign of zero stay apart).  The cyclic garbage collector
+    tracks none of these keys, so a compile keeps no tracked object per
+    op and starts no collection that would push a caller's live objects
+    toward the full collections, each of which scans them all.
     """
     # keyed by the node object itself: Expr has identity equality
-    slot_of: Dict[Expr, int] = {}     # node -> op index
-    interned: Dict[tuple, int] = {}   # (type, param, a, b) -> op index
+    slot_of: Dict[Expr, int] = {}  # node -> op index
+    tables: Dict[type, dict] = defaultdict(dict)  # node type -> {key: op index}
     types: list = []
     params: list = []
     a_col: List[int] = []
@@ -539,13 +553,27 @@ def intern_ops(exprs: Iterable[Expr]) -> Tuple[list, ...]:
                 if waiting:
                     continue
             kids, param = parts
-            a = slot_of[kids[0]] if kids else -1
-            b = slot_of[kids[1]] if len(kids) == 2 else -1
-            key = (type(node), param, a, b)
-            i = interned.get(key)
+            t = type(node)
+            table = tables[t]
+            if len(kids) == 2:
+                a = slot_of[kids[0]]
+                b = slot_of[kids[1]]
+                key = (a << 32) + b  # b < 2**32: no two slot pairs share a key
+            elif kids:
+                a = key = slot_of[kids[0]]
+                b = -1
+                if param is not None:  # one table per exponent or order
+                    by_param = table
+                    table = by_param.get(param)
+                    if table is None:
+                        table = by_param[param] = {}
+            else:
+                a = b = -1
+                key = param.tobytes() if t is Const else param
+            i = table.get(key)
             if i is None:
-                i = interned[key] = len(types)
-                types.append(type(node))
+                i = table[key] = len(types)
+                types.append(t)
                 params.append(param)
                 a_col.append(a)
                 b_col.append(b)

@@ -16,7 +16,7 @@ from grs.scalar import Program
 from test_scalar import _op_list_digest
 
 FIXTURE_COUNT = 56
-TREES_DIGEST = "3b3c0aff705bb10021ff2269700a3e00a26f1640e31f8a8c87ebed4bda06ddbe"
+TREES_DIGEST = "9459696d718d7b821d7f4d1225751b7f4d2e83656a94bb425a7add6511ef85ac"
 
 
 def trees_digest():

@@ -273,6 +273,38 @@ class TestCompile:
         assert [len(p) for p in progs] == [198, 2113]
         assert held[0] == held[1]
 
+    def test_compiling_sets_off_no_collection(self):
+        # intern_ops keys its ops by ints and bytes, which the cyclic
+        # collector does not track, so ten compiles of 2,113 ops allocate
+        # too few tracked objects to start even a young collection
+        ch = Chart(("u0", "u1", "u2", "u3"), MetricSpec.matrix(_dense_flat_rows(True)))
+        roots = catalog.build("ricci_flat", ch).roots()
+        assert len(Program(roots)) == 2113
+        started = []
+
+        def count(phase, info):
+            if phase == "start":
+                started.append(info["generation"])
+
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            for _ in range(10):
+                Program(roots)
+        finally:
+            gc.callbacks.remove(count)
+        assert started == []
+
+    @pytest.mark.parametrize("first, second", [
+        (0.0, -0.0), (-0.0, 0.0), (complex(0.0, -1.0), -1j), (-1j, complex(0.0, -1.0))])
+    def test_constants_differing_in_a_sign_of_zero_stay_apart(self, first, second):
+        # equal as numbers, yet each keeps its own sign of zero
+        for roots in ([sin(const(first)), sin(const(second))], [const(first), const(second)]):
+            values, _ = Program(roots).run(np.zeros((1, 1)))
+            assert [np.signbit(v.real).tolist() for v in values] == [
+                [math.copysign(1.0, complex(c).real) < 0] for c in (first, second)]
+        assert len(Program([const(first), const(second)])) == 2
+
     def test_peak_live_values(self):
         # the most values a Schwarzschild ricci_flat run holds at once
         prog = Program(catalog.build("ricci_flat", catalog.schwarzschild_chart(1.0)).roots())
