@@ -286,16 +286,23 @@ def _levi_civita(n):
     return eps
 
 
+def _numpy_slots(rows, basis, n):
+    """The antisymmetric tensor of the basis element ``basis`` with the
+    matrix ``rows`` applied to every slot, as an n^p array."""
+    p = len(basis)
+    b, eps_p = np.zeros((n,) * p), _levi_civita(p)
+    for perm in itertools.permutations(range(p)):
+        b[tuple(basis[k] for k in perm)] = eps_p[perm]
+    for k in range(p):
+        b = np.moveaxis(np.tensordot(b, rows, axes=([k], [1])), -1, k)
+    return b
+
+
 def _numpy_star(g, basis):
     """*dx^B from g at one point: (*b)_J = sqrt|det g| / p! b^I eps_IJ, with
     b^I raised by numpy.linalg's inverse and every sum over all index tuples."""
     n, p = len(g), len(basis)
-    ginv = np.linalg.inv(g)
-    b, eps_p = np.zeros((n,) * p), _levi_civita(p)
-    for perm in itertools.permutations(range(p)):
-        b[tuple(basis[k] for k in perm)] = eps_p[perm]
-    for k in range(p):  # raise slot k
-        b = np.moveaxis(np.tensordot(b, ginv, axes=([k], [1])), -1, k)
+    b = _numpy_slots(np.linalg.inv(g), basis, n)
     star = np.tensordot(b, _levi_civita(n), axes=(list(range(p)), list(range(p))))
     return star * math.sqrt(abs(np.linalg.det(g))) / math.factorial(p)
 
@@ -343,6 +350,25 @@ class TestMusicalTilde:
         a = form(mink, 2, {(2, 3): 1.0})
         v = musical_tilde(a)
         assert v.components == {(2, 3): -1.0}
+
+    @pytest.mark.parametrize("make_chart,_det_sign,points", CURVED)
+    def test_forms_rise_by_the_inverse_and_multivectors_fall_by_g(self, make_chart,
+                                                                   _det_sign, points):
+        """On charts where g != g^-1: every slot of a basis form is raised
+        by numpy.linalg's inverse of g, every slot of a basis multivector
+        lowered by g itself."""
+        chart = make_chart()
+        n = chart.dim
+        for pt in points:
+            g = np.array([[as_expr(e).ev(pt) for e in row] for row in chart.metric.entries()]).real
+            for make, rows in ((form, np.linalg.inv(g)), (multivector, g)):
+                for p in range(1, n + 1):
+                    for idx in itertools.combinations(range(n), p):
+                        want = _numpy_slots(rows, idx, n)
+                        got = musical_tilde(make(chart, p, {idx: 1.0})).ev(pt).components
+                        tol = 1e-12 * np.abs(want).max()
+                        for key in itertools.combinations(range(n), p):
+                            assert abs(got.get(key, 0.0) - want[key]) <= tol, (pt, p, idx, key)
 
 
 def test_volume_form_minkowski(mink):
