@@ -79,7 +79,6 @@ from .diffops import (
 )
 from .engine import DEFAULT_TOL, GrCondition, ResidualReport, verify
 from .catalog import (
-    Fixture,
     build,
     catalog_ids,
     fixtures,

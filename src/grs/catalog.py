@@ -1,7 +1,8 @@
 """Named residual conditions: every supported field equation as a builder
 of labeled residual pieces, which ``build`` gathers into the entry's
-GrCondition, plus fixtures (known solutions and known violators) for
-each entry.
+GrCondition.  ``fixtures`` loads each entry's known solutions and known
+violators from spec text: the shipped spec plus, where it lacks a case,
+``cases/<id>.grs``.
 
 Each entry declares its parameters once, in its builder's signature:
 the annotation is the parameter's ``Kind``, a default makes it optional
@@ -16,6 +17,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
+from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .diffops import (
@@ -35,6 +37,7 @@ from .engine import GrCondition
 from .errors import (
     DegenerateFormError,
     DimensionError,
+    GrsError,
     MissingParameter,
     ParameterError,
     UnknownEntry,
@@ -52,19 +55,15 @@ from .exterior import (
     interior,
     interior_after_tilde,
     inverse_expr,
-    multivector,
     musical_tilde,
     wedge,
 )
-from .scalar import (
-    Const, Expr, SampleSet, ZERO, _const_val, as_expr, bump, const, coord, cos, exp, sin,
-)
+from .scalar import Const, Expr, SampleSet, ZERO, _const_val, as_expr, const, coord, sin
 from .valued import (
     PhiMap,
     ValueSpace,
     ValuedForm,
     lift_pointwise,
-    su2,
 )
 
 # ---------------------------------------------------------------------------
@@ -97,21 +96,6 @@ def schwarzschild_chart(mass: float = 1.0) -> Chart:
         [zero, zero, zero, f],
     ])
     return Chart(("r", "theta", "phi", "t"), g)
-
-
-def soliton_field(v_over_c: float) -> Expr:
-    """exp(-x^2-y^2) * bump(alpha (z - (v/c) xi)) with alpha the Lorentz
-    factor 1/sqrt(1 - (v/c)^2); spatially finite profile."""
-    alpha = 1.0 / (1.0 - v_over_c ** 2) ** 0.5
-    x, y, z, xi = (coord(i) for i in range(4))
-    return exp(-(x * x) - (y * y)) * bump(alpha * (z - v_over_c * xi))
-
-
-def plane_wave_F(chart: Chart) -> AlternatingTensor:
-    """F = d(sin(z - xi) dx): closed plane-wave field with d*F = 0."""
-    z, xi = coord(2), coord(3)
-    A = form(chart, 1, {(0,): sin(z - xi)})
-    return d_form(A)
 
 
 def vector_as_multivector(chart: Chart, v: Sequence[Expr]) -> AlternatingTensor:
@@ -502,7 +486,6 @@ class CatalogEntry:
     id: str
     description: str
     builder: Callable = field(compare=False)
-    fixture_factory: Callable = field(compare=False)
 
     @cached_property
     def params(self) -> Tuple[Param, ...]:
@@ -545,443 +528,48 @@ class CatalogEntry:
         return args, kwargs
 
 
-@dataclass
-class Fixture:
-    name: str
-    chart: Chart
-    params: dict
-    expect_pass: bool
-    sample: SampleSet
-    tol: Optional[float] = None
-
-
-def _box(chart: Chart) -> SampleSet:
-    return SampleSet.random_box([(-2.0, 2.0)] * chart.dim, 200, seed=13)
-
-
-def _fx_first_integral():
-    chart = euclidean(("x", "y"))
-    x, y = coord(0), coord(1)
-    X = [-y, x]
-    return [
-        Fixture("rotation_invariant", chart, {"X": X, "f": x * x + y * y}, True, _box(chart)),
-        Fixture("non_invariant", chart, {"X": X, "f": x}, False, _box(chart)),
-    ]
-
-
-def _fx_relative_invariant():
-    chart = euclidean(("x", "y", "z"))
-    x = coord(0)
-    alpha_closed = form(chart, 1, {(1,): as_expr(1.0)})
-    alpha_open = form(chart, 1, {(1,): x})
-    X = [as_expr(1.0), ZERO, ZERO]
-    return [
-        Fixture("closed_form", chart, {"X": X, "alpha": alpha_closed}, True, _box(chart)),
-        Fixture("transverse", chart, {"X": X, "alpha": alpha_open}, False, _box(chart)),
-    ]
-
-
-def _fx_absolute_invariant():
-    chart = euclidean(("x", "y", "z"))
-    x = coord(0)
-    X = [ZERO, ZERO, as_expr(1.0)]
-    alpha_good = form(chart, 1, {(1,): x})  # i(X)alpha = 0, i(X)dalpha = 0
-    alpha_bad = form(chart, 1, {(2,): x})  # i(X)alpha = x
-    return [
-        Fixture("transverse_closed", chart, {"X": X, "alpha": alpha_good}, True, _box(chart)),
-        Fixture("longitudinal", chart, {"X": X, "alpha": alpha_bad}, False, _box(chart)),
-    ]
-
-
-def _fx_symplectic_closed():
-    chart = euclidean(("q1", "q2", "p1", "p2"))
-    q2 = coord(1)
-    omega = form(chart, 2, {(0, 2): as_expr(1.0), (1, 3): as_expr(1.0)})
-    omega_bad = form(chart, 2, {(0, 2): q2, (1, 3): as_expr(1.0)})
-    return [
-        Fixture("canonical", chart, {"omega": omega}, True, _box(chart)),
-        Fixture("non_closed", chart, {"omega": omega_bad}, False, _box(chart)),
-    ]
-
-
-def _fx_hamiltonian_field():
-    chart = euclidean(("q", "p"))
-    q, p = coord(0), coord(1)
-    omega = form(chart, 2, {(0, 1): as_expr(1.0)})
-    return [
-        Fixture("oscillator_flow", chart, {"omega": omega, "X": [p, -q]}, True, _box(chart)),
-        Fixture("shear_flow", chart, {"omega": omega, "X": [q, ZERO]}, False, _box(chart)),
-    ]
-
-
-def _fx_poisson():
-    chart = euclidean(("q", "p"))
-    q, p = coord(0), coord(1)
-    omega = form(chart, 2, {(0, 1): as_expr(1.0)})
-    H = (q * q + p * p) * 0.5
-    dH = form(chart, 1, {(0,): q, (1,): p})
-    beta_good = form(chart, 1, {(0,): 2.0 * q, (1,): 2.0 * p})  # d(q^2+p^2)
-    beta_bad = form(chart, 1, {(0,): as_expr(1.0)})  # dq
-    Z = [p, -q]
-    return [
-        Fixture("dependent_integrals", chart,
-                {"omega": omega, "Z": Z, "alpha": dH, "beta": beta_good}, True, _box(chart)),
-        Fixture("non_integral", chart,
-                {"omega": omega, "Z": Z, "alpha": dH, "beta": beta_bad}, False, _box(chart)),
-    ]
-
-
-def _heisenberg_fields(chart):
-    x = coord(0)
-    X1 = [as_expr(1.0), ZERO, ZERO]
-    X2 = [ZERO, as_expr(1.0), x]
-    return X1, X2
-
-
-def _fx_frobenius_vector():
-    chart = euclidean(("x", "y", "z"))
-    X1, X2 = _heisenberg_fields(chart)
-    flat = [[as_expr(1.0), ZERO, ZERO], [ZERO, as_expr(1.0), ZERO]]
-    pi = [0.0, 0.0, 1.0]
-    return [
-        Fixture("coordinate_plane", chart,
-                {"fields": [flat[0], flat[1]], "pi": pi}, True, _box(chart)),
-        Fixture("heisenberg", chart,
-                {"fields": [X1, X2], "pi": pi}, False, _box(chart)),
-    ]
-
-
-def _fx_frobenius_pfaff():
-    chart = euclidean(("x", "y", "z"))
-    x = coord(0)
-    contact = form(chart, 1, {(2,): as_expr(1.0), (1,): -x})  # dz - x dy
-    flat = form(chart, 1, {(2,): as_expr(1.0)})  # dz
-    return [
-        Fixture("foliation", chart, {"forms": [flat]}, True, _box(chart)),
-        Fixture("heisenberg_dual", chart, {"forms": [contact]}, False, _box(chart)),
-    ]
-
-
-def _fx_nabla_parallel():
-    chart = minkowski()
-    x = coord(0)
-    const_field = [as_expr(1.0), as_expr(2.0), ZERO, as_expr(1.0)]
-    varying = [x, ZERO, ZERO, ZERO]
-    X = [as_expr(1.0), ZERO, ZERO, ZERO]
-    return [
-        Fixture("constant_section", chart, {"X": X, "sigma": const_field}, True, _box(chart)),
-        Fixture("stretching_section", chart, {"X": X, "sigma": varying}, False, _box(chart)),
-    ]
-
-
-def _fx_theta_pi():
-    chart = minkowski()
-    space = pair_space()
-    y = coord(1)
-    closed = ValuedForm.from_components(chart, 1, COV, space, {((0,), "e1"): as_expr(1.0)})
-    open_ = ValuedForm.from_components(chart, 1, COV, space, {((0,), "e1"): y})
-    theta = multivector(chart, 2, {(0, 1): as_expr(1.0)})
-    pi = [1.0, 0.0]
-    return [
-        Fixture("closed_component", chart,
-                {"psi": closed, "theta": theta, "pi": pi}, True, _box(chart)),
-        Fixture("open_component", chart,
-                {"psi": open_, "theta": theta, "pi": pi}, False, _box(chart)),
-    ]
-
-
-def _fx_autoparallel_valued_form():
-    chart = minkowski()
-    z = coord(2)
-    good = field_pair(chart, plane_wave_F(chart))
-    bad = ValuedForm(pair_space(), [form(chart, 2, {(0, 1): z}), form(chart, 2, {})])
-    return [
-        Fixture("wave_pair", chart, {"psi": good, "phi": "sym"}, True, _box(chart)),
-        Fixture("sheared_field", chart, {"psi": bad, "phi": "sym"}, False, _box(chart)),
-    ]
-
-
-def _fx_autoparallel_vector():
-    chart = minkowski()
-    f = soliton_field(0.5)
-    u = [ZERO, ZERO, 0.5 * f, f]
-    z = coord(2)
-    bad = [ZERO, ZERO, z, ZERO]
-    return [
-        Fixture("soliton_half_c", chart, {"u": u}, True,
-                SampleSet.random_box([(-2, 2)] * 4, 1000, seed=7)),
-        Fixture("stretching", chart, {"u": bad}, False, _box(chart)),
-    ]
-
-
-def _fx_null_autoparallel():
-    chart = minkowski()
-    x, y, z, xi = (coord(i) for i in range(4))
-    f = exp(-(x * x) - (y * y)) * bump(z - xi)
-    u = [ZERO, ZERO, f, f]
-    g = soliton_field(0.5)
-    timelike = [ZERO, ZERO, 0.5 * g, g]
-    return [
-        Fixture("light_speed_soliton", chart, {"u": u}, True,
-                SampleSet.random_box([(-2, 2)] * 4, 1000, seed=7)),
-        Fixture("timelike", chart, {"u": timelike}, False, _box(chart)),
-    ]
-
-
-def _fx_mass_energy():
-    chart = minkowski()
-    f = soliton_field(0.5)
-    u = [ZERO, ZERO, 0.5 * f, f]
-    z = coord(2)
-    return [
-        Fixture("comoving_density", chart, {"u": u, "rho": f}, True, _box(chart)),
-        Fixture("streamwise_density", chart, {"u": u, "rho": z}, False, _box(chart)),
-    ]
-
-
-def _fx_maxwell_vacuum():
-    chart = minkowski()
-    z = coord(2)
-    F_bad = form(chart, 2, {(0, 1): z})
-    return [
-        Fixture("plane_wave", chart, {"F": plane_wave_F(chart)}, True, _box(chart)),
-        Fixture("sheared_field", chart, {"F": F_bad}, False, _box(chart)),
-    ]
-
-
-def _fx_maxwell_currents():
-    chart = minkowski()
-    x = coord(0)
-    F = form(chart, 2, {(0, 3): x * x, (1, 3): sin(x)})
-    m_current = d_form(F)
-    j_current = d_form(hodge(F))
-    zero3 = form(chart, 3, {})
-    return [
-        Fixture("consistent_sources", chart,
-                {"F": F, "m_current": m_current, "j_current": j_current}, True, _box(chart)),
-        Fixture("dropped_sources", chart,
-                {"F": F, "m_current": zero3, "j_current": zero3}, False, _box(chart)),
-    ]
-
-
-def _fx_ext_maxwell_vacuum():
-    chart = minkowski()
-    z = coord(2)
-    return [
-        Fixture("plane_wave", chart, {"F": plane_wave_F(chart)}, True,
-                SampleSet.random_box([(-2, 2)] * 4, 1000, seed=7)),
-        Fixture("sheared_field", chart, {"F": form(chart, 2, {(0, 1): z})}, False, _box(chart)),
-    ]
-
-
-def _fx_ext_maxwell_currents():
-    chart = minkowski()
-    zero1 = form(chart, 1, {})
-    dx = form(chart, 1, {(0,): as_expr(1.0)})
-    F = plane_wave_F(chart)
-    zeros = {"J1": zero1, "J2": zero1, "J3": zero1, "J4": zero1}
-    return [
-        Fixture("vacuum_limit", chart, dict(F=F, **zeros), True, _box(chart)),
-        Fixture("spurious_current", chart,
-                dict(F=F, J1=dx, J2=zero1, J3=zero1, J4=zero1), False, _box(chart)),
-    ]
-
-
-def _fx_pfaff_currents():
-    chart = minkowski()
-    x, y, z, xi = (coord(i) for i in range(4))
-    exact = {
-        "J1": form(chart, 1, {(0,): 2.0 * x}),
-        "J2": form(chart, 1, {(1,): cos(y)}),
-        "J3": form(chart, 1, {(2,): 2.0 * z}),
-        "J4": form(chart, 1, {(3,): as_expr(1.0)}),
-    }
-    contact = {
-        "J1": form(chart, 1, {(2,): as_expr(1.0), (1,): -x}),  # dz - x dy
-        "J2": form(chart, 1, {(3,): as_expr(1.0)}),
-        "J3": form(chart, 1, {(0,): as_expr(1.0)}),
-        "J4": form(chart, 1, {(1,): as_expr(1.0)}),
-    }
-    return [
-        Fixture("exact_currents", chart, exact, True, _box(chart)),
-        Fixture("contact_current", chart, contact, False, _box(chart)),
-    ]
-
-
-def _su2_space() -> ValueSpace:
-    return ValueSpace(labels=("e1", "e2", "e3"), lie=su2())
-
-
-def _fx_yang_mills():
-    chart = minkowski()
-    space = _su2_space()
-    z, xi = coord(2), coord(3)
-    x, y = coord(0), coord(1)
-    abelian_dir = ValuedForm.from_components(chart, 1, COV, space,
-                                             {((0,), "e3"): sin(z - xi)})
-    generic = ValuedForm.from_components(chart, 1, COV, space,
-                                         {((1,), "e1"): x, ((2,), "e2"): y * y})
-    return [
-        Fixture("single_direction_wave", chart, {"omega": abelian_dir}, True, _box(chart)),
-        Fixture("generic_connection", chart, {"omega": generic}, False, _box(chart)),
-    ]
-
-
-def _fx_bianchi():
-    chart = minkowski()
-    space = _su2_space()
-    x, y, z = coord(0), coord(1), coord(2)
-    omega = ValuedForm.from_components(
-        chart, 1, COV, space, {((0,), "e1"): y, ((1,), "e2"): z * x, ((2,), "e3"): x})
-    not_curvature = ValuedForm.from_components(chart, 2, COV, space, {((0, 1), "e1"): z})
-    return [
-        Fixture("curvature_of_connection", chart, {"omega": omega}, True, _box(chart)),
-        Fixture("arbitrary_two_form", chart,
-                {"omega": omega, "psi": not_curvature}, False, _box(chart)),
-    ]
-
-
-def _pair_lie_space() -> ValueSpace:
-    from .valued import abelian
-    return ValueSpace(labels=("e1", "e2"), lie=abelian(2))
-
-
-def _fx_ext_ym_bracket():
-    chart = minkowski()
-    space = _pair_lie_space()
-    F = plane_wave_F(chart)
-    z = coord(2)
-    sym_pair = ValuedForm(space, [F, F])
-    skew_pair = ValuedForm(
-        space, [form(chart, 2, {(0, 1): z}), form(chart, 2, {(0, 1): as_expr(1.0)})])
-    return [
-        Fixture("equal_components", chart, {"psi": sym_pair}, True, _box(chart)),
-        Fixture("unbalanced_exchange", chart, {"psi": skew_pair}, False, _box(chart)),
-    ]
-
-
-def _fx_ext_ym_diagonal():
-    chart = minkowski()
-    space = _pair_lie_space()
-    F = plane_wave_F(chart)
-    z = coord(2)
-    good = ValuedForm(space, [F, hodge(F)])
-    bad = ValuedForm(space, [form(chart, 2, {(0, 1): z}), hodge(F)])
-    return [
-        Fixture("self_conserving", chart, {"psi": good}, True, _box(chart)),
-        Fixture("leaking_component", chart, {"psi": bad}, False, _box(chart)),
-    ]
-
-
-def _fx_ext_ym_sym():
-    chart = minkowski()
-    space = _pair_lie_space()
-    F = plane_wave_F(chart)
-    z = coord(2)
-    good = ValuedForm(space, [F, hodge(F)])
-    bad = ValuedForm(space, [form(chart, 2, {(0, 1): z}), form(chart, 2, {})])
-    return [
-        Fixture("wave_pair", chart, {"psi": good}, True, _box(chart)),
-        Fixture("sheared_component", chart, {"psi": bad}, False, _box(chart)),
-    ]
-
-
-def _fx_ricci_flat():
-    flat = minkowski()
-    return [
-        Fixture("flat", flat, {}, True, _box(flat)),
-        Fixture("schwarzschild", schwarzschild_chart(1.0), {}, True,
-                SampleSet.random_box([(3.0, 10.0), (0.3, 2.8), (0.0, 6.2), (-1.0, 1.0)],
-                                     500, seed=13), tol=1e-8),
-        Fixture("two_sphere", sphere_chart(), {}, False,
-                SampleSet.random_box([(0.4, 2.7), (0.0, 6.2)], 200, seed=13)),
-    ]
-
-
-def _fx_schrodinger():
-    chart = Chart(("x", "t"), MetricSpec.diagonal([1.0, 1.0]))
-    x, t = coord(0), coord(1)
-    wave = exp(1j * (2.0 * x - 2.0 * t))
-    wave_bad = exp(1j * (2.0 * x - 3.0 * t))
-    ground = exp(-(x * x) * 0.5) * exp(-0.5j * t)
-    return [
-        Fixture("free_wave", chart, {"psi": wave}, True, _box(chart), tol=1e-12),
-        Fixture("oscillator_ground", chart,
-                {"psi": ground, "V": (x * x) * 0.5}, True, _box(chart), tol=1e-12),
-        Fixture("wrong_dispersion", chart, {"psi": wave_bad}, False, _box(chart)),
-    ]
-
-
-def _fx_dirac():
-    chart = minkowski()
-    xi = coord(3)
-    rest = [exp(-1j * xi), ZERO, ZERO, ZERO]
-    return [
-        Fixture("rest_frame", chart, {"psi": rest, "m": 1.0, "sign": -1}, True,
-                _box(chart), tol=1e-12),
-        Fixture("wrong_mass", chart, {"psi": rest, "m": 2.0, "sign": -1}, False, _box(chart)),
-    ]
-
-
 _ENTRIES: Dict[str, CatalogEntry] = {}
 
 
-def _register(id_: str, description: str, builder, fixture_factory):
-    _ENTRIES[id_] = CatalogEntry(id_, description, builder, fixture_factory)
+def _register(id_: str, description: str, builder):
+    _ENTRIES[id_] = CatalogEntry(id_, description, builder)
 
 
-_register("first_integral", "derivative of a function along a flow vanishes",
-          _first_integral, _fx_first_integral)
-_register("relative_invariant", "i(X) d alpha = 0", _relative_invariant,
-          _fx_relative_invariant)
-_register("absolute_invariant", "i(X) alpha = 0 and i(X) d alpha = 0",
-          _absolute_invariant, _fx_absolute_invariant)
-_register("symplectic_closed", "nondegenerate 2-form is closed", _symplectic_closed,
-          _fx_symplectic_closed)
-_register("hamiltonian_field", "d i(X) omega = 0", _hamiltonian_field,
-          _fx_hamiltonian_field)
+_register("first_integral", "derivative of a function along a flow vanishes", _first_integral)
+_register("relative_invariant", "i(X) d alpha = 0", _relative_invariant)
+_register("absolute_invariant", "i(X) alpha = 0 and i(X) d alpha = 0", _absolute_invariant)
+_register("symplectic_closed", "nondegenerate 2-form is closed", _symplectic_closed)
+_register("hamiltonian_field", "d i(X) omega = 0", _hamiltonian_field)
 _register("poisson_first_integrals", "bracket of two first integrals is a first integral",
-          _poisson_first_integrals, _fx_poisson)
-_register("frobenius_vector", "projected brackets of a distribution vanish",
-          _frobenius_vector, _fx_frobenius_vector)
-_register("frobenius_pfaff", "d alpha ^ alpha_1 ^ ... ^ alpha_k = 0", _frobenius_pfaff,
-          _fx_frobenius_pfaff)
-_register("nabla_parallel", "covariant derivative of a section along X vanishes",
-          _nabla_parallel, _fx_nabla_parallel)
-_register("theta_pi_parallel", "i(Theta)(D psi)^i (x) Pi(E_i) = 0", _theta_pi_parallel,
-          _fx_theta_pi)
+          _poisson_first_integrals)
+_register("frobenius_vector", "projected brackets of a distribution vanish", _frobenius_vector)
+_register("frobenius_pfaff", "d alpha ^ alpha_1 ^ ... ^ alpha_k = 0", _frobenius_pfaff)
+_register("nabla_parallel", "covariant derivative of a section along X vanishes", _nabla_parallel)
+_register("theta_pi_parallel", "i(Theta)(D psi)^i (x) Pi(E_i) = 0", _theta_pi_parallel)
 _register("autoparallel_valued_form", "i(tilde a^k)(D a)^m (x) phi(E_k, E_m) = 0",
-          _autoparallel_valued_form, _fx_autoparallel_valued_form)
-_register("autoparallel_vector", "u^s nabla_s u^m + Gamma^m_sn u^s u^n = 0",
-          _autoparallel_vector, _fx_autoparallel_vector)
-_register("null_autoparallel", "u^m (du)_mn = 0 with u of zero length",
-          _null_autoparallel, _fx_null_autoparallel)
-_register("mass_energy", "div(rho u) = 0 and div(rho u u) = 0", _mass_energy,
-          _fx_mass_energy)
-_register("maxwell_vacuum", "dF = 0 and d*F = 0 via the paired field", _maxwell_vacuum,
-          _fx_maxwell_vacuum)
-_register("maxwell_currents", "dF = m and d*F = j", _maxwell_currents,
-          _fx_maxwell_currents)
+          _autoparallel_valued_form)
+_register("autoparallel_vector", "u^s nabla_s u^m + Gamma^m_sn u^s u^n = 0", _autoparallel_vector)
+_register("null_autoparallel", "u^m (du)_mn = 0 with u of zero length", _null_autoparallel)
+_register("mass_energy", "div(rho u) = 0 and div(rho u u) = 0", _mass_energy)
+_register("maxwell_vacuum", "dF = 0 and d*F = 0 via the paired field", _maxwell_vacuum)
+_register("maxwell_currents", "dF = m and d*F = j", _maxwell_currents)
 _register("ext_maxwell_vacuum", "i(tilde F)dF = 0, i(tilde *F)d*F = 0, cross term = 0",
-          _ext_maxwell_vacuum, _fx_ext_maxwell_vacuum)
+          _ext_maxwell_vacuum)
 _register("ext_maxwell_currents", "field/current energy-momentum exchange system",
-          _ext_maxwell_currents, _fx_ext_maxwell_currents)
+          _ext_maxwell_currents)
 _register("pfaff_currents", "every current pair is a completely integrable Pfaff system",
-          _pfaff_currents, _fx_pfaff_currents)
-_register("yang_mills", "D*Omega = 0 for the curvature of a connection", _yang_mills,
-          _fx_yang_mills)
-_register("bianchi", "D Omega = 0", _bianchi, _fx_bianchi)
+          _pfaff_currents)
+_register("yang_mills", "D*Omega = 0 for the curvature of a connection", _yang_mills)
+_register("bianchi", "D Omega = 0", _bianchi)
 _register("ext_yang_mills_bracket", "i(tilde psi^i)(D psi)^m on bracket labels",
-          _ext_yang_mills_bracket, _fx_ext_ym_bracket)
+          _ext_yang_mills_bracket)
 _register("ext_yang_mills_diagonal",
           "each component conserves itself: i(tilde psi^i)(D psi)^i = 0",
-          _ext_yang_mills_diagonal, _fx_ext_ym_diagonal)
-_register("ext_yang_mills_sym", "pairwise exchange on symmetrized labels",
-          _ext_yang_mills_sym, _fx_ext_ym_sym)
-_register("ricci_flat", "Ricci tensor of the chart metric vanishes", _ricci_flat,
-          _fx_ricci_flat)
-_register("schrodinger", "i hbar d_t psi = H psi", _schrodinger, _fx_schrodinger)
-_register("dirac", "(i gamma^mu (d_mu - i e A_mu) + sign m) psi = 0", _dirac, _fx_dirac)
+          _ext_yang_mills_diagonal)
+_register("ext_yang_mills_sym", "pairwise exchange on symmetrized labels", _ext_yang_mills_sym)
+_register("ricci_flat", "Ricci tensor of the chart metric vanishes", _ricci_flat)
+_register("schrodinger", "i hbar d_t psi = H psi", _schrodinger)
+_register("dirac", "(i gamma^mu (d_mu - i e A_mu) + sign m) psi = 0", _dirac)
 
 
 def catalog_ids() -> List[str]:
@@ -1006,6 +594,26 @@ def build(id_: str, chart: Chart, **params) -> GrCondition:
     return cond
 
 
-def fixtures(id_: str) -> List[Fixture]:
-    """Named field configurations with known pass/fail verdicts."""
-    return get_entry(id_).fixture_factory()
+_PACKAGE = Path(__file__).parent
+
+
+def fixtures(id_: str) -> list:
+    """The entry's known cases, as ``dsl.BoundCheck``s with an expected
+    verdict: the checks of its shipped spec ``specs/<id>.grs``, then those
+    of ``cases/<id>.grs`` where the shipped spec lacks a case.  The two
+    texts bind as one document, so check names run on (``entry#3``)."""
+    from . import dsl  # dsl imports this module
+    get_entry(id_)
+    text = (_PACKAGE / "specs" / f"{id_}.grs").read_text(encoding="utf-8")
+    cases = _PACKAGE / "cases" / f"{id_}.grs"
+    if cases.exists():
+        text += "\n" + cases.read_text(encoding="utf-8")
+    checks, diags = dsl.load(text)
+    errors = [d.render() for d in diags if d.severity == "error"]
+    if errors:
+        raise GrsError(f"known cases of {id_}:\n" + "\n".join(errors))
+    unexpected = [c.name for c in checks if c.expect_pass is None]
+    if unexpected:
+        raise GrsError(f"known cases of {id_} without 'expect pass|fail': "
+                       + ", ".join(unexpected))
+    return checks

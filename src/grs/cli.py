@@ -59,8 +59,7 @@ def _apply_overrides(checks: List[dsl.BoundCheck], tol: Optional[float],
                 sample = replace(sample, counts=(points,) * len(sample.bounds))
         if seed is not None and sample.kind == "random":
             sample = replace(sample, seed=seed)
-        out.append(dsl.BoundCheck(c.name, c.entry, c.condition, sample,
-                                  tol if tol is not None else c.tol))
+        out.append(replace(c, sample=sample, tol=tol if tol is not None else c.tol))
     return out
 
 

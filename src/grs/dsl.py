@@ -31,7 +31,7 @@ from .valued import LieStructure, ValueSpace, ValuedForm, abelian
 KEYWORDS = {
     "chart", "metric", "diag", "matrix", "field", "form", "vector",
     "values", "algebra", "dim", "bracket", "check", "on", "tol",
-    "grid", "random", "seed",
+    "grid", "random", "seed", "expect",
 }
 
 _FUNCTIONS = {"sin": sin, "cos": cos, "exp": exp, "sqrt": sqrt, "bump": bump}
@@ -216,6 +216,7 @@ class CheckStmt:
     named: Tuple[Tuple[str, ArgValue], ...]
     sample: SampleAst
     tol: Optional[float]
+    expect: Optional[bool] = None  # the verdict a known case expects; verify ignores it
     line: int = 0
 
 
@@ -444,7 +445,15 @@ class _Parser:
         if self.peek().kind == "IDENT" and self.peek().text == "tol":
             self.next()
             tol = self.number()
-        return CheckStmt(entry, tuple(args), tuple(named), sample, tol,
+        expect = None
+        if self.peek().kind == "IDENT" and self.peek().text == "expect":
+            self.next()
+            t = self.peek()
+            if t.text not in ("pass", "fail"):  # only an IDENT spells either word
+                self.error("expected 'pass' or 'fail' after 'expect'")
+            self.next()
+            expect = t.text == "pass"
+        return CheckStmt(entry, tuple(args), tuple(named), sample, tol, expect,
                          line=t0.line)
 
     def arg_value(self) -> ArgValue:
@@ -659,11 +668,18 @@ def print_expr(e: ExprAst) -> str:
 
 @dataclass
 class BoundCheck:
+    """A runnable check, with the chart and the resolved parameters its
+    condition was built from and the verdict its ``expect`` clause names
+    (None without one); ``catalog.fixtures`` yields these as known cases."""
+
     name: str
     entry: str
     condition: GrCondition
     sample: SampleSet
     tol: float
+    chart: Chart
+    params: Dict[str, object]
+    expect_pass: Optional[bool]
 
 
 @dataclass(frozen=True)
@@ -925,7 +941,8 @@ class _Binder:
         self.entry_counts[st.entry] = k + 1
         name = st.entry if k == 0 else f"{st.entry}#{k + 1}"
         self.checks.append(BoundCheck(name, st.entry, cond, sample,
-                                      st.tol if st.tol is not None else DEFAULT_TOL))
+                                      st.tol if st.tol is not None else DEFAULT_TOL,
+                                      chart, params, st.expect))
 
 
 def bind_document(doc: SpecDocument,
@@ -957,7 +974,7 @@ def bind_expression(text: str,
     if ast is None:
         return None, diags
     b = _Binder(text.splitlines())
-    b.coords = Chart(coords, MetricSpec.diagonal([1.0] * len(coords))).coord_names
+    b.coords = catalog.euclidean(coords).coord_names
     try:
         return b.bind_expr(ast, 1), diags + b.diags
     except _Bail:

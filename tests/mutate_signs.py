@@ -53,7 +53,7 @@ TARGETS = (
     (Path("src/grs/valued.py"), ("lift_pointwise",)),
     (Path("src/grs/catalog.py"), ("_omega_matrix", "_poisson_first_integrals", "_mass_energy",
                                   "_maxwell_currents", "_ext_maxwell_currents",
-                                  "schwarzschild_chart", "soliton_field", "plane_wave_F")),
+                                  "schwarzschild_chart")),
     (Path("src/grs/dsl.py"), ("_Binder._vform",)),
     (Path("src/grs/scalar.py"), tuple(f"{c}._diff" for c in (
         "Add", "Sub", "Mul", "Div", "Pow", "Neg", "Sin", "Cos", "Exp", "Sqrt", "Bump"))

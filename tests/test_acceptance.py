@@ -63,7 +63,7 @@ def _run_fixture(cid, name, tol=None):
 
 def test_01_soliton_autoparallel(capsys):
     start = time.perf_counter()
-    rep = _run_fixture("autoparallel_vector", "soliton_half_c", tol=1e-9)
+    rep = _run_fixture("autoparallel_vector", "autoparallel_vector", tol=1e-9)
     elapsed = time.perf_counter() - start
     ok = rep.passed and rep.linf <= 1e-9 and elapsed < 5.0
     _announce(capsys, f"soliton autoparallel (linf={rep.linf:.2e}, "
@@ -71,7 +71,7 @@ def test_01_soliton_autoparallel(capsys):
 
 
 def test_02_null_autoparallel(capsys):
-    rep = _run_fixture("null_autoparallel", "light_speed_soliton", tol=1e-9)
+    rep = _run_fixture("null_autoparallel", "null_autoparallel", tol=1e-9)
     ok = (rep.norms["u.du"]["linf"] <= 1e-9
           and rep.norms["null_norm"]["linf"] <= 1e-12)
     _announce(capsys, f"null autoparallel (u.du={rep.norms['u.du']['linf']:.2e}, "
@@ -80,10 +80,10 @@ def test_02_null_autoparallel(capsys):
 
 def test_03_maxwell_consistency(capsys):
     sample = SampleSet.random_box([(-2, 2)] * 4, 1000, seed=7)
-    fx_m = _fixture("maxwell_vacuum", "plane_wave")
+    fx_m = _fixture("maxwell_vacuum", "maxwell_vacuum")
     rep_m = verify(build("maxwell_vacuum", fx_m.chart, **fx_m.params),
                    sample, 1e-10)
-    fx_e = _fixture("ext_maxwell_vacuum", "plane_wave")
+    fx_e = _fixture("ext_maxwell_vacuum", "ext_maxwell_vacuum")
     rep_e = verify(build("ext_maxwell_vacuum", fx_e.chart, **fx_e.params),
                    sample, 1e-9)
     labels_ok = (len(rep_e.norms) == 3
@@ -96,8 +96,8 @@ def test_03_maxwell_consistency(capsys):
 
 def test_04_ricci_flatness(capsys):
     start = time.perf_counter()
-    rep = _run_fixture("ricci_flat", "schwarzschild")  # M=1, 500 pts, r in [3,10]
-    flat = _run_fixture("ricci_flat", "flat", tol=0.0)
+    rep = _run_fixture("ricci_flat", "ricci_flat#4")  # M=1, 500 pts, r in [3,10]
+    flat = _run_fixture("ricci_flat", "ricci_flat#3", tol=0.0)
     # 2-sphere control: Ric equals the metric itself within 1e-8
     sph = sphere_chart()
     R = ricci(sph.metric)
@@ -118,8 +118,8 @@ def test_04_ricci_flatness(capsys):
 
 
 def test_05_dirac(capsys):
-    rep = _run_fixture("dirac", "rest_frame", tol=1e-12)
-    ctl = _run_fixture("dirac", "wrong_mass")
+    rep = _run_fixture("dirac", "dirac", tol=1e-12)
+    ctl = _run_fixture("dirac", "dirac#2")
     gammas = dirac_representation()
     eta = (-1.0, -1.0, -1.0, 1.0)
     eye = np.eye(4, dtype=complex)
@@ -145,8 +145,8 @@ def test_06_schrodinger(capsys):
     psi = exp(1j * (2.0 * xx - 2.0 * t))
     sample = SampleSet.random_box([(-2, 2), (-2, 2)], 200, seed=13)
     wave = verify(build("schrodinger", chart, psi=psi), sample, 1e-12)
-    ground = _run_fixture("schrodinger", "oscillator_ground", tol=1e-12)
-    ctl = _run_fixture("schrodinger", "wrong_dispersion")
+    ground = _run_fixture("schrodinger", "schrodinger#3", tol=1e-12)
+    ctl = _run_fixture("schrodinger", "schrodinger#2")
     ok = (wave.passed and ground.passed
           and not ctl.passed and abs(ctl.linf - 1.0) <= 1e-12)
     _announce(capsys, f"schrodinger (wave={wave.linf:.2e}, "
@@ -154,10 +154,10 @@ def test_06_schrodinger(capsys):
 
 
 def test_07_frobenius(capsys):
-    heis = _run_fixture("frobenius_vector", "heisenberg")
-    flat = _run_fixture("frobenius_vector", "coordinate_plane", tol=1e-12)
-    pf_pass = _run_fixture("frobenius_pfaff", "foliation", tol=1e-12)
-    pf_fail = _run_fixture("frobenius_pfaff", "heisenberg_dual")
+    heis = _run_fixture("frobenius_vector", "frobenius_vector#2")
+    flat = _run_fixture("frobenius_vector", "frobenius_vector", tol=1e-12)
+    pf_pass = _run_fixture("frobenius_pfaff", "frobenius_pfaff", tol=1e-12)
+    pf_fail = _run_fixture("frobenius_pfaff", "frobenius_pfaff#2")
     ok = (heis.linf == 1.0 and not heis.passed and flat.passed
           and pf_pass.passed == flat.passed
           and pf_fail.passed == heis.passed)

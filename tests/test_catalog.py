@@ -1,7 +1,11 @@
 import math
+import re
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import grs
 from grs.catalog import (
     build,
     catalog_ids,
@@ -10,6 +14,7 @@ from grs.catalog import (
     get_entry,
     minkowski,
 )
+from grs.diffops import d_form
 from grs.engine import DEFAULT_TOL, verify
 from grs.errors import (
     DegenerateFormError,
@@ -21,9 +26,58 @@ from grs.errors import (
     UnknownEntry,
 )
 from grs.exterior import form
+from grs.scalar import Program, as_expr, coord, sin
 
 
 ALL_IDS = catalog_ids()
+PACKAGE = Path(grs.__file__).parent
+
+# a readable name for each known case, in the order fixtures() yields them;
+# the verdict tests carry these names in their ids
+CASE_NAMES = {
+    "absolute_invariant": ("transverse_closed", "longitudinal"),
+    "autoparallel_valued_form": ("wave_pair", "sheared_field"),
+    "autoparallel_vector": ("soliton_half_c", "stretching"),
+    "bianchi": ("curvature_of_connection", "arbitrary_two_form"),
+    "dirac": ("rest_frame", "wrong_mass"),
+    "ext_maxwell_currents": ("vacuum_limit", "spurious_current"),
+    "ext_maxwell_vacuum": ("plane_wave", "sheared_field"),
+    "ext_yang_mills_bracket": ("equal_components", "unbalanced_exchange"),
+    "ext_yang_mills_diagonal": ("self_conserving", "leaking_component"),
+    "ext_yang_mills_sym": ("wave_pair", "sheared_component"),
+    "first_integral": ("rotation_invariant", "non_invariant"),
+    "frobenius_pfaff": ("foliation", "heisenberg_dual"),
+    "frobenius_vector": ("coordinate_plane", "heisenberg"),
+    "hamiltonian_field": ("oscillator_flow", "shear_flow"),
+    "mass_energy": ("comoving_density", "streamwise_density"),
+    "maxwell_currents": ("consistent_sources", "dropped_sources"),
+    "maxwell_vacuum": ("plane_wave", "sheared_field"),
+    "nabla_parallel": ("constant_section", "stretching_section"),
+    "null_autoparallel": ("light_speed_soliton", "sheared_flow", "timelike"),
+    "pfaff_currents": ("exact_currents", "contact_current"),
+    "poisson_first_integrals": ("dependent_integrals", "non_integral"),
+    "relative_invariant": ("closed_form", "transverse"),
+    "ricci_flat": ("schwarzschild_200", "two_sphere", "flat", "schwarzschild"),
+    "schrodinger": ("free_wave", "wrong_dispersion", "oscillator_ground"),
+    "symplectic_closed": ("canonical", "non_closed"),
+    "theta_pi_parallel": ("closed_component", "open_component"),
+    "yang_mills": ("single_direction_wave", "generic_connection"),
+}
+
+
+def known_cases():
+    """pytest params (entry id, fixture) for every known case, with the
+    case's name in the test id."""
+    for cid in ALL_IDS:
+        cases = fixtures(cid)
+        assert len(cases) == len(CASE_NAMES[cid]), cid
+        for name, fx in zip(CASE_NAMES[cid], cases):
+            yield pytest.param(cid, fx, id=f"{cid}-{name}")
+
+
+def _plane_wave(chart):
+    """F = d(sin(z - xi) dx): a closed plane wave, with d*F = 0 on Minkowski."""
+    return d_form(form(chart, 1, {(0,): sin(coord(2) - coord(3))}))
 
 
 def test_catalog_is_sorted_and_complete():
@@ -91,19 +145,25 @@ def test_theta_pi_must_be_a_projection():
     build("theta_pi_parallel", fx.chart, **dict(fx.params, pi=[[0.5, 0.5], [0.5, 0.5]]))
 
 
-def _cases():
-    for cid in ALL_IDS:
-        for fx in fixtures(cid):
-            yield pytest.param(cid, fx, id=f"{cid}-{fx.name}")
-
-
-@pytest.mark.parametrize("cid,fx", list(_cases()))
+@pytest.mark.parametrize("cid,fx", list(known_cases()))
 def test_fixture_verdicts(cid, fx):
-    """Every shipped fixture reproduces its expected verdict."""
+    """Every known case reproduces its expected verdict."""
     cond = build(cid, fx.chart, **fx.params)
-    rep = verify(cond, fx.sample, fx.tol if fx.tol is not None else DEFAULT_TOL)
+    rep = verify(cond, fx.sample, fx.tol)
     assert rep.passed == fx.expect_pass, (
         f"{cid}/{fx.name}: linf={rep.linf:.3e}")
+
+
+def test_every_spec_text_is_package_data():
+    """An installed grs keeps each .grs file under its package directory,
+    so it keeps every known case."""
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    pyproject = tomllib.loads((PACKAGE.parents[1] / "pyproject.toml").read_text())
+    patterns = pyproject["tool"]["setuptools"]["package-data"]["grs"]
+    shipped = {p for pattern in patterns for p in PACKAGE.glob(pattern)}
+    texts = set(PACKAGE.rglob("*.grs"))
+    assert {p.parent.name for p in texts} == {"specs", "cases"}
+    assert texts <= shipped
 
 
 def test_each_entry_ships_pass_and_fail_fixtures():
@@ -173,26 +233,25 @@ def test_wedge_entries_reject_a_chart_too_small():
 
 
 def test_a_form_on_another_chart_is_rejected():
-    from grs.catalog import plane_wave_F
     from grs.exterior import COV, multivector
     from grs.valued import ValuedForm, ValueSpace, su2
     flat4 = euclidean(("x", "y", "z", "xi"))
     mink = minkowski()
     # judged on its own chart, this wave would pass on Minkowski
     with pytest.raises(ParameterError, match="'F' lives on another chart than the entry's"):
-        build("maxwell_vacuum", flat4, F=plane_wave_F(mink))
+        build("maxwell_vacuum", flat4, F=_plane_wave(mink))
     omega = ValuedForm.from_components(mink, 1, COV, ValueSpace(("e1", "e2", "e3"), lie=su2()),
                                        {((0,), "e1"): 1.0})
     with pytest.raises(ParameterError, match="'omega' lives on another chart"):
         build("yang_mills", flat4, omega=omega)
-    pair = ValuedForm(ValueSpace(("e1", "e2")), [plane_wave_F(mink), form(mink, 2, {})])
+    pair = ValuedForm(ValueSpace(("e1", "e2")), [_plane_wave(mink), form(mink, 2, {})])
     with pytest.raises(ParameterError, match="'theta' lives on another chart"):
         build("theta_pi_parallel", mink, psi=pair, theta=multivector(flat4, 1, {(0,): 1.0}),
               pi=[1.0, 0.0])
     # the same wave built on the entry's chart is checked there
     sample = fixtures("maxwell_vacuum")[0].sample
-    assert not verify(build("maxwell_vacuum", flat4, F=plane_wave_F(flat4)), sample).passed
-    assert verify(build("maxwell_vacuum", mink, F=plane_wave_F(mink)), sample).passed
+    assert not verify(build("maxwell_vacuum", flat4, F=_plane_wave(flat4)), sample).passed
+    assert verify(build("maxwell_vacuum", mink, F=_plane_wave(mink)), sample).passed
 
 
 def test_poisson_bracket_keeps_its_label_through_the_pairing():
@@ -251,25 +310,31 @@ def test_schwarzschild_chart_is_the_textbook_metric():
 
 
 def test_soliton_field_is_the_boosted_profile():
-    """exp(-x^2 - y^2) bump(alpha (z - v xi)) with alpha = 1/sqrt(1 - v^2)."""
-    from grs.catalog import soliton_field
-    from grs.scalar import bump, const
-    v = 0.6  # alpha = 1.25
-    for x, y, z, xi in [(0.3, -0.5, 0.2, -0.4), (-0.7, 0.1, 0.5, 0.6)]:
-        want = math.exp(-x * x - y * y) * bump(const(1.25 * (z - v * xi))).ev(())
-        assert soliton_field(v).ev((x, y, z, xi)) == pytest.approx(want, rel=1e-14)
+    """Each soliton in spec text is exp(-(x^2 + y^2)) bump(alpha (z - 0.5 xi)),
+    alpha = 1/sqrt(1 - 0.5^2) written one ulp below the float Python computes."""
+    alpha = 1.0 / math.sqrt(1.0 - 0.5 ** 2)
+    assert alpha == 1.1547005383792517
+    soliton = re.compile(r"= exp\(-\(x\^2 \+ y\^2\)\) \* bump\(([\d.]+) \* \(z - 0\.5\*xi\)\)")
+    for path in ("specs/autoparallel_vector.grs", "specs/mass_energy.grs",
+                 "cases/null_autoparallel.grs"):
+        assert soliton.findall((PACKAGE / path).read_text()) == ["1.1547005383792515"], path
+    assert 1.1547005383792515 == pytest.approx(alpha, rel=1e-15)
+    assert math.nextafter(1.1547005383792515, 2.0) == alpha
 
 
 def test_plane_wave_travels_toward_plus_z():
-    """F = d(sin(z - xi) dx) depends on z - xi only."""
-    from grs.catalog import plane_wave_F
-    F = plane_wave_F(minkowski())
-    for pt in [(0.1, 0.2, 0.3, 0.4), (0.0, -1.0, 1.1, -0.6)]:
-        shifted = (pt[0], pt[1], pt[2] + 0.5, pt[3] + 0.5)
-        here, there = F.ev(pt).components, F.ev(shifted).components
-        assert here.keys() == there.keys() == {(0, 2), (0, 3)}
-        for key in here:
-            assert here[key] == pytest.approx(there[key], abs=1e-15)
+    """Each shipped F is d(sin(z - xi) dx) at its sample points, and depends
+    on z - xi only."""
+    keys = [(0, 2), (0, 3)]
+    for cid in ("maxwell_vacuum", "ext_maxwell_vacuum", "ext_maxwell_currents"):
+        fx = fixtures(cid)[0]
+        F, want = fx.params["F"], _plane_wave(fx.chart)
+        assert sorted(F.components) == sorted(want.components) == keys, cid
+        pts = fx.sample.array()
+        here = Program([as_expr(F.components[k]) for k in keys]).at(pts)
+        assert np.abs(here - Program([want.components[k] for k in keys]).at(pts)).max() <= 1e-15
+        there = Program([as_expr(F.components[k]) for k in keys]).at(pts + [0, 0, 0.5, 0.5])
+        assert np.abs(here - there).max() <= 1e-15, cid
 
 
 class TestChartsCompareByValue:
@@ -281,8 +346,7 @@ class TestChartsCompareByValue:
         assert hash(minkowski()) == hash(minkowski())
 
     def test_maxwell_on_a_second_minkowski_call_passes(self):
-        from grs.catalog import plane_wave_F
-        cond = build("maxwell_vacuum", minkowski(), F=plane_wave_F(minkowski()))
+        cond = build("maxwell_vacuum", minkowski(), F=_plane_wave(minkowski()))
         assert verify(cond, fixtures("maxwell_vacuum")[0].sample).passed
 
     def test_wedge_of_forms_on_two_minkowski_calls(self):
@@ -293,11 +357,10 @@ class TestChartsCompareByValue:
         assert set(wedge(a, b).components) == {(0, 1)}
 
     def test_minkowski_named_euclidean_chart_is_rejected(self):
-        from grs.catalog import plane_wave_F
         flat4 = euclidean(("x", "y", "z", "xi"))
         assert flat4 != minkowski()
         with pytest.raises(ParameterError, match="'F' lives on another chart"):
-            build("maxwell_vacuum", minkowski(), F=plane_wave_F(flat4))
+            build("maxwell_vacuum", minkowski(), F=_plane_wave(flat4))
 
 
 def test_yang_mills_rejects_structure_constants_that_break_jacobi():
@@ -334,11 +397,8 @@ def test_ext_maxwell_currents_subtracts_the_j4_term():
     # the plane wave solves the vacuum system, so with J1 = J2 = J3 = 0 the
     # middle slice is -i(J4~) *F alone; J4 = dy, since i(d/dx) kills *F here
     import itertools
-    import numpy as np
-    from grs.catalog import plane_wave_F
-    from grs.scalar import Program, as_expr
     chart = minkowski()
-    F = plane_wave_F(chart)
+    F = _plane_wave(chart)
     zero = form(chart, 1, {})
     cond = build("ext_maxwell_currents", chart, F=F, J1=zero, J2=zero, J3=zero,
                  J4=form(chart, 1, {(1,): 1.0}))

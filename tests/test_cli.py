@@ -1,5 +1,6 @@
 import argparse
 import json
+import re
 import time
 from pathlib import Path
 
@@ -78,6 +79,13 @@ class TestVerify:
         p.write_text("chart R1 (x) metric diag(1)\nfield f = 2 +\n")
         assert main(["verify", str(p)]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_expect_of_another_word_exits_two(self, tmp_path, capsys):
+        p = tmp_path / "maybe.grs"
+        p.write_text(PASSING_SPEC.replace("seed 13)", "seed 13) expect maybe"))
+        assert main(["verify", str(p)]) == 2
+        assert ("error: expected 'pass' or 'fail' after 'expect' (line 4, col 74)"
+                in capsys.readouterr().err)
 
     def test_bad_tol_exits_two(self, passing_spec, capsys):
         assert main(["verify", passing_spec, "--tol", "0"]) == 2
@@ -416,6 +424,19 @@ def test_every_shipped_spec_shows_a_pass_and_a_fail(spec, capsys):
     assert main(["verify", str(SPEC_DIR / spec), "--json"]) == 1
     verdicts = [c["pass"] for c in json.loads(capsys.readouterr().out)["checks"]]
     assert True in verdicts and False in verdicts
+
+
+@pytest.mark.parametrize("spec", sorted(p.name for p in SPEC_DIR.glob("*.grs")))
+def test_verify_ignores_the_expect_clauses(spec, tmp_path, capsys):
+    text = (SPEC_DIR / spec).read_text()
+    stripped = re.sub(r" expect (pass|fail)$", "", text, flags=re.M)
+    assert "expect" not in stripped and stripped.count("\ncheck ") == text.count(" expect ")
+    (tmp_path / spec).write_text(stripped)
+    runs = []
+    for path in (SPEC_DIR / spec, tmp_path / spec):
+        code = main(["verify", str(path)])
+        runs.append((code, capsys.readouterr().out))
+    assert runs[0] == runs[1]
 
 
 class TestSharedParser:

@@ -546,3 +546,37 @@ class TestParameterSchema:
     def test_unknown_named_parameter(self):
         errors = self._errors(self.R2 + f"check first_integral(X, r2, g=r2) on {self.SAMPLE2}\n")
         assert errors and "unknown parameter 'g'" in errors[0].message
+
+
+class TestExpectClause:
+    """``expect pass|fail`` closes a check line: the verdict a known case
+    expects, which the bound check carries and ``grs verify`` ignores."""
+
+    CHECK = "check first_integral(X, r2) on random(-2..2, -2..2; 10, seed 13)"
+    R2 = ("chart R2 (x, y) metric diag(1, 1)\n"
+          "vector X : 1 = -y * dx + x * dy\nfield r2 = x^2 + y^2\n")
+
+    def test_pass_and_fail_parse(self):
+        text = self.R2 + "".join(f"{self.CHECK}{clause}\n" for clause in
+                                 (" tol 1e-6 expect pass", " expect fail", ""))
+        checks, diags = dsl.load(text)
+        assert not diags
+        assert [c.expect_pass for c in checks] == [True, False, None]
+        assert checks[0].tol == 1e-6
+
+    def test_another_word_is_a_diagnostic_at_the_word(self):
+        line = self.CHECK + " expect maybe"
+        checks, diags = dsl.load(self.R2 + line + "\n")
+        assert checks == []
+        assert [(d.message, d.line, d.column) for d in diags] == [
+            ("expected 'pass' or 'fail' after 'expect'", 4, line.index("maybe") + 1)]
+
+    def test_fixtures_need_an_expected_verdict(self, tmp_path, monkeypatch):
+        from grs import catalog
+        (tmp_path / "specs").mkdir()
+        text = (SPEC_DIR / "first_integral.grs").read_text()
+        (tmp_path / "specs" / "first_integral.grs").write_text(text.replace(" expect fail", ""))
+        monkeypatch.setattr(catalog, "_PACKAGE", tmp_path)
+        with pytest.raises(catalog.GrsError, match=r"without 'expect pass\|fail': "
+                                                   r"first_integral#2$"):
+            catalog.fixtures("first_integral")

@@ -132,7 +132,7 @@ def test_rational_fixtures_are_exact_zeros_iff_expected_to_pass():
         zero = exact_zero(build(cid, fx.chart, **fx.params).roots(), fx.chart.dim, rng)
         if zero is not None:
             judged.append((cid, fx.name, zero, fx.expect_pass))
-    assert len(judged) == 32
+    assert len(judged) == 33
     assert [j for j in judged if j[2] != j[3]] == []
 
 

@@ -15,8 +15,8 @@ from grs.catalog import build, catalog_ids, fixtures
 from grs.scalar import Program
 from test_scalar import _op_list_digest
 
-FIXTURE_COUNT = 56
-TREES_DIGEST = "9459696d718d7b821d7f4d1225751b7f4d2e83656a94bb425a7add6511ef85ac"
+FIXTURE_COUNT = 58
+TREES_DIGEST = "ee8eee150add9d00643c4a68c26c85e6c27fd72c55449390b9437878d1ccbf1c"
 
 
 def trees_digest():

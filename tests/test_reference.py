@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grs import engine
-from grs.catalog import build, catalog_ids, fixtures, schwarzschild_chart
+from grs.catalog import build, schwarzschild_chart
 from grs.engine import GrCondition, verify
 from grs.errors import DomainError, EvalSingularity
 from grs.exterior import Chart, MetricSpec, form
@@ -26,6 +26,7 @@ from grs.scalar import (
     Add, Bump, Const, Coord, Cos, Div, Exp, Expr, Mul, Neg, Pow, Program,
     SampleSet, Sin, Sqrt, Sub, coord, exp, sin, sqrt,
 )
+from test_catalog import known_cases
 
 _FLOOR = 1e-300
 _BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv}
@@ -102,13 +103,7 @@ def _check_row(want, values, singular):
     # overflow in the reference: the program carries inf/nan instead
 
 
-def _catalog_cases():
-    for cid in catalog_ids():
-        for fx in fixtures(cid):
-            yield pytest.param(cid, fx, id=f"{cid}-{fx.name}")
-
-
-@pytest.mark.parametrize("cid,fx", list(_catalog_cases()))
+@pytest.mark.parametrize("cid,fx", list(known_cases()))
 def test_catalog_residuals_match_reference(cid, fx):
     roots = build(cid, fx.chart, **fx.params).roots()
     pts = fx.sample.array()
