@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DegreeError, DimensionError, NonIdempotentProjection, StepError
+from .errors import DegreeError, DimensionError, DomainError, NonIdempotentProjection, StepError
 from .exterior import (
     COV,
     AlternatingTensor,
@@ -325,6 +325,8 @@ def dirac_residual(psi: Sequence[Expr], mass: float = 1.0, sign: int = -1,
 def geodesic_integrate(gamma, x0: Sequence[float], u0: Sequence[float],
                        steps: int, ds: float) -> Tuple[np.ndarray, np.ndarray]:
     """Classical RK4 on x' = u, u' = -Gamma(u, u); returns (xs, us)."""
+    if not isinstance(steps, int) or steps < 0:
+        raise DomainError(f"steps must be a non-negative int, got {steps!r}")
     n = len(x0)
     terms = [(l, m, nu) for l in range(n) for m in range(n) for nu in range(n)
              if not is_zero(as_expr(gamma[l][m][nu]))]

@@ -12,9 +12,9 @@ takes its children's derivatives from ``Expr.diff``, so a subtree shared
 by many parents (the metric inverse under every Christoffel symbol, say)
 is differentiated once and its derivative is one shared object.  Since a
 tree never changes, a cached derivative cannot go stale.  The derivative
-of ``exp(a)`` or ``sqrt(a)`` refers back to its own node, so such a node
-and its cache form a reference cycle, which the cyclic garbage collector
-frees like any other.
+of ``exp(a)`` refers back to its own node, so such a node and its cache
+form a reference cycle, which the cyclic garbage collector frees like any
+other.
 
 Evaluation goes through one path: a ``Program`` compiles a list of root
 expressions in one walk to the columns of a deduplicated, topologically
@@ -28,10 +28,13 @@ results match a pointwise ``cmath`` evaluation up to the last bits of
 real ``pow``; on finite operands, addition, subtraction, multiplication,
 division and negation equal Python ``complex`` arithmetic bit for bit,
 and ``sin``, ``cos`` and ``exp`` of a real operand equal ``math``'s.
+Every power and root is a ``Pow`` node, ``sqrt(a)`` being ``a ** (1/2)``,
+and ``pow_`` folds a constant power with the node's kernel, ``_power``,
+so a folded power equals what its node evaluates to.
 
 Point policy: a division or negative power whose operand has magnitude
-below ``_DIV_FLOOR`` marks the point *singular*; ``sqrt`` or a
-half-integer power of a negative real raises ``DomainError``, but only
+below ``_DIV_FLOOR`` marks the point *singular*; a half-integer power
+(``sqrt`` included) of a negative real raises ``DomainError``, but only
 at points that are not singular; the error names the first such point.
 Points a sample set excludes are dropped before they are evaluated.
 """
@@ -209,6 +212,11 @@ def _ipow(x, n: int):
     return r if n > 0 else _cdiv(_ONE, r)
 
 
+def _power(x, e: Fraction):
+    """x**e, e an integer or half-integer: the principal root, then ``_ipow``."""
+    return _ipow(np.sqrt(x) if e.denominator == 2 else x, e.numerator)
+
+
 def _libm(f, v):
     """f on complex input, which numpy hands to the C library's c-functions.
 
@@ -356,7 +364,7 @@ class Pow(Expr):
     """Integer or half-integer power.  Exponent kept exact as a Fraction.
 
     A half-integer power n/2 is evaluated as (sqrt a)**n, the principal
-    branch of a**(n/2).
+    branch of a**(n/2); ``sqrt(a)`` is the power 1/2.
     """
 
     __slots__ = ("a", "exponent")
@@ -380,8 +388,7 @@ class Pow(Expr):
             blk.flag_small(a)
         if e.denominator == 2:
             blk.flag_negative(a, "negative base {} under half-integer power " + str(e))
-            a = np.sqrt(a)
-        return _ipow(a, e.numerator)
+        return _power(a, e)
 
     def __repr__(self):
         return f"Pow({self.a!r}, {self.exponent})"
@@ -442,18 +449,6 @@ class Exp(_Unary):
     @staticmethod
     def _eval(blk, _p, a, _b):
         return _libm(np.exp, a)
-
-
-class Sqrt(_Unary):
-    __slots__ = ()
-
-    def _diff(self, axis):
-        return div(self.a.diff(axis), mul(Const(2.0), self))
-
-    @staticmethod
-    def _eval(blk, _p, a, _b):
-        blk.flag_negative(a, "sqrt of negative real {}")
-        return np.sqrt(a)
 
 
 class Bump(Expr):
@@ -749,15 +744,14 @@ def pow_(a: Expr, exponent) -> Expr:
         return ONE
     if e == 1:
         return a
-    va = _const_val(a)
-    if va is not None and not (va == 0 and e < 0):
-        try:
-            if e.denominator == 1:
-                return Const(va ** int(e))
-            if not (va.imag == 0.0 and va.real < 0):
-                return Const(va ** float(e))
-        except OverflowError:
-            pass  # left unfolded: the node evaluates to an infinity
+    if type(a) is Const:
+        # folded by the node's own kernel; a zero base under a negative
+        # power (inf), a negative real under a half-integer one (NaN) and
+        # an overflow stay a node, which marks or rejects the point
+        with np.errstate(all="ignore"):
+            v = _power(a._parts()[1], e)
+        if np.isfinite(v):
+            return Const(v)
     return Pow(a, e)
 
 
@@ -774,7 +768,7 @@ def exp(a) -> Expr:
 
 
 def sqrt(a) -> Expr:
-    return Sqrt(as_expr(a))
+    return pow_(as_expr(a), Fraction(1, 2))
 
 
 def bump(a) -> Expr:
@@ -796,8 +790,8 @@ def const(v) -> Expr:
 
 def fd_diff(e: Expr, axis: int, pt: Sequence[float], h: float = 1e-3) -> complex:
     """4th-order central difference; independent cross-check for ``diff``."""
-    if h <= 0:
-        raise DomainError("step must be positive")
+    if not 0 < h < math.inf:
+        raise DomainError(f"step must be positive and finite, got {h!r}")
     pts = np.tile(np.asarray(pt, dtype=float), (4, 1))
     pts[:, axis] += [2 * h, h, -h, -2 * h]
     f2, f1, m1, m2 = Program([e]).at(pts)[0].tolist()

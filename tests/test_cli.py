@@ -521,6 +521,14 @@ class TestEval:
         assert main(["eval", expr, "--at", "x=1"]) == 0
         assert capsys.readouterr().out == f"{printed}\n"
 
+    @pytest.mark.parametrize("constant,power,at", [
+        ("3^2.5", "x^2.5", "x=3"), ("1.1^101", "x^101", "x=1.1")])
+    def test_constant_power_prints_as_its_node_evaluates(self, constant, power, at, capsys):
+        assert main(["eval", constant, "--at", at]) == 0
+        folded = capsys.readouterr().out
+        assert main(["eval", power, "--at", at]) == 0
+        assert capsys.readouterr().out == folded
+
     @pytest.mark.parametrize("expr", ["x^1e400", "x^-1e400", "2^(-1e400)"])
     def test_non_finite_exponent_exits_two(self, expr, capsys):
         assert main(["eval", expr, "--at", "x=2"]) == 2
@@ -583,6 +591,19 @@ def test_operator_parameter_out_of_range_exits_two(tmp_path, spec, old, new, mes
     assert captured.out == ""
     entry = spec.removesuffix(".grs")
     assert captured.err.splitlines()[0] == f"error: {entry}: {message} (line {line}, col 1)"
+
+
+def test_sqrt_parameter_binds_like_a_half_power(tmp_path, capsys):
+    # sqrt(2) folds to the constant 2^0.5 folds to, so both are a real hbar
+    text = (SPEC_DIR / "schrodinger.grs").read_text()
+    p = tmp_path / "schrodinger.grs"
+    runs = []
+    for hbar in ("sqrt(2)", "2^0.5"):
+        p.write_text(text.replace("schrodinger(pw)", f"schrodinger(pw, hbar={hbar})"))
+        code = main(["verify", str(p), "--json"])
+        runs.append((code, capsys.readouterr()))
+    assert runs[0] == runs[1]
+    assert runs[0][1].err == "" and len(json.loads(runs[0][1].out)["checks"]) == 2
 
 
 @pytest.mark.parametrize("spec, argv, code, out, err", [

@@ -30,6 +30,7 @@ from grs.engine import verify
 from grs.errors import (
     DegreeError,
     DimensionError,
+    DomainError,
     NonIdempotentProjection,
     StepError,
 )
@@ -588,6 +589,11 @@ class TestGeodesics:
         gam = [[[as_expr(-1.0)]]]
         with pytest.raises(StepError):
             geodesic_integrate(gam, (0.0,), (1.0,), 5000, 0.1)
+
+    @pytest.mark.parametrize("steps", [-1, -3, 2.5])
+    def test_bad_step_count_rejected(self, steps):
+        with pytest.raises(DomainError, match="steps must be a non-negative int"):
+            geodesic_integrate([[[ZERO]]], (0.0,), (1.0,), steps, 0.1)
 
 
 def test_inclined_great_circle_converges_at_fourth_order(sphere):

@@ -193,7 +193,7 @@ class TestBlockSize:
 
         first = next(v for v in (0.9 - u for (u,) in sample.array().tolist()) if v < 0)
         messages = self._each_block_size(monkeypatch, cond, run)
-        assert messages == [f"sqrt of negative real {first}"] * 3
+        assert messages == [f"negative base {first} under half-integer power 1/2"] * 3
 
     def test_blocks_the_predicate_empties_are_not_run(self, monkeypatch):
         cond = _condition("gaps", ("a", sin(3 * x) * y))

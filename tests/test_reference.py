@@ -24,7 +24,7 @@ from grs.errors import DomainError, EvalSingularity
 from grs.exterior import Chart, MetricSpec, form
 from grs.scalar import (
     Add, Bump, Const, Coord, Cos, Div, Exp, Expr, Mul, Neg, Pow, Program,
-    SampleSet, Sin, Sqrt, Sub, coord, exp, sin, sqrt,
+    SampleSet, Sin, Sub, coord, exp, sin, sqrt,
 )
 from test_catalog import known_cases
 
@@ -57,11 +57,6 @@ def ref_eval(e, pt, memo):
         if ex.denominator == 2 and a.imag == 0.0 and a.real < 0.0:
             raise DomainError(f"negative base {a.real} under half-integer power {ex}")
         v = a ** (int(ex) if ex.denominator == 1 else float(ex))
-    elif t is Sqrt:
-        a = ref_eval(e.a, pt, memo)
-        if a.imag == 0.0 and a.real < 0.0:
-            raise DomainError(f"sqrt of negative real {a.real}")
-        v = cmath.sqrt(a)
     elif t is Bump:
         s = ref_eval(e.a, pt, memo).real
         w = 1.0 - s * s
@@ -130,7 +125,7 @@ _leaves = st.one_of(
 def _extend(kids):
     return st.one_of(
         *[st.builds(cls, kids, kids) for cls in (Add, Sub, Mul, Div)],
-        *[st.builds(cls, kids) for cls in (Neg, Sin, Cos, Exp, Sqrt)],
+        *[st.builds(cls, kids) for cls in (Neg, Sin, Cos, Exp, sqrt)],
         st.builds(Pow, kids, st.sampled_from(_EXPONENTS)),
         st.builds(Bump, kids, st.integers(0, 2)),
     )
@@ -335,7 +330,7 @@ def _one_of_each():
         Const(1.5), Const(0.5 - 2j), x,
         Add(x, y), Sub(x, s), Mul(s, y), Div(s, Add(y, Const(3.0))), Neg(s),
         Pow(s, Fraction(3)), Pow(Add(y, Const(3.0)), Fraction(-3, 2)),
-        Sin(s), Cos(x), Exp(s), Sqrt(Add(y, Const(3.0))),
+        Sin(s), Cos(x), Exp(s), sqrt(Add(y, Const(3.0))),
         Bump(x, 0), Bump(Mul(Const(0.5), y), 1), Bump(x, 2),
     ]
 

@@ -1,6 +1,7 @@
 import cmath
 import gc
 import hashlib
+import itertools
 import math
 from fractions import Fraction
 
@@ -64,6 +65,27 @@ def test_constant_power_that_overflows_stays_a_power(base, exponent, value):
     assert e.ev(()) == value
 
 
+# a power folded at build time equals what its node evaluates to; the
+# exponents include |n| > 100, where Python's complex ** goes polar
+_FOLD_BASES = [2, 3, 7, 1.1, 0.9, 1e-5, 123.456, -2, 1j, 1 + 2j, -0.5 + 0.1j]
+_FOLD_EXPONENTS = [Fraction(k, 2) for k in range(-9, 10)] + [Fraction(k) for k in (-101, 101, 150)]
+
+
+def test_constant_power_folds_to_what_its_node_evaluates_to():
+    kept = []
+    for b, e in itertools.product(_FOLD_BASES, _FOLD_EXPONENTS):
+        folded = const(b) ** e
+        if isinstance(folded, Pow):
+            kept.append((b, e))
+            continue
+        (node,), _ = Program([Pow(const(b), e)]).run(np.zeros((1, 0)))
+        z = complex(node[0])
+        assert _bits([folded.value.real, folded.value.imag]) == _bits([z.real, z.imag]), (b, e)
+    # two overflows and a negative real under a half-integer power
+    assert kept == [(1e-5, -101), (123.456, 150)] + [
+        (-2, Fraction(k, 2)) for k in range(-9, 10, 2)]
+
+
 def test_arithmetic_eval():
     e = (x + 2 * y) / (1 + x * x)
     assert e.ev((1.0, 3.0)) == pytest.approx(3.5)
@@ -84,6 +106,10 @@ def as_frac_third():
     from fractions import Fraction
 
     return Fraction(1, 3)
+
+
+def test_sqrt_is_the_half_power():
+    assert intern_ops([sqrt(x)]) == intern_ops([x ** Fraction(1, 2)])
 
 
 def test_sqrt_negative_real_raises():
@@ -347,6 +373,12 @@ def test_fd_convergence_is_fourth_order():
 def test_fd_step_must_be_positive():
     with pytest.raises(DomainError, match="step must be positive"):
         fd_diff(sin(x), 0, (0.5,), h=0)
+
+
+@pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf])
+def test_fd_step_must_be_finite(h):
+    with pytest.raises(DomainError, match="step must be positive and finite"):
+        fd_diff(sin(x), 0, (0.5,), h=h)
 
 
 def _bits(values):
