@@ -15,10 +15,9 @@ runs, the DSL binder maps positional arguments with it and
 import inspect
 import math
 import numbers
-from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .diffops import (
     check_idempotent,
@@ -135,8 +134,7 @@ def _probe_points(n: int):
 # parameter kinds
 
 
-@dataclass(frozen=True)
-class Kind:
+class Kind(NamedTuple):
     """What a catalog parameter accepts.
 
     ``text`` names the kind in ``grs catalog`` signatures, ``noun`` in
@@ -148,8 +146,8 @@ class Kind:
 
     text: str
     noun: str
-    accepts: Callable[[object, Chart], bool] = field(compare=False)
-    convert: Callable[[object, Chart], object] = field(default=lambda v, _c: v, compare=False)
+    accepts: Callable[[object, Chart], bool]
+    convert: Callable[[object, Chart], object] = lambda v, _c: v
     words: Tuple[str, ...] = ()
 
 
@@ -455,8 +453,7 @@ def _dirac(chart, psi: SPINOR, m: REAL = 1.0, sign: SIGN = -1, A: ONE_FORM = Non
 # registry
 
 
-@dataclass(frozen=True)
-class Param:
+class Param(NamedTuple):
     """One entry parameter, as its builder's signature declares it."""
 
     name: str
@@ -481,11 +478,12 @@ class Param:
         return self.kind.convert(value, chart)
 
 
-@dataclass(frozen=True)
 class CatalogEntry:
-    id: str
-    description: str
-    builder: Callable = field(compare=False)
+    """A registered entry; its ``params`` are read from ``builder`` on first
+    use and kept in the instance dict, so the class has no ``__slots__``."""
+
+    def __init__(self, id_: str, description: str, builder: Callable):
+        self.id, self.description, self.builder = id_, description, builder
 
     @cached_property
     def params(self) -> Tuple[Param, ...]:

@@ -11,12 +11,12 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import replace
 from typing import List, Optional
 
 from . import catalog, dsl
 from .engine import verify
 from .errors import GrsError
+from .scalar import SampleSet
 
 
 @functools.cache
@@ -49,17 +49,17 @@ def _build_argparser() -> argparse.ArgumentParser:
 
 def _apply_overrides(checks: List[dsl.BoundCheck], tol: Optional[float],
                      points: Optional[int], seed: Optional[int]) -> List[dsl.BoundCheck]:
+    """The checks with the overrides applied; each sample set is made anew,
+    so its constructor checks the overridden fields."""
     out = []
     for c in checks:
-        sample = c.sample
-        if points is not None:
-            if sample.kind == "random":
-                sample = replace(sample, count=points)
-            else:
-                sample = replace(sample, counts=(points,) * len(sample.bounds))
-        if seed is not None and sample.kind == "random":
-            sample = replace(sample, seed=seed)
-        out.append(replace(c, sample=sample, tol=tol if tol is not None else c.tol))
+        s = c.sample
+        if s.kind == "random":
+            s = SampleSet("random", s.bounds, count=s.count if points is None else points,
+                          seed=s.seed if seed is None else seed, exclude=s.exclude)
+        elif points is not None:
+            s = SampleSet("grid", s.bounds, counts=(points,) * len(s.bounds), exclude=s.exclude)
+        out.append(c._replace(sample=s, tol=tol if tol is not None else c.tol))
     return out
 
 

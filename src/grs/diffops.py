@@ -328,6 +328,10 @@ def geodesic_integrate(gamma, x0: Sequence[float], u0: Sequence[float],
     if not isinstance(steps, int) or steps < 0:
         raise DomainError(f"steps must be a non-negative int, got {steps!r}")
     n = len(x0)
+    if len(u0) != n:
+        raise DimensionError(f"u0 has {len(u0)} component(s); x0 has {n}")
+    if len(gamma) != n or any(len(g) != n or any(len(r) != n for r in g) for g in gamma):
+        raise DimensionError(f"gamma must be {n}x{n}x{n}, as x0 has {n} component(s)")
     terms = [(l, m, nu) for l in range(n) for m in range(n) for nu in range(n)
              if not is_zero(as_expr(gamma[l][m][nu]))]
     prog = Program([as_expr(gamma[l][m][nu]) for l, m, nu in terms])

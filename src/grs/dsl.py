@@ -2,10 +2,12 @@
 
 ``tokenize`` splits each line with one regular expression, ``_TOKEN``:
 names, numbers, ``..``, ``^w`` and one-character symbols, skipping blanks
-and ``#`` comments.  Documents parse to an AST with structural equality,
-but ``==`` and ``hash`` recurse once per nesting level, so a long field
-(1,500 terms) raises RecursionError: the binder and the round-trip tests
-compare expressions by ``print_expr`` instead.  ``bind_document``
+and ``#`` comments.  Documents parse to an AST of ``NamedTuple`` nodes:
+a node equals any tuple of the same fields, a plain one or a node of
+another type.  ``hash`` takes any document, but ``==`` recurses once
+per nesting level, so comparing a long field (1,500 terms) raises
+RecursionError: the binder and the round-trip tests compare expressions
+by ``print_expr`` instead.  ``bind_document``
 resolves names against the catalog and produces runnable checks.  All
 errors are reported as diagnostics with line/column positions, and the
 parser recovers at statement boundaries so several errors surface in
@@ -17,7 +19,6 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
@@ -53,8 +54,7 @@ MAX_NESTING = 100
 # diagnostics
 
 
-@dataclass
-class Diagnostic:
+class Diagnostic(NamedTuple):
     severity: str
     message: str
     line: int
@@ -119,31 +119,26 @@ def tokenize(text: str) -> Tuple[List[Token], List[Diagnostic]]:
 # AST
 
 
-@dataclass(frozen=True)
-class Num:
+class Num(NamedTuple):
     value: float
 
 
-@dataclass(frozen=True)
-class Name:
+class Name(NamedTuple):
     ident: str
 
 
-@dataclass(frozen=True)
-class Un:
+class Un(NamedTuple):
     op: str
     a: "ExprAst"
 
 
-@dataclass(frozen=True)
-class Bin:
+class Bin(NamedTuple):
     op: str
     a: "ExprAst"
     b: "ExprAst"
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(NamedTuple):
     fn: str
     arg: "ExprAst"
 
@@ -151,20 +146,17 @@ class Call:
 ExprAst = Union[Num, Name, Un, Bin, Call]
 
 
-@dataclass(frozen=True)
-class ListLit:
+class ListLit(NamedTuple):
     items: Tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class VTerm:
+class VTerm(NamedTuple):
     coeff: ExprAst
     basis: Tuple[str, ...]  # coordinate names; () for degree 0
     label: Optional[str]
 
 
-@dataclass(frozen=True)
-class ChartStmt:
+class ChartStmt(NamedTuple):
     name: str
     coords: Tuple[str, ...]
     metric_kind: str  # diag | matrix
@@ -173,15 +165,13 @@ class ChartStmt:
     line: int = 0
 
 
-@dataclass(frozen=True)
-class FieldStmt:
+class FieldStmt(NamedTuple):
     name: str
     expr: ExprAst
     line: int = 0
 
 
-@dataclass(frozen=True)
-class VFormStmt:
+class VFormStmt(NamedTuple):
     kind: str  # form | vector
     name: str
     degree: int
@@ -190,16 +180,14 @@ class VFormStmt:
     line: int = 0
 
 
-@dataclass(frozen=True)
-class AlgebraStmt:
+class AlgebraStmt(NamedTuple):
     name: str
     dim: int
     brackets: Tuple[Tuple[int, int, int, float], ...]
     line: int = 0
 
 
-@dataclass(frozen=True)
-class SampleAst:
+class SampleAst(NamedTuple):
     kind: str  # grid | random
     ranges: Tuple[Tuple[float, float], ...]
     count: int
@@ -209,8 +197,7 @@ class SampleAst:
 ArgValue = Union[ExprAst, ListLit]
 
 
-@dataclass(frozen=True)
-class CheckStmt:
+class CheckStmt(NamedTuple):
     entry: str
     args: Tuple[ArgValue, ...]
     named: Tuple[Tuple[str, ArgValue], ...]
@@ -223,8 +210,7 @@ class CheckStmt:
 Statement = Union[ChartStmt, FieldStmt, VFormStmt, AlgebraStmt, CheckStmt]
 
 
-@dataclass(frozen=True)
-class SpecDocument:
+class SpecDocument(NamedTuple):
     statements: Tuple[Statement, ...]
 
 
@@ -376,7 +362,7 @@ class _Parser:
                 terms.append(self.vterm())
             elif self.accept_sym("-"):
                 tm = self.vterm()
-                terms.append(replace(tm, coeff=Un("-", tm.coeff)))
+                terms.append(tm._replace(coeff=Un("-", tm.coeff)))
             else:
                 break
         return VFormStmt(kind, name, degree, values, tuple(terms), line=t0.line)
@@ -666,8 +652,7 @@ def print_expr(e: ExprAst) -> str:
 # binder
 
 
-@dataclass
-class BoundCheck:
+class BoundCheck(NamedTuple):
     """A runnable check, with the chart and the resolved parameters its
     condition was built from and the verdict its ``expect`` clause names
     (None without one); ``catalog.fixtures`` yields these as known cases."""
@@ -682,8 +667,7 @@ class BoundCheck:
     expect_pass: Optional[bool]
 
 
-@dataclass(frozen=True)
-class _Rejected:  # in scope (chart, fields, objects, spaces) for a rejected declaration
+class _Rejected(NamedTuple):  # in scope (chart, fields, objects, spaces) for a rejected declaration
     kind: str
     line: int
 

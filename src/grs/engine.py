@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass, field
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
@@ -38,15 +37,15 @@ from .scalar import Expr, Program, SampleSet, as_expr, magnitude
 from .valued import ValuedForm
 
 
-@dataclass
 class GrCondition:
     """A residual condition with labeled components, built up by ``add``."""
 
-    name: str
-    entry: str = ""
-    # label -> [(form multi-index, residual expression), ...]
-    residuals: "OrderedDict[str, List[Tuple[MultiIndex, Expr]]]" = field(
-        default_factory=OrderedDict)
+    __slots__ = ("name", "entry", "residuals")
+
+    def __init__(self, name: str, entry: str = ""):
+        self.name, self.entry = name, entry
+        # label -> [(form multi-index, residual expression), ...]
+        self.residuals: "OrderedDict[str, List[Tuple[MultiIndex, Expr]]]" = OrderedDict()
 
     def labels(self) -> List[str]:
         return list(self.residuals.keys())
@@ -73,20 +72,18 @@ class GrCondition:
         return [e for comps in self.residuals.values() for _idx, e in comps]
 
 
-@dataclass
 class ResidualReport:
-    """Per-check verification record."""
+    """Per-check verification record; ``seed`` is None for a grid."""
 
-    condition: str
-    entry: str
-    seed: Optional[int]  # None for a grid
-    requested: int
-    excluded: int
-    evaluated: int
-    norms: "OrderedDict[str, dict]"
-    tol: float
-    passed: bool
-    worst_point: Optional[list]
+    __slots__ = ("condition", "entry", "seed", "requested", "excluded", "evaluated", "norms",
+                 "tol", "passed", "worst_point")
+
+    def __init__(self, condition: str, entry: str, seed: Optional[int], requested: int,
+                 excluded: int, evaluated: int, norms: "OrderedDict[str, dict]", tol: float,
+                 passed: bool, worst_point: Optional[list]):
+        self.condition, self.entry, self.seed = condition, entry, seed
+        self.requested, self.excluded, self.evaluated = requested, excluded, evaluated
+        self.norms, self.tol, self.passed, self.worst_point = norms, tol, passed, worst_point
 
     def to_dict(self) -> dict:
         return {

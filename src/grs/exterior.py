@@ -29,7 +29,6 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .errors import DegreeError, DimensionError, DomainError, SingularMetricError, VarianceError
@@ -219,21 +218,28 @@ def inverse_expr(rows) -> list:
     return [[entry(i, j) for j in range(n)] for i in range(n)]
 
 
-@dataclass(frozen=True)
 class Chart:
-    """Coordinate chart: dimension, coordinate names, metric."""
+    """Coordinate chart: dimension, coordinate names, metric.  Two charts
+    are equal when their names and metrics are."""
 
-    coord_names: Tuple[str, ...]
-    metric: MetricSpec
+    __slots__ = ("coord_names", "metric")
 
-    def __post_init__(self):
-        n = len(self.coord_names)
+    def __init__(self, coord_names: Tuple[str, ...], metric: MetricSpec):
+        n = len(coord_names)
         if not (1 <= n <= MAX_CHART_DIM):
             raise DimensionError(f"chart dimension must be in 1..{MAX_CHART_DIM}")
-        if len(set(self.coord_names)) != n:
+        if len(set(coord_names)) != n:
             raise DimensionError("coordinate names must be unique")
-        if self.metric.dim != n:
+        if metric.dim != n:
             raise DimensionError("metric dimension does not match chart")
+        self.coord_names, self.metric = coord_names, metric
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, Chart) and self.coord_names == other.coord_names
+                and self.metric == other.metric)
+
+    def __hash__(self) -> int:
+        return hash((self.coord_names, self.metric))
 
     @property
     def dim(self) -> int:
@@ -243,26 +249,25 @@ class Chart:
         return self.coord_names.index(name)
 
 
-@dataclass
 class AlternatingTensor:
     """Degree-p antisymmetric tensor, covariant (form) or contravariant.
     Components that are exactly zero are dropped on construction."""
 
-    chart: Chart
-    variance: str
-    degree: int
-    components: Dict[MultiIndex, object] = field(default_factory=dict)
+    __slots__ = ("chart", "variance", "degree", "components")
 
-    def __post_init__(self):
-        n = self.chart.dim
-        if not (0 <= self.degree <= n):
-            raise DegreeError(f"degree {self.degree} on a {n}-chart")
-        for key in self.components:
-            if len(key) != self.degree or list(key) != sorted(set(key)):
-                raise DegreeError(f"bad multi-index {key} for degree {self.degree}")
+    def __init__(self, chart: Chart, variance: str, degree: int,
+                 components: Optional[Dict[MultiIndex, object]] = None):
+        n = chart.dim
+        if not (0 <= degree <= n):
+            raise DegreeError(f"degree {degree} on a {n}-chart")
+        components = components or {}
+        for key in components:
+            if len(key) != degree or list(key) != sorted(set(key)):
+                raise DegreeError(f"bad multi-index {key} for degree {degree}")
             if any(not (0 <= i < n) for i in key):
                 raise DimensionError(f"index out of range in {key}")
-        self.components = {k: v for k, v in self.components.items() if not is_zero(v)}
+        self.chart, self.variance, self.degree = chart, variance, degree
+        self.components = {k: v for k, v in components.items() if not is_zero(v)}
 
     def get(self, key: MultiIndex):
         return self.components.get(tuple(key), 0.0)

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -63,8 +62,9 @@ class Expr:
 
     ``_diff(axis)`` is the node's differentiation rule; it reaches its
     children's derivatives through ``diff``, which caches each result in
-    the node's ``_d`` slot (axis -> derivative).  The tree is immutable,
-    so the cache is always valid.  The cache slot ``_d`` is
+    the node's ``_d`` slot (axis -> derivative), None until the first:
+    every constructor sets it, so reading it never raises.  The tree is
+    immutable, so the cache is always valid.  The cache slot ``_d`` is
     underscore-prefixed because it is not part of the node's structure:
     the public slots are.
     ``_parts`` returns (children, hashable non-node fields): together with
@@ -78,7 +78,7 @@ class Expr:
 
     def diff(self, axis: int) -> "Expr":
         """Exact partial derivative along a 0-based coordinate axis."""
-        memo = getattr(self, "_d", None)
+        memo = self._d
         if memo is not None and axis in memo:
             return memo[axis]
         # children before parents, from an explicit stack: each rule then
@@ -90,13 +90,13 @@ class Expr:
             node = stack[-1]
             waiting = False
             for k in node._parts()[0]:
-                if axis not in (getattr(k, "_d", None) or ()):
+                if axis not in (k._d or ()):
                     push(k)
                     waiting = True
             if waiting:
                 continue
             pop()
-            memo = getattr(node, "_d", None)
+            memo = node._d
             if memo is None:
                 memo = node._d = {}
             if axis not in memo:
@@ -258,7 +258,7 @@ class Const(Expr):
     __slots__ = ("value",)
 
     def __init__(self, value):
-        self.value = complex(value)
+        self.value, self._d = complex(value), None
 
     def _diff(self, axis):
         return ZERO
@@ -284,7 +284,7 @@ class Coord(Expr):
     __slots__ = ("axis",)
 
     def __init__(self, axis: int):
-        self.axis = int(axis)
+        self.axis, self._d = int(axis), None
 
     def _diff(self, axis):
         return ONE if axis == self.axis else ZERO
@@ -304,8 +304,7 @@ class _Binary(Expr):
     __slots__ = ("a", "b")
 
     def __init__(self, a: Expr, b: Expr):
-        self.a = a
-        self.b = b
+        self.a, self.b, self._d = a, b, None
 
     def _parts(self):
         return (self.a, self.b), None
@@ -372,8 +371,7 @@ class Pow(Expr):
     def __init__(self, a: Expr, exponent: Fraction):
         if exponent.denominator not in (1, 2):
             raise DomainError(f"exponent {exponent} is not integer or half-integer")
-        self.a = a
-        self.exponent = exponent
+        self.a, self.exponent, self._d = a, exponent, None
 
     def _diff(self, axis):
         e = self.exponent
@@ -398,7 +396,7 @@ class _Unary(Expr):
     __slots__ = ("a",)
 
     def __init__(self, a: Expr):
-        self.a = a
+        self.a, self._d = a, None
 
     def _parts(self):
         return (self.a,), None
@@ -465,8 +463,7 @@ class Bump(Expr):
     def __init__(self, a: Expr, order: int = 0):
         if order not in (0, 1, 2):
             raise DomainError("bump derivatives supported up to order 2")
-        self.a = a
-        self.order = order
+        self.a, self.order, self._d = a, order, None
 
     def _diff(self, axis):
         return mul(Bump(self.a, self.order + 1), self.a.diff(axis))
@@ -719,12 +716,13 @@ def mul(a: Expr, b: Expr) -> Expr:
 def div(a: Expr, b: Expr) -> Expr:
     va = a.value if type(a) is Const else None
     vb = b.value if type(b) is Const else None
-    if vb is not None and vb != 0:
-        if va is not None:
-            return Const(va / vb)
-        if vb == 1:
-            return a
-    if va == 0 and (vb is None or vb != 0):
+    if vb is not None and abs(vb) < _DIV_FLOOR:
+        return Div(a, b)  # a (near) zero divisor: the node marks every point singular
+    if va is not None and vb is not None:
+        return Const(va / vb)
+    if vb == 1:
+        return a
+    if va == 0:
         return ZERO
     return Div(a, b)
 
@@ -744,9 +742,9 @@ def pow_(a: Expr, exponent) -> Expr:
         return ONE
     if e == 1:
         return a
-    if type(a) is Const:
-        # folded by the node's own kernel; a zero base under a negative
-        # power (inf), a negative real under a half-integer one (NaN) and
+    if type(a) is Const and not (e < 0 and abs(a.value) < _DIV_FLOOR):
+        # folded by the node's own kernel; a base under _DIV_FLOOR with a
+        # negative power, a negative real under a half-integer one (NaN) and
         # an overflow stay a node, which marks or rejects the point
         with np.errstate(all="ignore"):
             v = _power(a._parts()[1], e)
@@ -802,24 +800,22 @@ def fd_diff(e: Expr, axis: int, pt: Sequence[float], h: float = 1e-3) -> complex
 # sample sets
 
 
-@dataclass(frozen=True)
 class SampleSet:
     """Deterministic collection of sample points on a chart domain.
 
     ``kind`` is "grid" (tensor grid, ``counts`` points per axis) or
     "random" (uniform box, ``count`` draws from a seeded generator).
-    ``exclude`` drops points (e.g. metric singularities) before anything
-    evaluates them.  At most ``MAX_POINTS`` points in total.
+    ``bounds`` is ((lo, hi), ...) per axis.  ``exclude`` drops points
+    (e.g. metric singularities) before anything evaluates them.  At most
+    ``MAX_POINTS`` points in total; the constructor checks every field.
     """
 
-    kind: str
-    bounds: tuple  # ((lo, hi), ...) per axis
-    counts: tuple = ()  # grid: per-axis point counts
-    count: int = 0  # random: number of draws
-    seed: int = 0
-    exclude: Optional[Callable[[tuple], bool]] = field(default=None, compare=False)
+    __slots__ = ("kind", "bounds", "counts", "count", "seed", "exclude")
 
-    def __post_init__(self):
+    def __init__(self, kind: str, bounds: tuple, counts: tuple = (), count: int = 0,
+                 seed: int = 0, exclude: Optional[Callable[[tuple], bool]] = None):
+        self.kind, self.bounds, self.counts, self.count = kind, bounds, counts, count
+        self.seed, self.exclude = seed, exclude
         if not self.bounds:
             raise DomainError("a sample set needs at least one range")
         if self.kind == "random" and self.seed < 0:

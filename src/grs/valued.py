@@ -12,8 +12,7 @@ form-level map supplied by the caller.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -34,9 +33,9 @@ def _check_dim(dim: int) -> None:
         raise DimensionError(f"algebra dimension must be at most {MAX_ALGEBRA_DIM}, got {dim}")
 
 
-@dataclass(frozen=True)
 class LieStructure:
-    """Structure constants C[k][i][j] for [E_i, E_j] = C^k_ij E_k.
+    """Structure constants C[k][i][j] for [E_i, E_j] = C^k_ij E_k, as a
+    nested tuple ``constants``; equal constants make equal structures.
 
     Constants that are not finite, not antisymmetric or break the Jacobi
     identity raise NotALieAlgebra, naming the first offending indices
@@ -44,10 +43,10 @@ class LieStructure:
     identities are tested on C / max|C| at a fixed tolerance.
     """
 
-    dim: int
-    constants: tuple  # nested tuple [k][i][j]
+    __slots__ = ("dim", "constants")
 
-    def __post_init__(self):
+    def __init__(self, dim: int, constants: tuple):
+        self.dim, self.constants = dim, constants
         _check_dim(self.dim)
         c = np.array(self.constants, dtype=float)
         if not np.isfinite(c).all():
@@ -65,6 +64,13 @@ class LieStructure:
             bad = np.argwhere(abs(jacobi) > 1e-12)
             if len(bad):
                 _broken("the Jacobi identity", (i, *bad[0][:2]))
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, LieStructure) and self.dim == other.dim
+                and self.constants == other.constants)
+
+    def __hash__(self) -> int:
+        return hash((self.dim, self.constants))
 
     @staticmethod
     def from_triples(dim: int, triples) -> "LieStructure":
@@ -103,28 +109,34 @@ def abelian(dim: int) -> LieStructure:
         tuple(tuple(0.0 for _ in range(dim)) for _ in range(dim)) for _ in range(dim)))
 
 
-@dataclass(frozen=True)
 class ValueSpace:
-    """Finite-dimensional value space with a named basis."""
+    """Finite-dimensional value space with a named basis; spaces with equal
+    labels and Lie structures are equal."""
 
-    labels: Tuple[str, ...]
-    lie: Optional[LieStructure] = None
+    __slots__ = ("labels", "lie")
 
-    def __post_init__(self):
-        if not self.labels:
+    def __init__(self, labels: Tuple[str, ...], lie: Optional[LieStructure] = None):
+        if not labels:
             raise DimensionError("a value space needs at least one label")
-        if len(set(self.labels)) != len(self.labels):
+        if len(set(labels)) != len(labels):
             raise DimensionError("value-space labels must be unique")
-        if self.lie is not None and self.lie.dim != len(self.labels):
+        if lie is not None and lie.dim != len(labels):
             raise DimensionError("Lie structure dimension mismatch")
+        self.labels, self.lie = labels, lie
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, ValueSpace) and self.labels == other.labels
+                and self.lie == other.lie)
+
+    def __hash__(self) -> int:
+        return hash((self.labels, self.lie))
 
     @property
     def dim(self) -> int:
         return len(self.labels)
 
 
-@dataclass
-class PhiMap:
+class PhiMap(NamedTuple):
     """Value-space bilinear map phi(E_i, E_j) = sum_k c_k F_k, stored as its
     table (i, j) -> {k: c_k} of nonzero coefficients on the ``target``
     basis F; both arguments live in spaces of dimension ``dim``."""
@@ -172,7 +184,6 @@ class PhiMap:
         return PhiMap(space.dim, space, {(i, i): {i: 1.0} for i in range(space.dim)})
 
 
-@dataclass(frozen=True)
 class ValuedForm:
     """Psi = psi^i (x) E_i: one form (or multivector) psi^i per label of
     ``space``, in label order.
@@ -181,22 +192,21 @@ class ValuedForm:
     components are made expressions and zero ones are dropped.
     """
 
-    space: ValueSpace
-    slices: Tuple[AlternatingTensor, ...]
+    __slots__ = ("space", "slices")
 
-    def __post_init__(self):
-        if len(self.slices) != self.space.dim:
+    def __init__(self, space: ValueSpace, slices):
+        if len(slices) != space.dim:
             raise DimensionError("one slice per basis label required")
-        first = self.slices[0]
-        for s in self.slices[1:]:
+        first = slices[0]
+        for s in slices[1:]:
             if s.chart is not first.chart and s.chart != first.chart:
                 raise DimensionError("slices must share a chart")
             if s.degree != first.degree:
                 raise DegreeError("slices must share a degree")
             if s.variance != first.variance:
                 raise VarianceError("slices must share a variance")
-        object.__setattr__(self, "slices", tuple(s.map_components(as_expr)
-                                                 for s in self.slices))
+        self.space = space
+        self.slices = tuple(s.map_components(as_expr) for s in slices)
 
     @staticmethod
     def from_components(chart: Chart, degree: int, variance: str, space: ValueSpace,

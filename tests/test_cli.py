@@ -275,6 +275,12 @@ class TestVerify:
         assert captured.out == ""
         assert "(line 2, col 1)" in captured.err.splitlines()[0]
 
+    def test_points_cap_on_random(self, passing_spec, capsys):
+        # the override makes a new sample set, whose constructor checks the cap
+        assert main(["verify", passing_spec, "--points", "10000001"]) == 2
+        assert capsys.readouterr().err == ("error: 10000001 sample points requested; "
+                                           "at most 10000000 are allowed\n")
+
     def test_negative_seed_override_exits_two(self, passing_spec, capsys):
         assert main(["verify", passing_spec, "--seed", "-1"]) == 2
         assert "seed" in capsys.readouterr().err
@@ -541,6 +547,14 @@ class TestEval:
         # other decimal digits still read as numbers: Arabic-Indic three
         assert main(["eval", "1\u0663 * x", "--at", "x=1"]) == 0
         assert capsys.readouterr().out == "13.0\n"
+
+    @pytest.mark.parametrize("expr,at,point", [
+        ("(1e-301)^-1", "x=0", "0.0"), ("1/(1e-301)", "x=0", "0.0"),
+        ("x^-1", "x=1e-301", "1e-301")], ids=["constant_power", "constant_divisor", "node"])
+    def test_division_below_the_floor_is_singular_folded_or_not(self, expr, at, point, capsys):
+        # a constant divisor under the floor stays a node, so it marks the point as x does
+        assert main(["eval", expr, "--at", at]) == 2
+        assert capsys.readouterr() == ("", f"error: division by (near) zero at ({point},)\n")
 
     def test_singularity_reported(self, capsys):
         assert main(["eval", "1 / x", "--at", "x=0"]) == 2

@@ -595,6 +595,17 @@ class TestGeodesics:
         with pytest.raises(DomainError, match="steps must be a non-negative int"):
             geodesic_integrate([[[ZERO]]], (0.0,), (1.0,), steps, 0.1)
 
+    def test_velocity_of_another_length_rejected(self):
+        gam = [[[ZERO] * 2 for _ in range(2)] for _ in range(2)]
+        with pytest.raises(DimensionError, match=r"^u0 has 1 component\(s\); x0 has 2$"):
+            geodesic_integrate(gam, (0.0, 0.0), (1.0,), 3, 0.1)
+
+    @pytest.mark.parametrize("gam", [[[[ZERO]]], [[[ZERO] * 2] * 2, [[ZERO] * 2, [ZERO]]]],
+                             ids=["1x1x1", "ragged"])
+    def test_christoffels_of_another_size_rejected(self, gam):
+        with pytest.raises(DimensionError, match=r"^gamma must be 2x2x2"):
+            geodesic_integrate(gam, (0.0, 0.0), (1.0, 2.0), 3, 0.1)
+
 
 def test_inclined_great_circle_converges_at_fourth_order(sphere):
     # off the equator every Christoffel term acts on the path, so a wrong

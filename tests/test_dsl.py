@@ -580,3 +580,23 @@ class TestExpectClause:
         with pytest.raises(catalog.GrsError, match=r"without 'expect pass\|fail': "
                                                    r"first_integral#2$"):
             catalog.fixtures("first_integral")
+
+
+def test_the_binder_hands_the_catalog_no_syntax_node(monkeypatch):
+    """Syntax nodes are tuples, and a catalog kind takes a tuple of fields as
+    a vector: every argument of every known case reaches ``build`` bound."""
+    from grs import catalog
+    build, seen = catalog.build, []
+
+    def leaves(v):
+        return [x for item in v for x in leaves(item)] if isinstance(v, list) else [v]
+
+    def recorded(entry, chart, **params):
+        seen.extend(x for v in params.values() for x in leaves(v))
+        return build(entry, chart, **params)
+
+    monkeypatch.setattr(catalog, "build", recorded)
+    for cid in catalog.catalog_ids():
+        catalog.fixtures(cid)
+    nodes = (dsl.Num, dsl.Name, dsl.Un, dsl.Bin, dsl.Call, dsl.ListLit, dsl.VTerm)
+    assert seen and not [v for v in seen if isinstance(v, nodes)]

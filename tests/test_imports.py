@@ -1,6 +1,10 @@
-"""Every name a ``grs`` module imports is used in that module."""
+"""What ``grs`` imports: every name a module imports is used in that
+module, and importing the package leaves ``dataclasses`` out."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import grs
@@ -39,3 +43,13 @@ def test_every_import_is_used():
                       if name not in used]
     print("\n".join(offenders))
     assert not offenders, "unused imports:\n" + "\n".join(offenders)
+
+
+def test_import_leaves_out_dataclasses():
+    # decorating grs's records once cost more of each process's start than
+    # most requests take; numpy, argparse, json and fractions do not import it
+    code = "import grs, grs.cli, sys; print('dataclasses' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(grs.__file__).parent.parent))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout == "False\n"

@@ -170,6 +170,16 @@ class TestDerivativeMemo:
         (sin(s) + cos(s)).diff(0)
         assert calls == [s]
 
+    def test_every_node_starts_with_an_empty_memo(self):
+        # diff reads the memo of each child; an unset slot would raise there
+        a, b = coord(0), coord(1)  # not the shared x and y, which earlier tests differentiate
+        made = [const(2.0), a, a + b, a - b, a * b, a / b, a ** -1, sqrt(a), -a,
+                sin(a), cos(a), exp(a), bump(a)]
+        assert sorted({type(e).__name__ for e in made}) == [
+            "Add", "Bump", "Const", "Coord", "Cos", "Div", "Exp", "Mul", "Neg", "Pow", "Sin",
+            "Sub"]
+        assert [e._d for e in made] == [None] * len(made)
+
     def test_deep_tree_needs_no_deep_recursion(self):
         e = x * y
         for _ in range(5000):
