@@ -67,14 +67,18 @@ class Expr:
     immutable, so the cache is always valid.  The cache slot ``_d`` is
     underscore-prefixed because it is not part of the node's structure:
     the public slots are.
-    ``_parts`` returns (children, hashable non-node fields): together with
-    the node type this is the structural key ``Program`` merges on
-    (``intern_ops``; a constant's value by its bits).
+    A node's children are its slots ``a`` and ``b``, as many as its
+    class's ``_arity`` (0, 1 or 2), which the tree walks of ``diff`` and
+    ``intern_ops`` read.  ``_parts`` returns (children, hashable non-node
+    field): with the node type the structural key ``Program`` merges on
+    (a constant's value by its bits).  ``intern_ops`` calls it only on
+    nodes with fewer than two children, for the field.
     ``_eval(blk, param, a, b)`` computes the node over a block from its
     children's values, ignoring ``a`` or ``b`` where it has no such child.
     """
 
     __slots__ = ("_d",)
+    _arity = 0
 
     def diff(self, axis: int) -> "Expr":
         """Exact partial derivative along a 0-based coordinate axis."""
@@ -88,11 +92,14 @@ class Expr:
         push, pop = stack.append, stack.pop
         while stack:
             node = stack[-1]
+            arity = node._arity
             waiting = False
-            for k in node._parts()[0]:
-                if axis not in (k._d or ()):
-                    push(k)
-                    waiting = True
+            if arity and axis not in (node.a._d or ()):
+                push(node.a)
+                waiting = True
+            if arity == 2 and axis not in (node.b._d or ()):
+                push(node.b)
+                waiting = True
             if waiting:
                 continue
             pop()
@@ -302,6 +309,7 @@ class Coord(Expr):
 
 class _Binary(Expr):
     __slots__ = ("a", "b")
+    _arity = 2
 
     def __init__(self, a: Expr, b: Expr):
         self.a, self.b, self._d = a, b, None
@@ -343,6 +351,8 @@ class Mul(_Binary):
 
     @staticmethod
     def _eval(blk, _p, a, b):
+        if a.dtype.kind != "c" or b.dtype.kind != "c":
+            return a * b  # inline: most products are real
         return _cmul(a, b)
 
 
@@ -367,6 +377,7 @@ class Pow(Expr):
     """
 
     __slots__ = ("a", "exponent")
+    _arity = 1
 
     def __init__(self, a: Expr, exponent: Fraction):
         if exponent.denominator not in (1, 2):
@@ -394,6 +405,7 @@ class Pow(Expr):
 
 class _Unary(Expr):
     __slots__ = ("a",)
+    _arity = 1
 
     def __init__(self, a: Expr):
         self.a, self._d = a, None
@@ -459,6 +471,7 @@ class Bump(Expr):
     """
 
     __slots__ = ("a", "order")
+    _arity = 1
 
     def __init__(self, a: Expr, order: int = 0):
         if order not in (0, 1, 2):
@@ -506,14 +519,17 @@ def intern_ops(exprs: Iterable[Expr]) -> Tuple[list, ...]:
     depends on the trees' structure only, not on which nodes they share,
     so it is also a value key for a sequence of expressions.
 
-    Ops are deduplicated in one table per node type, keyed by an int or
-    bytes: a binary op's child slots as ``(a << 32) + b``, a unary op's
-    child slot (in one table per exponent or order, if it has one), a
-    coordinate's axis, a constant's value bytes (so constants that differ
-    only in a sign of zero stay apart).  The cyclic garbage collector
-    tracks none of these keys, so a compile keeps no tracked object per
-    op and starts no collection that would push a caller's live objects
-    toward the full collections, each of which scans them all.
+    The walk is post-order, right child first.  It reads a node's
+    children from its slots (``Expr._arity`` of them) and runs ``_parts``
+    once on each leaf and one-child node, for its param.  Ops are
+    deduplicated in one table per node type, keyed by an int or bytes: a
+    binary op's child slots as ``(a << 32) + b``, a unary op's child slot
+    (in one table per exponent or order, if it has one), a coordinate's
+    axis, a constant's value bytes (so constants that differ only in a
+    sign of zero stay apart).  The cyclic garbage collector tracks none
+    of these keys, so a compile keeps no tracked object per op and starts
+    no collection that would push a caller's live objects toward the full
+    collections, each of which scans them all.
     """
     # keyed by the node object itself: Expr has identity equality
     slot_of: Dict[Expr, int] = {}  # node -> op index
@@ -524,36 +540,40 @@ def intern_ops(exprs: Iterable[Expr]) -> Tuple[list, ...]:
     b_col: List[int] = []
     last: List[int] = []
     roots: List[int] = []
+    get = slot_of.get
     for root in exprs:
-        # (node, None) on the first visit; (node, parts) once its
-        # children are pushed above it, so _parts runs once per node
-        stack = [(root, None)]
+        # a node stays on the stack under its unresolved children, the
+        # right one on top, until get finds them all; a binary node on the
+        # stack twice finds its own op in its table the second time
+        stack = [root]
         push, pop = stack.append, stack.pop
         while stack:
-            node, parts = pop()
-            if node in slot_of:
-                continue
-            if parts is None:
-                parts = node._parts()
-                waiting = False
-                for k in parts[0]:
-                    if k not in slot_of:
-                        if not waiting:
-                            push((node, parts))
-                            waiting = True
-                        push((k, None))
-                if waiting:
-                    continue
-            kids, param = parts
+            node = stack[-1]
             t = type(node)
-            table = tables[t]
-            if len(kids) == 2:
-                a = slot_of[kids[0]]
-                b = slot_of[kids[1]]
+            arity = t._arity
+            if arity == 2:
+                a = get(node.a)
+                b = get(node.b)
+                if a is None or b is None:
+                    if a is None:
+                        push(node.a)
+                    if b is None:
+                        push(node.b)
+                    continue
                 key = (a << 32) + b  # b < 2**32: no two slot pairs share a key
-            elif kids:
-                a = key = slot_of[kids[0]]
+                param = None
+                table = tables[t]
+            elif node in slot_of:  # pushed again before it was interned
+                pop()
+                continue
+            elif arity:
+                a = key = get(node.a)
+                if a is None:
+                    push(node.a)
+                    continue
                 b = -1
+                param = node._parts()[1]
+                table = tables[t]
                 if param is not None:  # one table per exponent or order
                     by_param = table
                     table = by_param.get(param)
@@ -561,7 +581,10 @@ def intern_ops(exprs: Iterable[Expr]) -> Tuple[list, ...]:
                         table = by_param[param] = {}
             else:
                 a = b = -1
+                param = node._parts()[1]
                 key = param.tobytes() if t is Const else param
+                table = tables[t]
+            pop()
             i = table.get(key)
             if i is None:
                 i = table[key] = len(types)
@@ -598,18 +621,17 @@ class Program:
         for r in self._roots:
             last[r] = -1  # a root is never freed
         # nor is an absent input (-1): last[-1] is -1, as nothing reads the final op
-        self._evs, self._fa, self._fb = evs, fa, fb = [], [], []
+        ops = range(len(types))
+        self._evs = [t._eval for t in types]
+        self._fa = [a if last[a] == i else -1 for i, a in zip(ops, self._a)]
+        self._fb = [b if last[b] == i and b != a else -1
+                    for i, a, b in zip(ops, self._a, self._b)]
         live = peak = 0
-        for i, t, a, b in zip(range(len(types)), types, self._a, self._b):
-            evs.append(t._eval)
-            a = a if last[a] == i else -1
-            b = b if last[b] == i and b != a else -1
-            fa.append(a)
-            fb.append(b)
+        for fa, fb in zip(self._fa, self._fb):
             live += 1  # an op's value is made before its inputs are freed
             if live > peak:
                 peak = live
-            live -= (a >= 0) + (b >= 0)
+            live -= (fa >= 0) + (fb >= 0)
         self.peak = peak
 
     def __len__(self) -> int:

@@ -15,15 +15,20 @@ from grs.diffops import ricci
 from grs.errors import DomainError, EvalSingularity
 from grs.exterior import Chart, MetricSpec
 from grs.scalar import (
+    Add,
+    Bump,
     Cos,
+    Div,
     Exp,
     Expr,
     Mul,
+    Neg,
     Pow,
     Program,
     ONE,
     SampleSet,
     Sin,
+    Sub,
     ZERO,
     as_expr,
     bump,
@@ -226,6 +231,71 @@ def _dense_flat_rows(conformal=False):
     return rows
 
 
+_MAKERS = {"add": Add, "sub": Sub, "mul": Mul, "div": Div, "neg": Neg, "sin": Sin,
+           "cos": Cos, "exp": Exp}
+
+
+@st.composite
+def _dags(draw):
+    """Roots of a random DAG: node constructors (no folding) over a pool
+    that grows by one node a step, so later nodes share earlier ones."""
+    pool = [coord(0), coord(1), const(0.0), const(-0.0), const(0.0), const(complex(-0.0, 2.0))]
+    for _ in range(draw(st.integers(1, 10))):
+        a = pool[draw(st.integers(0, len(pool) - 1))]
+        kind = draw(st.sampled_from(sorted(_MAKERS) + ["square", "pow", "bump"]))
+        if kind in ("add", "sub", "mul", "div"):
+            node = _MAKERS[kind](a, pool[draw(st.integers(0, len(pool) - 1))])
+        elif kind == "square":
+            node = Mul(a, a)
+        elif kind == "pow":
+            node = Pow(a, Fraction(draw(st.integers(-3, 4)), draw(st.sampled_from([1, 2]))))
+        elif kind == "bump":
+            node = Bump(a, draw(st.integers(0, 1)))
+        else:
+            node = _MAKERS[kind](a)
+        pool.append(node)
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
+
+
+def _copy(e):
+    """A tree structurally equal to ``e`` that shares no node with it."""
+    kids, param = e._parts()
+    kids = [_copy(k) for k in kids]
+    return type(e)(*kids) if param is None else type(e)(*kids, param)
+
+
+def _param_key(p):
+    return p.tobytes() if isinstance(p, np.generic) else p
+
+
+def _ops_by_key(ops):
+    types, params, a, b, roots, last = ops
+    return types, [_param_key(p) for p in params], a, b, roots, last
+
+
+def _reference_ops(roots):
+    """``intern_ops`` by recursion: post-order, right child first, one op
+    per structural key, a constant's param by its bits."""
+    index, seen = {}, {}
+
+    def visit(e):
+        if id(e) not in seen:  # a node met again has its slot already
+            kids, param = e._parts()
+            slots = [visit(k) for k in reversed(kids)][::-1] + [-1] * (2 - len(kids))
+            seen[id(e)] = index.setdefault((type(e), _param_key(param), *slots), len(index))
+        return seen[id(e)]
+
+    root_slots = [visit(r) for r in roots]
+    ops = list(index)  # in insertion order, which is op order
+    last = [-1] * len(ops)
+    for i, (_, _, a, b) in enumerate(ops):
+        for k in (a, b):
+            if k >= 0:
+                last[k] = i
+    return ([op[0] for op in ops], [op[1] for op in ops], [op[2] for op in ops],
+            [op[3] for op in ops], root_slots, last)
+
+
 def _op_list_digest(prog):
     """SHA-256 of a program's ops and roots.  Each op is hashed as the
     tuple (kernel qualname, param, child slots, dead slots) rebuilt from
@@ -264,6 +334,8 @@ class TestCompile:
         assert intern_ops([a]) != intern_ops([sin(y * x)])
 
     def test_each_node_is_taken_apart_once(self, monkeypatch):
+        # a binary node's children are read from its slots, so _parts runs
+        # only on the 121 leaves and one-child nodes of the 1,367, each once
         roots = [r for row in ricci(MetricSpec.matrix(_dense_flat_rows())) for r in row]
         seen = []
         for cls in {c for node in _all_nodes(roots) for c in type(node).__mro__
@@ -274,7 +346,8 @@ class TestCompile:
             monkeypatch.setattr(cls, "_parts", counted)
         Program(roots)
         monkeypatch.undo()
-        assert len(seen) == len({id(n) for n in seen}) == _node_objects(roots)
+        assert _node_objects(roots) == 1367
+        assert len(seen) == len({id(n) for n in seen}) == 121
 
     def test_op_lists_are_pinned(self):
         # ricci_flat on Schwarzschild (198 ops) and the dense flat and
@@ -369,6 +442,28 @@ class TestCompile:
         assert (len(prog), prog.peak) == (0, 0)
         values, singular = prog.run(np.zeros((3, 2)))
         assert values == [] and not singular.any()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_walk_matches_a_recursive_reference(self, data):
+        roots = data.draw(_dags())
+        assert _ops_by_key(intern_ops(roots)) == _reference_ops(roots)
+        copies = [_copy(r) for r in roots]
+        for axis in (0, 1):
+            derivs = [r.diff(axis) for r in roots]
+            ops = _ops_by_key(intern_ops(derivs))
+            assert ops == _ops_by_key(intern_ops([c.diff(axis) for c in copies]))
+            assert ops == _reference_ops(derivs)
+
+    def test_deep_chain_needs_no_deep_recursion(self):
+        e = x
+        for _ in range(20000):
+            e = sin(e)
+        value, slope = Program([e, e.diff(0)]).at([[0.5]])[:, 0].tolist()
+        s, d = 0.5, 1.0
+        for _ in range(20000):
+            s, d = math.sin(s), d * math.cos(s)
+        assert value == s and slope == pytest.approx(d, rel=1e-12)
 
 
 def test_fd_convergence_is_fourth_order():
