@@ -50,15 +50,13 @@ def _build_argparser() -> argparse.ArgumentParser:
 def _apply_overrides(checks: List[dsl.BoundCheck], tol: Optional[float],
                      points: Optional[int], seed: Optional[int]) -> List[dsl.BoundCheck]:
     """The checks with the overrides applied; each sample set is made anew,
-    so its constructor checks the overridden fields."""
+    so its constructor checks the overridden fields.  ``seed`` replaces
+    only a seed that is not None, so a grid stays a grid."""
     out = []
     for c in checks:
         s = c.sample
-        if s.kind == "random":
-            s = SampleSet("random", s.bounds, count=s.count if points is None else points,
-                          seed=s.seed if seed is None else seed, exclude=s.exclude)
-        elif points is not None:
-            s = SampleSet("grid", s.bounds, counts=(points,) * len(s.bounds), exclude=s.exclude)
+        s = SampleSet(s.bounds, s.counts if points is None else (points,) * len(s.counts),
+                      s.seed if s.seed is None or seed is None else seed, s.exclude)
         out.append(c._replace(sample=s, tol=tol if tol is not None else c.tol))
     return out
 

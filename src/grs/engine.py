@@ -73,7 +73,7 @@ class GrCondition:
 
 
 class ResidualReport:
-    """Per-check verification record; ``seed`` is None for a grid."""
+    """Per-check verification record; ``seed`` copies the sample set's seed."""
 
     __slots__ = ("condition", "entry", "seed", "requested", "excluded", "evaluated", "norms",
                  "tol", "passed", "worst_point")
@@ -187,7 +187,7 @@ def verify(c: GrCondition, sample: SampleSet, tol: float = DEFAULT_TOL) -> Resid
     return ResidualReport(
         condition=c.name,
         entry=c.entry,
-        seed=None if sample.kind == "grid" else sample.seed,
+        seed=sample.seed,
         requested=sample.requested,
         excluded=excluded,
         evaluated=evaluated,

@@ -18,7 +18,7 @@ class DimensionError(GrsError):
 
 
 class SingularMetricError(GrsError):
-    """Metric not invertible at an evaluation point."""
+    """Constant metric with no inverse: a diagonal metric with a zero entry."""
 
 
 class EvalSingularity(GrsError):

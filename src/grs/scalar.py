@@ -823,24 +823,36 @@ def fd_diff(e: Expr, axis: int, pt: Sequence[float], h: float = 1e-3) -> complex
 
 
 class SampleSet:
-    """Deterministic collection of sample points on a chart domain.
+    """Deterministic collection of sample points on a chart domain: a box,
+    a shape and a seed.
 
-    ``kind`` is "grid" (tensor grid, ``counts`` points per axis) or
-    "random" (uniform box, ``count`` draws from a seeded generator).
-    ``bounds`` is ((lo, hi), ...) per axis.  ``exclude`` drops points
-    (e.g. metric singularities) before anything evaluates them.  At most
+    ``bounds`` is the box, ((lo, hi), ...) per axis.  ``counts`` is the
+    shape of the point array: one count per axis for a tensor grid, or
+    ``(N,)`` for N uniform draws from the box.  ``seed`` seeds those draws;
+    a grid is the set whose seed is None.  ``exclude`` drops points (e.g.
+    metric singularities) before anything evaluates them.  At most
     ``MAX_POINTS`` points in total; the constructor checks every field.
     """
 
-    __slots__ = ("kind", "bounds", "counts", "count", "seed", "exclude")
+    __slots__ = ("bounds", "counts", "seed", "exclude")
 
-    def __init__(self, kind: str, bounds: tuple, counts: tuple = (), count: int = 0,
-                 seed: int = 0, exclude: Optional[Callable[[tuple], bool]] = None):
-        self.kind, self.bounds, self.counts, self.count = kind, bounds, counts, count
-        self.seed, self.exclude = seed, exclude
+    def __init__(self, bounds: Iterable, counts: Iterable[int], seed: Optional[int] = None,
+                 exclude: Optional[Callable[[tuple], bool]] = None):
+        self.bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
+        self.counts = tuple(int(k) for k in counts)
+        self.seed = None if seed is None else int(seed)
+        self.exclude = exclude
+        if self.seed is None and len(self.counts) != len(self.bounds):
+            raise DomainError(f"grid needs one point count per range, got {len(self.counts)} "
+                              f"for {len(self.bounds)}")
+        if self.seed is not None and len(self.counts) != 1:
+            raise DomainError(f"a random sample set needs one count, got {len(self.counts)}")
+        if any(k < 1 for k in self.counts):
+            raise DomainError("grid needs at least one point per axis" if self.seed is None
+                              else "sample count must be >= 1")
         if not self.bounds:
             raise DomainError("a sample set needs at least one range")
-        if self.kind == "random" and self.seed < 0:
+        if self.seed is not None and self.seed < 0:
             raise DomainError(f"seed must be >= 0, got {self.seed}")
         for lo, hi in self.bounds:
             if not math.isfinite(hi - lo):  # also inf or NaN when a bound is
@@ -851,36 +863,21 @@ class SampleSet:
 
     @staticmethod
     def grid(bounds: Iterable, points_per_axis) -> "SampleSet":
-        bounds = tuple((float(a), float(b)) for a, b in bounds)
+        bounds = tuple(bounds)
         if isinstance(points_per_axis, int):
-            counts = (points_per_axis,) * len(bounds)
-        else:
-            counts = tuple(int(k) for k in points_per_axis)
-        if len(counts) != len(bounds):
-            raise DomainError(f"grid needs one point count per range, got {len(counts)} "
-                              f"for {len(bounds)}")
-        if any(k < 1 for k in counts):
-            raise DomainError("grid needs at least one point per axis")
-        return SampleSet(kind="grid", bounds=bounds, counts=counts)
+            points_per_axis = (points_per_axis,) * len(bounds)
+        return SampleSet(bounds, points_per_axis)
 
     @staticmethod
     def random_box(bounds: Iterable, count: int, seed: int) -> "SampleSet":
-        bounds = tuple((float(a), float(b)) for a, b in bounds)
-        if count < 1:
-            raise DomainError("sample count must be >= 1")
-        return SampleSet(kind="random", bounds=bounds, count=int(count), seed=int(seed))
+        return SampleSet(bounds, (count,), int(seed))
 
     def with_exclusion(self, pred: Callable[[tuple], bool]) -> "SampleSet":
-        return SampleSet(self.kind, self.bounds, self.counts, self.count, self.seed, pred)
+        return SampleSet(self.bounds, self.counts, self.seed, pred)
 
     @property
     def requested(self) -> int:
-        if self.kind == "grid":
-            n = 1
-            for k in self.counts:
-                n *= k
-            return n
-        return self.count
+        return math.prod(self.counts)
 
     def blocks(self, rows: int) -> Iterator[np.ndarray]:
         """The points as arrays of at most ``rows`` rows, each drawn when
@@ -891,7 +888,7 @@ class SampleSet:
         grid varies the last axis fastest.  Rows ``exclude`` rejects are
         dropped, so a block can be shorter than ``rows``, or empty.
         """
-        if self.kind == "grid":
+        if self.seed is None:
             axes = []
             for (lo, hi), k in zip(self.bounds, self.counts):
                 if k == 1:
@@ -904,7 +901,7 @@ class SampleSet:
             highs = np.array([b[1] for b in self.bounds])
         for start in range(0, self.requested, rows):
             stop = min(start + rows, self.requested)
-            if self.kind == "grid":
+            if self.seed is None:
                 index = np.unravel_index(np.arange(start, stop), self.counts)
                 block = np.stack([a[i] for a, i in zip(axes, index)], axis=-1)
             else:

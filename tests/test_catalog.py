@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import grs
+from grs import catalog, dsl
 from grs.catalog import (
     build,
     catalog_ids,
@@ -20,6 +21,7 @@ from grs.errors import (
     DegenerateFormError,
     DegreeError,
     DimensionError,
+    GrsError,
     MissingParameter,
     NonIdempotentProjection,
     ParameterError,
@@ -423,3 +425,16 @@ def test_ext_maxwell_currents_subtracts_the_j4_term():
         ref = -np.einsum("a,ac->c", v, star)
         assert np.max(np.abs(ref)) > 0.01
         assert np.max(np.abs(got[p] - ref)) <= 1e-12
+
+
+def test_fixtures_reports_a_known_case_that_does_not_bind(tmp_path, monkeypatch):
+    text = ("chart R2 (x, y) metric diag(1, 1)\n"
+            "check first_integral( on grid(-1..1, -1..1; 3) expect pass\n")
+    (tmp_path / "specs").mkdir()
+    (tmp_path / "specs" / "first_integral.grs").write_text(text)
+    monkeypatch.setattr(catalog, "_PACKAGE", tmp_path)
+    with pytest.raises(GrsError) as err:
+        fixtures("first_integral")
+    rendered = [d.render() for d in dsl.load(text)[1] if d.severity == "error"]
+    assert rendered
+    assert str(err.value) == "known cases of first_integral:\n" + "\n".join(rendered)

@@ -8,6 +8,7 @@ import pytest
 
 import grs
 from grs.cli import main
+from grs.scalar import SampleSet
 
 
 SPEC_DIR = Path(grs.__file__).parent / "specs"
@@ -119,6 +120,19 @@ class TestVerify:
         main(["verify", passing_spec, "--json", "--seed", "99"])
         doc = json.loads(capsys.readouterr().out)
         assert doc["checks"][0]["samples"]["seed"] == 99
+
+    def test_points_and_seed_override_grid_and_random(self, tmp_path, capsys):
+        # --points sets each axis of a grid and the draws of a random set;
+        # --seed reseeds the random set and leaves the grid without a seed
+        p = tmp_path / "both.grs"
+        p.write_text(PASSING_SPEC + "check first_integral(X, r2) on grid(-2..2, -1..1; 4)\n")
+        assert main(["verify", str(p), "--json", "--points", "3", "--seed", "5"]) == 0
+        rand, grid = json.loads(capsys.readouterr().out)["checks"]
+        assert grid["samples"] == {"requested": 9, "excluded": 0, "seed": None}
+        assert rand["samples"] == {"requested": 3, "excluded": 0, "seed": 5}
+        assert grid["worst_point"] in SampleSet.grid([(-2, 2), (-1, 1)], 3).array().tolist()
+        draws = SampleSet.random_box([(-2, 2), (-2, 2)], 3, seed=5).array().tolist()
+        assert rand["worst_point"] in draws
 
     def test_fail_fast(self, fail_first_spec, capsys):
         assert main(["verify", fail_first_spec, "--json", "--fail-fast"]) == 1

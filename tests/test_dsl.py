@@ -356,7 +356,7 @@ class TestBinder:
             "form a : 1e0 values su2 = x * dy @ e1\n"
             "check bianchi(a) on random(-2..2, -2..2, -2..2; 1e3, seed 1.3e1)\n")
         assert not diags
-        assert (checks[0].sample.count, checks[0].sample.seed) == (1000, 13)
+        assert (checks[0].sample.counts, checks[0].sample.seed) == ((1000,), 13)
 
     def test_largest_algebra_binds(self):
         # su(2) on each run of three labels: the Jacobi check meets every index

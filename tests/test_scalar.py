@@ -683,6 +683,27 @@ class TestSampleSet:
         # the grid kind carries no seed
         SampleSet.grid([(-1, 1)], 3)
 
+    def test_a_grid_is_the_set_without_a_seed(self):
+        g = SampleSet.grid([(0, 1), (0, 2)], 3)
+        r = SampleSet.random_box([(0, 1), (0, 2)], 50, seed=3)
+        assert (g.counts, g.seed, g.requested) == ((3, 3), None, 9)
+        assert (r.counts, r.seed, r.requested) == ((50,), 3, 50)
+        assert SampleSet(r.bounds, r.counts, r.seed).array().tobytes() == r.array().tobytes()
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: SampleSet([(0, 1), (0, 2)], (3, 0)), "grid needs at least one point per axis"),
+        (lambda: SampleSet([(0, 1)], (0,), seed=1), "sample count must be >= 1"),
+        (lambda: SampleSet([(0, 1), (0, 1)], (3,)),
+         "grid needs one point count per range, got 1 for 2"),
+        (lambda: SampleSet([(0, 1)], (3,), seed=-1), "seed must be >= 0, got -1"),
+        (lambda: SampleSet([(0, 1)], (3, 3), seed=1), "a random sample set needs one count, got 2"),
+    ], ids=["grid-count-0", "random-count-0", "grid-short-counts", "negative-seed",
+            "random-two-counts"])
+    def test_constructor_checks_every_field(self, make, message):
+        with pytest.raises(DomainError) as err:
+            make()
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("bounds", [(-math.inf, 2), (0, math.nan), (-1e308, 1e308)])
     def test_non_finite_range_rejected(self, bounds):
         with pytest.raises(DomainError, match="finite"):

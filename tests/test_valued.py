@@ -97,6 +97,28 @@ class TestValueSpace:
         with pytest.raises(DimensionError, match="at least one label"):
             ValueSpace(labels=())
 
+    def test_spaces_built_apart_are_equal(self):
+        a, b = ValueSpace(("e1", "e2", "e3"), su2()), ValueSpace(("e1", "e2", "e3"), su2())
+        assert a is not b and a.lie is not b.lie
+        assert a == b and len({a, b}) == 1
+
+    def test_forms_on_equal_spaces_add(self, r3):
+        a = ValuedForm.from_components(r3, 1, COV, ValueSpace(("e1", "e2", "e3"), su2()),
+                                       {((0,), "e1"): 1.0})
+        b = ValuedForm.from_components(r3, 1, COV, ValueSpace(("e1", "e2", "e3"), su2()),
+                                       {((0,), "e1"): 2.0, ((1,), "e2"): 1.0})
+        total = {k: v.ev((0, 0, 0)) for k, v in comps(a + b).items()}
+        assert total == {((0,), "e1"): 3.0, ((1,), "e2"): 1.0}
+
+    def test_another_lie_structure_is_another_space(self, r3):
+        a = ValueSpace(("e1", "e2", "e3"), su2())
+        b = ValueSpace(("e1", "e2", "e3"), abelian(3))
+        assert a != b
+        with pytest.raises(DimensionError) as err:
+            (ValuedForm.from_components(r3, 1, COV, a, {((0,), "e1"): 1.0})
+             + ValuedForm.from_components(r3, 1, COV, b, {((0,), "e1"): 1.0}))
+        assert str(err.value) == "valued forms live in different spaces"
+
 
 class TestPhiMap:
     def test_lie_bracket_matches_cross_product(self, V3):
