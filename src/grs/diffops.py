@@ -15,7 +15,6 @@ parameters where it uses them.
 
 from __future__ import annotations
 
-import math
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -336,31 +335,25 @@ def geodesic_integrate(gamma, x0: Sequence[float], u0: Sequence[float],
              if not is_zero(as_expr(gamma[l][m][nu]))]
     prog = Program([as_expr(gamma[l][m][nu]) for l, m, nu in terms])
 
-    def accel(x, u):
+    def rate(y):
+        """(u, -Gamma(u, u)) at the state y = (x, u)."""
+        u = y[n:].tolist()
         s = [0.0] * n
-        for (l, m, nu), g in zip(terms, prog.at([x])[:, 0].tolist()):
+        for (l, m, nu), g in zip(terms, prog.at([y[:n]])[:, 0].tolist()):
             s[l] += (g * u[m] * u[nu]).real
-        return [-v for v in s]
+        return np.concatenate((y[n:], [-v for v in s]))
 
-    xs = np.empty((steps + 1, n))
-    us = np.empty((steps + 1, n))
-    x = list(map(float, x0))
-    u = list(map(float, u0))
-    xs[0], us[0] = x, u
-    for step in range(steps):
-        k1x, k1u = u, accel(x, u)
-        x2 = [x[i] + 0.5 * ds * k1x[i] for i in range(n)]
-        u2 = [u[i] + 0.5 * ds * k1u[i] for i in range(n)]
-        k2x, k2u = u2, accel(x2, u2)
-        x3 = [x[i] + 0.5 * ds * k2x[i] for i in range(n)]
-        u3 = [u[i] + 0.5 * ds * k2u[i] for i in range(n)]
-        k3x, k3u = u3, accel(x3, u3)
-        x4 = [x[i] + ds * k3x[i] for i in range(n)]
-        u4 = [u[i] + ds * k3u[i] for i in range(n)]
-        k4x, k4u = u4, accel(x4, u4)
-        x = [x[i] + ds / 6.0 * (k1x[i] + 2 * k2x[i] + 2 * k3x[i] + k4x[i]) for i in range(n)]
-        u = [u[i] + ds / 6.0 * (k1u[i] + 2 * k2u[i] + 2 * k3u[i] + k4u[i]) for i in range(n)]
-        if any(not math.isfinite(v) for v in x + u):
-            raise StepError(f"non-finite state at step {step + 1}")
-        xs[step + 1], us[step + 1] = x, u
-    return xs, us
+    ys = np.empty((steps + 1, 2 * n))
+    y = ys[0] = np.array([*x0, *u0], dtype=float)
+    # a state that overflows is caught below as non-finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(steps):
+            k1 = rate(y)
+            k2 = rate(y + 0.5 * ds * k1)
+            k3 = rate(y + 0.5 * ds * k2)
+            k4 = rate(y + ds * k3)
+            y = y + ds / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+            if not np.isfinite(y).all():
+                raise StepError(f"non-finite state at step {step + 1}")
+            ys[step + 1] = y
+    return ys[:, :n], ys[:, n:]

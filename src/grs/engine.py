@@ -4,20 +4,22 @@ A ``GrCondition`` is filled in by ``add``, one labeled piece (an expression,
 a form or a valued form) at a time; a catalog builder's pieces are already
 fully symbolic, one expression tree per component.  ``verify`` compiles all of a
 condition's trees into one deduplicated ``Program`` and evaluates it over
-blocks of sample points, reducing each block into running norms.  Each
-component's magnitudes over a block are one contiguous array: a label's
-linf is the maximum over its components' arrays, its sum of squares runs
-point by point and left to right within a point, as a pointwise fold
-would, and the per-point maximum behind the worst point is an elementwise
-maximum across all components.  A NaN propagates into all three.  A
-block has as many rows as fit in ``BLOCK_BYTES`` at 16 bytes (one
-complex value) per row for each value the program holds at once
-(``Program.peak``) and each component's magnitude, so a small program
-runs in few blocks.  ``SampleSet.blocks`` draws each block's points when
-the loop asks for it and drops the points the sample set excludes, so
-the program never sees an excluded point (nor runs on a block left
-empty) and memory does not grow with the number of points.  The report
-does not depend on the block size.
+blocks of sample points, reducing each block into running norms.  A
+block's magnitudes are one (components x rows) matrix, a row per
+component in root order, and the singular points' columns leave it by
+one index: a label's linf is the maximum over its rows, its sum of
+squares runs over a point-major copy of them, point by point and left to
+right within a point, as a pointwise fold would, and the per-point
+maximum behind the worst point is the maximum down each column.  A NaN
+propagates into all three.  A block has as many rows as fit in
+``BLOCK_BYTES`` at 16 bytes per row for each value the program holds at
+once (``Program.peak``, one complex value each) and for each component
+(its magnitude and its row of the matrix), so a small program runs in
+few blocks.  ``SampleSet.blocks`` draws each block's points when the
+loop asks for it and drops the points the sample set excludes, so the
+program never sees an excluded point (nor runs on a block left empty)
+and memory does not grow with the number of points.  The report does
+not depend on the block size.
 A condition's values at chosen points come from the same compiler:
 ``Program(cond.roots()).at(points)``, one row per component in label
 order.
@@ -148,29 +150,26 @@ def verify(c: GrCondition, sample: SampleSet, tol: float = DEFAULT_TOL) -> Resid
             if not len(block):
                 continue  # exclude rejected every row
             values, singular = prog.run(block)
+            # a row per component; the reshape keeps a condition with none 2-D
+            mags = np.array([magnitude(v) for v in values]).reshape(width, len(block))
             if singular.any():
                 keep = ~singular
-                block, values = block[keep], [v[keep] for v in values]
+                block, mags = block[keep], mags[:, keep]
                 if not len(block):
                     continue
             evaluated += len(block)
-            mags = [magnitude(v) for v in values]  # one array per component
             for k, (a, b) in enumerate(spans):
                 if a == b:
                     continue
-                for m in mags[a:b]:
-                    # np.maximum, unlike max(), keeps a NaN
-                    linf[k] = np.maximum(linf[k], m.max())
+                # np.maximum, unlike max(), keeps a NaN
+                linf[k] = np.maximum(linf[k], mags[a:b].max())
                 # the same left-to-right sum as one point at a time, so a
                 # label's squares are laid out point-major
-                sq = np.stack(mags[a:b], axis=1).ravel() if b - a > 1 else mags[a].copy()
+                sq = mags[a:b].T.flatten()
                 sq *= sq
                 sq[0] += sumsq[k]
                 sumsq[k] = np.cumsum(sq, out=sq)[-1]
-            # the norms are done with mags, so the first array takes the maxima
-            point_max = mags[0] if mags else np.zeros(len(block))
-            for m in mags[1:]:
-                np.maximum(point_max, m, out=point_max)
+            point_max = mags.max(axis=0, initial=0.0)
             i = int(np.argmax(point_max))  # first maximum; a NaN counts as largest
             m = point_max[i]
             if m > worst_mag or (np.isnan(m) and not np.isnan(worst_mag)):

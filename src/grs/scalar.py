@@ -30,7 +30,10 @@ division and negation equal Python ``complex`` arithmetic bit for bit,
 and ``sin``, ``cos`` and ``exp`` of a real operand equal ``math``'s.
 Every power and root is a ``Pow`` node, ``sqrt(a)`` being ``a ** (1/2)``,
 and ``pow_`` folds a constant power with the node's kernel, ``_power``,
-so a folded power equals what its node evaluates to.
+so a folded power equals what its node evaluates to.  Likewise a product
+or quotient of two real constants folds in real arithmetic, as the real
+kernels compute it, so ``1e400 * 2`` folds to inf, not to complex
+arithmetic's inf + NaN i.
 
 Point policy: a division or negative power whose operand has magnitude
 below ``_DIV_FLOOR`` marks the point *singular*; a half-integer power
@@ -725,7 +728,9 @@ def mul(a: Expr, b: Expr) -> Expr:
     va = a.value if type(a) is Const else None
     vb = b.value if type(b) is Const else None
     if va is not None and vb is not None:
-        return Const(va * vb)
+        # two reals fold as Mul's real kernel computes them: complex
+        # arithmetic would give inf * 0j a NaN imaginary part
+        return Const(va.real * vb.real if va.imag == vb.imag == 0 else va * vb)
     if va == 0 or vb == 0:
         return ZERO
     if va == 1:
@@ -741,7 +746,7 @@ def div(a: Expr, b: Expr) -> Expr:
     if vb is not None and abs(vb) < _DIV_FLOOR:
         return Div(a, b)  # a (near) zero divisor: the node marks every point singular
     if va is not None and vb is not None:
-        return Const(va / vb)
+        return Const(va.real / vb.real if va.imag == vb.imag == 0 else va / vb)
     if vb == 1:
         return a
     if va == 0:

@@ -1,9 +1,10 @@
 """Sign-mutation harness for ``src/grs/exterior.py``, the operators and
 metric geometry of ``src/grs/diffops.py``, ``lift_pointwise`` in
 ``src/grs/valued.py``, the catalog builders and chart builders that carry
-a sign, the DSL binder's form terms, and the derivative rules and the
+a sign, the DSL binder's form terms, the derivative rules and the
 complex-arithmetic and ``Sub``/``Neg``/``Bump`` evaluation kernels of
-``src/grs/scalar.py`` (pytest does not collect it: the file name does not
+``src/grs/scalar.py``, and the reduction to norms in ``verify`` of
+``src/grs/engine.py`` (pytest does not collect it: the file name does not
 start with ``test_``).
 
 It makes one mutant at a time in a copy of the tree and runs tier-1 on
@@ -58,6 +59,7 @@ TARGETS = (
     (Path("src/grs/scalar.py"), tuple(f"{c}._diff" for c in (
         "Add", "Sub", "Mul", "Div", "Pow", "Neg", "Sin", "Cos", "Exp", "Bump"))
      + ("_cmul", "_cdiv", "_ipow", "Sub._eval", "Neg._eval", "Bump._eval")),
+    (Path("src/grs/engine.py"), ("verify",)),
 )
 # surviving mutants that change no verdict, by (file, mutated line, old, new)
 EQUIVALENT = {

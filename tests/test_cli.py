@@ -541,6 +541,11 @@ class TestEval:
         assert main(["eval", expr, "--at", "x=1"]) == 0
         assert capsys.readouterr().out == f"{printed}\n"
 
+    def test_product_of_real_constants_folds_to_a_real_infinity(self, capsys):
+        # folded in complex arithmetic it printed (inf+nanj)
+        assert main(["eval", "1e400 * 2", "--at", "x=1"]) == 0
+        assert capsys.readouterr().out == "inf\n"
+
     @pytest.mark.parametrize("constant,power,at", [
         ("3^2.5", "x^2.5", "x=3"), ("1.1^101", "x^101", "x=1.1")])
     def test_constant_power_prints_as_its_node_evaluates(self, constant, power, at, capsys):

@@ -24,7 +24,7 @@ from grs.errors import DomainError, EvalSingularity
 from grs.exterior import Chart, MetricSpec, form
 from grs.scalar import (
     Add, Bump, Const, Coord, Cos, Div, Exp, Expr, Mul, Neg, Pow, Program,
-    SampleSet, Sin, Sub, coord, exp, sin, sqrt,
+    SampleSet, Sin, Sub, const, coord, exp, sin, sqrt,
 )
 from test_catalog import known_cases
 
@@ -255,7 +255,11 @@ def _edge_conditions():
     huge = GrCondition(name="square overflows")
     huge.add("a", sin(x))
     huge.add("b", 1e200 * (x + 3))
-    return {"empty": empty, "nan": nan, "huge": huge}
+    constant = GrCondition(name="constant components")
+    constant.add("a", 1 / x)
+    for comp in (const(0.5), sin(3 * x) * y, const(-2.0)):  # broadcast per block
+        constant.add("b", comp)
+    return {"empty": empty, "nan": nan, "huge": huge, "constant": constant}
 
 
 # 9 x 41 grid points; the one at index 250 (x = 1) is in the second block of
@@ -263,7 +267,7 @@ def _edge_conditions():
 _EDGE_SAMPLE = SampleSet.grid([(-2, 2), (-1, 1)], (9, 41))
 
 
-@pytest.mark.parametrize("case", ["empty", "nan", "huge"])
+@pytest.mark.parametrize("case", ["empty", "nan", "huge", "constant"])
 def test_reduction_edge_cases_match_point_at_a_time(case, monkeypatch):
     cond = _edge_conditions()[case]
     norms, worst_point = _fold(cond, _EDGE_SAMPLE)
@@ -282,8 +286,10 @@ def test_reduction_edge_cases_match_point_at_a_time(case, monkeypatch):
     elif case == "nan":
         assert math.isnan(norms["b"]["linf"]) and math.isnan(norms["b"]["rms"])
         assert worst_point == _EDGE_SAMPLE.array()[250].tolist()
-    else:
+    elif case == "huge":
         assert math.isfinite(norms["b"]["linf"]) and norms["b"]["rms"] == math.inf
+    else:
+        assert norms["b"]["linf"] == 2.0
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)

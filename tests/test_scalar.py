@@ -3,6 +3,7 @@ import gc
 import hashlib
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -89,6 +90,23 @@ def test_constant_power_folds_to_what_its_node_evaluates_to():
     # two overflows and a negative real under a half-integer power
     assert kept == [(1e-5, -101), (123.456, 150)] + [
         (-2, Fraction(k, 2)) for k in range(-9, 10, 2)]
+
+
+_REAL_OPERANDS = [math.inf, -math.inf, 0.0, -0.0, 1e308, -1e308, 1e-308, 2.0, -0.5]
+
+
+@pytest.mark.parametrize("op,node", [(operator.mul, Mul), (operator.truediv, Div)],
+                         ids=["mul", "div"])
+def test_real_constant_product_and_quotient_fold_to_what_their_node_evaluates_to(op, node):
+    # complex arithmetic would give inf * 2 the imaginary part inf * 0 = NaN
+    for a, b in itertools.product(_REAL_OPERANDS, repeat=2):
+        folded = op(const(a), const(b))
+        if isinstance(folded, Div):
+            assert abs(b) < 1e-300, b  # a divisor under the floor stays a node
+            continue
+        (value,), _ = Program([node(const(a), const(b))]).run(np.zeros((1, 0)))
+        z = complex(value[0])
+        assert _bits([folded.value.real, folded.value.imag]) == _bits([z.real, z.imag]), (a, b)
 
 
 def test_arithmetic_eval():
