@@ -39,7 +39,13 @@ Point policy: a division or negative power whose operand has magnitude
 below ``_DIV_FLOOR`` marks the point *singular*; a half-integer power
 (``sqrt`` included) of a negative real raises ``DomainError``, but only
 at points that are not singular; the error names the first such point.
-Points a sample set excludes are dropped before they are evaluated.
+A product with a constant zero factor, or a quotient with a constant
+zero numerator, folds to zero when it is built, before any kernel sees
+the other operand: ``x * 0`` is 0 where x is inf or NaN, and ``0 / x``
+is 0, not singular, where x is 0.  Two constants fold by value instead,
+so ``1e400 * 0`` is NaN.
+Points a sample set excludes are dropped before they are evaluated.  A
+coordinate axis the points do not have raises ``DimensionError``.
 """
 
 from __future__ import annotations
@@ -51,7 +57,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 
 import numpy as np
 
-from .errors import DomainError, EvalSingularity
+from .errors import DimensionError, DomainError, EvalSingularity
 
 _DIV_FLOOR = 1e-300
 _ONE = np.float64(1.0)
@@ -304,6 +310,9 @@ class Coord(Expr):
 
     @staticmethod
     def _eval(blk, axis, _a, _b):
+        if not 0 <= axis < len(blk.cols):
+            raise DimensionError(f"coordinate axis {axis} is out of range: "
+                                 f"the points have {len(blk.cols)} coordinate(s)")
         return blk.cols[axis]
 
     def __repr__(self):
@@ -517,10 +526,11 @@ def intern_ops(exprs: Iterable[Expr]) -> Tuple[list, ...]:
     Structurally equal subtrees -- same node type, same constant, axis,
     exponent or order, same children -- become one op ``(type, param, a,
     b)``, ``a`` and ``b`` being its children's op indices (-1: no child).
-    Returns ``(types, params, a, b, roots, last)``: the ops in topological
-    order, each root's op index and each op's last reader (-1: none).  It
-    depends on the trees' structure only, not on which nodes they share,
-    so it is also a value key for a sequence of expressions.
+    Returns ``(types, params, a, b, roots)``: the ops in topological order
+    and each root's op index.  That is structure only, not a schedule
+    (``Program`` derives where each value dies), and it does not depend
+    on which nodes the trees share, so it is also a value key for a
+    sequence of expressions.
 
     The walk is post-order, right child first.  It reads a node's
     children from its slots (``Expr._arity`` of them) and runs ``_parts``
@@ -541,7 +551,6 @@ def intern_ops(exprs: Iterable[Expr]) -> Tuple[list, ...]:
     params: list = []
     a_col: List[int] = []
     b_col: List[int] = []
-    last: List[int] = []
     roots: List[int] = []
     get = slot_of.get
     for root in exprs:
@@ -595,46 +604,48 @@ def intern_ops(exprs: Iterable[Expr]) -> Tuple[list, ...]:
                 params.append(param)
                 a_col.append(a)
                 b_col.append(b)
-                last.append(-1)
-                if a >= 0:
-                    last[a] = i
-                if b >= 0:
-                    last[b] = i
             slot_of[node] = i
         roots.append(slot_of[root])
-    return types, params, a_col, b_col, roots, last
+    return types, params, a_col, b_col, roots
 
 
 class Program:
-    """Root expressions compiled to one deduplicated op list (``intern_ops``).
+    """Root expressions compiled to an op list (structure) and its schedule.
 
-    Ops are kept as six parallel columns in topological order: kernel,
-    param, two input slots and two freed slots, the inputs (not roots)
-    whose last reader the op is.  -1 names the scratch slot past the
+    The structure is ``intern_ops``'s columns: kernel, param and two input
+    slots per op in topological order, and the roots' slots.  The schedule
+    is two freed slots per op, the inputs (not roots) whose last reader it
+    is, and ``peak``, the most values a run holds at once, roots included,
+    each one array over the points.  -1 names the scratch slot past the
     ops', read for an absent input and written when nothing is freed.
-    ``run`` calls each kernel once per call over a whole array of points
-    as ``kernel(blk, param, a, b)``.  ``peak`` is the most values a run
-    holds at once, roots included; each is one array over the points.
+    ``run`` calls each kernel once per call as ``kernel(blk, param, a, b)``.
     """
 
     __slots__ = ("_evs", "_params", "_a", "_b", "_fa", "_fb", "_roots", "peak")
 
     def __init__(self, exprs: Iterable[Expr]):
-        types, self._params, self._a, self._b, self._roots, last = intern_ops(exprs)
-        for r in self._roots:
-            last[r] = -1  # a root is never freed
-        # nor is an absent input (-1): last[-1] is -1, as nothing reads the final op
-        ops = range(len(types))
+        types, self._params, self._a, self._b, self._roots = intern_ops(exprs)
         self._evs = [t._eval for t in types]
-        self._fa = [a if last[a] == i else -1 for i, a in zip(ops, self._a)]
-        self._fb = [b if last[b] == i and b != a else -1
-                    for i, a, b in zip(ops, self._a, self._b)]
-        live = peak = 0
-        for fa, fb in zip(self._fa, self._fb):
-            live += 1  # an op's value is made before its inputs are freed
-            if live > peak:
+        n = len(types)
+        self._fa, self._fb = fa, fb = [-1] * n, [-1] * n
+        # walking back, a slot's first reader met is its last and frees it;
+        # roots and the absent input -1 (the flag past the ops') start read
+        read = bytearray(n) + b"\1"
+        for r in self._roots:
+            read[r] = 1
+        live, peak = read.count(1) - 1, 0  # the roots stay live to the end
+        for i, a, b in zip(range(n - 1, -1, -1), reversed(self._a), reversed(self._b)):
+            if not read[a]:
+                read[a] = 1
+                fa[i] = a
+                live += 1
+            if not read[b]:
+                read[b] = 1
+                fb[i] = b
+                live += 1
+            if live > peak:  # an op's value is made before its inputs are freed
                 peak = live
-            live -= (fa >= 0) + (fb >= 0)
+            live -= 1
         self.peak = peak
 
     def __len__(self) -> int:

@@ -2,7 +2,8 @@
 metric geometry of ``src/grs/diffops.py``, ``lift_pointwise`` in
 ``src/grs/valued.py``, the catalog builders and chart builders that carry
 a sign, the DSL binder's form terms, the derivative rules and the
-complex-arithmetic and ``Sub``/``Neg``/``Bump`` evaluation kernels of
+complex-arithmetic and ``Sub``/``Neg``/``Bump`` evaluation kernels and
+the value schedule of ``Program.__init__`` (dead slots and peak) in
 ``src/grs/scalar.py``, and the reduction to norms in ``verify`` of
 ``src/grs/engine.py`` (pytest does not collect it: the file name does not
 start with ``test_``).
@@ -58,7 +59,7 @@ TARGETS = (
     (Path("src/grs/dsl.py"), ("_Binder._vform",)),
     (Path("src/grs/scalar.py"), tuple(f"{c}._diff" for c in (
         "Add", "Sub", "Mul", "Div", "Pow", "Neg", "Sin", "Cos", "Exp", "Bump"))
-     + ("_cmul", "_cdiv", "_ipow", "Sub._eval", "Neg._eval", "Bump._eval")),
+     + ("_cmul", "_cdiv", "_ipow", "Sub._eval", "Neg._eval", "Bump._eval", "Program.__init__")),
     (Path("src/grs/engine.py"), ("verify",)),
 )
 # surviving mutants that change no verdict, by (file, mutated line, old, new)

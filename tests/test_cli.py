@@ -575,6 +575,14 @@ class TestEval:
         assert main(["eval", expr, "--at", at]) == 2
         assert capsys.readouterr() == ("", f"error: division by (near) zero at ({point},)\n")
 
+    @pytest.mark.parametrize("expr,at,printed", [
+        ("x * 0", "x=1e400", "0.0"), ("0 / x", "x=0", "0.0"), ("1e400 * 0", "x=1", "nan")])
+    def test_a_constant_zero_factor_folds_before_evaluation(self, expr, at, printed, capsys):
+        # x * 0 and 0 / x fold to 0 at bind time, so no kernel sees x = inf or
+        # the zero divisor; a product of two constants folds by value
+        assert main(["eval", expr, "--at", at]) == 0
+        assert capsys.readouterr().out == f"{printed}\n"
+
     def test_singularity_reported(self, capsys):
         assert main(["eval", "1 / x", "--at", "x=0"]) == 2
         assert "error" in capsys.readouterr().err

@@ -6,7 +6,7 @@ import pytest
 from grs import engine
 from grs.catalog import build, schwarzschild_chart
 from grs.engine import DEFAULT_TOL, GrCondition, verify
-from grs.errors import DegreeError, DomainError, EmptySampleSet
+from grs.errors import DegreeError, DimensionError, DomainError, EmptySampleSet
 from grs.exterior import COV, Chart, MetricSpec, form, wedge
 from grs.scalar import Program, SampleSet, const, coord, sin, sqrt
 from grs.valued import PhiMap, ValueSpace, ValuedForm, lift_pointwise
@@ -139,6 +139,18 @@ class TestVerify:
     def test_condition_without_components_passes(self):
         rep = verify(GrCondition(name="empty"), SampleSet.random_box([(-1, 1)], 7, seed=3))
         assert rep.passed and rep.evaluated == rep.requested == 7
+
+    def test_a_coordinate_the_points_lack_is_a_dimension_error(self):
+        # a GrsError naming the axis, not numpy's IndexError
+        cond = _condition("axis", ("r", coord(3) * coord(0)))
+        with pytest.raises(DimensionError, match=r"axis 3 .* have 2 coordinate"):
+            verify(cond, SampleSet.random_box([(0, 1), (0, 1)], 5, 1))
+        with pytest.raises(DimensionError, match=r"axis 2 .* have 1 coordinate"):
+            coord(2).ev([1.0])
+        # a negative axis would read a column from the end, while diff(1)
+        # of coord(-1) is 0
+        with pytest.raises(DimensionError, match=r"axis -1 .* have 2 coordinate"):
+            coord(-1).ev([1.0, 2.0])
 
 
 class TestBlockSize:

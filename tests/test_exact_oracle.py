@@ -92,7 +92,7 @@ def _values(types, params, a, b, pt):
 def exact_zero(roots, dim, rng):
     """Whether every root is exactly 0 at POINTS random points, or None if
     some root is not a rational function."""
-    types, params, a, b, rts, _ = intern_ops(roots)
+    types, params, a, b, rts = intern_ops(roots)
     deg = _degrees(types, params, a, b)
     if deg is None:
         return None
@@ -188,7 +188,7 @@ def test_degree_bounds_and_poles():
     x, y = Coord(0), Coord(1)
     # x^3 / (x - y^-2) = x^3 y^2 / (x y^2 - 1): bounds (5, 3), as the walk sums them
     e = Div(Pow(x, Fraction(3)), Sub(x, Pow(y, Fraction(-2))))
-    types, params, a, b, rts, _ = intern_ops([e])
+    types, params, a, b, rts = intern_ops([e])
     assert _degrees(types, params, a, b)[rts[0]] == (5, 3)
     assert _degrees(*intern_ops([Pow(x, Fraction(1, 2))])[:4]) is None
     assert _degrees(*intern_ops([Mul(Const(1j), x)])[:4]) is None

@@ -287,8 +287,8 @@ def _param_key(p):
 
 
 def _ops_by_key(ops):
-    types, params, a, b, roots, last = ops
-    return types, [_param_key(p) for p in params], a, b, roots, last
+    types, params, a, b, roots = ops
+    return types, [_param_key(p) for p in params], a, b, roots
 
 
 def _reference_ops(roots):
@@ -305,13 +305,31 @@ def _reference_ops(roots):
 
     root_slots = [visit(r) for r in roots]
     ops = list(index)  # in insertion order, which is op order
-    last = [-1] * len(ops)
-    for i, (_, _, a, b) in enumerate(ops):
-        for k in (a, b):
-            if k >= 0:
-                last[k] = i
     return ([op[0] for op in ops], [op[1] for op in ops], [op[2] for op in ops],
-            [op[3] for op in ops], root_slots, last)
+            [op[3] for op in ops], root_slots)
+
+
+def _reference_schedule(prog):
+    """``Program``'s dead slots and ``peak`` by a forward walk: a slot is
+    freed by its last reader, found by a scan of every op's inputs, unless
+    it is a root or the absent input -1; ``b == a`` is freed once, as
+    ``a``; an op's value is counted before its inputs are freed."""
+    n, roots = len(prog), set(prog._roots)
+    last = {}
+    for i, ins in enumerate(zip(prog._a, prog._b)):
+        for k in ins:
+            last[k] = i
+    fa, fb = [-1] * n, [-1] * n
+    live = peak = 0
+    for i, (a, b) in enumerate(zip(prog._a, prog._b)):
+        if a >= 0 and a not in roots and last[a] == i:
+            fa[i] = a
+        if b >= 0 and b != a and b not in roots and last[b] == i:
+            fb[i] = b
+        live += 1
+        peak = max(peak, live)
+        live -= (fa[i] >= 0) + (fb[i] >= 0)
+    return fa, fb, peak
 
 
 def _op_list_digest(prog):
@@ -460,6 +478,30 @@ class TestCompile:
         assert (len(prog), prog.peak) == (0, 0)
         values, singular = prog.run(np.zeros((3, 2)))
         assert values == [] and not singular.any()
+
+    @settings(max_examples=100, deadline=None)
+    @given(_dags())
+    def test_schedule_matches_a_forward_reference(self, roots):
+        prog = Program(roots)
+        assert (prog._fa, prog._fb, prog.peak) == _reference_schedule(prog)
+        derivs = Program([r.diff(0) for r in roots])
+        assert (derivs._fa, derivs._fb, derivs.peak) == _reference_schedule(derivs)
+
+    @pytest.mark.parametrize("roots, freed, peak", [
+        # ops y, x, x*y, sin(x*y): the root x*y is read later yet never freed
+        ([x * y, sin(x * y)], [(-1, -1), (-1, -1), (1, 0), (-1, -1)], 3),
+        # x * x reads x twice and frees it once
+        ([x * x], [(-1, -1), (0, -1)], 2),
+        # constants only: 2 and 1, then their sum
+        ([Add(const(1.0), const(2.0))], [(-1, -1), (-1, -1), (1, 0)], 3),
+        ([const(1.0)], [(-1, -1)], 1),
+        ([], [], 0),
+    ], ids=["read_root", "square", "constants", "one_constant", "empty"])
+    def test_schedule_of_fixed_programs(self, roots, freed, peak):
+        prog = Program(roots)
+        assert list(zip(prog._fa, prog._fb)) == freed
+        assert prog.peak == peak
+        assert (prog._fa, prog._fb, prog.peak) == _reference_schedule(prog)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
